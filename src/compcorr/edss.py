@@ -6,22 +6,35 @@ partial transpose over A of the state after Alice's CNOT has a negative
 eigenvalue, and the protocol is valid only if the C|AB cut stays PPT at the
 send step.
 
-The ancilla is a free protocol choice; `edss_useful` searches a grid of
-Bloch angles and radii. Pure ancillas (radius 1) alone never succeed with a
-PPT send step: for an ancilla on the CNOT axis the state after Alice's CNOT
-is symmetric under swapping A and C, so the A|BC and C|AB partial-transpose
-spectra coincide, and off-axis pure ancillas behave the same way to within
-float noise. The default radius grid therefore reaches into mixed ancillas.
+The ancilla is a free protocol choice. `edss_useful` scores a grid of Bloch
+angles and radii in closed form, with no 8x8 matrix: rotating the ancilla
+about x commutes with Alice's CNOT, so only its x component r_x and its
+transverse length r_perp = sqrt(r_y^2 + r_z^2) matter. With Bell-basis
+eigenvalues lambda in the order (phi+, phi-, psi+, psi-) and p(k) the
+partner of k (phi+ <-> phi-, psi+ <-> psi-), the minimum partial-transpose
+eigenvalue after Alice's CNOT is, across each cut,
+
+    min_k (a_k - sqrt(a_k^2 r_x^2 + v_k^2 r_perp^2)) / 8, where
+    A|BC: a_k = 2 - 4 lambda_k,  v_k = 2 - 4 lambda_p(k),
+    C|AB: a_k = 4 lambda_k,      v_k = 4 lambda_p(k).
+
+So pure ancillas never work. A separable input has all a_k >= 0, so for
+r_x^2 + r_perp^2 = 1 and r_perp > 0, term k is negative across A|BC iff
+lambda_p(k) < lambda_k and across C|AB iff lambda_p(k) > lambda_k: A|BC is
+NPT iff some partner pair has lambda_k != lambda_p(k), which is exactly when
+C|AB is NPT. With r_perp = 0 both cuts are PPT. The default radii therefore
+reach into mixed ancillas. `run_protocol` keeps the 8x8 route for stage
+traces; `oracle.edss_useful_numeric` is the numeric reference for the search.
 """
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .correlations import complementary_correlations, classical_correlation, discord_bd, q1, total_mutual_information
 from .entanglement import PPT_TOL, PptVerdict, negativity, ppt_verdict, pt_spectrum
-from .matcore import I2, PAULIS, kron, partial_transpose
+from .matcore import I2, PAULIS, kron
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -52,10 +65,14 @@ def cnot(n_qubits: int, control: int, target: int) -> np.ndarray:
     return u
 
 
+def _check_radius(radius: float) -> None:
+    if not 0.0 <= radius <= 1.0:  # also rejects NaN
+        raise ValueError(f"Bloch radius {radius} outside [0, 1]")
+
+
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
     """Qubit state (I + r n . sigma)/2 with Bloch direction (theta, phi)."""
-    if not (0.0 <= radius <= 1.0):
-        raise ValueError(f"Bloch radius {radius} outside [0, 1]")
+    _check_radius(radius)
     n = np.array(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
@@ -78,6 +95,18 @@ class AncillaSpec:
     n_azimuth: int = 48
     radii: tuple[float, ...] = DEFAULT_RADII
     refine: bool = True
+
+    def __post_init__(self):
+        if self.mode == "fixed":
+            if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+                raise ValueError(f"ancilla angles ({self.theta}, {self.phi}) must be finite")
+        elif self.n_polar < 2 or self.n_azimuth < 1 or not self.radii:
+            raise ValueError(
+                "ancilla grid needs at least 2 polar points, 1 azimuthal point and 1 radius, "
+                f"got {self.n_polar}, {self.n_azimuth} and {len(self.radii)}"
+            )
+        for r in (self.radius,) if self.mode == "fixed" else self.radii:
+            _check_radius(r)
 
     @classmethod
     def fixed(cls, theta: float, phi: float, radius: float = 1.0) -> "AncillaSpec":
@@ -144,21 +173,6 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     )
 
 
-_U_AC = cnot(3, 0, 2)
-_DIMS3 = (2, 2, 2)
-
-
-def _min_pt_after_alice(rho4: np.ndarray, anc2: np.ndarray) -> tuple[float, np.ndarray]:
-    """Min eigenvalue of PT over A after Alice's CNOT, plus the 8x8 state."""
-    rabc = _U_AC @ np.kron(rho4, anc2) @ _U_AC.T
-    lam = np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 0))
-    return float(lam[0]), rabc
-
-
-def _min_pt_c(rabc: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 2))[0])
-
-
 @dataclass(frozen=True)
 class EdssSearchResult:
     """Outcome of the ancilla search for one input state."""
@@ -169,26 +183,51 @@ class EdssSearchResult:
     npt_send_success_seen: bool  # some ancilla succeeded only via an NPT send step
 
 
-def _search_points(spec: AncillaSpec):
+_PARTNER = [1, 0, 3, 2]  # phi+ <-> phi-, psi+ <-> psi-
+
+
+def _pt_minima(p: BellDiagonalParams, r_x, r_perp) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum partial-transpose eigenvalues after Alice's CNOT, across A|BC
+    and across C|AB, for ancillas with Bloch components r_x and r_perp."""
+    lam = p.eigenvalues()
+    x2 = np.square(r_x)[..., None]
+    p2 = np.square(r_perp)[..., None]
+
+    def cut_min(a, v):
+        return np.min(a - np.sqrt(a * a * x2 + v * v * p2), axis=-1) / 8
+
+    return cut_min(2 - 4 * lam, 2 - 4 * lam[_PARTNER]), cut_min(4 * lam, 4 * lam[_PARTNER])
+
+
+def _search_points(spec: AncillaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, phi, radius) arrays in search order: radius outermost, then
+    polar angle, then azimuth."""
+    if spec.mode == "fixed":
+        return tuple(np.array([x]) for x in (spec.theta, spec.phi, spec.radius))
     thetas = np.linspace(0.0, np.pi, spec.n_polar)
     phis = np.linspace(0.0, 2 * np.pi, spec.n_azimuth, endpoint=False)
-    for r in spec.radii:
-        for th in thetas:
-            for ph in phis:
-                yield th, ph, r
+    r, th, ph = np.meshgrid(np.array(spec.radii, dtype=float), thetas, phis, indexing="ij")
+    return th.ravel(), ph.ravel(), r.ravel()
 
 
-def _refinement_points(center: tuple[float, float, float], spec: AncillaSpec):
+def _refinement_points(center, spec: AncillaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 75 points at half grid steps around center: radius step outermost,
+    then polar, then azimuthal step."""
     th0, ph0, r0 = center
-    dth = 0.5 * np.pi / max(spec.n_polar - 1, 1)
-    dph = 0.5 * 2 * np.pi / spec.n_azimuth
+    dth = 0.5 * np.pi / (spec.n_polar - 1)
+    dph = np.pi / spec.n_azimuth
     dr = 0.5 * (max(spec.radii) - min(spec.radii)) / max(len(spec.radii) - 1, 1)
-    for k in (-1, 0, 1):
-        r = min(max(r0 + k * dr, 0.0), 1.0)
-        for i, j in itertools.product((-2, -1, 0, 1, 2), repeat=2):
-            th = min(max(th0 + i * dth, 0.0), np.pi)
-            ph = (ph0 + j * dph) % (2 * np.pi)
-            yield th, ph, r
+    k, i, j = np.meshgrid([-1, 0, 1], [-2, -1, 0, 1, 2], [-2, -1, 0, 1, 2], indexing="ij")
+    r = np.clip(r0 + k * dr, 0.0, 1.0)
+    th = np.clip(th0 + i * dth, 0.0, np.pi)
+    ph = (ph0 + j * dph) % (2 * np.pi)
+    return th.ravel(), ph.ravel(), r.ravel()
+
+
+def _score(p: BellDiagonalParams, points) -> tuple[np.ndarray, np.ndarray]:
+    th, ph, r = points
+    s = np.sin(th)
+    return _pt_minima(p, r * s * np.cos(ph), r * np.hypot(s * np.sin(ph), np.cos(th)))
 
 
 def edss_useful(
@@ -200,57 +239,31 @@ def edss_useful(
     first witness found in deterministic grid order, or the best candidate
     statistics when none succeeds.
     """
-    p.validate()
-    if not is_separable_bd(p):
+    if not is_separable_bd(p):  # validates p first
         raise ValueError(
             f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
             "the protocol requires a separable resource"
         )
     spec = ancilla if ancilla is not None else AncillaSpec.search()
-    rho4 = bell_diagonal(p).matrix
+    points = _search_points(spec)
+    m_a, m_c = _score(p, points)
+    if spec.mode == "grid" and spec.refine and not np.any((m_c >= -PPT_TOL) & (m_a < -PPT_TOL)):
+        # No witness on the grid: refine around the first point within PPT_TOL of its
+        # A|BC minimum, so exact ties between symmetric ancillas break by grid order.
+        center = np.flatnonzero(m_a <= m_a.min() + PPT_TOL)[0]
+        extra = _refinement_points(tuple(x[center] for x in points), spec)
+        points = tuple(np.concatenate(pair) for pair in zip(points, extra))
+        m_a, m_c = (np.concatenate(pair) for pair in zip((m_a, m_c), _score(p, extra)))
 
-    if spec.mode == "fixed":
-        points = [(spec.theta, spec.phi, spec.radius)]
-    else:
-        points = _search_points(spec)
-
-    best_ppt = np.inf  # most negative min PT_A among send-PPT ancillas
-    best_any = np.inf
-    best_center = None
-    npt_seen = False
-
-    def consider(th, ph, r):
-        nonlocal best_ppt, best_any, best_center, npt_seen
-        anc = ancilla_state(th, ph, r)
-        m_a, rabc = _min_pt_after_alice(rho4, anc.matrix)
-        if m_a < best_any:
-            best_any = m_a
-            best_center = (th, ph, r)
-        if m_a >= best_ppt and m_a >= -PPT_TOL:
-            return None
-        m_c = _min_pt_c(rabc)
-        if m_c >= -PPT_TOL:
-            if m_a < best_ppt:
-                best_ppt = m_a
-            if m_a < -PPT_TOL:
-                return (th, ph, r)
-        elif m_a < -PPT_TOL:
-            npt_seen = True
-        return None
-
-    for th, ph, r in points:
-        hit = consider(th, ph, r)
-        if hit is not None:
-            return EdssSearchResult(True, hit, best_ppt, npt_seen)
-
-    if spec.mode == "grid" and spec.refine and best_center is not None:
-        for th, ph, r in _refinement_points(best_center, spec):
-            hit = consider(th, ph, r)
-            if hit is not None:
-                return EdssSearchResult(True, hit, best_ppt, npt_seen)
-
-    min_pt = best_ppt if np.isfinite(best_ppt) else float("nan")
-    return EdssSearchResult(False, None, min_pt, npt_seen)
+    send_ppt = m_c >= -PPT_TOL
+    npt = m_a < -PPT_TOL
+    hits = np.flatnonzero(send_ppt & npt)
+    end = hits[0] + 1 if hits.size else m_a.size
+    ppt_prefix = m_a[:end][send_ppt[:end]]
+    min_pt = float(ppt_prefix.min()) if ppt_prefix.size else float("nan")
+    npt_seen = bool(np.any(npt[:end] & ~send_ppt[:end]))
+    witness = tuple(float(x[hits[0]]) for x in points) if hits.size else None
+    return EdssSearchResult(witness is not None, witness, min_pt, npt_seen)
 
 
 SWEEP_COLUMNS = (

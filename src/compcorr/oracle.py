@@ -1,11 +1,13 @@
 """Independent brute-force verifiers.
 
 The grid maximizer of the Holevo quantity is the oracle for the closed-form
-classical correlation; numeric discord follows from it. Also here: the
+classical correlation; numeric discord follows from it. The per-point 8x8
+ancilla search is the oracle for the closed-form EDSS search. Also here: the
 mutual-unbiasedness checker and the closed-form-vs-eigensolver spectrum
 cross-check, plus the seeded verification suite behind `compcorr verify`.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +23,15 @@ from .correlations import (
     q1,
     total_mutual_information,
 )
+from .edss import AncillaSpec, EdssSearchResult, ancilla_state, cnot
+from .entanglement import PPT_TOL
 from .matcore import LOG2, PAULIS, kron, partial_transpose
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
     bd_spectrum,
     bell_diagonal,
+    is_separable_bd,
     random_bd_params,
     random_density_matrix,
 )
@@ -149,6 +154,103 @@ def discord_numeric(
     return total_mutual_information(rho) - maximize_holevo(rho, resolution).value
 
 
+_U_AC = cnot(3, 0, 2)
+_DIMS3 = (2, 2, 2)
+
+
+def _min_pt_after_alice(rho4: np.ndarray, anc2: np.ndarray) -> tuple[float, np.ndarray]:
+    """Min eigenvalue of PT over A after Alice's CNOT, plus the 8x8 state."""
+    rabc = _U_AC @ np.kron(rho4, anc2) @ _U_AC.T
+    lam = np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 0))
+    return float(lam[0]), rabc
+
+
+def _min_pt_c(rabc: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 2))[0])
+
+
+def _search_points(spec: AncillaSpec):
+    thetas = np.linspace(0.0, np.pi, spec.n_polar)
+    phis = np.linspace(0.0, 2 * np.pi, spec.n_azimuth, endpoint=False)
+    for r in spec.radii:
+        for th in thetas:
+            for ph in phis:
+                yield th, ph, r
+
+
+def _refinement_points(center: tuple[float, float, float], spec: AncillaSpec):
+    th0, ph0, r0 = center
+    dth = 0.5 * np.pi / max(spec.n_polar - 1, 1)
+    dph = 0.5 * 2 * np.pi / spec.n_azimuth
+    dr = 0.5 * (max(spec.radii) - min(spec.radii)) / max(len(spec.radii) - 1, 1)
+    for k in (-1, 0, 1):
+        r = min(max(r0 + k * dr, 0.0), 1.0)
+        for i, j in itertools.product((-2, -1, 0, 1, 2), repeat=2):
+            th = min(max(th0 + i * dth, 0.0), np.pi)
+            ph = (ph0 + j * dph) % (2 * np.pi)
+            yield th, ph, r
+
+
+def edss_useful_numeric(
+    p: BellDiagonalParams, ancilla: AncillaSpec | None = None
+) -> EdssSearchResult:
+    """Reference for `edss.edss_useful`: the same search, one ancilla at a
+    time, with both send-step verdicts from 8x8 eigensolves.
+
+    The C|AB cut is solved only where its verdict can change the result.
+    """
+    if not is_separable_bd(p):  # validates p first
+        raise ValueError(
+            f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
+            "the protocol requires a separable resource"
+        )
+    spec = ancilla if ancilla is not None else AncillaSpec.search()
+    rho4 = bell_diagonal(p).matrix
+
+    if spec.mode == "fixed":
+        points = [(spec.theta, spec.phi, spec.radius)]
+    else:
+        points = _search_points(spec)
+
+    best_ppt = np.inf  # most negative min PT_A among send-PPT ancillas
+    scored = []  # (min PT_A, point) for every point considered
+    npt_seen = False
+
+    def consider(th, ph, r):
+        nonlocal best_ppt, npt_seen
+        anc = ancilla_state(th, ph, r)
+        m_a, rabc = _min_pt_after_alice(rho4, anc.matrix)
+        scored.append((m_a, (th, ph, r)))
+        if m_a >= best_ppt and m_a >= -PPT_TOL:
+            return None
+        m_c = _min_pt_c(rabc)
+        if m_c >= -PPT_TOL:
+            if m_a < best_ppt:
+                best_ppt = m_a
+            if m_a < -PPT_TOL:
+                return (th, ph, r)
+        elif m_a < -PPT_TOL:
+            npt_seen = True
+        return None
+
+    for th, ph, r in points:
+        hit = consider(th, ph, r)
+        if hit is not None:
+            return EdssSearchResult(True, hit, best_ppt, npt_seen)
+
+    if spec.mode == "grid" and spec.refine:
+        # the first grid point within PPT_TOL of the lowest min PT_A
+        lowest = min(m for m, _ in scored)
+        center = next(pt for m, pt in scored if m <= lowest + PPT_TOL)
+        for th, ph, r in _refinement_points(center, spec):
+            hit = consider(th, ph, r)
+            if hit is not None:
+                return EdssSearchResult(True, hit, best_ppt, npt_seen)
+
+    min_pt = best_ppt if np.isfinite(best_ppt) else float("nan")
+    return EdssSearchResult(False, None, min_pt, npt_seen)
+
+
 def _as_basis_matrix(basis) -> np.ndarray:
     b = np.asarray(basis, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -215,6 +317,8 @@ def _axis_angle_deg(n: np.ndarray, axis: int) -> float:
 def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
     """Seeded cross-check suite; every check pairs an implementation with an
     independent route to the same number."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     checks = []
 

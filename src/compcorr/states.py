@@ -7,6 +7,7 @@ reference against numeric eigensolves.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,8 @@ class BellDiagonalParams:
         return bool(self.eigenvalues().min() >= -tol)
 
     def validate(self, tol: float = PHYSICALITY_TOL) -> None:
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2) and math.isfinite(self.c3)):
+            raise ValueError(f"non-finite correlation triple ({self.c1}, {self.c2}, {self.c3})")
         eig = self.eigenvalues()
         i = int(np.argmin(eig))
         if eig[i] < -tol:

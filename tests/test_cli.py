@@ -37,6 +37,10 @@ class TestAnalyze:
         assert main(["analyze", "--bd", "1,1,1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_rejected(self, capsys):
+        assert main(["analyze", "--bd", "nan,0,0"]) == 2
+        assert "non-finite correlation triple" in capsys.readouterr().err
+
     def test_state_file_source(self, tmp_path, capsys):
         path = tmp_path / "state.json"
         save_state(bell_diagonal(BellDiagonalParams(0.2, -0.1, 0.3)), path)
@@ -55,6 +59,14 @@ class TestEdss:
     def test_entangled_input_refused(self, capsys):
         assert main(["edss", "--bd", "1,-1,1"]) == 2
         assert "entangled" in capsys.readouterr().err
+
+    def test_non_finite_rejected(self, capsys):
+        assert main(["edss", "--bd", "0.25,0.25,nan"]) == 2
+        assert "non-finite correlation triple" in capsys.readouterr().err
+
+    def test_empty_grid_rejected(self, capsys):
+        assert main(["edss", "--bd", "0.3,-0.3,0.3", "--grid", "0"]) == 2
+        assert "ancilla grid needs" in capsys.readouterr().err
 
     def test_not_useful_state(self, capsys):
         assert main(["edss", "--bd", "0.5,0,0.25", "--grid", "12", "--format", "json"]) == 0
@@ -94,6 +106,10 @@ class TestSweep:
         assert a.read_text().startswith("c1,c2,c3,")
         assert "rows" in capsys.readouterr().err
 
+    def test_one_point_ancilla_grid_rejected(self, capsys):
+        assert main(["sweep", "--grid", "3", "--ancilla-grid", "1"]) == 2
+        assert "ancilla grid needs" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passes(self, capsys):
@@ -101,3 +117,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    def test_zero_samples_rejected(self, capsys):
+        assert main(["verify", "--samples", "0"]) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err

@@ -53,6 +53,23 @@ class TestAncilla:
         with pytest.raises(ValueError):
             ancilla_state(0.0, 0.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: AncillaSpec.search(radii=(1.5,)),
+            lambda: AncillaSpec.search(radii=(0.5, float("nan"))),
+            lambda: AncillaSpec.search(radii=()),
+            lambda: AncillaSpec.search(n_polar=1),
+            lambda: AncillaSpec.search(n_azimuth=0),
+            lambda: AncillaSpec.fixed(float("nan"), 0.0),
+            lambda: AncillaSpec.fixed(0.0, float("inf")),
+            lambda: AncillaSpec.fixed(0.0, 0.0, -0.1),
+        ],
+    )
+    def test_spec_rejects_bad_grid_or_ancilla(self, make):
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestRunProtocol:
     def test_stages_stay_physical(self):
@@ -123,8 +140,8 @@ class TestEdssUseful:
         assert res.min_pt_eigenvalue < -1e-12
 
     def test_pure_ancillas_alone_never_work(self):
-        # a pure ancilla makes the A|BC and C|AB partial-transpose spectra
-        # (near-)coincide, so success always breaks the send-step PPT condition
+        # with a pure ancilla the A|BC and C|AB cuts go NPT together, so
+        # success always breaks the send-step PPT condition
         spec = AncillaSpec.search(n_polar=12, n_azimuth=24, radii=(1.0,), refine=False)
         for p in (BellDiagonalParams(0.3, -0.3, 0.3), BellDiagonalParams(0.25, 0.25, -0.25)):
             res = edss_useful(p, spec)

@@ -8,8 +8,11 @@ from compcorr.correlations import (
     ProjectiveMeasurement,
     q1,
 )
+from compcorr import edss, oracle
+from compcorr.edss import AncillaSpec, edss_useful
 from compcorr.oracle import (
     discord_numeric,
+    edss_useful_numeric,
     maximize_holevo,
     mub_check,
     pauli_mub_bases,
@@ -23,6 +26,7 @@ from compcorr.states import (
     bell_diagonal,
     classically_correlated,
     family_eq15,
+    is_separable_bd,
     random_bd_params,
 )
 
@@ -91,6 +95,45 @@ class TestDiscordNumeric:
         for _ in range(25):
             p = random_bd_params(rng)
             assert abs(discord_numeric(bell_diagonal(p)) - discord_bd(p)) < 1e-4
+
+
+class TestEdssNumeric:
+    def test_closed_form_search_matches_numeric_search(self):
+        rng = np.random.default_rng(54)
+        # a refinement-step witness: the grid's A|BC minimum is tied along
+        # r_x = 0, and both routes must pick the same refinement centre
+        triples = [BellDiagonalParams(0.01413628, 0.01277, -0.52761174)]
+        while len(triples) < 30:
+            c = rng.uniform(-1, 1, 3)
+            if len(triples) % 3 == 0:
+                c[len(triples) % 9 // 3] = 0.0  # on an axis plane
+            p = BellDiagonalParams(*(float(x) for x in c))
+            if p.is_physical() and is_separable_bd(p):
+                triples.append(p)
+        grid = AncillaSpec.search(n_polar=8, n_azimuth=16)
+        useful = 0
+        for p in triples:
+            specs = [grid, AncillaSpec.fixed(*rng.uniform((0, 0, 0), (np.pi, 2 * np.pi, 1)))]
+            for spec in specs:
+                fast, ref = edss_useful(p, spec), edss_useful_numeric(p, spec)
+                assert fast.useful == ref.useful, (p, spec)
+                assert fast.witness == ref.witness, (p, spec)
+                assert fast.npt_send_success_seen == ref.npt_send_success_seen, (p, spec)
+                np.testing.assert_allclose(fast.min_pt_eigenvalue, ref.min_pt_eigenvalue, rtol=0, atol=1e-12)
+                if fast.useful and spec is grid:
+                    useful += 1
+                    specs.append(AncillaSpec.fixed(*fast.witness))
+        assert useful >= 5  # both verdicts are covered
+
+    def test_search_and_refinement_points_in_numeric_order(self):
+        spec = AncillaSpec.search(n_polar=5, n_azimuth=6, radii=(1.0, 0.5, 0.25))
+        grid = np.column_stack(edss._search_points(spec))
+        np.testing.assert_array_equal(grid, list(oracle._search_points(spec)))
+        for center in (tuple(grid[40]), (0.0, 0.1, 1.0), (np.pi, 6.2, 0.25)):
+            np.testing.assert_array_equal(
+                np.column_stack(edss._refinement_points(center, spec)),
+                list(oracle._refinement_points(center, spec)),
+            )
 
 
 class TestMubCheck:
