@@ -4,9 +4,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .edss import AncillaSpec, ancilla_state, edss_useful, run_protocol, sweep, sweep_csv, sweep_summary
+from .matcore import fmt
 from .oracle import run_verification, verification_report
 from .report import report_for_state
 from .states import BellDiagonalParams, DensityMatrix, bd_params_of, bell_diagonal, is_separable_bd, load_state
@@ -23,6 +22,7 @@ def _parse_bd(text: str) -> BellDiagonalParams:
 
 
 def _parse_ancilla(text: str):
+    """'auto', or the (theta, phi, r) triple of a fixed ancilla; r defaults to 1."""
     if text == "auto":
         return "auto"
     parts = text.split(",")
@@ -34,7 +34,7 @@ def _parse_ancilla(text: str):
         raise argparse.ArgumentTypeError(str(e))
     if len(vals) == 2:
         vals.append(1.0)
-    return AncillaSpec.fixed(*vals)
+    return tuple(vals)
 
 
 def _resolve_state(args) -> DensityMatrix:
@@ -52,18 +52,31 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _text(doc: dict) -> str:
+    """One 'key value' line per entry, a line per cut for 'stages', and no
+    line for a None value."""
+    lines = []
+    for key, value in doc.items():
+        if key == "stages":
+            for stage, cuts in value.items():
+                for cut, info in cuts.items():
+                    lines.append(
+                        f"{stage} {cut} min_eigenvalue {fmt(info['min_eigenvalue'])} "
+                        f"is_ppt {fmt(info['is_ppt'])} spectrum {fmt(info['pt_spectrum'])}"
+                    )
+        elif value is not None:
+            lines.append(f"{key} {fmt(value)}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_analyze(args) -> int:
-    rho = _resolve_state(args)
-    rep = report_for_state(rho)
+    doc = report_for_state(_resolve_state(args)).to_dict()
     if args.format == "json":
-        text = json.dumps(rep.to_dict(), indent=1) + "\n"
+        text = json.dumps(doc, indent=1) + "\n"
     elif args.format == "csv":
-        text = ",".join(rep.FIELDS) + "\n"
-        text += ",".join(
-            str(v).lower() if isinstance(v, bool) else f"{v:.12g}" for v in rep.to_dict().values()
-        ) + "\n"
+        text = ",".join(doc) + "\n" + ",".join(fmt(v) for v in doc.values()) + "\n"
     else:
-        text = rep.to_text()
+        text = _text(doc)
     _emit(text, args.out)
     return 0
 
@@ -87,22 +100,6 @@ def _trace_doc(trace) -> dict:
     return doc
 
 
-def _trace_text(doc: dict) -> str:
-    lines = [
-        f"success {str(doc['success']).lower()}",
-        f"send_step_ppt {str(doc['send_step_ppt']).lower()}",
-        f"final_ab_negativity {doc['final_ab_negativity']:.12g}",
-    ]
-    for stage, cuts in doc["stages"].items():
-        for cut, info in cuts.items():
-            spec = " ".join(f"{x:.12g}" for x in info["pt_spectrum"])
-            lines.append(
-                f"{stage} {cut} min_eigenvalue {info['min_eigenvalue']:.12g} "
-                f"is_ppt {str(info['is_ppt']).lower()} spectrum {spec}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_edss(args) -> int:
     if args.state is not None:
         p = bd_params_of(load_state(args.state))
@@ -113,40 +110,25 @@ def _cmd_edss(args) -> int:
         print("error: input state is entangled; the protocol requires a separable resource", file=sys.stderr)
         return 2
 
-    if args.ancilla == "auto" or args.ancilla is None:
-        spec = AncillaSpec.search(n_polar=args.grid, n_azimuth=2 * args.grid)
-        result = edss_useful(p, spec)
-        wit = result.witness if result.witness is not None else None
-        if wit is not None:
-            anc = ancilla_state(*wit)
-        else:
-            anc = ancilla_state(0.0, 0.0, 1.0)
-        trace = run_protocol(bell_diagonal(p), anc)
-        doc = _trace_doc(trace)
+    if args.ancilla == "auto":
+        result = edss_useful(p, AncillaSpec(n_polar=args.grid, n_azimuth=2 * args.grid))
+        doc = {}
+        if result.useful:  # with no witness there is no ancilla worth tracing
+            doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*result.witness)))
         doc["edss_useful"] = result.useful
-        doc["witness"] = list(wit) if wit is not None else None
+        doc["witness"] = list(result.witness) if result.useful else None
         doc["min_pt_eigenvalue"] = result.min_pt_eigenvalue
     else:
-        spec = args.ancilla
-        anc = ancilla_state(spec.theta, spec.phi, spec.radius)
-        trace = run_protocol(bell_diagonal(p), anc)
-        doc = _trace_doc(trace)
-        doc["ancilla"] = [spec.theta, spec.phi, spec.radius]
+        doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*args.ancilla)))
+        doc["ancilla"] = list(args.ancilla)
 
-    if args.format == "json":
-        text = json.dumps(doc, indent=1) + "\n"
-    else:
-        extra = []
-        for key in ("edss_useful", "witness", "min_pt_eigenvalue", "ancilla"):
-            if key in doc:
-                extra.append(f"{key} {doc[key]}")
-        text = _trace_text(doc) + ("\n".join(extra) + "\n" if extra else "")
+    text = json.dumps(doc, indent=1) + "\n" if args.format == "json" else _text(doc)
     _emit(text, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    spec = AncillaSpec.search(n_polar=args.ancilla_grid, n_azimuth=2 * args.ancilla_grid)
+    spec = AncillaSpec(n_polar=args.ancilla_grid, n_azimuth=2 * args.ancilla_grid)
     rows = sweep(args.grid, spec)
     _emit(sweep_csv(rows), args.out)
     print(sweep_summary(rows), file=sys.stderr)

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import complementary_correlations, classical_correlation, discord_bd, q1, total_mutual_information
-from .entanglement import PPT_TOL, PptVerdict, negativity, ppt_verdict, pt_spectrum
-from .matcore import I2, PAULIS, kron
+from .entanglement import PptVerdict, negativity, pt_spectrum, verdict_of_spectrum
+from .matcore import I2, PAULIS, PPT_TOL, bloch_vector, fmt, kron
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -65,6 +65,12 @@ def cnot(n_qubits: int, control: int, target: int) -> np.ndarray:
     return u
 
 
+# Alice's CNOT (A controls C) and Bob's (B controls C) on the A, B, C register.
+U_AC = cnot(3, 0, 2)
+U_BC = cnot(3, 1, 2)
+U_AC.flags.writeable = U_BC.flags.writeable = False
+
+
 def _check_radius(radius: float) -> None:
     if not 0.0 <= radius <= 1.0:  # also rejects NaN
         raise ValueError(f"Bloch radius {radius} outside [0, 1]")
@@ -72,10 +78,10 @@ def _check_radius(radius: float) -> None:
 
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
     """Qubit state (I + r n . sigma)/2 with Bloch direction (theta, phi)."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"ancilla angles ({theta}, {phi}) must be finite")
     _check_radius(radius)
-    n = np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
+    n = bloch_vector(theta, phi)
     m = (I2 + radius * sum(c * s for c, s in zip(n, PAULIS))) / 2
     return DensityMatrix(m, (2,))
 
@@ -85,42 +91,22 @@ DEFAULT_RADII = (1.0, 0.8, 0.6, 0.4, 0.2)
 
 @dataclass(frozen=True)
 class AncillaSpec:
-    """Either a fixed ancilla or a search grid over Bloch angles and radii."""
+    """The ancilla search grid: polar and azimuthal Bloch angles and radii."""
 
-    mode: str = "grid"
-    theta: float = 0.0
-    phi: float = 0.0
-    radius: float = 1.0
     n_polar: int = 24
     n_azimuth: int = 48
     radii: tuple[float, ...] = DEFAULT_RADII
     refine: bool = True
 
     def __post_init__(self):
-        if self.mode == "fixed":
-            if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-                raise ValueError(f"ancilla angles ({self.theta}, {self.phi}) must be finite")
-        elif self.n_polar < 2 or self.n_azimuth < 1 or not self.radii:
+        object.__setattr__(self, "radii", tuple(self.radii))
+        if self.n_polar < 2 or self.n_azimuth < 1 or not self.radii:
             raise ValueError(
                 "ancilla grid needs at least 2 polar points, 1 azimuthal point and 1 radius, "
                 f"got {self.n_polar}, {self.n_azimuth} and {len(self.radii)}"
             )
-        for r in (self.radius,) if self.mode == "fixed" else self.radii:
+        for r in self.radii:
             _check_radius(r)
-
-    @classmethod
-    def fixed(cls, theta: float, phi: float, radius: float = 1.0) -> "AncillaSpec":
-        return cls(mode="fixed", theta=float(theta), phi=float(phi), radius=float(radius))
-
-    @classmethod
-    def search(
-        cls,
-        n_polar: int = 24,
-        n_azimuth: int = 48,
-        radii: tuple[float, ...] = DEFAULT_RADII,
-        refine: bool = True,
-    ) -> "AncillaSpec":
-        return cls(mode="grid", n_polar=n_polar, n_azimuth=n_azimuth, radii=tuple(radii), refine=refine)
 
 
 @dataclass(frozen=True)
@@ -148,17 +134,16 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     if ancilla.dims != (2,):
         raise ValueError(f"expected a single-qubit ancilla, got dims {ancilla.dims}")
     initial = DensityMatrix(kron(rho_ab.matrix, ancilla.matrix), (2, 2, 2))
-    u_ac = cnot(3, 0, 2)
-    after_alice = DensityMatrix(u_ac @ initial.matrix @ u_ac.T, (2, 2, 2))
-    u_bc = cnot(3, 1, 2)
-    after_bob = DensityMatrix(u_bc @ after_alice.matrix @ u_bc.T, (2, 2, 2))
+    after_alice = DensityMatrix(U_AC @ initial.matrix @ U_AC.T, (2, 2, 2))
+    after_bob = DensityMatrix(U_BC @ after_alice.matrix @ U_BC.T, (2, 2, 2))
 
     verdicts: dict[str, tuple[PptVerdict, ...]] = {}
     spectra: dict[str, dict[str, np.ndarray]] = {}
     for stage, state in zip(STAGES, (initial, after_alice, after_bob)):
-        vs = tuple(ppt_verdict(state, f) for f in CUT_FACTORS)
+        lams = [pt_spectrum(state, f) for f in CUT_FACTORS]
+        vs = tuple(verdict_of_spectrum(lam, f, len(state.dims)) for lam, f in zip(lams, CUT_FACTORS))
         verdicts[stage] = vs
-        spectra[stage] = {v.cut: pt_spectrum(state, f) for v, f in zip(vs, CUT_FACTORS)}
+        spectra[stage] = {v.cut: lam for v, lam in zip(vs, lams)}
 
     success = verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL
     final_ab = after_bob.partial_trace([0, 1])
@@ -202,8 +187,6 @@ def _pt_minima(p: BellDiagonalParams, r_x, r_perp) -> tuple[np.ndarray, np.ndarr
 def _search_points(spec: AncillaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(theta, phi, radius) arrays in search order: radius outermost, then
     polar angle, then azimuth."""
-    if spec.mode == "fixed":
-        return tuple(np.array([x]) for x in (spec.theta, spec.phi, spec.radius))
     thetas = np.linspace(0.0, np.pi, spec.n_polar)
     phis = np.linspace(0.0, 2 * np.pi, spec.n_azimuth, endpoint=False)
     r, th, ph = np.meshgrid(np.array(spec.radii, dtype=float), thetas, phis, indexing="ij")
@@ -226,8 +209,8 @@ def _refinement_points(center, spec: AncillaSpec) -> tuple[np.ndarray, np.ndarra
 
 def _score(p: BellDiagonalParams, points) -> tuple[np.ndarray, np.ndarray]:
     th, ph, r = points
-    s = np.sin(th)
-    return _pt_minima(p, r * s * np.cos(ph), r * np.hypot(s * np.sin(ph), np.cos(th)))
+    x, y, z = bloch_vector(th, ph).T
+    return _pt_minima(p, r * x, r * np.hypot(y, z))
 
 
 def edss_useful(
@@ -244,10 +227,10 @@ def edss_useful(
             f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
             "the protocol requires a separable resource"
         )
-    spec = ancilla if ancilla is not None else AncillaSpec.search()
+    spec = ancilla if ancilla is not None else AncillaSpec()
     points = _search_points(spec)
     m_a, m_c = _score(p, points)
-    if spec.mode == "grid" and spec.refine and not np.any((m_c >= -PPT_TOL) & (m_a < -PPT_TOL)):
+    if spec.refine and not np.any((m_c >= -PPT_TOL) & (m_a < -PPT_TOL)):
         # No witness on the grid: refine around the first point within PPT_TOL of its
         # A|BC minimum, so exact ties between symmetric ancillas break by grid order.
         center = np.flatnonzero(m_a <= m_a.min() + PPT_TOL)[0]
@@ -354,21 +337,11 @@ def sweep(resolution: int, ancilla: AncillaSpec | None = None) -> list[SweepRow]
     return rows
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{v:.12g}"
-
-
 def sweep_csv(rows: list[SweepRow]) -> str:
     """Render sweep rows as CSV ('.' decimals, LF line endings)."""
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in SWEEP_COLUMNS))
+        lines.append(",".join(fmt(getattr(row, col)) for col in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -4,11 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import LOG2, hermitian_spectrum
+from .matcore import PPT_TOL, entropy_of_probabilities, hermitian_spectrum
 from .states import BellDiagonalParams, DensityMatrix
-
-# Separates "zero" from "entangled" on partial-transpose eigenvalues.
-PPT_TOL = 1e-12
 
 
 def _cut_label(factor: int, n: int) -> str:
@@ -39,22 +36,18 @@ def negativity(rho: DensityMatrix, factor: int = 0) -> float:
     return float(np.abs(lam[lam < 0]).sum())
 
 
-def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
-    lam = pt_spectrum(rho, factor)
+def verdict_of_spectrum(lam: np.ndarray, factor: int, n_factors: int) -> PptVerdict:
+    """The PPT verdict read off an ascending partial-transpose spectrum."""
     lo = float(lam[0])
     return PptVerdict(
         min_eigenvalue=lo,
         is_ppt=lo >= -PPT_TOL,
-        cut=_cut_label(factor, len(rho.dims)),
+        cut=_cut_label(factor, n_factors),
     )
 
 
-def _binary_entropy(x: float) -> float:
-    acc = 0.0
-    for t in (x, 1 - x):
-        if t > 1e-15:
-            acc -= t * np.log(t)
-    return acc / LOG2
+def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
+    return verdict_of_spectrum(pt_spectrum(rho, factor), factor, len(rho.dims))
 
 
 def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
@@ -67,7 +60,7 @@ def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
     lmax = float(p.eigenvalues().max())
     if lmax <= 0.5:
         return 0.0
-    return 1.0 - _binary_entropy(lmax)
+    return 1.0 - entropy_of_probabilities([lmax, 1 - lmax])
 
 
 def necessary_condition_bd(p: BellDiagonalParams, tol: float = PPT_TOL) -> bool:

@@ -1,4 +1,6 @@
-"""Dense complex linear algebra for small multi-qubit operators.
+"""Dense complex linear algebra for small multi-qubit operators, and the
+helpers every module shares: the tolerance table, the angle-to-Bloch map and
+the number formatter.
 
 Everything here works on plain numpy arrays in dimensions 2, 4 and 8.
 Qubit ordering is big-endian: factor 0 is the leftmost tensor slot.
@@ -8,11 +10,27 @@ from functools import reduce
 
 import numpy as np
 
-# Hermiticity / trace checks on user-supplied matrices.
-HERMITICITY_TOL = 1e-10
+# Tolerance table: one constant per meaning.
+# Hermiticity, unit trace (or unit sum) and PSD checks on a supplied matrix.
+STATE_TOL = 1e-10
 # Eigenvalues in [-EIG_CLAMP_TOL, 0) are treated as float noise and clamped
 # to zero before entropies; anything more negative is a genuine error.
 EIG_CLAMP_TOL = 1e-8
+# Local Bloch vectors (and off-diagonal correlations) below this vanish.
+MARGINAL_TOL = 1e-8
+# Slack for a value derived through rounding: a triple read off the normal
+# form, a closed-form discord that must not be negative.
+DERIVED_TOL = 1e-9
+# Closed-form Bell-basis eigenvalues are exact up to rounding.
+PHYSICALITY_TOL = 1e-12
+# Norm check on a measurement's unit Bloch vector.
+UNIT_TOL = 1e-12
+# Rounding allowed on a probability below 0 or a correlation above 1.
+PROB_CLAMP = 1e-12
+# Measurement branches with weight below this contribute nothing.
+ZERO_BRANCH = 1e-15
+# Separates "zero" from "entangled" on partial-transpose eigenvalues.
+PPT_TOL = 1e-12
 
 LOG2 = np.log(2.0)
 
@@ -30,7 +48,29 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return reduce(np.kron, ops)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def bloch_vector(theta, phi) -> np.ndarray:
+    """Unit Bloch vector(s) of polar angle theta and azimuth phi, stacked
+    on a last axis of length 3."""
+    s = np.sin(theta)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def fmt(v) -> str:
+    """The one number format for text and CSV output: '' for None, lowercase
+    booleans, plain integers, 12 significant digits, and sequences joined by
+    spaces."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v)).lower()
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return " ".join(fmt(x) for x in v)
+    return f"{v:.12g}"
+
+
+def is_hermitian(m: np.ndarray, tol: float = STATE_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
@@ -81,7 +121,7 @@ def partial_transpose(m: np.ndarray, dims, factor: int) -> np.ndarray:
     return r.reshape(m.shape)
 
 
-def hermitian_spectrum(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_spectrum(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted ascending."""
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")

@@ -23,9 +23,8 @@ from .correlations import (
     q1,
     total_mutual_information,
 )
-from .edss import AncillaSpec, EdssSearchResult, ancilla_state, cnot
-from .entanglement import PPT_TOL
-from .matcore import LOG2, PAULIS, kron, partial_transpose
+from .edss import U_AC, AncillaSpec, EdssSearchResult, ancilla_state
+from .matcore import LOG2, PAULIS, PPT_TOL, ZERO_BRANCH, bloch_vector, kron, partial_transpose
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -50,14 +49,7 @@ def _bloch_grid(n_polar: int, n_azimuth: int) -> np.ndarray:
     thetas = np.linspace(0.0, np.pi, n_polar)
     phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return _angles_to_bloch(tt.ravel(), pp.ravel())
-
-
-def _angles_to_bloch(theta, phi) -> np.ndarray:
-    return np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-        axis=-1,
-    )
+    return bloch_vector(tt.ravel(), pp.ravel())
 
 
 def _entropy2x2_batch(mats: np.ndarray) -> np.ndarray:
@@ -86,9 +78,9 @@ def _holevo_batch(rho: DensityMatrix, ns: np.ndarray) -> np.ndarray:
         x = np.einsum("abce,geb->gac", r, proj)  # Tr_B[rho (I (x) Pi)]
         p = np.einsum("gaa->g", x).real
         ent = _entropy2x2_batch(
-            np.where(p[:, None, None] > 1e-15, x / np.where(p == 0, 1, p)[:, None, None], 0)
+            np.where(p[:, None, None] > ZERO_BRANCH, x / np.where(p == 0, 1, p)[:, None, None], 0)
         )
-        cond += np.where(p > 1e-15, p * ent, 0.0)
+        cond += np.where(p > ZERO_BRANCH, p * ent, 0.0)
     return s_avg - cond
 
 
@@ -130,14 +122,14 @@ def maximize_holevo(
         tt = np.clip(th + offsets * step_t, 0.0, np.pi)
         pp = ph + offsets * step_p
         tg, pg = np.meshgrid(tt, pp, indexing="ij")
-        local = _angles_to_bloch(tg.ravel(), pg.ravel())
+        local = bloch_vector(tg.ravel(), pg.ravel())
         lvals = _holevo_batch(rho, local)
         k = int(np.argmax(lvals))
         th, ph = tg.ravel()[k], pg.ravel()[k]
         step_t /= 2
         step_p /= 2
 
-    n_best = _angles_to_bloch(np.array(th), np.array(ph))
+    n_best = bloch_vector(th, ph)
     value = holevo_quantity(rho, ProjectiveMeasurement(n_best / np.linalg.norm(n_best)))
     return OptimizationResult(
         value=value,
@@ -154,13 +146,12 @@ def discord_numeric(
     return total_mutual_information(rho) - maximize_holevo(rho, resolution).value
 
 
-_U_AC = cnot(3, 0, 2)
 _DIMS3 = (2, 2, 2)
 
 
 def _min_pt_after_alice(rho4: np.ndarray, anc2: np.ndarray) -> tuple[float, np.ndarray]:
     """Min eigenvalue of PT over A after Alice's CNOT, plus the 8x8 state."""
-    rabc = _U_AC @ np.kron(rho4, anc2) @ _U_AC.T
+    rabc = U_AC @ np.kron(rho4, anc2) @ U_AC.T
     lam = np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 0))
     return float(lam[0]), rabc
 
@@ -204,13 +195,8 @@ def edss_useful_numeric(
             f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
             "the protocol requires a separable resource"
         )
-    spec = ancilla if ancilla is not None else AncillaSpec.search()
+    spec = ancilla if ancilla is not None else AncillaSpec()
     rho4 = bell_diagonal(p).matrix
-
-    if spec.mode == "fixed":
-        points = [(spec.theta, spec.phi, spec.radius)]
-    else:
-        points = _search_points(spec)
 
     best_ppt = np.inf  # most negative min PT_A among send-PPT ancillas
     scored = []  # (min PT_A, point) for every point considered
@@ -233,12 +219,12 @@ def edss_useful_numeric(
             npt_seen = True
         return None
 
-    for th, ph, r in points:
+    for th, ph, r in _search_points(spec):
         hit = consider(th, ph, r)
         if hit is not None:
             return EdssSearchResult(True, hit, best_ppt, npt_seen)
 
-    if spec.mode == "grid" and spec.refine:
+    if spec.refine:
         # the first grid point within PPT_TOL of the lowest min PT_A
         lowest = min(m for m, _ in scored)
         center = next(pt for m, pt in scored if m <= lowest + PPT_TOL)

@@ -9,7 +9,8 @@ from .correlations import (
     discord_bd,
     total_mutual_information,
 )
-from .entanglement import PPT_TOL, negativity, rel_entropy_entanglement_bd
+from .entanglement import negativity, rel_entropy_entanglement_bd
+from .matcore import DERIVED_TOL, MARGINAL_TOL, PPT_TOL
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -27,11 +28,11 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
     relative entropy of entanglement) are evaluated on its normal form.
     """
     dec = bloch_decompose(rho)
-    if np.linalg.norm(dec.a) > 1e-8 or np.linalg.norm(dec.b) > 1e-8:
+    if np.linalg.norm(dec.a) > MARGINAL_TOL or np.linalg.norm(dec.b) > MARGINAL_TOL:
         raise ValueError("report requires maximally mixed marginals (zero local Bloch vectors)")
     _, nf_dec = normal_form(rho)
     p = BellDiagonalParams(*np.diag(nf_dec.T))
-    p.validate(tol=1e-9)
+    p.validate(tol=DERIVED_TOL)
     i_x, i_y, i_z = complementary_correlations(rho)
     return CorrelationReport(
         i_x=i_x,

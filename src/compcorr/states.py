@@ -14,7 +14,10 @@ import numpy as np
 
 from .matcore import (
     I2,
+    MARGINAL_TOL,
     PAULIS,
+    PHYSICALITY_TOL,
+    STATE_TOL,
     hermitian_spectrum,
     is_hermitian,
     kron,
@@ -22,11 +25,6 @@ from .matcore import (
     partial_transpose,
     von_neumann_entropy,
 )
-
-# User-supplied density matrices: PSD / trace / Hermiticity tolerance.
-STATE_TOL = 1e-10
-# Closed-form Bell-basis eigenvalues are exact up to rounding.
-PHYSICALITY_TOL = 1e-12
 
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -45,13 +43,13 @@ class DensityMatrix:
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if not is_hermitian(m, STATE_TOL):
-            raise ValueError("density matrix is not Hermitian within 1e-10")
+            raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
         tr = np.trace(m).real
         if abs(tr - 1.0) > STATE_TOL:
-            raise ValueError(f"trace {tr} differs from 1 by more than 1e-10")
+            raise ValueError(f"trace {tr} differs from 1 by more than {STATE_TOL:g}")
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < -STATE_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e} below -1e-10")
+            raise ValueError(f"negative eigenvalue {lo:.3e} below -{STATE_TOL:g}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -277,7 +275,7 @@ def classically_correlated() -> DensityMatrix:
     return DensityMatrix(m, (2, 2))
 
 
-def bd_params_of(rho: DensityMatrix, tol: float = 1e-8) -> BellDiagonalParams:
+def bd_params_of(rho: DensityMatrix, tol: float = MARGINAL_TOL) -> BellDiagonalParams:
     """Correlation triple of a state with maximally mixed marginals.
 
     Requires vanishing local Bloch vectors; the T matrix must be diagonal

@@ -207,7 +207,7 @@ def test_criterion_08_bell_state_saturates_complementarity():
 
 def test_criterion_09_separable_sweep():
     t0 = time.time()
-    rows = sweep(9, AncillaSpec.search())
+    rows = sweep(9, AncillaSpec())
     dt = time.time() - t0
 
     faces = [r for r in rows if min(abs(r.c1), abs(r.c2), abs(r.c3)) < 1e-12]

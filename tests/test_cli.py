@@ -48,6 +48,23 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "i_x" in out
 
+    @pytest.mark.parametrize("bd", ["0.5,0.25,0.25", "1,-1,1"])
+    def test_formats_agree(self, bd, capsys):
+        def run(fmt):
+            assert main(["analyze", "--bd", bd, "--format", fmt]) == 0
+            return capsys.readouterr().out
+
+        text = dict(line.split(" ", 1) for line in run("text").splitlines())
+        header, values = run("csv").splitlines()
+        assert dict(zip(header.split(","), values.split(","))) == text
+        doc = json.loads(run("json"))
+        assert list(doc) == list(text)
+        for key, value in doc.items():
+            if isinstance(value, bool):
+                assert text[key] == str(value).lower()
+            else:
+                assert float(text[key]) == pytest.approx(value, rel=1e-11, abs=0)
+
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "report.txt"
         assert main(["analyze", "--bd", "0,0,0", "--out", str(dest)]) == 0
@@ -73,6 +90,15 @@ class TestEdss:
         doc = json.loads(capsys.readouterr().out)
         assert doc["edss_useful"] is False
         assert doc["witness"] is None
+        # no witness, so no trace: only the search's own keys
+        assert set(doc) == {"edss_useful", "witness", "min_pt_eigenvalue"}
+
+    def test_not_useful_state_text(self, capsys):
+        assert main(["edss", "--bd", "0.5,0,0.25", "--grid", "12"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # no trace (no 'success true') and no line for the missing witness
+        assert lines[0] == "edss_useful false"
+        assert [line.split()[0] for line in lines] == ["edss_useful", "min_pt_eigenvalue"]
 
     def test_useful_state(self, capsys):
         assert main(["edss", "--bd", "0.3,-0.3,0.3", "--grid", "12", "--format", "json"]) == 0
@@ -88,6 +114,16 @@ class TestEdss:
         doc = json.loads(capsys.readouterr().out)
         assert doc["success"] is True
         assert doc["ancilla"] == [1.3659098493868664, 0.0, 0.8]
+
+    def test_non_finite_ancilla_rejected(self, capsys):
+        assert main(["edss", "--bd", "0.3,-0.3,0.3", "--ancilla", "nan,0"]) == 2
+        assert "ancilla angles" in capsys.readouterr().err
+
+    def test_text_extra_lines_formatted(self, capsys):
+        assert main(["edss", "--bd", "0.3,-0.3,0.3", "--ancilla", "1.3659098493868664,0,0.8"]) == 0
+        out = capsys.readouterr().out
+        assert "success true" in out
+        assert "ancilla 1.36590984939 0 0.8\n" in out
 
     def test_text_stage_lines(self, capsys):
         assert main(["edss", "--bd", "0,0,0", "--ancilla", "0,0"]) == 0

@@ -56,14 +56,14 @@ class TestAncilla:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: AncillaSpec.search(radii=(1.5,)),
-            lambda: AncillaSpec.search(radii=(0.5, float("nan"))),
-            lambda: AncillaSpec.search(radii=()),
-            lambda: AncillaSpec.search(n_polar=1),
-            lambda: AncillaSpec.search(n_azimuth=0),
-            lambda: AncillaSpec.fixed(float("nan"), 0.0),
-            lambda: AncillaSpec.fixed(0.0, float("inf")),
-            lambda: AncillaSpec.fixed(0.0, 0.0, -0.1),
+            lambda: AncillaSpec(radii=(1.5,)),
+            lambda: AncillaSpec(radii=(0.5, float("nan"))),
+            lambda: AncillaSpec(radii=()),
+            lambda: AncillaSpec(n_polar=1),
+            lambda: AncillaSpec(n_azimuth=0),
+            lambda: ancilla_state(float("nan"), 0.0),
+            lambda: ancilla_state(0.0, float("inf")),
+            lambda: ancilla_state(0.0, 0.0, -0.1),
         ],
     )
     def test_spec_rejects_bad_grid_or_ancilla(self, make):
@@ -142,7 +142,7 @@ class TestEdssUseful:
     def test_pure_ancillas_alone_never_work(self):
         # with a pure ancilla the A|BC and C|AB cuts go NPT together, so
         # success always breaks the send-step PPT condition
-        spec = AncillaSpec.search(n_polar=12, n_azimuth=24, radii=(1.0,), refine=False)
+        spec = AncillaSpec(n_polar=12, n_azimuth=24, radii=(1.0,), refine=False)
         for p in (BellDiagonalParams(0.3, -0.3, 0.3), BellDiagonalParams(0.25, 0.25, -0.25)):
             res = edss_useful(p, spec)
             assert not res.useful
@@ -156,20 +156,16 @@ class TestEdssUseful:
         with pytest.raises(ValueError, match="unphysical"):
             edss_useful(BellDiagonalParams(1, 1, 1))
 
-    def test_fixed_mode(self):
-        res = edss_useful(BellDiagonalParams(0.3, -0.3, 0.3), AncillaSpec.fixed(1.3659098493868664, 0.0, 0.8))
-        assert res.useful
-
 
 class TestSweep:
     def test_resolution_two_corners_only(self):
-        rows = sweep(2, AncillaSpec.search(n_polar=6, n_azimuth=8, refine=False))
+        rows = sweep(2, AncillaSpec(n_polar=6, n_azimuth=8, refine=False))
         # corners of [-1,1]^3: only the four pure Bell points are physical,
         # and none of them is separable
         assert rows == []
 
     def test_resolution_three(self):
-        rows = sweep(3, AncillaSpec.search(n_polar=6, n_azimuth=8, refine=False))
+        rows = sweep(3, AncillaSpec(n_polar=6, n_azimuth=8, refine=False))
         assert rows  # separable points exist on the axis-aligned sub-grid
         for r in rows:
             p = BellDiagonalParams(r.c1, r.c2, r.c3)
@@ -184,7 +180,7 @@ class TestSweep:
             sweep(1)
 
     def test_csv_deterministic(self):
-        spec = AncillaSpec.search(n_polar=6, n_azimuth=8, refine=False)
+        spec = AncillaSpec(n_polar=6, n_azimuth=8, refine=False)
         a = sweep_csv(sweep(3, spec))
         b = sweep_csv(sweep(3, spec))
         assert a == b
@@ -193,6 +189,6 @@ class TestSweep:
         assert "\r" not in a
 
     def test_summary_counts(self):
-        rows = sweep(3, AncillaSpec.search(n_polar=6, n_azimuth=8, refine=False))
+        rows = sweep(3, AncillaSpec(n_polar=6, n_azimuth=8, refine=False))
         text = sweep_summary(rows)
         assert f"rows {len(rows)}" in text

@@ -5,6 +5,8 @@ from compcorr.matcore import (
     I2,
     SIGMA_X,
     SIGMA_Z,
+    bloch_vector,
+    fmt,
     hermitian_spectrum,
     kron,
     partial_trace,
@@ -126,3 +128,31 @@ def test_entropy_unitary_invariance():
 def test_entropy_rejects_genuinely_negative():
     with pytest.raises(ValueError):
         von_neumann_entropy(np.diag([1.0 + 1e-6, -1e-6]))
+
+
+def test_bloch_vector_batches_and_scalars():
+    theta, phi = np.array([0.0, np.pi / 2, 0.7]), np.array([0.3, np.pi / 2, 1.1])
+    n = bloch_vector(theta, phi)
+    assert n.shape == (3, 3)
+    np.testing.assert_allclose(n[0], [0, 0, 1], atol=1e-15)
+    np.testing.assert_allclose(n[1], [0, 1, 0], atol=1e-15)
+    np.testing.assert_array_equal(bloch_vector(theta[2], phi[2]), n[2])
+    np.testing.assert_allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, ""),
+        (True, "true"),
+        (np.False_, "false"),
+        (3, "3"),
+        (np.int64(-2), "-2"),
+        (0.0, "0"),
+        (-0.015703281145182324, "-0.0157032811452"),
+        ([1.3659098493868664, 0.0, 0.8], "1.36590984939 0 0.8"),
+        (np.array([0.5, -0.125]), "0.5 -0.125"),
+    ],
+)
+def test_fmt_rules(value, text):
+    assert fmt(value) == text
