@@ -21,7 +21,6 @@ from .matcore import (
     ZERO_BRANCH,
     bloch_vector,
     entropy_of_probabilities,
-    kron,
     von_neumann_entropy,
 )
 from .states import BellDiagonalParams, DensityMatrix, bd_spectrum
@@ -91,12 +90,10 @@ def joint_distribution(
     """Outcome table p(i, j) = Tr[rho (Pi_i (x) Pi_j)]."""
     if rho.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
-    pa = mA.projectors()
-    pb = mB.projectors()
-    table = np.array(
-        [[np.trace(rho.matrix @ kron(pa[i], pb[j])).real for j in (0, 1)] for i in (0, 1)]
-    )
-    return JointDistribution(table)
+    r = rho.matrix.reshape(2, 2, 2, 2)
+    pa = np.stack(mA.projectors())
+    pb = np.stack(mB.projectors())
+    return JointDistribution(np.einsum("abce,ica,jeb->ij", r, pa, pb).real)
 
 
 def outcome_mutual_information(d: JointDistribution) -> float:

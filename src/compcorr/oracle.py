@@ -69,13 +69,15 @@ def _holevo_batch(rho: DensityMatrix, ns: np.ndarray) -> np.ndarray:
     r = rho.matrix.reshape(2, 2, 2, 2)
     sig = np.stack(PAULIS)
     eye = np.eye(2, dtype=complex)
-    ndots = np.einsum("gk,kij->gij", ns, sig)
+    ndots = (ns @ sig.reshape(3, 4)).reshape(-1, 2, 2)
     rho_a = np.trace(r, axis1=1, axis2=3)
     s_avg = _entropy2x2_batch(rho_a[None])[0]
+    r_eb_ac = r.transpose(3, 1, 0, 2).reshape(4, 4)  # row (e, b), column (a, c)
     cond = np.zeros(len(ns))
     for sign in (1.0, -1.0):
         proj = (eye[None] + sign * ndots) / 2
-        x = np.einsum("abce,geb->gac", r, proj)  # Tr_B[rho (I (x) Pi)]
+        # Tr_B[rho (I (x) Pi)]: x[g, a, c] = sum_eb r[a, b, c, e] Pi_g[e, b]
+        x = (proj.reshape(-1, 4) @ r_eb_ac).reshape(-1, 2, 2)
         p = np.einsum("gaa->g", x).real
         ent = _entropy2x2_batch(
             np.where(p[:, None, None] > ZERO_BRANCH, x / np.where(p == 0, 1, p)[:, None, None], 0)

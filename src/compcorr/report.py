@@ -15,7 +15,6 @@ from .states import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
-    bloch_decompose,
     normal_form,
 )
 
@@ -27,10 +26,11 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
     given; the local-unitary invariants (classical correlation, discord,
     relative entropy of entanglement) are evaluated on its normal form.
     """
-    dec = bloch_decompose(rho)
-    if np.linalg.norm(dec.a) > MARGINAL_TOL or np.linalg.norm(dec.b) > MARGINAL_TOL:
-        raise ValueError("report requires maximally mixed marginals (zero local Bloch vectors)")
+    # local unitaries rotate the marginal Bloch vectors, so their norms can
+    # be gated on the normal form's decomposition
     _, nf_dec = normal_form(rho)
+    if np.linalg.norm(nf_dec.a) > MARGINAL_TOL or np.linalg.norm(nf_dec.b) > MARGINAL_TOL:
+        raise ValueError("report requires maximally mixed marginals (zero local Bloch vectors)")
     p = BellDiagonalParams(*np.diag(nf_dec.T))
     p.validate(tol=DERIVED_TOL)
     i_x, i_y, i_z = complementary_correlations(rho)

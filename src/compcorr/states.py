@@ -28,6 +28,18 @@ from .matcore import (
 
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
+# PAULI_PRODUCTS[i, j] = sigma_i (x) sigma_j, with sigma_0 = I: every Pauli
+# coefficient Tr[rho (sigma_i (x) sigma_j)] is read, and every state
+# (1/4) sum c_ij sigma_i (x) sigma_j built, by one contraction with it.
+_SIGMA = np.stack((I2,) + PAULIS)
+PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
+PAULI_PRODUCTS.flags.writeable = False
+
+
+def _pauli_sum(c: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix (1/4) sum_ij c_ij sigma_i (x) sigma_j."""
+    return np.einsum("ij,ijkl->kl", c, PAULI_PRODUCTS) / 4.0
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -140,10 +152,7 @@ PSI_MINUS = _bell_vector("psi-")
 def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
     """Build the state (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n)."""
     p.validate()
-    m = kron(I2, I2).astype(complex)
-    for c, sigma in zip(p.as_array(), PAULIS):
-        m = m + c * kron(sigma, sigma)
-    return DensityMatrix(m / 4.0, (2, 2))
+    return DensityMatrix(_pauli_sum(np.diag([1.0, p.c1, p.c2, p.c3])), (2, 2))
 
 
 def bd_spectrum(p: BellDiagonalParams) -> np.ndarray:
@@ -165,24 +174,14 @@ def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
     """Extract local Bloch vectors and the correlation matrix T."""
     if rho.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
-    m = rho.matrix
-    a = np.array([np.trace(m @ kron(s, I2)).real for s in PAULIS])
-    b = np.array([np.trace(m @ kron(I2, s)).real for s in PAULIS])
-    T = np.array(
-        [[np.trace(m @ kron(sn, sm)).real for sm in PAULIS] for sn in PAULIS]
-    )
-    return BlochDecomposition(a=a, b=b, T=T)
+    c = np.einsum("ijkl,lk->ij", PAULI_PRODUCTS, rho.matrix).real  # Tr[rho P_ij]
+    return BlochDecomposition(a=c[1:, 0], b=c[0, 1:], T=c[1:, 1:])
 
 
 def bloch_reconstruct(dec: BlochDecomposition) -> DensityMatrix:
     """Rebuild the state from its Bloch decomposition."""
-    m = kron(I2, I2).astype(complex)
-    for n in range(3):
-        m = m + dec.a[n] * kron(PAULIS[n], I2)
-        m = m + dec.b[n] * kron(I2, PAULIS[n])
-        for k in range(3):
-            m = m + dec.T[n, k] * kron(PAULIS[n], PAULIS[k])
-    return DensityMatrix(m / 4.0, (2, 2))
+    c = np.block([[np.ones((1, 1)), dec.b[None, :]], [dec.a[:, None], dec.T]])
+    return DensityMatrix(_pauli_sum(c), (2, 2))
 
 
 def _su2_from_rotation(R: np.ndarray) -> np.ndarray:

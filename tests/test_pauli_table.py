@@ -1,0 +1,93 @@
+"""The Pauli-product table routes against their definitional forms.
+
+Each route contracts the state with the table of sigma_i (x) sigma_j once;
+the reference here reads or builds every entry with its own kron, matmul
+and trace.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from compcorr.correlations import (
+    ProjectiveMeasurement,
+    holevo_quantity,
+    joint_distribution,
+)
+from compcorr.matcore import I2, PAULIS, bloch_vector
+from compcorr.oracle import _holevo_batch
+from compcorr.states import (
+    PAULI_PRODUCTS,
+    BellDiagonalParams,
+    bell_diagonal,
+    bloch_decompose,
+    random_density_matrix,
+)
+
+TOL = 1e-14
+
+seeds = st.integers(0, 2**32 - 1)
+angles = st.tuples(st.floats(0, np.pi), st.floats(0, 2 * np.pi))
+
+
+def _state(seed):
+    return random_density_matrix(np.random.default_rng(seed), (2, 2))
+
+
+def _coefficient(m, left, right):
+    return np.trace(m @ np.kron(left, right)).real
+
+
+def _projectors(n):
+    ns = sum(c * s for c, s in zip(n, PAULIS))
+    return (I2 + ns) / 2, (I2 - ns) / 2
+
+
+def test_table_holds_the_sixteen_products():
+    sigma = (I2,) + PAULIS
+    for i in range(4):
+        for j in range(4):
+            np.testing.assert_array_equal(PAULI_PRODUCTS[i, j], np.kron(sigma[i], sigma[j]))
+    assert not PAULI_PRODUCTS.flags.writeable
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_bloch_decompose_matches_kron_traces(seed):
+    m = _state(seed).matrix
+    dec = bloch_decompose(_state(seed))
+    a = [_coefficient(m, s, I2) for s in PAULIS]
+    b = [_coefficient(m, I2, s) for s in PAULIS]
+    T = [[_coefficient(m, sn, sm) for sm in PAULIS] for sn in PAULIS]
+    np.testing.assert_allclose(dec.a, a, rtol=0, atol=TOL)
+    np.testing.assert_allclose(dec.b, b, rtol=0, atol=TOL)
+    np.testing.assert_allclose(dec.T, T, rtol=0, atol=TOL)
+
+
+@given(st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda c: BellDiagonalParams(*c).is_physical()))
+@settings(max_examples=60, deadline=None)
+def test_bell_diagonal_matches_kron_sum(c):
+    m = np.kron(I2, I2).astype(complex)
+    for cn, s in zip(c, PAULIS):
+        m = m + cn * np.kron(s, s)
+    np.testing.assert_allclose(bell_diagonal(BellDiagonalParams(*c)).matrix, m / 4, rtol=0, atol=TOL)
+
+
+@given(seeds, angles, angles)
+@settings(max_examples=60, deadline=None)
+def test_joint_distribution_matches_kron_traces(seed, ang_a, ang_b):
+    rho = _state(seed)
+    na, nb = bloch_vector(*ang_a), bloch_vector(*ang_b)
+    pa, pb = _projectors(na), _projectors(nb)
+    want = [[_coefficient(rho.matrix, pa[i], pb[j]) for j in (0, 1)] for i in (0, 1)]
+    got = joint_distribution(rho, ProjectiveMeasurement(na), ProjectiveMeasurement(nb)).p
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+
+@given(seeds, st.lists(angles, min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_holevo_batch_matches_per_direction_holevo(seed, directions):
+    rho = _state(seed)
+    ns = np.array([bloch_vector(*a) for a in directions])
+    want = [holevo_quantity(rho, ProjectiveMeasurement(n)) for n in ns]
+    np.testing.assert_allclose(_holevo_batch(rho, ns), want, rtol=0, atol=TOL)
