@@ -15,7 +15,8 @@ from .states import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
-    normal_form,
+    bloch_decompose,
+    signed_svd,
 )
 
 
@@ -23,15 +24,18 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
     """Report for a two-qubit state with maximally mixed marginals.
 
     Axis-dependent entries (i_x, i_y, i_z, q1) are measured on the state as
-    given; the local-unitary invariants (classical correlation, discord,
-    relative entropy of entanglement) are evaluated on its normal form.
+    given. The local-unitary invariants (classical correlation, discord,
+    relative entropy of entanglement) are evaluated on the Bell-diagonal
+    triple, the signed singular values of the correlation matrix T: local
+    unitaries act on T as RA T RB^T with RA, RB in SO(3), so no rotated
+    state is built.
     """
-    # local unitaries rotate the marginal Bloch vectors, so their norms can
-    # be gated on the normal form's decomposition
-    _, nf_dec = normal_form(rho)
-    if np.linalg.norm(nf_dec.a) > MARGINAL_TOL or np.linalg.norm(nf_dec.b) > MARGINAL_TOL:
+    dec = bloch_decompose(rho)
+    # the marginal Bloch vectors must vanish for the state to be locally
+    # equivalent to the Bell-diagonal state of that triple
+    if np.linalg.norm(dec.a) > MARGINAL_TOL or np.linalg.norm(dec.b) > MARGINAL_TOL:
         raise ValueError("report requires maximally mixed marginals (zero local Bloch vectors)")
-    p = BellDiagonalParams(*np.diag(nf_dec.T))
+    p = BellDiagonalParams(*signed_svd(dec.T)[1])
     p.validate(tol=DERIVED_TOL)
     i_x, i_y, i_z = complementary_correlations(rho)
     return CorrelationReport(

@@ -8,7 +8,7 @@ reference against numeric eigensolves.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,12 +18,11 @@ from .matcore import (
     PAULIS,
     PHYSICALITY_TOL,
     STATE_TOL,
-    hermitian_spectrum,
+    entropy_of_probabilities,
     is_hermitian,
     kron,
     partial_trace,
     partial_transpose,
-    von_neumann_entropy,
 )
 
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -47,6 +46,9 @@ class DensityMatrix:
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    # ascending and read-only: the PSD check's eigensolve, kept for spectrum()
+    # and entropy() since the matrix cannot change
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -54,17 +56,21 @@ class DensityMatrix:
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         if not is_hermitian(m, STATE_TOL):
             raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
         tr = np.trace(m).real
         if abs(tr - 1.0) > STATE_TOL:
             raise ValueError(f"trace {tr} differs from 1 by more than {STATE_TOL:g}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -STATE_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e} below -{STATE_TOL:g}")
+        spectrum = np.linalg.eigvalsh(m)
+        if spectrum[0] < -STATE_TOL:
+            raise ValueError(f"negative eigenvalue {spectrum[0]:.3e} below -{STATE_TOL:g}")
         m.flags.writeable = False
+        spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @classmethod
     def from_pure(cls, vec: np.ndarray, dims) -> "DensityMatrix":
@@ -80,10 +86,10 @@ class DensityMatrix:
         return partial_transpose(self.matrix, self.dims, factor)
 
     def spectrum(self) -> np.ndarray:
-        return hermitian_spectrum(self.matrix)
+        return self._spectrum
 
     def entropy(self) -> float:
-        return von_neumann_entropy(self.matrix)
+        return entropy_of_probabilities(self._spectrum)
 
 
 @dataclass(frozen=True)
@@ -219,26 +225,24 @@ def rotation_of_su2(U: np.ndarray) -> np.ndarray:
     )
 
 
-def normal_form(rho: DensityMatrix) -> tuple[DensityMatrix, BlochDecomposition]:
-    """Rotate by local unitaries so the correlation matrix T becomes diagonal.
-
-    The diagonalization is a signed SVD with both rotation factors kept in
-    SO(3) (signs absorbed into the diagonal), since only special orthogonal
-    rotations lift to local unitaries.
-    """
-    dec = bloch_decompose(rho)
-    U, s, Vt = np.linalg.svd(dec.T)
-    s = s.copy()
+def signed_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(RA, s, RB) with RA, RB in SO(3) and RA T RB^T = diag(s): an SVD with the
+    signs of improper factors absorbed into s[2], since only SO(3) rotations
+    lift to local unitaries."""
+    U, s, Vt = np.linalg.svd(T)
     if np.linalg.det(U) < 0:
         U[:, 2] *= -1
         s[2] *= -1
     if np.linalg.det(Vt) < 0:
         Vt[2, :] *= -1
         s[2] *= -1
-    RA, RB = U.T, Vt
-    UA = _su2_from_rotation(RA)
-    UB = _su2_from_rotation(RB)
-    local = kron(UA, UB)
+    return U.T, s, Vt
+
+
+def normal_form(rho: DensityMatrix) -> tuple[DensityMatrix, BlochDecomposition]:
+    """Rotate by local unitaries so the correlation matrix T becomes diagonal."""
+    RA, _, RB = signed_svd(bloch_decompose(rho).T)
+    local = kron(_su2_from_rotation(RA), _su2_from_rotation(RB))
     out = DensityMatrix(local @ rho.matrix @ local.conj().T, (2, 2))
     return out, bloch_decompose(out)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestAnalyze:
         assert main(["analyze", "--state", str(path)]) == 0
         out = capsys.readouterr().out
         assert "i_x" in out
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_state_file_rejected(self, bad, tmp_path, capsys):
+        matrix_re = [0.25 if i % 5 == 0 else 0.0 for i in range(16)]
+        matrix_re[1] = float(bad)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix_re": matrix_re, "matrix_im": [0.0] * 16}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", "--state", str(path)]) == 2
+        assert "non-finite entry" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("bd", ["0.5,0.25,0.25", "1,-1,1"])
     def test_formats_agree(self, bd, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from compcorr import report, states
 from compcorr.matcore import kron
+from compcorr.oracle import spectrum_crosscheck
 from compcorr.report import report_for_bd, report_for_state
 from compcorr.states import BellDiagonalParams, DensityMatrix, bell_diagonal
 
@@ -31,25 +32,36 @@ def test_rejects_nonvanishing_marginals():
         report_for_state(DensityMatrix(np.diag([0.5, 0.5, 0, 0]).astype(complex), (2, 2)))
 
 
+def _count_calls(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return wrapper
+
+
 def test_report_work_count(monkeypatch):
-    # one report costs one kron (the local unitary of the normal form) and
-    # two Bloch decompositions (of the state and of its normal form); the
-    # Pauli coefficients come from the product table, not per-entry krons
+    # one report on an already built state costs no kron, one Bloch
+    # decomposition (the triple is the signed SVD of its T, with no rotated
+    # state) and three eigensolves: the validation of each 2x2 marginal and
+    # the partial transpose of the negativity; the state's own spectrum was
+    # kept when it was built
     rho = _rotated_bd_state(BellDiagonalParams(0.4, 0.1, -0.3), 7)
-    counts = {"kron": 0, "bloch_decompose": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
-    wrapped = counted("bloch_decompose", states.bloch_decompose)
-    for module in (states, report):
-        if hasattr(module, "bloch_decompose"):
-            monkeypatch.setattr(module, "bloch_decompose", wrapped)
+    counts = {"kron": 0, "bloch_decompose": 0, "eigvalsh": 0}
+    _count_calls(monkeypatch, np, "kron", counts)
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    wrapped = _count_calls(monkeypatch, states, "bloch_decompose", counts)
+    monkeypatch.setattr(report, "bloch_decompose", wrapped)
     report_for_state(rho)
-    assert counts["kron"] <= 1
-    assert counts["bloch_decompose"] == 2
+    assert counts == {"kron": 0, "bloch_decompose": 1, "eigvalsh": 3}
+
+
+def test_spectrum_crosscheck_solves_once(monkeypatch):
+    # building the state solves it; reading its spectrum does not
+    counts = {"eigvalsh": 0}
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    spectrum_crosscheck(BellDiagonalParams(0.4, 0.1, -0.3))
+    assert counts["eigvalsh"] == 1

@@ -1,0 +1,111 @@
+"""Routes that solve each state once, against the routes that solved it again.
+
+`DensityMatrix` keeps the spectrum of its PSD check, `report_for_state`
+reads the Bell-diagonal triple from the signed SVD of T instead of a rebuilt
+normal form, and `complementary_correlations` contracts the state once with
+the stacked axis projectors. Each is compared here with the direct form.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from compcorr import report
+from compcorr.correlations import (
+    ProjectiveMeasurement,
+    complementary_correlations,
+    joint_distribution,
+    outcome_mutual_information,
+)
+from compcorr.matcore import hermitian_spectrum, kron, von_neumann_entropy
+from compcorr.states import (
+    BellDiagonalParams,
+    DensityMatrix,
+    bell_diagonal,
+    normal_form,
+    random_density_matrix,
+    signed_svd,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda c: BellDiagonalParams(*c).is_physical())
+
+
+def _haar_su2(rng):
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return u
+
+
+@given(seeds, st.sampled_from([(2,), (2, 2), (2, 2, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_kept_spectrum_is_the_matrix_spectrum(seed, dims):
+    rho = random_density_matrix(np.random.default_rng(seed), dims)
+    np.testing.assert_array_equal(rho.spectrum(), hermitian_spectrum(rho.matrix))
+    assert rho.entropy() == von_neumann_entropy(rho.matrix)
+
+
+def test_kept_spectrum_is_read_only():
+    rho = bell_diagonal(BellDiagonalParams(0.5, 0.25, 0.25))
+    with pytest.raises(ValueError):
+        rho.spectrum()[0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_entry_rejected(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        DensityMatrix(m, (2, 2))
+
+
+@given(seeds, st.integers(0, 3), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_signed_svd_factors_are_rotations(seed, rank, flip_left, flip_right):
+    rng = np.random.default_rng(seed)
+    T = sum((np.outer(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(rank)), np.zeros((3, 3)))
+    # a state's correlation matrix has singular values at most 1
+    T = T / max(1.0, np.linalg.norm(T, 2))
+    # an improper factor on either side gives det T < 0 for a full-rank T
+    T = np.diag([1.0, 1.0, -1.0 if flip_left else 1.0]) @ T @ np.diag([1.0, -1.0 if flip_right else 1.0, 1.0])
+    RA, s, RB = signed_svd(T)
+    for R in (RA, RB):
+        np.testing.assert_allclose(R @ R.T, np.eye(3), rtol=0, atol=1e-14)
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(RA @ T @ RB.T, np.diag(s), rtol=0, atol=1e-14)
+
+
+@given(physical_triples, seeds)
+@settings(max_examples=60, deadline=None)
+def test_report_triple_is_the_normal_form_diagonal(c, seed):
+    rng = np.random.default_rng(seed)
+    local = kron(_haar_su2(rng), _haar_su2(rng))
+    rho = DensityMatrix(local @ bell_diagonal(BellDiagonalParams(*c)).matrix @ local.conj().T, (2, 2))
+    seen = []
+
+    def recording(*triple):
+        seen.append(triple)
+        return BellDiagonalParams(*triple)
+
+    original = report.BellDiagonalParams
+    report.BellDiagonalParams = recording
+    try:
+        report.report_for_state(rho)
+    finally:
+        report.BellDiagonalParams = original
+    (triple,) = seen
+    np.testing.assert_allclose(triple, np.diag(normal_form(rho)[1].T), rtol=0, atol=1e-14)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_stacked_axis_tables_match_per_axis_route(seed):
+    rho = random_density_matrix(np.random.default_rng(seed), (2, 2))
+    axes = (ProjectiveMeasurement.x(), ProjectiveMeasurement.y(), ProjectiveMeasurement.z())
+    per_axis = [outcome_mutual_information(joint_distribution(rho, m, m)) for m in axes]
+    np.testing.assert_allclose(complementary_correlations(rho), per_axis, rtol=0, atol=1e-15)
+
+
+def test_stacked_axis_tables_need_two_qubits():
+    with pytest.raises(ValueError, match="two-qubit"):
+        complementary_correlations(DensityMatrix(np.eye(8) / 8, (2, 4)))
