@@ -93,7 +93,7 @@ def _trace_doc(trace) -> dict:
             v.cut: {
                 "min_eigenvalue": v.min_eigenvalue,
                 "is_ppt": v.is_ppt,
-                "pt_spectrum": [float(x) for x in trace.pt_spectra[stage][v.cut]],
+                "pt_spectrum": list(v.spectrum),
             }
             for v in verdicts
         }

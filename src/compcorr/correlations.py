@@ -6,7 +6,7 @@ and the Bell-diagonal closed forms for classical correlation, discord and
 total mutual information. All quantities are in bits.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -222,18 +222,5 @@ class CorrelationReport:
     e_r: float
     all_complementary_nonzero: bool
 
-    FIELDS = (
-        "i_x",
-        "i_y",
-        "i_z",
-        "classical_c",
-        "discord",
-        "q1",
-        "mutual_info",
-        "negativity",
-        "e_r",
-        "all_complementary_nonzero",
-    )
-
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -28,12 +28,12 @@ traces; `oracle.edss_useful_numeric` is the numeric reference for the search.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .correlations import complementary_correlations, classical_correlation, discord_bd, q1, total_mutual_information
-from .entanglement import PptVerdict, negativity, pt_spectrum, verdict_of_spectrum
+from .entanglement import PptVerdict, negativity, ppt_verdict
 from .matcore import I2, PAULIS, PPT_TOL, bloch_vector, fmt, kron
 from .states import (
     BellDiagonalParams,
@@ -117,7 +117,6 @@ class ProtocolTrace:
     after_alice: DensityMatrix
     after_bob: DensityMatrix
     stage_verdicts: dict[str, tuple[PptVerdict, ...]]
-    pt_spectra: dict[str, dict[str, np.ndarray]]
     final_ab_negativity: float
     success: bool
 
@@ -128,7 +127,8 @@ class ProtocolTrace:
 
 
 def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace:
-    """Run the full protocol and record all stage verdicts and PT spectra."""
+    """Run the full protocol and record every stage's PPT verdicts, each with
+    its partial-transpose spectrum."""
     if rho_ab.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
     if ancilla.dims != (2,):
@@ -137,14 +137,10 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     after_alice = DensityMatrix(U_AC @ initial.matrix @ U_AC.T, (2, 2, 2))
     after_bob = DensityMatrix(U_BC @ after_alice.matrix @ U_BC.T, (2, 2, 2))
 
-    verdicts: dict[str, tuple[PptVerdict, ...]] = {}
-    spectra: dict[str, dict[str, np.ndarray]] = {}
-    for stage, state in zip(STAGES, (initial, after_alice, after_bob)):
-        lams = [pt_spectrum(state, f) for f in CUT_FACTORS]
-        vs = tuple(verdict_of_spectrum(lam, f, len(state.dims)) for lam, f in zip(lams, CUT_FACTORS))
-        verdicts[stage] = vs
-        spectra[stage] = {v.cut: lam for v, lam in zip(vs, lams)}
-
+    verdicts = {
+        stage: tuple(ppt_verdict(state, f) for f in CUT_FACTORS)
+        for stage, state in zip(STAGES, (initial, after_alice, after_bob))
+    }
     success = verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL
     final_ab = after_bob.partial_trace([0, 1])
     return ProtocolTrace(
@@ -152,7 +148,6 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
         after_alice=after_alice,
         after_bob=after_bob,
         stage_verdicts=verdicts,
-        pt_spectra=spectra,
         final_ab_negativity=negativity(final_ab, 0),
         success=success,
     )
@@ -166,6 +161,15 @@ class EdssSearchResult:
     witness: tuple[float, float, float] | None  # (theta, phi, radius)
     min_pt_eigenvalue: float  # best over ancillas with a PPT send step
     npt_send_success_seen: bool  # some ancilla succeeded only via an NPT send step
+
+
+def require_separable(p: BellDiagonalParams) -> None:
+    """Raise unless p is a physical, separable correlation triple."""
+    if not is_separable_bd(p):  # validates p first
+        raise ValueError(
+            f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
+            "the protocol requires a separable resource"
+        )
 
 
 _PARTNER = [1, 0, 3, 2]  # phi+ <-> phi-, psi+ <-> psi-
@@ -222,11 +226,7 @@ def edss_useful(
     first witness found in deterministic grid order, or the best candidate
     statistics when none succeeds.
     """
-    if not is_separable_bd(p):  # validates p first
-        raise ValueError(
-            f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
-            "the protocol requires a separable resource"
-        )
+    require_separable(p)
     spec = ancilla if ancilla is not None else AncillaSpec()
     points = _search_points(spec)
     m_a, m_c = _score(p, points)
@@ -247,27 +247,6 @@ def edss_useful(
     npt_seen = bool(np.any(npt[:end] & ~send_ppt[:end]))
     witness = tuple(float(x[hits[0]]) for x in points) if hits.size else None
     return EdssSearchResult(witness is not None, witness, min_pt, npt_seen)
-
-
-SWEEP_COLUMNS = (
-    "c1",
-    "c2",
-    "c3",
-    "i_x",
-    "i_y",
-    "i_z",
-    "C",
-    "D",
-    "Q1",
-    "I",
-    "negativity",
-    "bd_rank",
-    "edss_useful",
-    "witness_theta",
-    "witness_phi",
-    "witness_r",
-    "min_pt_eigenvalue",
-)
 
 
 @dataclass(frozen=True)
@@ -291,6 +270,9 @@ class SweepRow:
     min_pt_eigenvalue: float
     # not a CSV column: a success was seen but only through an NPT send step
     protocol_invalid: bool = field(default=False, compare=False)
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "protocol_invalid")
 
 
 def sweep(resolution: int, ancilla: AncillaSpec | None = None) -> list[SweepRow]:

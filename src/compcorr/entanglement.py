@@ -16,11 +16,19 @@ def _cut_label(factor: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class PptVerdict:
-    """Minimum partial-transpose eigenvalue across one bipartition."""
+    """Partial-transpose spectrum across one bipartition, ascending, with the
+    verdict read off its minimum."""
 
-    min_eigenvalue: float
-    is_ppt: bool
+    spectrum: tuple[float, ...]
     cut: str
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return self.spectrum[0]
+
+    @property
+    def is_ppt(self) -> bool:
+        return self.min_eigenvalue >= -PPT_TOL
 
 
 def pt_spectrum(rho: DensityMatrix, factor: int) -> np.ndarray:
@@ -36,18 +44,8 @@ def negativity(rho: DensityMatrix, factor: int = 0) -> float:
     return float(np.abs(lam[lam < 0]).sum())
 
 
-def verdict_of_spectrum(lam: np.ndarray, factor: int, n_factors: int) -> PptVerdict:
-    """The PPT verdict read off an ascending partial-transpose spectrum."""
-    lo = float(lam[0])
-    return PptVerdict(
-        min_eigenvalue=lo,
-        is_ppt=lo >= -PPT_TOL,
-        cut=_cut_label(factor, n_factors),
-    )
-
-
 def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
-    return verdict_of_spectrum(pt_spectrum(rho, factor), factor, len(rho.dims))
+    return PptVerdict(tuple(pt_spectrum(rho, factor).tolist()), _cut_label(factor, len(rho.dims)))
 
 
 def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:

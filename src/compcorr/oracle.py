@@ -4,7 +4,9 @@ The grid maximizer of the Holevo quantity is the oracle for the closed-form
 classical correlation; numeric discord follows from it. The per-point 8x8
 ancilla search is the oracle for the closed-form EDSS search. Also here: the
 mutual-unbiasedness checker and the closed-form-vs-eigensolver spectrum
-cross-check, plus the seeded verification suite behind `compcorr verify`.
+cross-check. Each cross-check of the seeded suite behind `compcorr verify`
+is one `check_*` function of its input samples; the tests call the same
+functions on their own seeds.
 """
 
 import itertools
@@ -23,14 +25,13 @@ from .correlations import (
     q1,
     total_mutual_information,
 )
-from .edss import U_AC, AncillaSpec, EdssSearchResult, ancilla_state
+from .edss import U_AC, AncillaSpec, EdssSearchResult, ancilla_state, require_separable
 from .matcore import LOG2, PAULIS, PPT_TOL, ZERO_BRANCH, bloch_vector, kron, partial_transpose
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
     bd_spectrum,
     bell_diagonal,
-    is_separable_bd,
     random_bd_params,
     random_density_matrix,
 )
@@ -43,13 +44,6 @@ OVERLAP_CONVENTION_NOTE = (
     "|<a|b>|^2 = 1/d; the unsquared form is inconsistent with the Pauli eigenbases "
     "and is treated as a typo"
 )
-
-
-def _bloch_grid(n_polar: int, n_azimuth: int) -> np.ndarray:
-    thetas = np.linspace(0.0, np.pi, n_polar)
-    phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return bloch_vector(tt.ravel(), pp.ravel())
 
 
 def _entropy2x2_batch(mats: np.ndarray) -> np.ndarray:
@@ -90,8 +84,6 @@ def _holevo_batch(rho: DensityMatrix, ns: np.ndarray) -> np.ndarray:
 class OptimizationResult:
     value: float
     argmax_bloch: np.ndarray
-    grid_resolution: tuple[int, int]
-    refined: bool
 
 
 def maximize_holevo(
@@ -112,8 +104,8 @@ def maximize_holevo(
 
     thetas = np.linspace(0.0, np.pi, n_polar)
     phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
-    ns = _bloch_grid(n_polar, n_azimuth)
-    vals = _holevo_batch(rho, ns)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    vals = _holevo_batch(rho, bloch_vector(tt.ravel(), pp.ravel()))
     best = int(np.argmax(vals))  # first occurrence = lexicographic tie-break
     th, ph = thetas[best // n_azimuth], phis[best % n_azimuth]
 
@@ -133,12 +125,7 @@ def maximize_holevo(
 
     n_best = bloch_vector(th, ph)
     value = holevo_quantity(rho, ProjectiveMeasurement(n_best / np.linalg.norm(n_best)))
-    return OptimizationResult(
-        value=value,
-        argmax_bloch=n_best,
-        grid_resolution=(n_polar, n_azimuth),
-        refined=True,
-    )
+    return OptimizationResult(value=value, argmax_bloch=n_best)
 
 
 def discord_numeric(
@@ -192,11 +179,7 @@ def edss_useful_numeric(
 
     The C|AB cut is solved only where its verdict can change the result.
     """
-    if not is_separable_bd(p):  # validates p first
-        raise ValueError(
-            f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
-            "the protocol requires a separable resource"
-        )
+    require_separable(p)
     spec = ancilla if ancilla is not None else AncillaSpec()
     rho4 = bell_diagonal(p).matrix
 
@@ -302,28 +285,17 @@ def _axis_angle_deg(n: np.ndarray, axis: int) -> float:
     return float(np.degrees(np.arccos(min(c, 1.0))))
 
 
-def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
-    """Seeded cross-check suite; every check pairs an implementation with an
-    independent route to the same number."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    checks = []
+def check_spectra(samples: list[BellDiagonalParams]) -> CheckResult:
+    """Closed-form Bell-diagonal spectra vs the numeric eigensolver."""
+    dev = max(spectrum_crosscheck(p) for p in samples)
+    return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
-    # mutual unbiasedness of the three Pauli eigenbases
-    checks.append(CheckResult("pauli-bases-mutually-unbiased", mub_check(pauli_mub_bases()), 0.0, 1e-12))
-    z = pauli_mub_bases()[0]
-    checks.append(CheckResult("repeated-basis-rejected", not mub_check([z, z]), 0.0, 1e-12))
 
-    # closed-form spectra vs the numeric eigensolver
-    dev = max(spectrum_crosscheck(random_bd_params(rng)) for _ in range(samples))
-    checks.append(CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10))
-
-    # closed-form classical correlation vs grid maximization; discord likewise
-    n_opt = max(10, samples // 50)
+def check_holevo(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
+    """Closed-form classical correlation and discord vs grid maximization of
+    the Holevo quantity, and the maximizing direction vs the strongest axis."""
     dev_c = dev_d = dev_ax = 0.0
-    for _ in range(n_opt):
-        p = random_bd_params(rng)
+    for p in samples:
         state = bell_diagonal(p)
         opt = maximize_holevo(state)
         dev_c = max(dev_c, abs(classical_correlation(p) - opt.value))
@@ -332,48 +304,75 @@ def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
         order = np.argsort(mags)[::-1]
         if mags[order[0]] - mags[order[1]] > 1e-3:  # skip near-ties
             dev_ax = max(dev_ax, _axis_angle_deg(opt.argmax_bloch, int(order[0])))
-    checks.append(CheckResult("classical-correlation-vs-grid-maximum", dev_c < 1e-4, dev_c, 1e-4))
-    checks.append(CheckResult("closed-form-discord-vs-numeric", dev_d < 1e-4, dev_d, 1e-4))
-    checks.append(CheckResult("holevo-argmax-on-strongest-axis", dev_ax < 5.0, dev_ax, 5.0))
+    return (
+        CheckResult("classical-correlation-vs-grid-maximum", dev_c < 1e-4, dev_c, 1e-4),
+        CheckResult("closed-form-discord-vs-numeric", dev_d < 1e-4, dev_d, 1e-4),
+        CheckResult("holevo-argmax-on-strongest-axis", dev_ax < 5.0, dev_ax, 5.0),
+    )
 
-    # z-axis closed form vs measured mutual information
-    dev = 0.0
-    for _ in range(min(samples, 200)):
-        p = random_bd_params(rng)
-        dev = max(dev, abs(q1(p) - complementary_correlations(bell_diagonal(p))[2]))
-    checks.append(CheckResult("z-correlation-closed-form-vs-measured", dev < 1e-12, dev, 1e-12))
 
-    # ordered-frame inequalities: with |c| sorted so the strongest axis is x
-    # and the median axis is z, Q1 <= D and Q1 + C <= I
+def check_z_correlation(samples: list[BellDiagonalParams]) -> CheckResult:
+    """z-axis closed form vs the measured outcome mutual information."""
+    dev = max(abs(q1(p) - complementary_correlations(bell_diagonal(p))[2]) for p in samples)
+    return CheckResult("z-correlation-closed-form-vs-measured", dev < 1e-12, dev, 1e-12)
+
+
+def check_ordered_frame(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
+    """With |c| sorted so the strongest axis is x and the median axis is z,
+    Q1 <= D and Q1 + C <= I."""
     dev_qd = dev_qci = -np.inf
-    for _ in range(samples):
-        p = random_bd_params(rng)
+    for p in samples:
         mags = np.sort(np.abs(p.as_array()))[::-1]
         q_med = correlation_bits(mags[1])
         c = classical_correlation(p)
-        d = discord_bd(p)
-        i = bd_mutual_information(p)
-        dev_qd = max(dev_qd, q_med - d)
-        dev_qci = max(dev_qci, q_med + c - i)
-    checks.append(CheckResult("ordered-frame-q1-below-discord", dev_qd <= 1e-12, dev_qd, 1e-12))
-    checks.append(CheckResult("ordered-frame-q1-plus-c-below-i", dev_qci <= 1e-12, dev_qci, 1e-12))
+        dev_qd = max(dev_qd, q_med - discord_bd(p))
+        dev_qci = max(dev_qci, q_med + c - bd_mutual_information(p))
+    return (
+        CheckResult("ordered-frame-q1-below-discord", dev_qd <= 1e-12, dev_qd, 1e-12),
+        CheckResult("ordered-frame-q1-plus-c-below-i", dev_qci <= 1e-12, dev_qci, 1e-12),
+    )
 
-    # partial transpose is an involution on random states
+
+def check_involution(states: list[DensityMatrix]) -> CheckResult:
+    """The partial transpose of two-qubit states is an involution."""
     dev = 0.0
-    for _ in range(min(samples, 100)):
-        rho = random_density_matrix(rng, (2, 2))
-        ptpt = partial_transpose(partial_transpose(rho.matrix, (2, 2), 0), (2, 2), 0)
-        dev = max(dev, float(np.max(np.abs(ptpt - rho.matrix))))
-    checks.append(CheckResult("partial-transpose-involution", dev < 1e-14, dev, 1e-14))
+    for rho in states:
+        back = partial_transpose(partial_transpose(rho.matrix, (2, 2), 0), (2, 2), 0)
+        dev = max(dev, float(np.max(np.abs(back - rho.matrix))))
+    return CheckResult("partial-transpose-involution", dev < 1e-14, dev, 1e-14)
 
-    # kron associativity
-    dev = 0.0
-    for _ in range(min(samples, 100)):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        dev = max(dev, float(np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))))))
-    checks.append(CheckResult("kron-associativity", dev < 1e-12, dev, 1e-12))
 
-    return checks
+def check_kron(triples: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> CheckResult:
+    """kron is associative."""
+    dev = max(float(np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))))) for a, b, c in triples)
+    return CheckResult("kron-associativity", dev < 1e-12, dev, 1e-12)
+
+
+def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
+    """Seeded cross-check suite; every check pairs an implementation with an
+    independent route to the same number. Each check draws its inputs from
+    the one stream in turn."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    rng = np.random.default_rng(seed)
+
+    def triples(n):
+        return [random_bd_params(rng) for _ in range(n)]
+
+    def complex_2x2():
+        return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+    z = pauli_mub_bases()[0]
+    return [
+        CheckResult("pauli-bases-mutually-unbiased", mub_check(pauli_mub_bases()), 0.0, 1e-12),
+        CheckResult("repeated-basis-rejected", not mub_check([z, z]), 0.0, 1e-12),
+        check_spectra(triples(samples)),
+        *check_holevo(triples(max(10, samples // 50))),
+        check_z_correlation(triples(min(samples, 200))),
+        *check_ordered_frame(triples(samples)),
+        check_involution([random_density_matrix(rng, (2, 2)) for _ in range(min(samples, 100))]),
+        check_kron([(complex_2x2(), complex_2x2(), complex_2x2()) for _ in range(min(samples, 100))]),
+    ]
 
 
 def verification_report(checks: list[CheckResult]) -> str:

@@ -19,6 +19,9 @@ from .states import (
     signed_svd,
 )
 
+# c_n = sum_k _BELL_SIGNS[n, k] lambda_k over Bell-basis eigenvalues (phi+, phi-, psi+, psi-)
+_BELL_SIGNS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], dtype=float)
+
 
 def report_for_state(rho: DensityMatrix) -> CorrelationReport:
     """Report for a two-qubit state with maximally mixed marginals.
@@ -37,6 +40,11 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
         raise ValueError("report requires maximally mixed marginals (zero local Bloch vectors)")
     p = BellDiagonalParams(*signed_svd(dec.T)[1])
     p.validate(tol=DERIVED_TOL)
+    if not p.is_physical():
+        # within DERIVED_TOL of the tetrahedron but outside PHYSICALITY_TOL, which
+        # the closed forms check: clip the Bell-basis eigenvalues and read c back
+        lam = np.clip(p.eigenvalues(), 0.0, None)
+        p = BellDiagonalParams(*(_BELL_SIGNS @ (lam / lam.sum())))
     i_x, i_y, i_z = complementary_correlations(rho)
     return CorrelationReport(
         i_x=i_x,

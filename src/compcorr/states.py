@@ -139,20 +139,10 @@ class BlochDecomposition:
     T: np.ndarray
 
 
-def _bell_vector(which: str) -> np.ndarray:
-    s = 1 / np.sqrt(2)
-    return {
-        "phi+": np.array([s, 0, 0, s], dtype=complex),
-        "phi-": np.array([s, 0, 0, -s], dtype=complex),
-        "psi+": np.array([0, s, s, 0], dtype=complex),
-        "psi-": np.array([0, s, -s, 0], dtype=complex),
-    }[which]
-
-
-PHI_PLUS = _bell_vector("phi+")
-PHI_MINUS = _bell_vector("phi-")
-PSI_PLUS = _bell_vector("psi+")
-PSI_MINUS = _bell_vector("psi-")
+# the Bell vectors, in the order of _BELL_LABELS
+PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
+) * (1 / np.sqrt(2))
 
 
 def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
@@ -327,8 +317,15 @@ def load_state(path) -> DensityMatrix:
     """Read a state file; Hermiticity / trace / PSD are re-verified on load."""
     with open(path) as f:
         doc = json.load(f)
-    dims = tuple(int(d) for d in doc["dims"])
-    d = int(np.prod(dims))
-    re = np.array(doc["matrix_re"], dtype=float).reshape(d, d)
-    im = np.array(doc["matrix_im"], dtype=float).reshape(d, d)
+    if not isinstance(doc, dict):
+        raise ValueError(f"state file must hold a JSON object, not a {type(doc).__name__}")
+    try:
+        dims = tuple(int(d) for d in doc["dims"])
+        d = int(np.prod(dims))
+        re = np.array(doc["matrix_re"], dtype=float).reshape(d, d)
+        im = np.array(doc["matrix_im"], dtype=float).reshape(d, d)
+    except KeyError as e:
+        raise ValueError(f"state file lacks the key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"malformed state file: {e}") from e
     return DensityMatrix(re + 1j * im, dims)

@@ -7,26 +7,28 @@ on success; pytest shows them on failure regardless).
 import time
 
 import numpy as np
-import pytest
 
 from compcorr.correlations import (
-    ProjectiveMeasurement,
     bd_mutual_information,
     classical_correlation,
     complementary_correlations,
-    correlation_bits,
     discord_bd,
     q1,
 )
 from compcorr.edss import AncillaSpec, ancilla_state, run_protocol, sweep
 from compcorr.entanglement import negativity, pt_spectrum, rel_entropy_entanglement_bd
-from compcorr.matcore import entropy_of_probabilities, partial_transpose
-from compcorr.oracle import discord_numeric, maximize_holevo, spectrum_crosscheck
+from compcorr.matcore import entropy_of_probabilities
+from compcorr.oracle import (
+    check_holevo,
+    check_involution,
+    check_ordered_frame,
+    check_spectra,
+    discord_numeric,
+)
 from compcorr.states import (
     PHI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
-    bd_spectrum,
     bell_diagonal,
     classically_correlated,
     family_eq15,
@@ -39,21 +41,12 @@ DISCORD_FULL_REF = 0.25
 DISCORD_ZEROED_REF = 0.06227890139685224
 
 
-def _report(name: str, ok: bool, detail: str) -> None:
+def _report(name: str, ok: bool, detail: str, checks=()) -> None:
+    """One PASS/FAIL line; checks shared with `compcorr verify` lead the detail."""
+    ok = ok and all(c.passed for c in checks)
+    detail = "; ".join([c.line() for c in checks] + [detail])
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def _ordered_frame(p: BellDiagonalParams) -> tuple[float, float, float, float]:
-    """(Q1, C, D, I) with axes relabeled so |c| are in the paper's order:
-    strongest axis first, median axis third; Q1 then reads off the median."""
-    mags = np.sort(np.abs(p.as_array()))[::-1]
-    return (
-        correlation_bits(mags[1]),
-        classical_correlation(p),
-        discord_bd(p),
-        bd_mutual_information(p),
-    )
 
 
 def _inequality_samples() -> list[BellDiagonalParams]:
@@ -66,23 +59,10 @@ def _inequality_samples() -> list[BellDiagonalParams]:
 def test_criterion_01_holevo_maximum_matches_closed_form():
     rng = np.random.default_rng(101)
     t0 = time.time()
-    worst_val = worst_ang = 0.0
-    for _ in range(200):
-        p = random_bd_params(rng)
-        opt = maximize_holevo(bell_diagonal(p))
-        worst_val = max(worst_val, abs(opt.value - classical_correlation(p)))
-        mags = np.abs(p.as_array())
-        order = np.argsort(mags)[::-1]
-        if mags[order[0]] - mags[order[1]] > 1e-3:  # near-ties: axis is ambiguous
-            c = abs(opt.argmax_bloch[order[0]]) / np.linalg.norm(opt.argmax_bloch)
-            worst_ang = max(worst_ang, np.degrees(np.arccos(min(c, 1.0))))
+    checks = check_holevo([random_bd_params(rng) for _ in range(200)])
     dt = time.time() - t0
-    ok = worst_val <= 1e-4 and worst_ang <= 5.0 and dt < 60
-    _report(
-        "criterion-01 grid-maximized Holevo vs closed-form classical correlation",
-        ok,
-        f"value dev {worst_val:.2e} (tol 1e-4), axis dev {worst_ang:.2f} deg (tol 5), {dt:.1f}s (<60s)",
-    )
+    name = "criterion-01 grid-maximized Holevo vs closed-form classical correlation"
+    _report(name, dt < 60, f"{dt:.1f}s (<60s)", checks)
 
 
 def test_criterion_02_family_discord_equals_e_r_and_q1():
@@ -106,32 +86,23 @@ def test_criterion_02_family_discord_equals_e_r_and_q1():
 
 
 def test_criterion_03_ordered_q1_bounded_by_discord():
-    worst = -np.inf
-    for p in _inequality_samples():
-        q_med, _, d, _ = _ordered_frame(p)
-        worst = max(worst, q_med - d)
-    ok = worst <= 1e-12
-    _report(
-        "criterion-03 ordered-frame Q1 <= discord on 10k samples + Werner line",
-        ok,
-        f"max(Q1 - D) {worst:.2e} (tol 1e-12)",
-    )
+    samples = _inequality_samples()
+    below_discord, _ = check_ordered_frame(samples)
+    name = "criterion-03 ordered-frame Q1 <= discord on 10k samples + Werner line"
+    _report(name, True, f"{len(samples)} triples", [below_discord])
 
 
 def test_criterion_04_ordered_q1_plus_c_bounded_by_i():
-    worst = -np.inf
-    for p in _inequality_samples():
-        q_med, c, _, i = _ordered_frame(p)
-        worst = max(worst, q_med + c - i)
+    _, below_i = check_ordered_frame(_inequality_samples())
     worst_eq = 0.0
     for c3 in np.arange(0.1, 0.95, 0.1):
         p = BellDiagonalParams(1.0, c3, -c3)
         worst_eq = max(worst_eq, abs(q1(BellDiagonalParams(0, 0, c3)) + classical_correlation(p) - bd_mutual_information(p)))
-    ok = worst <= 1e-12 and worst_eq <= 1e-9
     _report(
         "criterion-04 ordered-frame Q1 + C <= I, saturated on the rank-2 family",
-        ok,
-        f"max(Q1+C-I) {worst:.2e} (tol 1e-12), family |Q1+C-I| {worst_eq:.2e} (tol 1e-9)",
+        worst_eq <= 1e-9,
+        f"family |Q1+C-I| {worst_eq:.2e} (tol 1e-9)",
+        [below_i],
     )
 
 
@@ -247,14 +218,10 @@ def test_criterion_09_separable_sweep():
 def test_criterion_10_kernel_properties():
     rng = np.random.default_rng(110)
     t0 = time.time()
-    worst_inv = worst_spec = worst_ent = 0.0
-    for _ in range(1000):
-        p = random_bd_params(rng)
-        worst_spec = max(worst_spec, spectrum_crosscheck(p))
-    for _ in range(200):
-        rho = random_density_matrix(rng, (2, 2))
-        back = partial_transpose(partial_transpose(rho.matrix, (2, 2), 0), (2, 2), 0)
-        worst_inv = max(worst_inv, float(np.max(np.abs(back - rho.matrix))))
+    checks = [
+        check_spectra([random_bd_params(rng) for _ in range(1000)]),
+        check_involution([random_density_matrix(rng, (2, 2)) for _ in range(200)]),
+    ]
     # entropy axioms: zero on point masses, maximal and additive on uniforms
     worst_ent = max(
         abs(entropy_of_probabilities(np.array([1.0, 0.0, 0.0]))),
@@ -265,10 +232,9 @@ def test_criterion_10_kernel_properties():
         ),
     )
     dt = time.time() - t0
-    ok = worst_spec <= 1e-10 and worst_inv <= 1e-12 and worst_ent <= 1e-12 and dt < 30
     _report(
         "criterion-10 kernel invariants (spectra, partial transpose, entropy)",
-        ok,
-        f"spectrum dev {worst_spec:.2e} (tol 1e-10), involution dev {worst_inv:.2e} (tol 1e-12), "
+        worst_ent <= 1e-12 and dt < 30,
         f"entropy dev {worst_ent:.2e} (tol 1e-12), {dt:.1f}s (<30s)",
+        checks,
     )

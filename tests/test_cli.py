@@ -1,7 +1,6 @@
 import json
 import warnings
 
-import numpy as np
 import pytest
 
 from compcorr.cli import main
@@ -143,6 +142,18 @@ class TestEdss:
         out = capsys.readouterr().out
         for label in ("A|BC", "C|AB", "B|AC", "after_alice", "after_bob"):
             assert label in out
+
+
+@pytest.mark.parametrize("command", ["analyze", "edss"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [({"dims": [2, 2], "matrix_re": [0.25] * 16}, "lacks the key 'matrix_im'"), ([1, 2], "JSON object")],
+)
+def test_malformed_state_file_rejected(command, doc, message, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--state", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestSweep:

@@ -79,6 +79,9 @@ def test_ppt_verdict_bell_with_pure_factor():
     assert not v.is_ppt
     assert v.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
     assert v.cut == "A|BC"
+    # the verdict keeps the spectrum it was read from, and compares by value
+    np.testing.assert_array_equal(v.spectrum, pt_spectrum(rho, 0))
+    assert v.min_eigenvalue == v.spectrum[0] and v == ppt_verdict(rho, 0)
 
 
 def test_ppt_verdict_sign_flipped_separable():

@@ -3,7 +3,6 @@ import pytest
 
 from compcorr.correlations import (
     classical_correlation,
-    discord_bd,
     holevo_quantity,
     ProjectiveMeasurement,
     q1,
@@ -11,6 +10,8 @@ from compcorr.correlations import (
 from compcorr import edss, oracle
 from compcorr.edss import AncillaSpec, edss_useful
 from compcorr.oracle import (
+    check_holevo,
+    check_spectra,
     discord_numeric,
     edss_useful_numeric,
     maximize_holevo,
@@ -31,11 +32,6 @@ from compcorr.states import (
 )
 
 
-def axis_angle_deg(n, axis):
-    c = abs(n[axis]) / np.linalg.norm(n)
-    return np.degrees(np.arccos(min(c, 1.0)))
-
-
 class TestMaximizeHolevo:
     def test_maximally_mixed(self):
         opt = maximize_holevo(bell_diagonal(BellDiagonalParams(0, 0, 0)), (16, 32))
@@ -45,11 +41,11 @@ class TestMaximizeHolevo:
         p = BellDiagonalParams(0.5, 0.25, 0.25)
         opt = maximize_holevo(bell_diagonal(p))
         assert abs(opt.value - classical_correlation(p)) < 1e-4
-        assert axis_angle_deg(opt.argmax_bloch, 0) < 5.0
+        assert oracle._axis_angle_deg(opt.argmax_bloch, 0) < 5.0
 
     def test_argmax_picks_largest_axis(self):
         opt = maximize_holevo(bell_diagonal(BellDiagonalParams(0.2, 0.7, 0.1)))
-        assert axis_angle_deg(opt.argmax_bloch, 1) < 5.0
+        assert oracle._axis_angle_deg(opt.argmax_bloch, 1) < 5.0
 
     def test_value_consistent_with_holevo_quantity(self):
         rng = np.random.default_rng(50)
@@ -92,9 +88,7 @@ class TestDiscordNumeric:
 
     def test_agrees_with_closed_form_sampled(self):
         rng = np.random.default_rng(52)
-        for _ in range(25):
-            p = random_bd_params(rng)
-            assert abs(discord_numeric(bell_diagonal(p)) - discord_bd(p)) < 1e-4
+        assert check_holevo([random_bd_params(rng) for _ in range(25)])[1].passed
 
 
 class TestEdssNumeric:
@@ -168,11 +162,27 @@ class TestSpectrumCrosscheck:
 
     def test_sampled(self):
         rng = np.random.default_rng(53)
-        worst = max(spectrum_crosscheck(random_bd_params(rng)) for _ in range(1000))
-        assert worst < 1e-10
+        assert check_spectra([random_bd_params(rng) for _ in range(1000)]).passed
 
 
 class TestVerificationSuite:
+    def test_pinned_names_order_and_tolerances(self):
+        checks = run_verification(seed=0, samples=50)
+        assert [(c.name, c.tolerance) for c in checks] == [
+            ("pauli-bases-mutually-unbiased", 1e-12),
+            ("repeated-basis-rejected", 1e-12),
+            ("bell-diagonal-spectrum-crosscheck", 1e-10),
+            ("classical-correlation-vs-grid-maximum", 1e-4),
+            ("closed-form-discord-vs-numeric", 1e-4),
+            ("holevo-argmax-on-strongest-axis", 5.0),
+            ("z-correlation-closed-form-vs-measured", 1e-12),
+            ("ordered-frame-q1-below-discord", 1e-12),
+            ("ordered-frame-q1-plus-c-below-i", 1e-12),
+            ("partial-transpose-involution", 1e-14),
+            ("kron-associativity", 1e-12),
+        ]
+        assert all(c.passed for c in checks), verification_report(checks)
+
     def test_all_checks_pass(self):
         checks = run_verification(seed=7, samples=200)
         assert all(c.passed for c in checks), verification_report(checks)

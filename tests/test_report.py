@@ -27,6 +27,16 @@ def test_local_invariants_survive_a_local_rotation():
         assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
 
 
+def test_triple_within_state_tolerance_is_rounded_onto_the_tetrahedron():
+    # psi- eigenvalue -5e-11: inside STATE_TOL, so DensityMatrix accepts the
+    # state, but outside the closed forms' PHYSICALITY_TOL
+    T = np.diag([0.5, 0.25, 0.25 + 2e-10])
+    rho = states.bloch_reconstruct(states.BlochDecomposition(np.zeros(3), np.zeros(3), T))
+    got, want = report_for_state(rho), report_for_bd(BellDiagonalParams(0.5, 0.25, 0.25))
+    for field in ("classical_c", "discord", "e_r"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-9)
+
+
 def test_rejects_nonvanishing_marginals():
     with pytest.raises(ValueError, match="maximally mixed marginals"):
         report_for_state(DensityMatrix(np.diag([0.5, 0.5, 0, 0]).astype(complex), (2, 2)))
