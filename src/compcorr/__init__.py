@@ -19,7 +19,6 @@ from .correlations import (
     total_mutual_information,
 )
 from .edss import (
-    AncillaSpec,
     EdssSearchResult,
     ProtocolTrace,
     SweepRow,

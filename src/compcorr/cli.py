@@ -4,11 +4,11 @@ import argparse
 import json
 import sys
 
-from .edss import AncillaSpec, ancilla_state, edss_useful, run_protocol, sweep, sweep_csv, sweep_summary
+from .edss import ancilla_state, edss_useful, require_separable, run_protocol, sweep, sweep_csv, sweep_summary
 from .matcore import fmt
 from .oracle import run_verification, verification_report
 from .report import report_for_state
-from .states import BellDiagonalParams, DensityMatrix, bd_params_of, bell_diagonal, is_separable_bd, load_state
+from .states import BellDiagonalParams, DensityMatrix, bd_params_of, bell_diagonal, load_state
 
 
 def _parse_bd(text: str) -> BellDiagonalParams:
@@ -101,23 +101,18 @@ def _trace_doc(trace) -> dict:
 
 
 def _cmd_edss(args) -> int:
-    if args.state is not None:
-        p = bd_params_of(load_state(args.state))
-    else:
-        p = args.bd
-    p.validate()
-    if not is_separable_bd(p):
-        print("error: input state is entangled; the protocol requires a separable resource", file=sys.stderr)
-        return 2
+    p = bd_params_of(load_state(args.state)) if args.state is not None else args.bd
+    require_separable(p)
 
     if args.ancilla == "auto":
-        result = edss_useful(p, AncillaSpec(n_polar=args.grid, n_azimuth=2 * args.grid))
+        result = edss_useful(p)
         doc = {}
-        if result.useful:  # with no witness there is no ancilla worth tracing
+        if result.witness is not None:  # with no witness there is no ancilla worth tracing
             doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*result.witness)))
         doc["edss_useful"] = result.useful
-        doc["witness"] = list(result.witness) if result.useful else None
-        doc["min_pt_eigenvalue"] = result.min_pt_eigenvalue
+        doc["witness"] = None if result.witness is None else list(result.witness)
+        doc["r_a"] = result.r_a
+        doc["s_c"] = result.s_c
     else:
         doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*args.ancilla)))
         doc["ancilla"] = list(args.ancilla)
@@ -128,8 +123,7 @@ def _cmd_edss(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = AncillaSpec(n_polar=args.ancilla_grid, n_azimuth=2 * args.ancilla_grid)
-    rows = sweep(args.grid, spec)
+    rows = sweep(args.grid)
     _emit(sweep_csv(rows), args.out)
     print(sweep_summary(rows), file=sys.stderr)
     return 0
@@ -163,14 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("edss", help="run the distribution protocol on a separable state")
     add_state_source(p)
     p.add_argument("--ancilla", type=_parse_ancilla, default="auto", help="'auto' or THETA,PHI[,R]")
-    p.add_argument("--grid", type=int, default=24, help="polar resolution of the ancilla search")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_edss)
 
     p = sub.add_parser("sweep", help="evaluate the separable grid and write a CSV table")
     p.add_argument("--grid", type=int, default=9, help="resolution per axis on [-1, 1]")
-    p.add_argument("--ancilla-grid", type=int, default=24, help="polar resolution of the ancilla search")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -6,13 +6,13 @@ partial transpose over A of the state after Alice's CNOT has a negative
 eigenvalue, and the protocol is valid only if the C|AB cut stays PPT at the
 send step.
 
-The ancilla is a free protocol choice. `edss_useful` scores a grid of Bloch
-angles and radii in closed form, with no 8x8 matrix: rotating the ancilla
-about x commutes with Alice's CNOT, so only its x component r_x and its
-transverse length r_perp = sqrt(r_y^2 + r_z^2) matter. With Bell-basis
-eigenvalues lambda in the order (phi+, phi-, psi+, psi-) and p(k) the
-partner of k (phi+ <-> phi-, psi+ <-> psi-), the minimum partial-transpose
-eigenvalue after Alice's CNOT is, across each cut,
+The ancilla is a free protocol choice, and whether one exists has a
+closed form with no 8x8 matrix: rotating the ancilla about x commutes with
+Alice's CNOT, so only its x component r_x and its transverse length
+r_perp = sqrt(r_y^2 + r_z^2) matter. With Bell-basis eigenvalues lambda in
+the order (phi+, phi-, psi+, psi-) and p(k) the partner of k
+(phi+ <-> phi-, psi+ <-> psi-), the minimum partial-transpose eigenvalue
+after Alice's CNOT is, across each cut,
 
     min_k (a_k - sqrt(a_k^2 r_x^2 + v_k^2 r_perp^2)) / 8, where
     A|BC: a_k = 2 - 4 lambda_k,  v_k = 2 - 4 lambda_p(k),
@@ -22,9 +22,36 @@ So pure ancillas never work. A separable input has all a_k >= 0, so for
 r_x^2 + r_perp^2 = 1 and r_perp > 0, term k is negative across A|BC iff
 lambda_p(k) < lambda_k and across C|AB iff lambda_p(k) > lambda_k: A|BC is
 NPT iff some partner pair has lambda_k != lambda_p(k), which is exactly when
-C|AB is NPT. With r_perp = 0 both cuts are PPT. The default radii therefore
-reach into mixed ancillas. `run_protocol` keeps the 8x8 route for stage
-traces; `oracle.edss_useful_numeric` is the numeric reference for the search.
+C|AB is NPT. With r_perp = 0 both cuts are PPT.
+
+For any ancilla, term k is negative across A|BC iff a_k^2 / v_k^2 < s and
+non-negative across C|AB iff a_k^2 / v_k^2 >= s (its own a_k, v_k), where
+s = r_perp^2 / (1 - r_x^2) lies in [0, 1]. The z-axis ancilla of radius
+sqrt(s) has the same s, so the z axis loses nothing. There the term ratios
+a_k / |v_k| are closed forms: the partner pairs are linear in c,
+lambda_phi+- = (1 + c3 +- (c1 - c2))/4 and lambda_psi+- = (1 - c3 +- (c1 + c2))/4.
+With f(u, w) = (u - w)/(u + w), f(u, 0) = 1, d = |c1 - c2| and e = |c1 + c2|,
+the smaller ratio of each pair gives
+
+    r_a = min(f(1 - c3, d), f(1 + c3, e)),
+    s_c = min(f(1 + c3, d), f(1 - c3, e)),
+
+both in [0, 1], and a z-axis ancilla of radius r succeeds with a PPT send
+step iff r_a < r <= s_c. (f(u, 0) = 1 also covers equal partner
+eigenvalues, whose term never goes negative, so c = (0, 0, +-1) needs no
+0/0 guard.)
+
+Such an r exists iff c1 c2 c3 < 0. f rises with u and falls with w. Write
+r_a = min(r_phi, r_psi) and s_c = min(s_phi, s_psi) in the order above;
+r_a < s_c iff one of r_phi, r_psi lies below both of s_phi, s_psi. Then
+r_phi < s_phi iff c3 > 0 (and d > 0), and r_phi < s_psi iff d > e iff
+c1 c2 < 0; the psi pair is the mirror case, c3 < 0 and c1 c2 > 0.
+`edss_useful` therefore decides by the signs of c, which is exact in
+floating point, and certifies its witness r = (r_a + s_c)/2 with one
+`run_protocol`. Within about 1e-10 of a face the window (r_a, s_c] is below
+rounding and the certification can fail; the result is then useful with no
+witness. `oracle.edss_useful_numeric` is the numeric reference: a per-point
+8x8 grid search over the whole ancilla ball.
 """
 
 import math
@@ -71,42 +98,15 @@ U_BC = cnot(3, 1, 2)
 U_AC.flags.writeable = U_BC.flags.writeable = False
 
 
-def _check_radius(radius: float) -> None:
-    if not 0.0 <= radius <= 1.0:  # also rejects NaN
-        raise ValueError(f"Bloch radius {radius} outside [0, 1]")
-
-
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
     """Qubit state (I + r n . sigma)/2 with Bloch direction (theta, phi)."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"ancilla angles ({theta}, {phi}) must be finite")
-    _check_radius(radius)
+    if not 0.0 <= radius <= 1.0:  # also rejects NaN
+        raise ValueError(f"Bloch radius {radius} outside [0, 1]")
     n = bloch_vector(theta, phi)
     m = (I2 + radius * sum(c * s for c, s in zip(n, PAULIS))) / 2
     return DensityMatrix(m, (2,))
-
-
-DEFAULT_RADII = (1.0, 0.8, 0.6, 0.4, 0.2)
-
-
-@dataclass(frozen=True)
-class AncillaSpec:
-    """The ancilla search grid: polar and azimuthal Bloch angles and radii."""
-
-    n_polar: int = 24
-    n_azimuth: int = 48
-    radii: tuple[float, ...] = DEFAULT_RADII
-    refine: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "radii", tuple(self.radii))
-        if self.n_polar < 2 or self.n_azimuth < 1 or not self.radii:
-            raise ValueError(
-                "ancilla grid needs at least 2 polar points, 1 azimuthal point and 1 radius, "
-                f"got {self.n_polar}, {self.n_azimuth} and {len(self.radii)}"
-            )
-        for r in self.radii:
-            _check_radius(r)
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,12 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
 
 @dataclass(frozen=True)
 class EdssSearchResult:
-    """Outcome of the ancilla search for one input state."""
+    """The exact EDSS decision for one input state."""
 
-    useful: bool
-    witness: tuple[float, float, float] | None  # (theta, phi, radius)
-    min_pt_eigenvalue: float  # best over ancillas with a PPT send step
-    npt_send_success_seen: bool  # some ancilla succeeded only via an NPT send step
+    useful: bool  # some ancilla succeeds with a PPT send step: c1 c2 c3 < 0
+    witness: tuple[float, float, float] | None  # (theta, phi, radius), certified by run_protocol
+    r_a: float  # A|BC is NPT after Alice's CNOT iff the z-axis radius exceeds r_a
+    s_c: float  # C|AB stays PPT at the send step iff the z-axis radius is at most s_c
 
 
 def require_separable(p: BellDiagonalParams) -> None:
@@ -172,81 +172,35 @@ def require_separable(p: BellDiagonalParams) -> None:
         )
 
 
-_PARTNER = [1, 0, 3, 2]  # phi+ <-> phi-, psi+ <-> psi-
+def _ratio(u: float, w: float) -> float:
+    """f(u, w) = (u - w)/(u + w), with f(u, 0) = 1, and 0 where u <= w: a
+    triple that validates within PHYSICALITY_TOL may lie that far outside
+    the tetrahedron, where u < w."""
+    if not w:
+        return 1.0
+    return (u - w) / (u + w) if u > w else 0.0
 
 
-def _pt_minima(p: BellDiagonalParams, r_x, r_perp) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum partial-transpose eigenvalues after Alice's CNOT, across A|BC
-    and across C|AB, for ancillas with Bloch components r_x and r_perp."""
-    lam = p.eigenvalues()
-    x2 = np.square(r_x)[..., None]
-    p2 = np.square(r_perp)[..., None]
+def edss_useful(p: BellDiagonalParams) -> EdssSearchResult:
+    """Decide whether some ancilla distributes entanglement with a PPT send
+    step, and certify a z-axis witness through `run_protocol`.
 
-    def cut_min(a, v):
-        return np.min(a - np.sqrt(a * a * x2 + v * v * p2), axis=-1) / 8
-
-    return cut_min(2 - 4 * lam, 2 - 4 * lam[_PARTNER]), cut_min(4 * lam, 4 * lam[_PARTNER])
-
-
-def _search_points(spec: AncillaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta, phi, radius) arrays in search order: radius outermost, then
-    polar angle, then azimuth."""
-    thetas = np.linspace(0.0, np.pi, spec.n_polar)
-    phis = np.linspace(0.0, 2 * np.pi, spec.n_azimuth, endpoint=False)
-    r, th, ph = np.meshgrid(np.array(spec.radii, dtype=float), thetas, phis, indexing="ij")
-    return th.ravel(), ph.ravel(), r.ravel()
-
-
-def _refinement_points(center, spec: AncillaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 75 points at half grid steps around center: radius step outermost,
-    then polar, then azimuthal step."""
-    th0, ph0, r0 = center
-    dth = 0.5 * np.pi / (spec.n_polar - 1)
-    dph = np.pi / spec.n_azimuth
-    dr = 0.5 * (max(spec.radii) - min(spec.radii)) / max(len(spec.radii) - 1, 1)
-    k, i, j = np.meshgrid([-1, 0, 1], [-2, -1, 0, 1, 2], [-2, -1, 0, 1, 2], indexing="ij")
-    r = np.clip(r0 + k * dr, 0.0, 1.0)
-    th = np.clip(th0 + i * dth, 0.0, np.pi)
-    ph = (ph0 + j * dph) % (2 * np.pi)
-    return th.ravel(), ph.ravel(), r.ravel()
-
-
-def _score(p: BellDiagonalParams, points) -> tuple[np.ndarray, np.ndarray]:
-    th, ph, r = points
-    x, y, z = bloch_vector(th, ph).T
-    return _pt_minima(p, r * x, r * np.hypot(y, z))
-
-
-def edss_useful(
-    p: BellDiagonalParams, ancilla: AncillaSpec | None = None
-) -> EdssSearchResult:
-    """Search for an ancilla that distributes entanglement with a PPT send step.
-
-    The input must be a physical, separable correlation triple. Returns the
-    first witness found in deterministic grid order, or the best candidate
-    statistics when none succeeds.
+    The input must be a physical, separable correlation triple. The signs
+    are tested rather than the product, which can underflow to 0.
     """
     require_separable(p)
-    spec = ancilla if ancilla is not None else AncillaSpec()
-    points = _search_points(spec)
-    m_a, m_c = _score(p, points)
-    if spec.refine and not np.any((m_c >= -PPT_TOL) & (m_a < -PPT_TOL)):
-        # No witness on the grid: refine around the first point within PPT_TOL of its
-        # A|BC minimum, so exact ties between symmetric ancillas break by grid order.
-        center = np.flatnonzero(m_a <= m_a.min() + PPT_TOL)[0]
-        extra = _refinement_points(tuple(x[center] for x in points), spec)
-        points = tuple(np.concatenate(pair) for pair in zip(points, extra))
-        m_a, m_c = (np.concatenate(pair) for pair in zip((m_a, m_c), _score(p, extra)))
-
-    send_ppt = m_c >= -PPT_TOL
-    npt = m_a < -PPT_TOL
-    hits = np.flatnonzero(send_ppt & npt)
-    end = hits[0] + 1 if hits.size else m_a.size
-    ppt_prefix = m_a[:end][send_ppt[:end]]
-    min_pt = float(ppt_prefix.min()) if ppt_prefix.size else float("nan")
-    npt_seen = bool(np.any(npt[:end] & ~send_ppt[:end]))
-    witness = tuple(float(x[hits[0]]) for x in points) if hits.size else None
-    return EdssSearchResult(witness is not None, witness, min_pt, npt_seen)
+    c1, c2, c3 = p.c1, p.c2, p.c3
+    d, e = abs(c1 - c2), abs(c1 + c2)
+    r_a = min(_ratio(1 - c3, d), _ratio(1 + c3, e))
+    s_c = min(_ratio(1 + c3, d), _ratio(1 - c3, e))
+    useful = 0.0 not in (c1, c2, c3) and (c1 < 0) ^ (c2 < 0) ^ (c3 < 0)  # c1 c2 c3 < 0
+    witness = None
+    if useful:
+        r = (r_a + s_c) / 2
+        trace = run_protocol(bell_diagonal(p), ancilla_state(0.0, 0.0, r))
+        if trace.success and trace.send_step_ppt:
+            witness = (0.0, 0.0, r)
+    return EdssSearchResult(useful, witness, r_a, s_c)
 
 
 @dataclass(frozen=True)
@@ -267,15 +221,16 @@ class SweepRow:
     witness_theta: float | None
     witness_phi: float | None
     witness_r: float | None
-    min_pt_eigenvalue: float
-    # not a CSV column: a success was seen but only through an NPT send step
+    r_a: float
+    s_c: float
+    # not a CSV column: not useful, yet some ancilla succeeds through an NPT send step
     protocol_invalid: bool = field(default=False, compare=False)
 
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "protocol_invalid")
 
 
-def sweep(resolution: int, ancilla: AncillaSpec | None = None) -> list[SweepRow]:
+def sweep(resolution: int) -> list[SweepRow]:
     """Evaluate every physical separable point of a cubic grid on [-1, 1]^3.
 
     Rows are ordered lexicographically by grid index.
@@ -292,7 +247,7 @@ def sweep(resolution: int, ancilla: AncillaSpec | None = None) -> list[SweepRow]
                     continue
                 state = bell_diagonal(p)
                 i_x, i_y, i_z = complementary_correlations(state)
-                res = edss_useful(p, ancilla)
+                res = edss_useful(p)
                 wit = res.witness if res.witness is not None else (None, None, None)
                 rows.append(
                     SweepRow(
@@ -312,8 +267,9 @@ def sweep(resolution: int, ancilla: AncillaSpec | None = None) -> list[SweepRow]
                         witness_theta=wit[0],
                         witness_phi=wit[1],
                         witness_r=wit[2],
-                        min_pt_eigenvalue=res.min_pt_eigenvalue,
-                        protocol_invalid=(not res.useful) and res.npt_send_success_seen,
+                        r_a=res.r_a,
+                        s_c=res.s_c,
+                        protocol_invalid=(not res.useful) and res.r_a < 1,
                     )
                 )
     return rows

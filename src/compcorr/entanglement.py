@@ -61,10 +61,10 @@ def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
     return 1.0 - entropy_of_probabilities([lmax, 1 - lmax])
 
 
-def necessary_condition_bd(p: BellDiagonalParams, tol: float = PPT_TOL) -> bool:
+def necessary_condition_bd(p: BellDiagonalParams) -> bool:
     """All three correlation coefficients nonzero.
 
     Necessary (not sufficient) for a Bell-diagonal state to be entangled.
     """
     p.validate()
-    return bool(np.all(np.abs(p.as_array()) > tol))
+    return bool(np.all(np.abs(p.as_array()) > PPT_TOL))

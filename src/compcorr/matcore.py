@@ -31,6 +31,8 @@ PROB_CLAMP = 1e-12
 ZERO_BRANCH = 1e-15
 # Separates "zero" from "entangled" on partial-transpose eigenvalues.
 PPT_TOL = 1e-12
+# Orthonormality and squared cross-basis overlaps of measurement bases.
+MUB_TOL = 1e-12
 
 LOG2 = np.log(2.0)
 
@@ -70,8 +72,8 @@ def fmt(v) -> str:
     return f"{v:.12g}"
 
 
-def is_hermitian(m: np.ndarray, tol: float = STATE_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= STATE_TOL)
 
 
 def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
@@ -121,9 +123,9 @@ def partial_transpose(m: np.ndarray, dims, factor: int) -> np.ndarray:
     return r.reshape(m.shape)
 
 
-def hermitian_spectrum(m: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
+def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)
 

@@ -2,7 +2,7 @@
 
 The grid maximizer of the Holevo quantity is the oracle for the closed-form
 classical correlation; numeric discord follows from it. The per-point 8x8
-ancilla search is the oracle for the closed-form EDSS search. Also here: the
+ancilla grid search is the oracle for the exact EDSS rule. Also here: the
 mutual-unbiasedness checker and the closed-form-vs-eigensolver spectrum
 cross-check. Each cross-check of the seeded suite behind `compcorr verify`
 is one `check_*` function of its input samples; the tests call the same
@@ -25,8 +25,8 @@ from .correlations import (
     q1,
     total_mutual_information,
 )
-from .edss import U_AC, AncillaSpec, EdssSearchResult, ancilla_state, require_separable
-from .matcore import LOG2, PAULIS, PPT_TOL, ZERO_BRANCH, bloch_vector, kron, partial_transpose
+from .edss import U_AC, ancilla_state, require_separable
+from .matcore import LOG2, MUB_TOL, PAULIS, PPT_TOL, ZERO_BRANCH, bloch_vector, kron, partial_transpose
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -38,6 +38,7 @@ from .states import (
 
 DEFAULT_RESOLUTION = (90, 180)
 REFINE_ROUNDS = 5
+ANCILLA_RADII = (1.0, 0.8, 0.6, 0.4, 0.2)
 
 OVERLAP_CONVENTION_NOTE = (
     "convention: mutual unbiasedness is checked on squared cross-basis overlaps, "
@@ -87,7 +88,7 @@ class OptimizationResult:
 
 
 def maximize_holevo(
-    rho: DensityMatrix, resolution: tuple[int, int] | int = DEFAULT_RESOLUTION
+    rho: DensityMatrix, resolution: tuple[int, int] = DEFAULT_RESOLUTION
 ) -> OptimizationResult:
     """Grid-maximize the Holevo quantity over Bob's measurement Bloch vector.
 
@@ -96,8 +97,6 @@ def maximize_holevo(
     smallest (polar, azimuthal) index pair. The returned value is recomputed
     through `holevo_quantity` at the winning direction.
     """
-    if isinstance(resolution, int):
-        resolution = (resolution, 2 * resolution)
     n_polar, n_azimuth = resolution
     if n_polar < 8 or n_azimuth < 8:
         raise ValueError("need at least 8 grid points per angle")
@@ -129,7 +128,7 @@ def maximize_holevo(
 
 
 def discord_numeric(
-    rho: DensityMatrix, resolution: tuple[int, int] | int = DEFAULT_RESOLUTION
+    rho: DensityMatrix, resolution: tuple[int, int] = DEFAULT_RESOLUTION
 ) -> float:
     """Total mutual information minus the grid-maximized Holevo quantity."""
     return total_mutual_information(rho) - maximize_holevo(rho, resolution).value
@@ -149,20 +148,20 @@ def _min_pt_c(rabc: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 2))[0])
 
 
-def _search_points(spec: AncillaSpec):
-    thetas = np.linspace(0.0, np.pi, spec.n_polar)
-    phis = np.linspace(0.0, 2 * np.pi, spec.n_azimuth, endpoint=False)
-    for r in spec.radii:
+def _ancilla_grid(n_polar: int, n_azimuth: int):
+    thetas = np.linspace(0.0, np.pi, n_polar)
+    phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
+    for r in ANCILLA_RADII:
         for th in thetas:
             for ph in phis:
                 yield th, ph, r
 
 
-def _refinement_points(center: tuple[float, float, float], spec: AncillaSpec):
+def _ancilla_refinement(center: tuple[float, float, float], n_polar: int, n_azimuth: int):
     th0, ph0, r0 = center
-    dth = 0.5 * np.pi / max(spec.n_polar - 1, 1)
-    dph = 0.5 * 2 * np.pi / spec.n_azimuth
-    dr = 0.5 * (max(spec.radii) - min(spec.radii)) / max(len(spec.radii) - 1, 1)
+    dth = 0.5 * np.pi / max(n_polar - 1, 1)
+    dph = 0.5 * 2 * np.pi / n_azimuth
+    dr = 0.5 * (max(ANCILLA_RADII) - min(ANCILLA_RADII)) / (len(ANCILLA_RADII) - 1)
     for k in (-1, 0, 1):
         r = min(max(r0 + k * dr, 0.0), 1.0)
         for i, j in itertools.product((-2, -1, 0, 1, 2), repeat=2):
@@ -171,55 +170,48 @@ def _refinement_points(center: tuple[float, float, float], spec: AncillaSpec):
             yield th, ph, r
 
 
-def edss_useful_numeric(
-    p: BellDiagonalParams, ancilla: AncillaSpec | None = None
-) -> EdssSearchResult:
-    """Reference for `edss.edss_useful`: the same search, one ancilla at a
-    time, with both send-step verdicts from 8x8 eigensolves.
+@dataclass(frozen=True)
+class NumericEdssResult:
+    witness: tuple[float, float, float] | None  # first grid ancilla with a clean success
+    npt_seen: bool  # some ancilla before it succeeded only via an NPT send step
 
-    The C|AB cut is solved only where its verdict can change the result.
+
+def edss_useful_numeric(
+    p: BellDiagonalParams, n_polar: int = 24, n_azimuth: int = 48
+) -> NumericEdssResult:
+    """Reference for `edss.edss_useful`: search a (theta, phi, radius) grid,
+    radius outermost, one ancilla at a time, with both send-step verdicts
+    from 8x8 eigensolves, and stop at the first clean success.
+
+    With no witness on the grid, refine at half steps around the first grid
+    point within PPT_TOL of the lowest A|BC minimum. The C|AB cut is solved
+    only where A|BC is NPT.
     """
     require_separable(p)
-    spec = ancilla if ancilla is not None else AncillaSpec()
     rho4 = bell_diagonal(p).matrix
-
-    best_ppt = np.inf  # most negative min PT_A among send-PPT ancillas
     scored = []  # (min PT_A, point) for every point considered
     npt_seen = False
 
     def consider(th, ph, r):
-        nonlocal best_ppt, npt_seen
-        anc = ancilla_state(th, ph, r)
-        m_a, rabc = _min_pt_after_alice(rho4, anc.matrix)
+        nonlocal npt_seen
+        m_a, rabc = _min_pt_after_alice(rho4, ancilla_state(th, ph, r).matrix)
         scored.append((m_a, (th, ph, r)))
-        if m_a >= best_ppt and m_a >= -PPT_TOL:
-            return None
-        m_c = _min_pt_c(rabc)
-        if m_c >= -PPT_TOL:
-            if m_a < best_ppt:
-                best_ppt = m_a
-            if m_a < -PPT_TOL:
-                return (th, ph, r)
-        elif m_a < -PPT_TOL:
-            npt_seen = True
-        return None
+        if m_a >= -PPT_TOL:
+            return False
+        if _min_pt_c(rabc) >= -PPT_TOL:
+            return True
+        npt_seen = True
+        return False
 
-    for th, ph, r in _search_points(spec):
-        hit = consider(th, ph, r)
-        if hit is not None:
-            return EdssSearchResult(True, hit, best_ppt, npt_seen)
-
-    if spec.refine:
-        # the first grid point within PPT_TOL of the lowest min PT_A
-        lowest = min(m for m, _ in scored)
-        center = next(pt for m, pt in scored if m <= lowest + PPT_TOL)
-        for th, ph, r in _refinement_points(center, spec):
-            hit = consider(th, ph, r)
-            if hit is not None:
-                return EdssSearchResult(True, hit, best_ppt, npt_seen)
-
-    min_pt = best_ppt if np.isfinite(best_ppt) else float("nan")
-    return EdssSearchResult(False, None, min_pt, npt_seen)
+    for pt in _ancilla_grid(n_polar, n_azimuth):
+        if consider(*pt):
+            return NumericEdssResult(pt, npt_seen)
+    lowest = min(m for m, _ in scored)
+    center = next(pt for m, pt in scored if m <= lowest + PPT_TOL)
+    for pt in _ancilla_refinement(center, n_polar, n_azimuth):
+        if consider(*pt):
+            return NumericEdssResult(pt, npt_seen)
+    return NumericEdssResult(None, npt_seen)
 
 
 def _as_basis_matrix(basis) -> np.ndarray:
@@ -229,21 +221,21 @@ def _as_basis_matrix(basis) -> np.ndarray:
     return b
 
 
-def mub_check(bases, tol: float = 1e-12) -> bool:
-    """True when all cross-basis squared overlaps equal 1/d.
+def mub_check(bases) -> bool:
+    """True when all cross-basis squared overlaps equal 1/d within MUB_TOL.
 
     Each basis is given as columns of a matrix (or a sequence of vectors)
-    and must be orthonormal within `tol`.
+    and must be orthonormal within MUB_TOL.
     """
     mats = [_as_basis_matrix(b) for b in bases]
     d = mats[0].shape[0]
     for m in mats:
-        if np.max(np.abs(m.conj().T @ m - np.eye(d))) > tol:
+        if np.max(np.abs(m.conj().T @ m - np.eye(d))) > MUB_TOL:
             raise ValueError("basis is not orthonormal within tolerance")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             overlaps = np.abs(mats[i].conj().T @ mats[j]) ** 2
-            if np.max(np.abs(overlaps - 1.0 / d)) > tol:
+            if np.max(np.abs(overlaps - 1.0 / d)) > MUB_TOL:
                 return False
     return True
 
@@ -364,8 +356,8 @@ def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
 
     z = pauli_mub_bases()[0]
     return [
-        CheckResult("pauli-bases-mutually-unbiased", mub_check(pauli_mub_bases()), 0.0, 1e-12),
-        CheckResult("repeated-basis-rejected", not mub_check([z, z]), 0.0, 1e-12),
+        CheckResult("pauli-bases-mutually-unbiased", mub_check(pauli_mub_bases()), 0.0, MUB_TOL),
+        CheckResult("repeated-basis-rejected", not mub_check([z, z]), 0.0, MUB_TOL),
         check_spectra(triples(samples)),
         *check_holevo(triples(max(10, samples // 50))),
         check_z_correlation(triples(min(samples, 200))),

@@ -40,15 +40,18 @@ def _pauli_sum(c: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ijkl->kl", c, PAULI_PRODUCTS) / 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A Hermitian, unit-trace, positive semidefinite matrix with factor dims."""
+    """A Hermitian, unit-trace, positive semidefinite matrix with factor dims.
+
+    Equality and hashing are by identity, since the fields are arrays.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     # ascending and read-only: the PSD check's eigensolve, kept for spectrum()
     # and entropy() since the matrix cannot change
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -58,7 +61,7 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has a non-finite entry")
-        if not is_hermitian(m, STATE_TOL):
+        if not is_hermitian(m):
             raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
         tr = np.trace(m).real
         if abs(tr - 1.0) > STATE_TOL:
@@ -115,8 +118,8 @@ class BellDiagonalParams:
             ]
         )
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return bool(self.eigenvalues().min() >= -tol)
+    def is_physical(self) -> bool:
+        return bool(self.eigenvalues().min() >= -PHYSICALITY_TOL)
 
     def validate(self, tol: float = PHYSICALITY_TOL) -> None:
         if not (math.isfinite(self.c1) and math.isfinite(self.c2) and math.isfinite(self.c3)):
@@ -162,8 +165,8 @@ def is_separable_bd(p: BellDiagonalParams) -> bool:
     return bool(p.eigenvalues().max() <= 0.5 + PHYSICALITY_TOL)
 
 
-def bd_rank(p: BellDiagonalParams, tol: float = PHYSICALITY_TOL) -> int:
-    return int(np.sum(p.eigenvalues() > tol))
+def bd_rank(p: BellDiagonalParams) -> int:
+    return int(np.sum(p.eigenvalues() > PHYSICALITY_TOL))
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
@@ -268,17 +271,17 @@ def classically_correlated() -> DensityMatrix:
     return DensityMatrix(m, (2, 2))
 
 
-def bd_params_of(rho: DensityMatrix, tol: float = MARGINAL_TOL) -> BellDiagonalParams:
+def bd_params_of(rho: DensityMatrix) -> BellDiagonalParams:
     """Correlation triple of a state with maximally mixed marginals.
 
     Requires vanishing local Bloch vectors; the T matrix must be diagonal
-    within `tol` (otherwise use normal_form first).
+    within MARGINAL_TOL (otherwise use normal_form first).
     """
     dec = bloch_decompose(rho)
-    if np.linalg.norm(dec.a) > tol or np.linalg.norm(dec.b) > tol:
+    if np.linalg.norm(dec.a) > MARGINAL_TOL or np.linalg.norm(dec.b) > MARGINAL_TOL:
         raise ValueError("state does not have maximally mixed marginals")
     off = dec.T - np.diag(np.diag(dec.T))
-    if np.max(np.abs(off)) > tol:
+    if np.max(np.abs(off)) > MARGINAL_TOL:
         raise ValueError("correlation matrix is not diagonal; not Bell-diagonal on these axes")
     return BellDiagonalParams(*np.diag(dec.T))
 

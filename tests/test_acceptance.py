@@ -15,7 +15,7 @@ from compcorr.correlations import (
     discord_bd,
     q1,
 )
-from compcorr.edss import AncillaSpec, ancilla_state, run_protocol, sweep
+from compcorr.edss import ancilla_state, run_protocol, sweep
 from compcorr.entanglement import negativity, pt_spectrum, rel_entropy_entanglement_bd
 from compcorr.matcore import entropy_of_probabilities
 from compcorr.oracle import (
@@ -178,7 +178,7 @@ def test_criterion_08_bell_state_saturates_complementarity():
 
 def test_criterion_09_separable_sweep():
     t0 = time.time()
-    rows = sweep(9, AncillaSpec())
+    rows = sweep(9)
     dt = time.time() - t0
 
     faces = [r for r in rows if min(abs(r.c1), abs(r.c2), abs(r.c3)) < 1e-12]
@@ -188,6 +188,9 @@ def test_criterion_09_separable_sweep():
 
     clean = True
     for r in useful:
+        if r.witness_r is None:  # every useful row carries a certified witness
+            clean = False
+            continue
         trace = run_protocol(
             bell_diagonal(BellDiagonalParams(r.c1, r.c2, r.c3)),
             ancilla_state(r.witness_theta, r.witness_phi, r.witness_r),

@@ -93,32 +93,44 @@ class TestEdss:
         assert main(["edss", "--bd", "0.25,0.25,nan"]) == 2
         assert "non-finite correlation triple" in capsys.readouterr().err
 
-    def test_empty_grid_rejected(self, capsys):
-        assert main(["edss", "--bd", "0.3,-0.3,0.3", "--grid", "0"]) == 2
-        assert "ancilla grid needs" in capsys.readouterr().err
+    def test_entangled_input_refused_with_fixed_ancilla(self, capsys):
+        assert main(["edss", "--bd", "1,-1,1", "--ancilla", "0,0"]) == 2
+        assert "(1.0, -1.0, 1.0) is entangled" in capsys.readouterr().err
+
+    def test_grid_flag_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["edss", "--bd", "0.3,-0.3,0.3", "--grid", "12"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 12" in capsys.readouterr().err
 
     def test_not_useful_state(self, capsys):
-        assert main(["edss", "--bd", "0.5,0,0.25", "--grid", "12", "--format", "json"]) == 0
+        assert main(["edss", "--bd", "0.5,0,0.25", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["edss_useful"] is False
-        assert doc["witness"] is None
-        # no witness, so no trace: only the search's own keys
-        assert set(doc) == {"edss_useful", "witness", "min_pt_eigenvalue"}
+        # no witness, so no trace: only the decision's own keys
+        assert doc == {"edss_useful": False, "witness": None, "r_a": 0.2, "s_c": 0.2}
 
     def test_not_useful_state_text(self, capsys):
-        assert main(["edss", "--bd", "0.5,0,0.25", "--grid", "12"]) == 0
+        assert main(["edss", "--bd", "0.5,0,0.25"]) == 0
         lines = capsys.readouterr().out.splitlines()
         # no trace (no 'success true') and no line for the missing witness
-        assert lines[0] == "edss_useful false"
-        assert [line.split()[0] for line in lines] == ["edss_useful", "min_pt_eigenvalue"]
+        assert lines == ["edss_useful false", "r_a 0.2", "s_c 0.2"]
 
     def test_useful_state(self, capsys):
-        assert main(["edss", "--bd", "0.3,-0.3,0.3", "--grid", "12", "--format", "json"]) == 0
+        assert main(["edss", "--bd", "0.3,-0.3,0.3", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["edss_useful"] is True
         assert doc["success"] is True
         assert doc["send_step_ppt"] is True
-        assert doc["min_pt_eigenvalue"] < -1e-12
+        assert doc["witness"][:2] == [0.0, 0.0] and doc["r_a"] < doc["witness"][2] <= doc["s_c"]
+
+    def test_witness_near_a_face_replays(self, capsys):
+        assert main(["edss", "--bd", "0.3,-0.3,0.001", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["edss_useful"] is True
+        ancilla = ",".join(repr(x) for x in doc["witness"])
+        assert main(["edss", "--bd", "0.3,-0.3,0.001", "--ancilla", ancilla, "--format", "json"]) == 0
+        replay = json.loads(capsys.readouterr().out)
+        assert replay["success"] is True and replay["send_step_ppt"] is True
 
     def test_fixed_ancilla(self, capsys):
         args = ["edss", "--bd", "0.3,-0.3,0.3", "--ancilla", "1.3659098493868664,0,0.8", "--format", "json"]
@@ -159,16 +171,18 @@ def test_malformed_state_file_rejected(command, doc, message, tmp_path, capsys):
 class TestSweep:
     def test_deterministic_csv(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["sweep", "--grid", "3", "--ancilla-grid", "6"]
+        args = ["sweep", "--grid", "3"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().startswith("c1,c2,c3,")
         assert "rows" in capsys.readouterr().err
 
-    def test_one_point_ancilla_grid_rejected(self, capsys):
-        assert main(["sweep", "--grid", "3", "--ancilla-grid", "1"]) == 2
-        assert "ancilla grid needs" in capsys.readouterr().err
+    def test_ancilla_grid_flag_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--ancilla-grid", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ancilla-grid 6" in capsys.readouterr().err
 
 
 class TestVerify:

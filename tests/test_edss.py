@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from compcorr.edss import (
-    AncillaSpec,
     ancilla_state,
     cnot,
     edss_useful,
@@ -56,11 +55,11 @@ class TestAncilla:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: AncillaSpec(radii=(1.5,)),
-            lambda: AncillaSpec(radii=(0.5, float("nan"))),
-            lambda: AncillaSpec(radii=()),
-            lambda: AncillaSpec(n_polar=1),
-            lambda: AncillaSpec(n_azimuth=0),
+            lambda: ancilla_state(0.0, 0.0, 1.5),
+            lambda: ancilla_state(0.0, 0.0, float("nan")),
+            lambda: sweep(0),
+            lambda: sweep(-3),
+            lambda: edss_useful(BellDiagonalParams(0.25, 0.25, float("nan"))),
             lambda: ancilla_state(float("nan"), 0.0),
             lambda: ancilla_state(0.0, float("inf")),
             lambda: ancilla_state(0.0, 0.0, -0.1),
@@ -131,22 +130,40 @@ class TestEdssUseful:
         assert res.useful
         assert res.witness is not None
         th, ph, r = res.witness
+        assert (th, ph) == (0.0, 0.0) and res.r_a < r <= res.s_c
         # re-run the full protocol at the witness: success with a PPT send step
         trace = run_protocol(
             bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3)), ancilla_state(th, ph, r)
         )
         assert trace.success
         assert trace.send_step_ppt
-        assert res.min_pt_eigenvalue < -1e-12
+
+    def test_witness_near_a_face(self):
+        # a grid of ancillas missed this window, r in (0.24953, 0.25047]
+        p = BellDiagonalParams(0.3, -0.3, 0.001)
+        res = edss_useful(p)
+        assert res.useful and res.witness is not None
+        trace = run_protocol(bell_diagonal(p), ancilla_state(*res.witness))
+        assert trace.success and trace.send_step_ppt
+
+    def test_uncertified_band_next_to_a_face(self):
+        # c1 c2 c3 < 0 decides useful, but the window is below rounding
+        res = edss_useful(BellDiagonalParams(0.3, -0.3, 1e-12))
+        assert res.useful and res.witness is None
+        assert res.r_a < res.s_c
 
     def test_pure_ancillas_alone_never_work(self):
         # with a pure ancilla the A|BC and C|AB cuts go NPT together, so
         # success always breaks the send-step PPT condition
-        spec = AncillaSpec(n_polar=12, n_azimuth=24, radii=(1.0,), refine=False)
         for p in (BellDiagonalParams(0.3, -0.3, 0.3), BellDiagonalParams(0.25, 0.25, -0.25)):
-            res = edss_useful(p, spec)
-            assert not res.useful
-            assert res.npt_send_success_seen
+            rho = bell_diagonal(p)
+            npt_send = 0
+            for th in np.linspace(0.0, np.pi, 6):
+                for ph in np.linspace(0.0, 2 * np.pi, 12, endpoint=False):
+                    trace = run_protocol(rho, ancilla_state(th, ph, 1.0))
+                    assert not (trace.success and trace.send_step_ppt)
+                    npt_send += trace.success
+            assert npt_send > 0
 
     def test_entangled_input_refused(self):
         with pytest.raises(ValueError, match="entangled"):
@@ -159,13 +176,13 @@ class TestEdssUseful:
 
 class TestSweep:
     def test_resolution_two_corners_only(self):
-        rows = sweep(2, AncillaSpec(n_polar=6, n_azimuth=8, refine=False))
+        rows = sweep(2)
         # corners of [-1,1]^3: only the four pure Bell points are physical,
         # and none of them is separable
         assert rows == []
 
     def test_resolution_three(self):
-        rows = sweep(3, AncillaSpec(n_polar=6, n_azimuth=8, refine=False))
+        rows = sweep(3)
         assert rows  # separable points exist on the axis-aligned sub-grid
         for r in rows:
             p = BellDiagonalParams(r.c1, r.c2, r.c3)
@@ -180,15 +197,17 @@ class TestSweep:
             sweep(1)
 
     def test_csv_deterministic(self):
-        spec = AncillaSpec(n_polar=6, n_azimuth=8, refine=False)
-        a = sweep_csv(sweep(3, spec))
-        b = sweep_csv(sweep(3, spec))
+        a = sweep_csv(sweep(3))
+        b = sweep_csv(sweep(3))
         assert a == b
         header = a.splitlines()[0]
-        assert header.startswith("c1,c2,c3,i_x,i_y,i_z,C,D,Q1,I,negativity,bd_rank,edss_useful")
+        assert header == (
+            "c1,c2,c3,i_x,i_y,i_z,C,D,Q1,I,negativity,bd_rank,edss_useful,"
+            "witness_theta,witness_phi,witness_r,r_a,s_c"
+        )
         assert "\r" not in a
 
     def test_summary_counts(self):
-        rows = sweep(3, AncillaSpec(n_polar=6, n_azimuth=8, refine=False))
+        rows = sweep(3)
         text = sweep_summary(rows)
         assert f"rows {len(rows)}" in text

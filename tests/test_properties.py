@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from compcorr.correlations import correlation_bits, discord_bd, q1
-from compcorr.edss import _pt_minima, ancilla_state, run_protocol
+from compcorr.edss import ancilla_state, edss_useful, run_protocol
 from compcorr.entanglement import negativity
 from compcorr.oracle import check_involution
 from compcorr.states import BellDiagonalParams, bd_spectrum, bell_diagonal, is_separable_bd
@@ -25,12 +25,11 @@ def separable_triples():
     return physical_triples().filter(is_separable_bd)
 
 
-def _send_step(p, theta, phi, r):
-    """(r_x, r_perp) of the ancilla and the 8x8 A|BC and C|AB verdicts after Alice's CNOT."""
-    trace = run_protocol(bell_diagonal(p), ancilla_state(theta, phi, r))
+def _pure_send_step(p, theta, phi):
+    """r_perp of the pure ancilla and the 8x8 A|BC and C|AB verdicts after Alice's CNOT."""
+    trace = run_protocol(bell_diagonal(p), ancilla_state(theta, phi, 1.0))
     v_a, v_c, _ = trace.stage_verdicts["after_alice"]
-    s = np.sin(theta)
-    return r * s * np.cos(phi), r * np.hypot(s * np.sin(phi), np.cos(theta)), v_a, v_c
+    return np.hypot(np.sin(theta) * np.sin(phi), np.cos(theta)), v_a, v_c
 
 
 @given(physical_triples())
@@ -70,6 +69,11 @@ def test_partial_transpose_involution_and_negativity_sign(p):
     assert negativity(rho, 0) >= 0.0
 
 
+def _clean_success(p, theta, phi, r) -> bool:
+    trace = run_protocol(bell_diagonal(p), ancilla_state(theta, phi, r))
+    return trace.success and trace.send_step_ppt
+
+
 @given(
     separable_triples(),
     st.floats(0, np.pi),
@@ -77,11 +81,40 @@ def test_partial_transpose_involution_and_negativity_sign(p):
     st.floats(0, 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_pt_minima_match_protocol_verdicts(p, theta, phi, r):
-    r_x, r_perp, v_a, v_c = _send_step(p, theta, phi, r)
-    m_a, m_c = _pt_minima(p, r_x, r_perp)
-    assert abs(m_a - v_a.min_eigenvalue) <= 1e-12
-    assert abs(m_c - v_c.min_eigenvalue) <= 1e-12
+def test_clean_success_needs_negative_product(p, theta, phi, r):
+    # necessity over the whole ancilla ball, not only the z axis
+    if _clean_success(p, theta, phi, r):
+        assert p.c1 * p.c2 * p.c3 < 0
+
+
+@given(separable_triples(), st.floats(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_z_axis_window_is_exact(p, r):
+    res = edss_useful(p)
+    assert 0.0 <= res.r_a <= 1.0 and 0.0 <= res.s_c <= 1.0
+    lam = p.eigenvalues()
+    # every partial-transpose term moves with r at a slope of at least
+    # min(4 lam_min, 2 - 4 lam_max)/8 >= 2.5e-3 here, so a 1e-9 step in r
+    # moves it past PPT_TOL
+    if lam.min() >= 0.005 and lam.max() <= 0.495:
+        if res.r_a + 1e-9 < r < res.s_c - 1e-9:
+            assert _clean_success(p, 0.0, 0.0, r)
+        elif r < res.r_a - 1e-9 or r > res.s_c + 1e-9:
+            assert not _clean_success(p, 0.0, 0.0, r)
+    if res.witness is not None:
+        assert res.useful and res.r_a < res.witness[2] <= res.s_c
+    assert not _clean_success(p, 0.0, 0.0, 1.0)  # pure ancillas never succeed cleanly
+
+
+@given(separable_triples())
+@settings(max_examples=150, deadline=None)
+def test_sign_rule_matches_ratios(p):
+    res = edss_useful(p)
+    smallest = min(abs(p.c1), abs(p.c2), abs(p.c3))
+    if smallest == 0.0:  # on a face the two ratios coincide exactly
+        assert not res.useful and res.r_a == res.s_c
+    elif smallest > 1e-6:  # further in, the window is wider than rounding
+        assert res.useful == (p.c1 * p.c2 * p.c3 < 0) == (res.r_a < res.s_c)
 
 
 @given(
@@ -96,9 +129,7 @@ def test_pure_ancilla_cuts_go_npt_together(p, theta, phi):
     lam = p.eigenvalues()
     gap = max(abs(lam[0] - lam[1]), abs(lam[2] - lam[3]))
     assume(gap == 0.0 or gap > 1e-6)
-    r_x, r_perp, v_a, v_c = _send_step(p, theta, phi, 1.0)
+    r_perp, v_a, v_c = _pure_send_step(p, theta, phi)
     assume(r_perp > 0.3)
-    m_a, m_c = _pt_minima(p, r_x, r_perp)
     npt = gap > 0.0
-    assert (m_a < -1e-12) == (m_c < -1e-12) == npt
     assert (not v_a.is_ppt) == (not v_c.is_ppt) == npt

@@ -57,6 +57,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9
 
+    def test_equality_and_hash_by_identity(self):
+        p = BellDiagonalParams(0.3, -0.3, 0.3)
+        rho, other = bell_diagonal(p), bell_diagonal(p)
+        assert rho == rho
+        assert (rho == other) is False  # no ambiguous array truth value
+        assert hash(rho) == hash(rho) and len({rho, other}) == 2
+
 
 class TestBellDiagonal:
     def test_maximally_mixed(self):
