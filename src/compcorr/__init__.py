@@ -23,7 +23,6 @@ from .edss import (
     ProtocolTrace,
     SweepRow,
     ancilla_state,
-    cnot,
     edss_useful,
     run_protocol,
     sweep,
@@ -54,7 +53,6 @@ from .states import (
     family_eq15,
     is_separable_bd,
     load_state,
-    normal_form,
     save_state,
     werner,
 )

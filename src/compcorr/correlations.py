@@ -19,7 +19,6 @@ from .matcore import (
     STATE_TOL,
     UNIT_TOL,
     ZERO_BRANCH,
-    bloch_vector,
     entropy_of_probabilities,
     von_neumann_entropy,
 )
@@ -55,10 +54,6 @@ class ProjectiveMeasurement:
     @classmethod
     def z(cls):
         return cls(np.array([0.0, 0.0, 1.0]))
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float):
-        return cls(bloch_vector(theta, phi))
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         ns = sum(c * s for c, s in zip(self.bloch, PAULIS))

@@ -74,28 +74,16 @@ STAGES = ("initial", "after_alice", "after_bob")
 CUT_FACTORS = (0, 2, 1)  # A|BC, C|AB, B|AC
 
 
-def cnot(n_qubits: int, control: int, target: int) -> np.ndarray:
-    """CNOT on the named factors of an n-qubit register, identity elsewhere."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    for idx in (control, target):
-        if idx < 0 or idx >= n_qubits:
-            raise ValueError(f"qubit index {idx} out of range for {n_qubits} qubits")
-    dim = 2**n_qubits
-    u = np.zeros((dim, dim))
-    for b in range(dim):
-        if (b >> (n_qubits - 1 - control)) & 1:
-            b2 = b ^ (1 << (n_qubits - 1 - target))
-        else:
-            b2 = b
-        u[b2, b] = 1.0
-    return u
-
-
-# Alice's CNOT (A controls C) and Bob's (B controls C) on the A, B, C register.
-U_AC = cnot(3, 0, 2)
-U_BC = cnot(3, 1, 2)
-U_AC.flags.writeable = U_BC.flags.writeable = False
+# Alice's CNOT (A controls C) and Bob's (B controls C) on the A, B, C register,
+# A the high bit, permute the basis. Each permutation is its own inverse, so
+# conjugating an 8x8 matrix by the CNOT is indexing with its np.ix_ grid:
+# U m U^T = m[GRID_AC].
+_BASIS = np.arange(8)
+PERM_AC = _BASIS ^ ((_BASIS >> 2) & 1)
+PERM_BC = _BASIS ^ ((_BASIS >> 1) & 1)
+PERM_AC.flags.writeable = PERM_BC.flags.writeable = False
+GRID_AC = np.ix_(PERM_AC, PERM_AC)
+GRID_BC = np.ix_(PERM_BC, PERM_BC)
 
 
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
@@ -134,8 +122,8 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     if ancilla.dims != (2,):
         raise ValueError(f"expected a single-qubit ancilla, got dims {ancilla.dims}")
     initial = DensityMatrix(kron(rho_ab.matrix, ancilla.matrix), (2, 2, 2))
-    after_alice = DensityMatrix(U_AC @ initial.matrix @ U_AC.T, (2, 2, 2))
-    after_bob = DensityMatrix(U_BC @ after_alice.matrix @ U_BC.T, (2, 2, 2))
+    after_alice = DensityMatrix(initial.matrix[GRID_AC], (2, 2, 2))
+    after_bob = DensityMatrix(after_alice.matrix[GRID_BC], (2, 2, 2))
 
     verdicts = {
         stage: tuple(ppt_verdict(state, f) for f in CUT_FACTORS)
@@ -161,6 +149,8 @@ class EdssSearchResult:
     witness: tuple[float, float, float] | None  # (theta, phi, radius), certified by run_protocol
     r_a: float  # A|BC is NPT after Alice's CNOT iff the z-axis radius exceeds r_a
     s_c: float  # C|AB stays PPT at the send step iff the z-axis radius is at most s_c
+    # the run_protocol trace that certified the witness, None without one
+    trace: ProtocolTrace | None = field(default=None, compare=False, repr=False)
 
 
 def require_separable(p: BellDiagonalParams) -> None:
@@ -194,13 +184,13 @@ def edss_useful(p: BellDiagonalParams) -> EdssSearchResult:
     r_a = min(_ratio(1 - c3, d), _ratio(1 + c3, e))
     s_c = min(_ratio(1 + c3, d), _ratio(1 - c3, e))
     useful = 0.0 not in (c1, c2, c3) and (c1 < 0) ^ (c2 < 0) ^ (c3 < 0)  # c1 c2 c3 < 0
-    witness = None
+    witness = trace = None
     if useful:
         r = (r_a + s_c) / 2
-        trace = run_protocol(bell_diagonal(p), ancilla_state(0.0, 0.0, r))
-        if trace.success and trace.send_step_ppt:
-            witness = (0.0, 0.0, r)
-    return EdssSearchResult(useful, witness, r_a, s_c)
+        run = run_protocol(bell_diagonal(p), ancilla_state(0.0, 0.0, r))
+        if run.success and run.send_step_ppt:
+            witness, trace = (0.0, 0.0, r), run
+    return EdssSearchResult(useful, witness, r_a, s_c, trace)
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,17 @@ def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
     return 1.0 - entropy_of_probabilities([lmax, 1 - lmax])
 
 
+def all_correlations_nonzero(diag) -> bool:
+    """Every diagonal correlation |T_kk| above PPT_TOL. With maximally mixed
+    marginals i_k = 0 iff T_kk = 0, and i_k (about 0.72 T_kk^2 bits) itself
+    falls below PPT_TOL already at |T_kk| of about 1e-6."""
+    return bool(np.all(np.abs(diag) > PPT_TOL))
+
+
 def necessary_condition_bd(p: BellDiagonalParams) -> bool:
     """All three correlation coefficients nonzero.
 
     Necessary (not sufficient) for a Bell-diagonal state to be entangled.
     """
     p.validate()
-    return bool(np.all(np.abs(p.as_array()) > PPT_TOL))
+    return all_correlations_nonzero(p.as_array())

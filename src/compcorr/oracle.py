@@ -25,7 +25,7 @@ from .correlations import (
     q1,
     total_mutual_information,
 )
-from .edss import U_AC, ancilla_state, require_separable
+from .edss import GRID_AC, ancilla_state, require_separable
 from .matcore import LOG2, MUB_TOL, PAULIS, PPT_TOL, ZERO_BRANCH, bloch_vector, kron, partial_transpose
 from .states import (
     BellDiagonalParams,
@@ -139,7 +139,7 @@ _DIMS3 = (2, 2, 2)
 
 def _min_pt_after_alice(rho4: np.ndarray, anc2: np.ndarray) -> tuple[float, np.ndarray]:
     """Min eigenvalue of PT over A after Alice's CNOT, plus the 8x8 state."""
-    rabc = U_AC @ np.kron(rho4, anc2) @ U_AC.T
+    rabc = np.kron(rho4, anc2)[GRID_AC]
     lam = np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 0))
     return float(lam[0]), rabc
 
@@ -214,20 +214,13 @@ def edss_useful_numeric(
     return NumericEdssResult(None, npt_seen)
 
 
-def _as_basis_matrix(basis) -> np.ndarray:
-    b = np.asarray(basis, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        b = np.stack([np.asarray(v, dtype=complex).ravel() for v in basis], axis=1)
-    return b
-
-
 def mub_check(bases) -> bool:
     """True when all cross-basis squared overlaps equal 1/d within MUB_TOL.
 
-    Each basis is given as columns of a matrix (or a sequence of vectors)
-    and must be orthonormal within MUB_TOL.
+    Each basis is given as the columns of a matrix and must be orthonormal
+    within MUB_TOL.
     """
-    mats = [_as_basis_matrix(b) for b in bases]
+    mats = [np.asarray(b, dtype=complex) for b in bases]
     d = mats[0].shape[0]
     for m in mats:
         if np.max(np.abs(m.conj().T @ m - np.eye(d))) > MUB_TOL:

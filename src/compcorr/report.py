@@ -9,8 +9,8 @@ from .correlations import (
     discord_bd,
     total_mutual_information,
 )
-from .entanglement import negativity, rel_entropy_entanglement_bd
-from .matcore import DERIVED_TOL, MARGINAL_TOL, PPT_TOL
+from .entanglement import all_correlations_nonzero, negativity, rel_entropy_entanglement_bd
+from .matcore import DERIVED_TOL, MARGINAL_TOL
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -56,7 +56,7 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
         mutual_info=total_mutual_information(rho),
         negativity=negativity(rho, 0),
         e_r=rel_entropy_entanglement_bd(p),
-        all_complementary_nonzero=bool(min(i_x, i_y, i_z) > PPT_TOL),
+        all_complementary_nonzero=all_correlations_nonzero(np.diag(dec.T)),
     )
 
 

@@ -1,4 +1,4 @@
-"""State constructors: Bell-diagonal families, Bloch decomposition, normal form.
+"""State constructors: Bell-diagonal families, Bloch decomposition, signed SVD.
 
 Bell-diagonal states are parameterized by the correlation triple (c1, c2, c3)
 of rho = (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n). Their four eigenvalues
@@ -20,7 +20,6 @@ from .matcore import (
     STATE_TOL,
     entropy_of_probabilities,
     is_hermitian,
-    kron,
     partial_trace,
     partial_transpose,
 )
@@ -74,12 +73,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_spectrum", spectrum)
-
-    @classmethod
-    def from_pure(cls, vec: np.ndarray, dims) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), tuple(dims))
 
     def partial_trace(self, keep) -> "DensityMatrix":
         reduced = partial_trace(self.matrix, self.dims, keep)
@@ -183,41 +176,6 @@ def bloch_reconstruct(dec: BlochDecomposition) -> DensityMatrix:
     return DensityMatrix(_pauli_sum(c), (2, 2))
 
 
-def _su2_from_rotation(R: np.ndarray) -> np.ndarray:
-    """SU(2) element whose adjoint action on the Pauli vector is R in SO(3).
-
-    Quaternion extraction (branch on the largest diagonal entry), with
-    U = q0 I - i (q1 sx + q2 sy + q3 sz).
-    """
-    t = np.trace(R)
-    if t > 0:
-        s = np.sqrt(1.0 + t) * 2
-        q = np.array(
-            [s / 4, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(1.0 + R[i, i] - R[j, j] - R[k, k]) * 2
-        q = np.zeros(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = s / 4
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    q = q / np.linalg.norm(q)
-    return q[0] * I2 - 1j * (q[1] * PAULIS[0] + q[2] * PAULIS[1] + q[3] * PAULIS[2])
-
-
-def rotation_of_su2(U: np.ndarray) -> np.ndarray:
-    """SO(3) matrix R with R_ij = (1/2) Tr(sigma_i U sigma_j U^dag)."""
-    return np.array(
-        [
-            [0.5 * np.trace(si @ U @ sj @ U.conj().T).real for sj in PAULIS]
-            for si in PAULIS
-        ]
-    )
-
-
 def signed_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(RA, s, RB) with RA, RB in SO(3) and RA T RB^T = diag(s): an SVD with the
     signs of improper factors absorbed into s[2], since only SO(3) rotations
@@ -230,14 +188,6 @@ def signed_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         Vt[2, :] *= -1
         s[2] *= -1
     return U.T, s, Vt
-
-
-def normal_form(rho: DensityMatrix) -> tuple[DensityMatrix, BlochDecomposition]:
-    """Rotate by local unitaries so the correlation matrix T becomes diagonal."""
-    RA, _, RB = signed_svd(bloch_decompose(rho).T)
-    local = kron(_su2_from_rotation(RA), _su2_from_rotation(RB))
-    out = DensityMatrix(local @ rho.matrix @ local.conj().T, (2, 2))
-    return out, bloch_decompose(out)
 
 
 def family_eq15(c3: float) -> DensityMatrix:
@@ -275,7 +225,7 @@ def bd_params_of(rho: DensityMatrix) -> BellDiagonalParams:
     """Correlation triple of a state with maximally mixed marginals.
 
     Requires vanishing local Bloch vectors; the T matrix must be diagonal
-    within MARGINAL_TOL (otherwise use normal_form first).
+    within MARGINAL_TOL (otherwise read the triple off signed_svd of T).
     """
     dec = bloch_decompose(rho)
     if np.linalg.norm(dec.a) > MARGINAL_TOL or np.linalg.norm(dec.b) > MARGINAL_TOL:

@@ -165,7 +165,7 @@ def test_criterion_07_classically_correlated_state():
 
 
 def test_criterion_08_bell_state_saturates_complementarity():
-    rho = DensityMatrix.from_pure(PHI_PLUS, (2, 2))
+    rho = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
     i_x, _, i_z = complementary_correlations(rho)
     dev = abs(i_x + i_z - 2.0)
     ok = dev <= 1e-12

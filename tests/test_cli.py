@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from compcorr import cli, edss
 from compcorr.cli import main
 from compcorr.states import BellDiagonalParams, bell_diagonal, save_state
 
@@ -23,6 +24,14 @@ class TestAnalyze:
         assert doc["mutual_info"] == pytest.approx(2.0, abs=1e-12)
         assert doc["e_r"] == pytest.approx(1.0, abs=1e-12)
         assert doc["all_complementary_nonzero"] is True
+
+    def test_tiny_coefficient_is_nonzero(self, capsys):
+        # negativity 2.5e-8 needs every c_k nonzero; i_z is 7e-15 bits, below
+        # PPT_TOL, but the flag reads c3 = 1e-7 itself
+        assert main(["analyze", "--bd", "0.5,-0.5,1e-7"]) == 0
+        fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert float(fields["negativity"]) > 0
+        assert fields["all_complementary_nonzero"] == "true"
 
     def test_csv_format(self, capsys):
         assert main(["analyze", "--bd", "0.3,-0.3,0.3", "--format", "csv"]) == 0
@@ -122,6 +131,21 @@ class TestEdss:
         assert doc["success"] is True
         assert doc["send_step_ppt"] is True
         assert doc["witness"][:2] == [0.0, 0.0] and doc["r_a"] < doc["witness"][2] <= doc["s_c"]
+
+    def test_useful_state_runs_the_protocol_once(self, monkeypatch, capsys):
+        # the trace printed is the one that certified the witness
+        calls = []
+        original = edss.run_protocol
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(edss, "run_protocol", counting)
+        monkeypatch.setattr(cli, "run_protocol", counting)
+        assert main(["edss", "--bd", "0.3,-0.3,0.3"]) == 0
+        assert "after_alice A|BC" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_witness_near_a_face_replays(self, capsys):
         assert main(["edss", "--bd", "0.3,-0.3,0.001", "--format", "json"]) == 0

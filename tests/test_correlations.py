@@ -14,7 +14,7 @@ from compcorr.correlations import (
     q1,
     total_mutual_information,
 )
-from compcorr.matcore import kron
+from compcorr.matcore import bloch_vector, kron
 from compcorr.oracle import check_z_correlation
 from compcorr.states import (
     PHI_PLUS,
@@ -37,7 +37,7 @@ def binary_entropy(x):
 
 class TestProjectiveMeasurement:
     def test_projector_algebra(self):
-        m = ProjectiveMeasurement.from_angles(0.7, 1.3)
+        m = ProjectiveMeasurement(bloch_vector(0.7, 1.3))
         p0, p1 = m.projectors()
         np.testing.assert_allclose(p0 @ p0, p0, atol=1e-12)
         np.testing.assert_allclose(p1 @ p1, p1, atol=1e-12)
@@ -56,7 +56,7 @@ class TestJointDistribution:
         np.testing.assert_allclose(d.p, 0.25, atol=1e-12)
 
     def test_bell_state_perfectly_correlated_xx(self):
-        rho = DensityMatrix.from_pure(PHI_PLUS, (2, 2))
+        rho = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
         d = joint_distribution(rho, ProjectiveMeasurement.x(), ProjectiveMeasurement.x())
         assert d.p[0, 0] + d.p[1, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -107,7 +107,7 @@ class TestComplementaryCorrelations:
         assert i_z == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_saturates(self):
-        rho = DensityMatrix.from_pure(PHI_PLUS, (2, 2))
+        rho = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
         i_x, i_y, i_z = complementary_correlations(rho)
         assert (i_x, i_y, i_z) == pytest.approx((1, 1, 1), abs=1e-12)
         assert i_x + i_z == pytest.approx(2.0, abs=1e-12)
@@ -147,7 +147,7 @@ class TestHolevo:
 
     def test_maximally_mixed_is_zero(self):
         rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
-        assert holevo_quantity(rho, ProjectiveMeasurement.from_angles(1.0, 2.0)) == pytest.approx(
+        assert holevo_quantity(rho, ProjectiveMeasurement(bloch_vector(1.0, 2.0))) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -184,9 +184,8 @@ class TestClosedForms:
         rb = random_density_matrix(rng, (2,))
         product = DensityMatrix(kron(ra.matrix, rb.matrix), (2, 2))
         assert total_mutual_information(product) == pytest.approx(0.0, abs=1e-10)
-        assert total_mutual_information(DensityMatrix.from_pure(PHI_PLUS, (2, 2))) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        bell = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
+        assert total_mutual_information(bell) == pytest.approx(2.0, abs=1e-12)
         assert total_mutual_information(classically_correlated()) == pytest.approx(1.0, abs=1e-12)
 
     def test_bd_mutual_information_matches_measured(self):

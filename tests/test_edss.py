@@ -2,43 +2,60 @@ import numpy as np
 import pytest
 
 from compcorr.edss import (
+    GRID_AC,
+    GRID_BC,
+    PERM_AC,
+    PERM_BC,
+    EdssSearchResult,
     ancilla_state,
-    cnot,
     edss_useful,
     run_protocol,
     sweep,
     sweep_csv,
     sweep_summary,
 )
-from compcorr.states import BellDiagonalParams, bell_diagonal, random_bd_params
+from compcorr.matcore import kron
+from compcorr.states import BellDiagonalParams, bell_diagonal, random_bd_params, random_density_matrix
+
+
+# the CNOTs built from projectors: |0><0| (x) I (x) I + |1><1| (x) I (x) X
+# for A controls C, I (x) |0><0| (x) I + I (x) |1><1| (x) X for B controls C
+_P0, _P1, _X = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+_I = np.eye(2)
+CNOT_MATRICES = {
+    "AC": (kron(kron(_P0, _I), _I) + kron(kron(_P1, _I), _X), PERM_AC, GRID_AC),
+    "BC": (kron(kron(_I, _P0), _I) + kron(kron(_I, _P1), _X), PERM_BC, GRID_BC),
+}
 
 
 class TestCnot:
-    def test_two_qubit_action(self):
-        u = cnot(2, 0, 1)
-        # |10> -> |11>
-        v = np.zeros(4)
-        v[2] = 1
-        out = u @ v
-        assert out[3] == 1
-
     def test_unitary(self):
-        for n, c, t in [(2, 0, 1), (3, 0, 2), (3, 1, 2)]:
-            u = cnot(n, c, t)
-            np.testing.assert_allclose(u.T @ u, np.eye(2**n), atol=1e-14)
+        # each permutation is a bijection and its own inverse, so its matrix
+        # is a real orthogonal involution, and it is the projector-built CNOT
+        for u, perm, _ in CNOT_MATRICES.values():
+            np.testing.assert_array_equal(np.sort(perm), np.arange(8))
+            np.testing.assert_array_equal(perm[perm], np.arange(8))
+            np.testing.assert_array_equal(np.eye(8)[perm], u)
 
     def test_three_qubit_embedding(self):
-        u = cnot(3, 0, 2)
-        # |101> -> |100>
-        v = np.zeros(8)
-        v[0b101] = 1
-        assert (u @ v)[0b100] == 1
+        # |101> -> |100> under A controls C; |011> -> |010> under B controls C
+        assert PERM_AC[0b101] == 0b100 and PERM_AC[0b011] == 0b011
+        assert PERM_BC[0b011] == 0b010 and PERM_BC[0b101] == 0b101
 
-    def test_index_errors(self):
+    @pytest.mark.parametrize("gate", CNOT_MATRICES)
+    def test_conjugation_matches_projector_cnot(self, gate):
+        # bitwise on Ginibre states; on the protocol's product states, whose
+        # exact zeros the matrix product may turn from -0.0 into +0.0, by value
+        u, _, grid = CNOT_MATRICES[gate]
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            m = random_density_matrix(rng, (2, 2, 2)).matrix
+            assert (u @ m @ u.T).tobytes() == m[grid].tobytes()
+            ancilla = ancilla_state(*rng.uniform(0, 3, 2), 0.5)
+            m = kron(bell_diagonal(random_bd_params(rng)).matrix, ancilla.matrix)
+            np.testing.assert_array_equal(u @ m @ u.T, m[grid])
         with pytest.raises(ValueError):
-            cnot(3, 1, 1)
-        with pytest.raises(ValueError):
-            cnot(2, 0, 2)
+            PERM_AC[0] = 1
 
 
 class TestAncilla:
@@ -137,6 +154,16 @@ class TestEdssUseful:
         )
         assert trace.success
         assert trace.send_step_ppt
+
+    def test_witness_carries_its_trace(self):
+        res = edss_useful(BellDiagonalParams(0.3, -0.3, 0.3))
+        assert res.trace.success and res.trace.send_step_ppt
+        assert res.trace.initial_state.dims == (2, 2, 2)
+        # the trace is neither compared nor printed
+        assert res == EdssSearchResult(res.useful, res.witness, res.r_a, res.s_c)
+        assert "trace" not in repr(res)
+        for c in ((0.5, 0, 0.25), (0.3, -0.3, 1e-12)):
+            assert edss_useful(BellDiagonalParams(*c)).trace is None
 
     def test_witness_near_a_face(self):
         # a grid of ancillas missed this window, r in (0.24953, 0.25047]

@@ -24,7 +24,7 @@ from compcorr.correlations import q1
 
 
 def test_negativity_bell_state():
-    rho = DensityMatrix.from_pure(PHI_PLUS, (2, 2))
+    rho = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
     assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_ppt_verdict_product_three_qubit():
 
 def test_ppt_verdict_bell_with_pure_factor():
     vec = np.kron(PHI_PLUS, [1, 0])
-    rho = DensityMatrix.from_pure(vec, (2, 2, 2))
+    rho = DensityMatrix(np.outer(vec, vec.conj()), (2, 2, 2))
     v = ppt_verdict(rho, 0)
     assert not v.is_ppt
     assert v.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)

@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from compcorr.correlations import correlation_bits, discord_bd, q1
 from compcorr.edss import ancilla_state, edss_useful, run_protocol
-from compcorr.entanglement import negativity
+from compcorr.entanglement import necessary_condition_bd, negativity
+from compcorr.matcore import PPT_TOL
 from compcorr.oracle import check_involution
+from compcorr.report import report_for_bd
 from compcorr.states import BellDiagonalParams, bd_spectrum, bell_diagonal, is_separable_bd
 
 
@@ -133,3 +135,29 @@ def test_pure_ancilla_cuts_go_npt_together(p, theta, phi):
     assume(r_perp > 0.3)
     npt = gap > 0.0
     assert (not v_a.is_ppt) == (not v_c.is_ppt) == npt
+
+
+def _with_tiny_coordinate(t):
+    c = list(t[:2])
+    c.insert(t[3], t[2])
+    return BellDiagonalParams(*c)
+
+
+tiny = st.floats(1e-13, 1e-5).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@given(
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), tiny, st.integers(0, 2))
+    .map(_with_tiny_coordinate)
+    .filter(lambda p: p.is_physical())
+)
+@settings(max_examples=100, deadline=None)
+def test_entangled_means_all_complementary_nonzero(p):
+    # on the tetrahedron the negativity is at most min |c_k| / 2, so an
+    # entangled triple has every |c_k| above PPT_TOL
+    rep = report_for_bd(p)
+    if rep.negativity > PPT_TOL:
+        assert rep.all_complementary_nonzero
+    # the report and the Bell-diagonal condition give one answer
+    assume(min(abs(abs(x) - PPT_TOL) for x in p.as_array()) > 1e-14)
+    assert rep.all_complementary_nonzero == necessary_condition_bd(p)

@@ -1,8 +1,8 @@
 """Routes that solve each state once, against the routes that solved it again.
 
 `DensityMatrix` keeps the spectrum of its PSD check, `report_for_state`
-reads the Bell-diagonal triple from the signed SVD of T instead of a rebuilt
-normal form, and `complementary_correlations` contracts the state once with
+reads the Bell-diagonal triple from the signed SVD of T with no rotated
+state, and `complementary_correlations` contracts the state once with
 the stacked axis projectors. Each is compared here with the direct form.
 """
 
@@ -23,7 +23,6 @@ from compcorr.states import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
-    normal_form,
     random_density_matrix,
     signed_svd,
 )
@@ -78,6 +77,8 @@ def test_signed_svd_factors_are_rotations(seed, rank, flip_left, flip_right):
 @given(physical_triples, seeds)
 @settings(max_examples=60, deadline=None)
 def test_report_triple_is_the_normal_form_diagonal(c, seed):
+    # the normal form of a locally rotated Bell-diagonal state is the input
+    # triple up to order and signs, with c1 c2 c3 = det T unchanged
     rng = np.random.default_rng(seed)
     local = kron(_haar_su2(rng), _haar_su2(rng))
     rho = DensityMatrix(local @ bell_diagonal(BellDiagonalParams(*c)).matrix @ local.conj().T, (2, 2))
@@ -94,7 +95,8 @@ def test_report_triple_is_the_normal_form_diagonal(c, seed):
     finally:
         report.BellDiagonalParams = original
     (triple,) = seen
-    np.testing.assert_allclose(triple, np.diag(normal_form(rho)[1].T), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sorted(np.abs(triple)), sorted(np.abs(c)), rtol=0, atol=1e-14)
+    assert np.prod(triple) == pytest.approx(np.prod(c), rel=0, abs=1e-14)
 
 
 @given(seeds)

@@ -17,11 +17,10 @@ from compcorr.states import (
     family_eq15,
     is_separable_bd,
     load_state,
-    normal_form,
     random_bd_params,
     random_density_matrix,
-    rotation_of_su2,
     save_state,
+    signed_svd,
     werner,
 )
 
@@ -140,44 +139,29 @@ class TestBlochDecomposition:
 
 
 class TestNormalForm:
+    """The local-unitary normal form of a state with maximally mixed
+    marginals is the Bell-diagonal state of the signed singular values of T."""
+
+    @staticmethod
+    def _assert_recovers(rho, p, atol):
+        T = bloch_decompose(rho).T
+        RA, s, RB = signed_svd(T)
+        np.testing.assert_allclose(RA @ T @ RB.T, np.diag(s), rtol=0, atol=atol)
+        np.testing.assert_allclose(sorted(np.abs(s)), sorted(np.abs(p.as_array())), rtol=0, atol=atol)
+        # det T = c1 c2 c3 is invariant under local unitaries
+        assert np.prod(s) == pytest.approx(np.prod(p.as_array()), rel=0, abs=atol)
+
     def test_bell_diagonal_input_stays_diagonal(self):
         p = BellDiagonalParams(0.5, 0.2, -0.1)
-        out, dec = normal_form(bell_diagonal(p))
-        off = dec.T - np.diag(np.diag(dec.T))
-        np.testing.assert_allclose(off, 0, atol=1e-10)
-        assert sorted(np.abs(np.diag(dec.T))) == pytest.approx([0.1, 0.2, 0.5], abs=1e-10)
-
-    def test_rotation_lift_convention(self):
-        rng = np.random.default_rng(15)
-        from compcorr.states import _su2_from_rotation
-
-        for _ in range(50):
-            u = random_su2(rng)
-            r = rotation_of_su2(u)
-            u2 = _su2_from_rotation(r)
-            # SU(2) covers SO(3) twice; compare up to global sign
-            assert min(np.max(np.abs(u2 - u)), np.max(np.abs(u2 + u))) < 1e-10
+        self._assert_recovers(bell_diagonal(p), p, 1e-14)
 
     def test_locally_rotated_state_recovers_coefficients(self):
         rng = np.random.default_rng(16)
         for _ in range(50):
             p = random_bd_params(rng)
-            ua, ub = random_su2(rng), random_su2(rng)
-            local = kron(ua, ub)
+            local = kron(random_su2(rng), random_su2(rng))
             rotated = DensityMatrix(local @ bell_diagonal(p).matrix @ local.conj().T, (2, 2))
-            _, dec = normal_form(rotated)
-            off = dec.T - np.diag(np.diag(dec.T))
-            np.testing.assert_allclose(off, 0, atol=1e-8)
-            got = sorted(np.abs(np.diag(dec.T)))
-            want = sorted(np.abs(p.as_array()))
-            np.testing.assert_allclose(got, want, atol=1e-8)
-
-    def test_spectrum_preserved(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            rho = random_density_matrix(rng, (2, 2))
-            out, _ = normal_form(rho)
-            np.testing.assert_allclose(out.spectrum(), rho.spectrum(), atol=1e-10)
+            self._assert_recovers(rotated, p, 1e-12)
 
 
 class TestFamilies:
