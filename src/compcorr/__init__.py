@@ -7,13 +7,10 @@ for entanglement distribution with separable states.
 
 from .correlations import (
     CorrelationReport,
-    JointDistribution,
-    ProjectiveMeasurement,
     classical_correlation,
     complementary_correlations,
     discord_bd,
     holevo_quantity,
-    joint_distribution,
     outcome_mutual_information,
     q1,
     total_mutual_information,

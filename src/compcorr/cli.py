@@ -40,7 +40,6 @@ def _parse_ancilla(text: str):
 def _resolve_state(args) -> DensityMatrix:
     if args.state is not None:
         return load_state(args.state)
-    args.bd.validate()
     return bell_diagonal(args.bd)
 
 

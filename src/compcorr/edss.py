@@ -61,7 +61,7 @@ import numpy as np
 
 from .correlations import complementary_correlations, classical_correlation, discord_bd, q1, total_mutual_information
 from .entanglement import PptVerdict, negativity, ppt_verdict
-from .matcore import I2, PAULIS, PPT_TOL, bloch_vector, fmt, kron
+from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, kron
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -92,9 +92,7 @@ def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatri
         raise ValueError(f"ancilla angles ({theta}, {phi}) must be finite")
     if not 0.0 <= radius <= 1.0:  # also rejects NaN
         raise ValueError(f"Bloch radius {radius} outside [0, 1]")
-    n = bloch_vector(theta, phi)
-    m = (I2 + radius * sum(c * s for c, s in zip(n, PAULIS))) / 2
-    return DensityMatrix(m, (2,))
+    return DensityMatrix(bloch_operator(radius * bloch_vector(theta, phi)), (2,))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small multi-qubit operators, and the
-helpers every module shares: the tolerance table, the angle-to-Bloch map and
-the number formatter.
+helpers every module shares: the tolerance table, the angle-to-Bloch map,
+the Bloch-to-operator map (I + v . sigma)/2 and the number formatter.
 
 Everything here works on plain numpy arrays in dimensions 2, 4 and 8.
 Qubit ordering is big-endian: factor 0 is the leftmost tensor slot.
@@ -23,9 +23,10 @@ MARGINAL_TOL = 1e-8
 DERIVED_TOL = 1e-9
 # Closed-form Bell-basis eigenvalues are exact up to rounding.
 PHYSICALITY_TOL = 1e-12
-# Norm check on a measurement's unit Bloch vector.
+# Norm check on the unit Bloch vector of Bob's measurement in the Holevo
+# quantity.
 UNIT_TOL = 1e-12
-# Rounding allowed on a probability below 0 or a correlation above 1.
+# Rounding allowed on a correlation coefficient above 1.
 PROB_CLAMP = 1e-12
 # Measurement branches with weight below this contribute nothing.
 ZERO_BRANCH = 1e-15
@@ -41,6 +42,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_ROWS = np.stack(PAULIS).reshape(3, 4)
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -55,6 +57,14 @@ def bloch_vector(theta, phi) -> np.ndarray:
     on a last axis of length 3."""
     s = np.sin(theta)
     return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def bloch_operator(v) -> np.ndarray:
+    """(I + v . sigma)/2 for Bloch vector(s) v stacked on a last axis of
+    length 3: the qubit state of Bloch vector v, and for a unit v the
+    projector on the +1 outcome along v (-v gives the -1 outcome)."""
+    v = np.asarray(v, dtype=float)
+    return (I2 + (v @ _PAULI_ROWS).reshape(v.shape[:-1] + (2, 2))) / 2
 
 
 def fmt(v) -> str:

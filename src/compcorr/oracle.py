@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import (
-    ProjectiveMeasurement,
     bd_mutual_information,
     classical_correlation,
     complementary_correlations,
@@ -26,7 +25,7 @@ from .correlations import (
     total_mutual_information,
 )
 from .edss import GRID_AC, ancilla_state, require_separable
-from .matcore import LOG2, MUB_TOL, PAULIS, PPT_TOL, ZERO_BRANCH, bloch_vector, kron, partial_transpose
+from .matcore import LOG2, MUB_TOL, PPT_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron, partial_transpose
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -62,15 +61,12 @@ def _entropy2x2_batch(mats: np.ndarray) -> np.ndarray:
 def _holevo_batch(rho: DensityMatrix, ns: np.ndarray) -> np.ndarray:
     """Holevo quantity in bits for a batch of Bob measurement Bloch vectors."""
     r = rho.matrix.reshape(2, 2, 2, 2)
-    sig = np.stack(PAULIS)
-    eye = np.eye(2, dtype=complex)
-    ndots = (ns @ sig.reshape(3, 4)).reshape(-1, 2, 2)
     rho_a = np.trace(r, axis1=1, axis2=3)
     s_avg = _entropy2x2_batch(rho_a[None])[0]
     r_eb_ac = r.transpose(3, 1, 0, 2).reshape(4, 4)  # row (e, b), column (a, c)
     cond = np.zeros(len(ns))
     for sign in (1.0, -1.0):
-        proj = (eye[None] + sign * ndots) / 2
+        proj = bloch_operator(sign * ns)
         # Tr_B[rho (I (x) Pi)]: x[g, a, c] = sum_eb r[a, b, c, e] Pi_g[e, b]
         x = (proj.reshape(-1, 4) @ r_eb_ac).reshape(-1, 2, 2)
         p = np.einsum("gaa->g", x).real
@@ -123,7 +119,7 @@ def maximize_holevo(
         step_p /= 2
 
     n_best = bloch_vector(th, ph)
-    value = holevo_quantity(rho, ProjectiveMeasurement(n_best / np.linalg.norm(n_best)))
+    value = holevo_quantity(rho, n_best / np.linalg.norm(n_best))
     return OptimizationResult(value=value, argmax_bloch=n_best)
 
 
@@ -244,7 +240,6 @@ def pauli_mub_bases() -> list[np.ndarray]:
 
 def spectrum_crosscheck(p: BellDiagonalParams) -> float:
     """Max deviation between closed-form and numeric eigenvalues."""
-    p.validate()
     numeric = bell_diagonal(p).spectrum()
     return float(np.max(np.abs(bd_spectrum(p) - numeric)))
 

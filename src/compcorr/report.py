@@ -10,12 +10,13 @@ from .correlations import (
     total_mutual_information,
 )
 from .entanglement import all_correlations_nonzero, negativity, rel_entropy_entanglement_bd
-from .matcore import DERIVED_TOL, MARGINAL_TOL
+from .matcore import DERIVED_TOL
 from .states import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
     bloch_decompose,
+    require_mixed_marginals,
     signed_svd,
 )
 
@@ -34,10 +35,7 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
     state is built.
     """
     dec = bloch_decompose(rho)
-    # the marginal Bloch vectors must vanish for the state to be locally
-    # equivalent to the Bell-diagonal state of that triple
-    if np.linalg.norm(dec.a) > MARGINAL_TOL or np.linalg.norm(dec.b) > MARGINAL_TOL:
-        raise ValueError("report requires maximally mixed marginals (zero local Bloch vectors)")
+    require_mixed_marginals(dec)
     p = BellDiagonalParams(*signed_svd(dec.T)[1])
     p.validate(tol=DERIVED_TOL)
     if not p.is_physical():
@@ -61,5 +59,4 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
 
 
 def report_for_bd(p: BellDiagonalParams) -> CorrelationReport:
-    p.validate()
     return report_for_state(bell_diagonal(p))

@@ -221,6 +221,14 @@ def classically_correlated() -> DensityMatrix:
     return DensityMatrix(m, (2, 2))
 
 
+def require_mixed_marginals(dec: BlochDecomposition) -> None:
+    """Raise unless both local Bloch vectors vanish within MARGINAL_TOL, which
+    a state needs to be locally equivalent to a Bell-diagonal state."""
+    na, nb = np.linalg.norm(dec.a), np.linalg.norm(dec.b)
+    if not max(na, nb) <= MARGINAL_TOL:
+        raise ValueError(f"state does not have maximally mixed marginals: |a| = {na:.3e}, |b| = {nb:.3e}")
+
+
 def bd_params_of(rho: DensityMatrix) -> BellDiagonalParams:
     """Correlation triple of a state with maximally mixed marginals.
 
@@ -228,8 +236,7 @@ def bd_params_of(rho: DensityMatrix) -> BellDiagonalParams:
     within MARGINAL_TOL (otherwise read the triple off signed_svd of T).
     """
     dec = bloch_decompose(rho)
-    if np.linalg.norm(dec.a) > MARGINAL_TOL or np.linalg.norm(dec.b) > MARGINAL_TOL:
-        raise ValueError("state does not have maximally mixed marginals")
+    require_mixed_marginals(dec)
     off = dec.T - np.diag(np.diag(dec.T))
     if np.max(np.abs(off)) > MARGINAL_TOL:
         raise ValueError("correlation matrix is not diagonal; not Bell-diagonal on these axes")

@@ -1,0 +1,28 @@
+import pytest
+
+from compcorr import correlations
+
+
+@pytest.fixture(scope="session")
+def axis_tables():
+    """A function of a two-qubit state returning its x, y and z same-axis
+    outcome tables, recorded as `complementary_correlations` hands them to
+    `outcome_mutual_information`. Session-scoped, so hypothesis tests can
+    use it too."""
+
+    def tables(rho):
+        seen = []
+        original = correlations.outcome_mutual_information
+
+        def recording(table):
+            seen.append(table)
+            return original(table)
+
+        correlations.outcome_mutual_information = recording
+        try:
+            correlations.complementary_correlations(rho)
+        finally:
+            correlations.outcome_mutual_information = original
+        return seen
+
+    return tables

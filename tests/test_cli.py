@@ -1,11 +1,12 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from compcorr import cli, edss
 from compcorr.cli import main
-from compcorr.states import BellDiagonalParams, bell_diagonal, save_state
+from compcorr.states import BellDiagonalParams, DensityMatrix, _pauli_sum, bell_diagonal, save_state
 
 
 class TestAnalyze:
@@ -56,6 +57,15 @@ class TestAnalyze:
         assert main(["analyze", "--state", str(path)]) == 0
         out = capsys.readouterr().out
         assert "i_x" in out
+
+    def test_state_file_within_state_tolerance(self, tmp_path, capsys):
+        # c = (0, 0, 1 + 2e-10) has eigenvalue -5e-11, inside the state
+        # tolerance, so the report must accept its outcome tables too
+        path = tmp_path / "state.json"
+        save_state(DensityMatrix(_pauli_sum(np.diag([1.0, 0.0, 0.0, 1 + 2e-10])), (2, 2)), path)
+        assert main(["analyze", "--state", str(path)]) == 0
+        fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert float(fields["i_z"]) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_state_file_rejected(self, bad, tmp_path, capsys):

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from compcorr.correlations import (
-    JointDistribution,
-    ProjectiveMeasurement,
     classical_correlation,
     complementary_correlations,
     correlation_bits,
     discord_bd,
     holevo_quantity,
-    joint_distribution,
     outcome_mutual_information,
     q1,
     total_mutual_information,
 )
-from compcorr.matcore import bloch_vector, kron
+from compcorr.matcore import bloch_operator, bloch_vector, kron
 from compcorr.oracle import check_z_correlation
 from compcorr.states import (
     PHI_PLUS,
@@ -36,68 +33,95 @@ def binary_entropy(x):
 
 
 class TestProjectiveMeasurement:
+    """A measurement is its unit Bloch vector n, with projectors
+    bloch_operator(n) and bloch_operator(-n)."""
+
     def test_projector_algebra(self):
-        m = ProjectiveMeasurement(bloch_vector(0.7, 1.3))
-        p0, p1 = m.projectors()
+        n = bloch_vector(0.7, 1.3)
+        p0, p1 = bloch_operator(n), bloch_operator(-n)
         np.testing.assert_allclose(p0 @ p0, p0, atol=1e-12)
         np.testing.assert_allclose(p1 @ p1, p1, atol=1e-12)
         np.testing.assert_allclose(p0 @ p1, 0, atol=1e-12)
         np.testing.assert_allclose(p0 + p1, np.eye(2), atol=1e-12)
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            ProjectiveMeasurement(np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="not a unit 3-vector"):
+            holevo_quantity(bell_diagonal(BellDiagonalParams(0.5, 0.25, 0.25)), [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("n", [[np.nan, 0.0, 0.0], [1.0, 0.0, np.nan], [np.inf, 0.0, 0.0], [1.0, 0.0]])
+    def test_rejects_non_finite_or_misshapen_direction(self, n):
+        rho = bell_diagonal(BellDiagonalParams(0.5, 0.25, 0.25))
+        with pytest.raises(ValueError, match=r"measurement direction \[.*\] is not a unit 3-vector"):
+            holevo_quantity(rho, n)
 
 
 class TestJointDistribution:
-    def test_uniform_for_maximally_mixed(self):
-        rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
-        d = joint_distribution(rho, ProjectiveMeasurement.x(), ProjectiveMeasurement.y())
-        np.testing.assert_allclose(d.p, 0.25, atol=1e-12)
+    """The 2x2 tables of same-axis outcomes (the `axis_tables` fixture), and
+    the table check in `outcome_mutual_information`: sum 1 and no entry
+    below 0, both within STATE_TOL."""
 
-    def test_bell_state_perfectly_correlated_xx(self):
+    def test_uniform_for_maximally_mixed(self, axis_tables):
+        tables = axis_tables(bell_diagonal(BellDiagonalParams(0, 0, 0)))
+        np.testing.assert_allclose(tables, 0.25, atol=1e-12)
+
+    def test_bell_state_perfectly_correlated_xx(self, axis_tables):
         rho = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
-        d = joint_distribution(rho, ProjectiveMeasurement.x(), ProjectiveMeasurement.x())
-        assert d.p[0, 0] + d.p[1, 1] == pytest.approx(1.0, abs=1e-12)
+        xx = axis_tables(rho)[0]
+        assert xx[0, 0] + xx[1, 1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_classically_correlated_zz(self):
-        d = joint_distribution(
-            classically_correlated(), ProjectiveMeasurement.z(), ProjectiveMeasurement.z()
-        )
-        np.testing.assert_allclose(d.p, [[0.5, 0], [0, 0.5]], atol=1e-12)
+    def test_classically_correlated_zz(self, axis_tables):
+        zz = axis_tables(classically_correlated())[2]
+        np.testing.assert_allclose(zz, [[0.5, 0], [0, 0.5]], atol=1e-12)
 
     def test_rejects_bad_table(self):
-        with pytest.raises(ValueError):
-            JointDistribution(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="not a probability table"):
+            outcome_mutual_information(np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="2x2"):
+            outcome_mutual_information(np.full(4, 0.25))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        t = np.full((2, 2), 0.25)
+        t[0, 1] = bad
+        with pytest.raises(ValueError, match=f"outcome table .*{bad}"):
+            outcome_mutual_information(t)
+
+    def test_entry_below_zero_within_state_tol_is_rounding(self):
+        # the z table of the state of c = (0, 0, 1 + 2e-10), which DensityMatrix accepts
+        t = np.array([[0.5 + 5e-11, -5e-11], [-5e-11, 0.5 + 5e-11]])
+        assert outcome_mutual_information(t) == pytest.approx(1.0, abs=1e-9)
+
+    def test_rejects_entry_below_zero_beyond_state_tol(self):
+        with pytest.raises(ValueError, match="not a probability table"):
+            outcome_mutual_information(np.array([[0.5 + 2e-10, -2e-10], [0.0, 0.5]]))
 
 
 class TestOutcomeMutualInformation:
     def test_uniform_is_zero(self):
-        assert outcome_mutual_information(JointDistribution(np.full((2, 2), 0.25))) == 0.0
+        assert outcome_mutual_information(np.full((2, 2), 0.25)) == 0.0
 
     def test_perfect_correlation_is_one_bit(self):
-        d = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        assert outcome_mutual_information(d) == pytest.approx(1.0, abs=1e-12)
+        t = np.array([[0.5, 0.0], [0.0, 0.5]])
+        assert outcome_mutual_information(t) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_in_parties(self):
         rng = np.random.default_rng(20)
         t = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        a = outcome_mutual_information(JointDistribution(t))
-        b = outcome_mutual_information(JointDistribution(t.T))
+        a = outcome_mutual_information(t)
+        b = outcome_mutual_information(t.T)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_bell_diagonal_reduction(self):
         # same-axis table has uniform marginals and correlation c_i, so the
         # mutual information reduces to 1 - H2((1 + |c_i|)/2)
         rng = np.random.default_rng(21)
-        axes = [ProjectiveMeasurement.x(), ProjectiveMeasurement.y(), ProjectiveMeasurement.z()]
         for _ in range(30):
             p = random_bd_params(rng)
-            rho = bell_diagonal(p)
-            for c, m in zip(p.as_array(), axes):
-                got = outcome_mutual_information(joint_distribution(rho, m, m))
-                want = 1 - binary_entropy((1 + abs(c)) / 2)
-                assert got == pytest.approx(want, abs=1e-10)
+            got = complementary_correlations(bell_diagonal(p))
+            for g, c in zip(got, p.as_array()):
+                assert g == pytest.approx(1 - binary_entropy((1 + abs(c)) / 2), abs=1e-10)
 
 
 class TestComplementaryCorrelations:
@@ -142,21 +166,19 @@ class TestComplementaryCorrelations:
 class TestHolevo:
     def test_bell_diagonal_along_x(self):
         p = BellDiagonalParams(0.5, 0.25, 0.25)
-        got = holevo_quantity(bell_diagonal(p), ProjectiveMeasurement.x())
+        got = holevo_quantity(bell_diagonal(p), [1.0, 0.0, 0.0])
         assert got == pytest.approx(correlation_bits(0.5), abs=1e-12)
 
     def test_maximally_mixed_is_zero(self):
         rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
-        assert holevo_quantity(rho, ProjectiveMeasurement(bloch_vector(1.0, 2.0))) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert holevo_quantity(rho, bloch_vector(1.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_product_state_is_zero(self):
         rng = np.random.default_rng(24)
         ra = random_density_matrix(rng, (2,))
         rb = random_density_matrix(rng, (2,))
         rho = DensityMatrix(kron(ra.matrix, rb.matrix), (2, 2))
-        assert holevo_quantity(rho, ProjectiveMeasurement.z()) == pytest.approx(0.0, abs=1e-10)
+        assert holevo_quantity(rho, [0.0, 0.0, 1.0]) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestClosedForms:

@@ -3,7 +3,9 @@ import pytest
 
 from compcorr.matcore import (
     I2,
+    PAULIS,
     SIGMA_Z,
+    bloch_operator,
     bloch_vector,
     fmt,
     hermitian_spectrum,
@@ -140,6 +142,18 @@ def test_bloch_vector_batches_and_scalars():
     np.testing.assert_allclose(n[1], [0, 1, 0], atol=1e-15)
     np.testing.assert_array_equal(bloch_vector(theta[2], phi[2]), n[2])
     np.testing.assert_allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-15)
+
+
+def test_bloch_operator_stacks_over_leading_axes():
+    rng = np.random.default_rng(8)
+    v = rng.uniform(-0.5, 0.5, size=(4, 2, 3))
+    got = bloch_operator(v)
+    assert got.shape == (4, 2, 2, 2)
+    for idx in np.ndindex(4, 2):
+        np.testing.assert_array_equal(got[idx], bloch_operator(v[idx]))
+        # a state of Bloch vector v: unit trace, and Tr[rho sigma_k] = v_k
+        assert np.trace(got[idx]) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose([np.trace(got[idx] @ s).real for s in PAULIS], v[idx], atol=1e-15)
 
 
 @pytest.mark.parametrize(

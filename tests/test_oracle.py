@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from compcorr.correlations import (
-    classical_correlation,
-    holevo_quantity,
-    ProjectiveMeasurement,
-    q1,
-)
+from compcorr.correlations import classical_correlation, holevo_quantity, q1
 from compcorr import oracle
 from compcorr.edss import edss_useful
 from compcorr.oracle import (
@@ -52,9 +47,7 @@ class TestMaximizeHolevo:
         for _ in range(5):
             p = random_bd_params(rng)
             opt = maximize_holevo(bell_diagonal(p), (16, 32))
-            direct = holevo_quantity(
-                bell_diagonal(p), ProjectiveMeasurement(opt.argmax_bloch / np.linalg.norm(opt.argmax_bloch))
-            )
+            direct = holevo_quantity(bell_diagonal(p), opt.argmax_bloch / np.linalg.norm(opt.argmax_bloch))
             assert opt.value == pytest.approx(direct, abs=1e-12)
 
     def test_monotone_in_resolution(self):

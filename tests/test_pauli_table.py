@@ -9,12 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compcorr.correlations import (
-    ProjectiveMeasurement,
-    holevo_quantity,
-    joint_distribution,
-)
-from compcorr.matcore import I2, PAULIS, bloch_vector
+from compcorr.correlations import holevo_quantity
+from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector
 from compcorr.oracle import _holevo_batch
 from compcorr.states import (
     PAULI_PRODUCTS,
@@ -73,15 +69,26 @@ def test_bell_diagonal_matches_kron_sum(c):
     np.testing.assert_allclose(bell_diagonal(BellDiagonalParams(*c)).matrix, m / 4, rtol=0, atol=TOL)
 
 
-@given(seeds, angles, angles)
+@given(st.lists(st.tuples(*[st.floats(-1, 1)] * 3), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_joint_distribution_matches_kron_traces(seed, ang_a, ang_b):
+def test_bloch_operator_matches_pauli_sum(vs):
+    vs = np.array(vs)
+    want = [(I2 + sum(c * s for c, s in zip(v, PAULIS))) / 2 for v in vs]
+    np.testing.assert_allclose(bloch_operator(vs), want, rtol=0, atol=TOL)
+    np.testing.assert_allclose(bloch_operator(vs[0]), want[0], rtol=0, atol=TOL)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_joint_distribution_matches_kron_traces(axis_tables, seed):
+    # the same-axis outcome tables against one kron trace per projector pair
     rho = _state(seed)
-    na, nb = bloch_vector(*ang_a), bloch_vector(*ang_b)
-    pa, pb = _projectors(na), _projectors(nb)
-    want = [[_coefficient(rho.matrix, pa[i], pb[j]) for j in (0, 1)] for i in (0, 1)]
-    got = joint_distribution(rho, ProjectiveMeasurement(na), ProjectiveMeasurement(nb)).p
-    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+    seen = axis_tables(rho)
+    assert len(seen) == 3
+    for table, axis in zip(seen, np.eye(3)):
+        pi = _projectors(axis)
+        want = [[_coefficient(rho.matrix, pi[i], pi[j]) for j in (0, 1)] for i in (0, 1)]
+        np.testing.assert_allclose(table, want, rtol=0, atol=TOL)
 
 
 @given(seeds, st.lists(angles, min_size=1, max_size=8))
@@ -89,5 +96,5 @@ def test_joint_distribution_matches_kron_traces(seed, ang_a, ang_b):
 def test_holevo_batch_matches_per_direction_holevo(seed, directions):
     rho = _state(seed)
     ns = np.array([bloch_vector(*a) for a in directions])
-    want = [holevo_quantity(rho, ProjectiveMeasurement(n)) for n in ns]
+    want = [holevo_quantity(rho, n) for n in ns]
     np.testing.assert_allclose(_holevo_batch(rho, ns), want, rtol=0, atol=TOL)

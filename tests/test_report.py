@@ -37,6 +37,15 @@ def test_triple_within_state_tolerance_is_rounded_onto_the_tetrahedron():
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-9)
 
 
+def test_outcome_table_entry_within_state_tolerance_is_accepted():
+    # c = (0, 0, 1 + 2e-10): eigenvalue -5e-11, inside STATE_TOL, so
+    # DensityMatrix accepts the state; its z table has entries of -5e-11
+    rho = DensityMatrix(states._pauli_sum(np.diag([1.0, 0.0, 0.0, 1 + 2e-10])), (2, 2))
+    got, want = report_for_state(rho), report_for_bd(BellDiagonalParams(0, 0, 1))
+    for field, value in want.to_dict().items():
+        assert getattr(got, field) == pytest.approx(value, rel=0, abs=1e-9), field
+
+
 def test_rejects_nonvanishing_marginals():
     with pytest.raises(ValueError, match="maximally mixed marginals"):
         report_for_state(DensityMatrix(np.diag([0.5, 0.5, 0, 0]).astype(complex), (2, 2)))

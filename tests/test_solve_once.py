@@ -12,13 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compcorr import report
-from compcorr.correlations import (
-    ProjectiveMeasurement,
-    complementary_correlations,
-    joint_distribution,
-    outcome_mutual_information,
-)
-from compcorr.matcore import hermitian_spectrum, kron, von_neumann_entropy
+from compcorr.correlations import complementary_correlations, outcome_mutual_information
+from compcorr.matcore import I2, PAULIS, hermitian_spectrum, kron, von_neumann_entropy
 from compcorr.states import (
     BellDiagonalParams,
     DensityMatrix,
@@ -102,9 +97,13 @@ def test_report_triple_is_the_normal_form_diagonal(c, seed):
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_stacked_axis_tables_match_per_axis_route(seed):
+    # per axis: the projectors (I +- sigma_k)/2 and one kron trace per outcome pair
     rho = random_density_matrix(np.random.default_rng(seed), (2, 2))
-    axes = (ProjectiveMeasurement.x(), ProjectiveMeasurement.y(), ProjectiveMeasurement.z())
-    per_axis = [outcome_mutual_information(joint_distribution(rho, m, m)) for m in axes]
+    per_axis = []
+    for s in PAULIS:
+        pi = ((I2 + s) / 2, (I2 - s) / 2)
+        table = [[np.trace(rho.matrix @ kron(pi[i], pi[j])).real for j in (0, 1)] for i in (0, 1)]
+        per_axis.append(outcome_mutual_information(np.array(table)))
     np.testing.assert_allclose(complementary_correlations(rho), per_axis, rtol=0, atol=1e-15)
 
 
