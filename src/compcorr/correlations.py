@@ -1,11 +1,11 @@
-"""Measurement statistics and correlation measures for two-qubit states.
+"""Correlation measures for two-qubit states, in bits.
 
-Covers outcome mutual information for same-axis measurements on both sides,
-the Holevo quantity of the ensemble induced on Alice by Bob's measurement,
-and the Bell-diagonal closed forms for classical correlation, discord and
-total mutual information. A measurement is its unit Bloch vector n, with
-projectors (I +- n . sigma)/2 from `matcore.bloch_operator`. All
-quantities are in bits.
+Runtime closed forms (`report_for_state` reads every number off them):
+`correlation_bits`, `classical_correlation`, `bd_mutual_information`,
+`discord_bd`. Measured references, which the oracle and the tests check
+them against: `complementary_correlations` (same-axis outcome tables),
+`holevo_quantity` (Bob measures along a unit Bloch vector n, projectors
+(I +- n . sigma)/2 from `matcore.bloch_operator`), `total_mutual_information`.
 """
 
 from dataclasses import dataclass, fields

@@ -59,16 +59,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlations import complementary_correlations, classical_correlation, discord_bd, q1, total_mutual_information
 from .entanglement import PptVerdict, negativity, ppt_verdict
 from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, kron
-from .states import (
-    BellDiagonalParams,
-    DensityMatrix,
-    bd_rank,
-    bell_diagonal,
-    is_separable_bd,
-)
+from .report import report_for_bd
+from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_separable_bd
 
 STAGES = ("initial", "after_alice", "after_bob")
 CUT_FACTORS = (0, 2, 1)  # A|BC, C|AB, B|AC
@@ -221,7 +215,9 @@ SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "protocol_in
 def sweep(resolution: int) -> list[SweepRow]:
     """Evaluate every physical separable point of a cubic grid on [-1, 1]^3.
 
-    Rows are ordered lexicographically by grid index.
+    Rows are ordered lexicographically by grid index. The eight correlation
+    columns are the closed forms of `report_for_bd`; the measured routes
+    they stand for are checked against them by the oracle and the tests.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
@@ -233,8 +229,7 @@ def sweep(resolution: int) -> list[SweepRow]:
                 p = BellDiagonalParams(float(v1), float(v2), float(v3))
                 if not p.is_physical() or not is_separable_bd(p):
                     continue
-                state = bell_diagonal(p)
-                i_x, i_y, i_z = complementary_correlations(state)
+                rep = report_for_bd(p)
                 res = edss_useful(p)
                 wit = res.witness if res.witness is not None else (None, None, None)
                 rows.append(
@@ -242,14 +237,14 @@ def sweep(resolution: int) -> list[SweepRow]:
                         c1=p.c1,
                         c2=p.c2,
                         c3=p.c3,
-                        i_x=i_x,
-                        i_y=i_y,
-                        i_z=i_z,
-                        C=classical_correlation(p),
-                        D=discord_bd(p),
-                        Q1=q1(p),
-                        I=total_mutual_information(state),
-                        negativity=negativity(state, 0),
+                        i_x=rep.i_x,
+                        i_y=rep.i_y,
+                        i_z=rep.i_z,
+                        C=rep.classical_c,
+                        D=rep.discord,
+                        Q1=rep.q1,
+                        I=rep.mutual_info,
+                        negativity=rep.negativity,
                         bd_rank=bd_rank(p),
                         edss_useful=res.useful,
                         witness_theta=wit[0],

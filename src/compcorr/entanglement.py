@@ -48,6 +48,13 @@ def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
     return PptVerdict(tuple(pt_spectrum(rho, factor).tolist()), _cut_label(factor, len(rho.dims)))
 
 
+def negativity_bd(p: BellDiagonalParams) -> float:
+    """Negativity, Bell-diagonal closed form: the partial transpose has
+    eigenvalues 1/2 - lambda_k, so only a lambda_max above 1/2 counts."""
+    p.validate()
+    return max(0.0, float(p.eigenvalues().max()) - 0.5)
+
+
 def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
     """Relative entropy of entanglement, Bell-diagonal closed form.
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    DERIVED_TOL,
     I2,
     MARGINAL_TOL,
     PAULIS,
@@ -25,6 +26,8 @@ from .matcore import (
 )
 
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
+# c_n = sum_k _BELL_SIGNS[n, k] lambda_k over Bell-basis eigenvalues (phi+, phi-, psi+, psi-)
+_BELL_SIGNS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], dtype=float)
 
 # PAULI_PRODUCTS[i, j] = sigma_i (x) sigma_j, with sigma_0 = I: every Pauli
 # coefficient Tr[rho (sigma_i (x) sigma_j)] is read, and every state
@@ -170,12 +173,6 @@ def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
     return BlochDecomposition(a=c[1:, 0], b=c[0, 1:], T=c[1:, 1:])
 
 
-def bloch_reconstruct(dec: BlochDecomposition) -> DensityMatrix:
-    """Rebuild the state from its Bloch decomposition."""
-    c = np.block([[np.ones((1, 1)), dec.b[None, :]], [dec.a[:, None], dec.T]])
-    return DensityMatrix(_pauli_sum(c), (2, 2))
-
-
 def signed_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(RA, s, RB) with RA, RB in SO(3) and RA T RB^T = diag(s): an SVD with the
     signs of improper factors absorbed into s[2], since only SO(3) rotations
@@ -229,18 +226,37 @@ def require_mixed_marginals(dec: BlochDecomposition) -> None:
         raise ValueError(f"state does not have maximally mixed marginals: |a| = {na:.3e}, |b| = {nb:.3e}")
 
 
+def round_onto_tetrahedron(c) -> BellDiagonalParams:
+    """The triple c read off the T of a validated state, for the closed forms.
+
+    c must be physical within DERIVED_TOL. A triple within that slack but
+    outside PHYSICALITY_TOL, which the closed forms check, is rounded onto
+    the tetrahedron: its Bell-basis eigenvalues are clipped to 0 and
+    renormalised, and c is read back. A physical triple is kept as it is.
+    """
+    p = BellDiagonalParams(*c)
+    p.validate(tol=DERIVED_TOL)
+    if not p.is_physical():
+        lam = np.clip(p.eigenvalues(), 0.0, None)
+        p = BellDiagonalParams(*(_BELL_SIGNS @ (lam / lam.sum())))
+    return p
+
+
 def bd_params_of(rho: DensityMatrix) -> BellDiagonalParams:
-    """Correlation triple of a state with maximally mixed marginals.
+    """Correlation triple of a state with maximally mixed marginals, rounded
+    onto the tetrahedron as `report_for_state` rounds its own.
 
     Requires vanishing local Bloch vectors; the T matrix must be diagonal
-    within MARGINAL_TOL (otherwise read the triple off signed_svd of T).
+    within MARGINAL_TOL (otherwise read the triple off signed_svd of T). The
+    diagonal is kept in its own frame, since r_a, s_c and the witness of
+    `edss_useful` depend on which axis carries which c_k.
     """
     dec = bloch_decompose(rho)
     require_mixed_marginals(dec)
     off = dec.T - np.diag(np.diag(dec.T))
     if np.max(np.abs(off)) > MARGINAL_TOL:
         raise ValueError("correlation matrix is not diagonal; not Bell-diagonal on these axes")
-    return BellDiagonalParams(*np.diag(dec.T))
+    return round_onto_tetrahedron(np.diag(dec.T))
 
 
 def random_bd_params(rng: np.random.Generator) -> BellDiagonalParams:

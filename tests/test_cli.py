@@ -9,6 +9,14 @@ from compcorr.cli import main
 from compcorr.states import BellDiagonalParams, DensityMatrix, _pauli_sum, bell_diagonal, save_state
 
 
+def _save_overshooting_state(tmp_path) -> str:
+    """Save the state of c = (0, 0, 1 + 2e-10), whose eigenvalue -5e-11 is
+    inside the state tolerance; return its path."""
+    path = tmp_path / "state.json"
+    save_state(DensityMatrix(_pauli_sum(np.diag([1.0, 0.0, 0.0, 1 + 2e-10])), (2, 2)), path)
+    return str(path)
+
+
 class TestAnalyze:
     def test_classically_correlated_text(self, capsys):
         assert main(["analyze", "--bd", "0,0,1"]) == 0
@@ -61,11 +69,16 @@ class TestAnalyze:
     def test_state_file_within_state_tolerance(self, tmp_path, capsys):
         # c = (0, 0, 1 + 2e-10) has eigenvalue -5e-11, inside the state
         # tolerance, so the report must accept its outcome tables too
-        path = tmp_path / "state.json"
-        save_state(DensityMatrix(_pauli_sum(np.diag([1.0, 0.0, 0.0, 1 + 2e-10])), (2, 2)), path)
-        assert main(["analyze", "--state", str(path)]) == 0
+        assert main(["analyze", "--state", _save_overshooting_state(tmp_path)]) == 0
         fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
         assert float(fields["i_z"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_negativity_agrees_with_e_r_within_state_tolerance(self, tmp_path, capsys):
+        # both come from the one rounded triple: negativity is not read off
+        # the state's own -5e-11 eigenvalue while e_r calls it separable
+        assert main(["analyze", "--state", _save_overshooting_state(tmp_path)]) == 0
+        fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert (fields["negativity"], fields["e_r"]) == ("0", "0")
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_state_file_rejected(self, bad, tmp_path, capsys):
@@ -133,6 +146,12 @@ class TestEdss:
         lines = capsys.readouterr().out.splitlines()
         # no trace (no 'success true') and no line for the missing witness
         assert lines == ["edss_useful false", "r_a 0.2", "s_c 0.2"]
+
+    def test_state_file_within_state_tolerance(self, tmp_path, capsys):
+        # the state analyze accepts: its diagonal is rounded onto the
+        # tetrahedron as the report rounds its triple, giving c = (0, 0, 1)
+        assert main(["edss", "--state", _save_overshooting_state(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["edss_useful false", "r_a 1", "s_c 1"]
 
     def test_useful_state(self, capsys):
         assert main(["edss", "--bd", "0.3,-0.3,0.3", "--format", "json"]) == 0

@@ -1,7 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from compcorr import report, states
+from compcorr import edss, report, states
+from compcorr.correlations import complementary_correlations, total_mutual_information
+from compcorr.entanglement import negativity
 from compcorr.matcore import kron
 from compcorr.oracle import spectrum_crosscheck
 from compcorr.report import report_for_bd, report_for_state
@@ -30,8 +36,7 @@ def test_local_invariants_survive_a_local_rotation():
 def test_triple_within_state_tolerance_is_rounded_onto_the_tetrahedron():
     # psi- eigenvalue -5e-11: inside STATE_TOL, so DensityMatrix accepts the
     # state, but outside the closed forms' PHYSICALITY_TOL
-    T = np.diag([0.5, 0.25, 0.25 + 2e-10])
-    rho = states.bloch_reconstruct(states.BlochDecomposition(np.zeros(3), np.zeros(3), T))
+    rho = DensityMatrix(states._pauli_sum(np.diag([1.0, 0.5, 0.25, 0.25 + 2e-10])), (2, 2))
     got, want = report_for_state(rho), report_for_bd(BellDiagonalParams(0.5, 0.25, 0.25))
     for field in ("classical_c", "discord", "e_r"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-9)
@@ -62,20 +67,82 @@ def _count_calls(monkeypatch, owner, name, counts):
     return wrapper
 
 
+def _count_everywhere(monkeypatch, fn, counts):
+    """Count calls to fn through every compcorr module that holds it."""
+    counts[fn.__name__] = 0
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "compcorr"]:
+        if getattr(mod, fn.__name__, None) is fn:
+            _count_calls(monkeypatch, mod, fn.__name__, counts)
+
+
+_MEASURED_ROUTES = (complementary_correlations, total_mutual_information, negativity)
+
+
 def test_report_work_count(monkeypatch):
     # one report on an already built state costs no kron, one Bloch
     # decomposition (the triple is the signed SVD of its T, with no rotated
-    # state) and three eigensolves: the validation of each 2x2 marginal and
-    # the partial transpose of the negativity; the state's own spectrum was
-    # kept when it was built
+    # state) and no eigensolve: every field is a closed form of T, and the
+    # measured routes are not called
     rho = _rotated_bd_state(BellDiagonalParams(0.4, 0.1, -0.3), 7)
     counts = {"kron": 0, "bloch_decompose": 0, "eigvalsh": 0}
     _count_calls(monkeypatch, np, "kron", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     wrapped = _count_calls(monkeypatch, states, "bloch_decompose", counts)
     monkeypatch.setattr(report, "bloch_decompose", wrapped)
+    for fn in _MEASURED_ROUTES:
+        _count_everywhere(monkeypatch, fn, counts)
     report_for_state(rho)
-    assert counts == {"kron": 0, "bloch_decompose": 1, "eigvalsh": 3}
+    assert counts == {
+        "kron": 0,
+        "bloch_decompose": 1,
+        "eigvalsh": 0,
+        "complementary_correlations": 0,
+        "total_mutual_information": 0,
+        "negativity": 0,
+    }
+
+
+def test_sweep_skips_the_measured_correlations(monkeypatch):
+    counts = {}
+    for fn in _MEASURED_ROUTES[:2]:
+        _count_everywhere(monkeypatch, fn, counts)
+    assert edss.sweep(3)
+    assert counts == {"complementary_correlations": 0, "total_mutual_information": 0}
+
+
+def _measured(rho) -> dict:
+    """The report's measured counterparts, computed on the state itself."""
+    i_x, i_y, i_z = complementary_correlations(rho)
+    return {
+        "i_x": i_x,
+        "i_y": i_y,
+        "i_z": i_z,
+        "q1": i_z,
+        "mutual_info": total_mutual_information(rho),
+        "negativity": negativity(rho, 0),
+    }
+
+
+physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda c: BellDiagonalParams(*c).is_physical())
+
+
+@given(physical_triples, st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_report_matches_the_measured_routes(c, seed):
+    # the closed forms of T against outcome tables, partial traces and the
+    # partial-transpose spectrum of a locally rotated Bell-diagonal state
+    rho = _rotated_bd_state(BellDiagonalParams(*c), seed)
+    got = report_for_state(rho)
+    for field, value in _measured(rho).items():
+        assert getattr(got, field) == pytest.approx(value, rel=0, abs=1e-12), field
+
+
+def test_sweep_rows_match_the_measured_routes():
+    for row in edss.sweep(3):
+        want = _measured(bell_diagonal(BellDiagonalParams(row.c1, row.c2, row.c3)))
+        got = dict(i_x=row.i_x, i_y=row.i_y, i_z=row.i_z, q1=row.Q1, mutual_info=row.I, negativity=row.negativity)
+        for field, value in want.items():
+            assert got[field] == pytest.approx(value, rel=0, abs=1e-12), field
 
 
 def test_spectrum_crosscheck_solves_once(monkeypatch):

@@ -79,16 +79,16 @@ def test_report_triple_is_the_normal_form_diagonal(c, seed):
     rho = DensityMatrix(local @ bell_diagonal(BellDiagonalParams(*c)).matrix @ local.conj().T, (2, 2))
     seen = []
 
-    def recording(*triple):
-        seen.append(triple)
-        return BellDiagonalParams(*triple)
+    def recording(triple):
+        seen.append(tuple(triple))
+        return original(triple)
 
-    original = report.BellDiagonalParams
-    report.BellDiagonalParams = recording
+    original = report.round_onto_tetrahedron
+    report.round_onto_tetrahedron = recording
     try:
         report.report_for_state(rho)
     finally:
-        report.BellDiagonalParams = original
+        report.round_onto_tetrahedron = original
     (triple,) = seen
     np.testing.assert_allclose(sorted(np.abs(triple)), sorted(np.abs(c)), rtol=0, atol=1e-14)
     assert np.prod(triple) == pytest.approx(np.prod(c), rel=0, abs=1e-14)

@@ -8,11 +8,11 @@ from compcorr.states import (
     PSI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
+    _pauli_sum,
     bd_params_of,
     bd_spectrum,
     bell_diagonal,
     bloch_decompose,
-    bloch_reconstruct,
     classically_correlated,
     family_eq15,
     is_separable_bd,
@@ -127,7 +127,9 @@ class TestBlochDecomposition:
         rng = np.random.default_rng(13)
         for _ in range(100):
             rho = random_density_matrix(rng, (2, 2))
-            back = bloch_reconstruct(bloch_decompose(rho))
+            dec = bloch_decompose(rho)
+            c = np.block([[np.ones((1, 1)), dec.b[None, :]], [dec.a[:, None], dec.T]])
+            back = DensityMatrix(_pauli_sum(c), (2, 2))
             np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-10)
 
     def test_bd_recovery_tight(self):
