@@ -2,10 +2,11 @@
 
 Runtime closed forms (`report_for_state` reads every number off them):
 `correlation_bits`, `classical_correlation`, `bd_mutual_information`,
-`discord_bd`. Measured references, which the oracle and the tests check
-them against: `complementary_correlations` (same-axis outcome tables),
-`holevo_quantity` (Bob measures along a unit Bloch vector n, projectors
-(I +- n . sigma)/2 from `matcore.bloch_operator`), `total_mutual_information`.
+`discord_bd` (`clamped_discord` of the two before it). Measured references,
+which the oracle and the tests check them against:
+`complementary_correlations` (same-axis outcome tables), `holevo_quantity`
+(Bob measures along a unit Bloch vector n, projectors (I +- n . sigma)/2
+from `matcore.bloch_operator`), `total_mutual_information`.
 """
 
 from dataclasses import dataclass, fields
@@ -139,16 +140,18 @@ def bd_mutual_information(p: BellDiagonalParams) -> float:
     return 2.0 - entropy_of_probabilities(bd_spectrum(p))
 
 
-def discord_bd(p: BellDiagonalParams) -> float:
-    """Quantum discord of a Bell-diagonal state, closed form.
-
-    Total mutual information minus classical correlation; clamped at zero
-    against float noise.
-    """
-    d = bd_mutual_information(p) - classical_correlation(p)
+def clamped_discord(mutual_info: float, classical_c: float) -> float:
+    """Discord I - C, clamped at zero against float noise."""
+    d = mutual_info - classical_c
     if d < -DERIVED_TOL:
         raise AssertionError(f"closed-form discord came out negative: {d}")
     return max(d, 0.0)
+
+
+def discord_bd(p: BellDiagonalParams) -> float:
+    """Quantum discord of a Bell-diagonal state, closed form: the clamped
+    difference of `bd_mutual_information` and `classical_correlation`."""
+    return clamped_discord(bd_mutual_information(p), classical_correlation(p))
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,8 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     if ancilla.dims != (2,):
         raise ValueError(f"expected a single-qubit ancilla, got dims {ancilla.dims}")
     initial = DensityMatrix(kron(rho_ab.matrix, ancilla.matrix), (2, 2, 2))
-    after_alice = DensityMatrix(initial.matrix[GRID_AC], (2, 2, 2))
-    after_bob = DensityMatrix(after_alice.matrix[GRID_BC], (2, 2, 2))
+    after_alice = initial.permuted(GRID_AC)
+    after_bob = after_alice.permuted(GRID_BC)
 
     verdicts = {
         stage: tuple(ppt_verdict(state, f) for f in CUT_FACTORS)

@@ -42,7 +42,8 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-_PAULI_ROWS = np.stack(PAULIS).reshape(3, 4)
+SIGMAS = np.stack((I2,) + PAULIS)  # sigma_0 = I, then sigma_x, sigma_y, sigma_z
+_PAULI_ROWS = SIGMAS[1:].reshape(3, 4)
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:

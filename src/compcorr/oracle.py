@@ -9,31 +9,18 @@ is one `check_*` function of its input samples; the tests call the same
 functions on their own seeds.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    bd_mutual_information,
-    classical_correlation,
-    complementary_correlations,
-    correlation_bits,
-    discord_bd,
-    holevo_quantity,
-    q1,
-    total_mutual_information,
-)
+from .correlations import bd_mutual_information, clamped_discord, classical_correlation, complementary_correlations
+from .correlations import correlation_bits, discord_bd, holevo_quantity, q1, total_mutual_information
 from .edss import GRID_AC, ancilla_state, require_separable
-from .matcore import LOG2, MUB_TOL, PPT_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron, partial_transpose
-from .states import (
-    BellDiagonalParams,
-    DensityMatrix,
-    bd_spectrum,
-    bell_diagonal,
-    random_bd_params,
-    random_density_matrix,
-)
+from .matcore import LOG2, MUB_TOL, PPT_TOL, SIGMAS, ZERO_BRANCH, bloch_vector, kron, partial_transpose
+from .states import BellDiagonalParams, DensityMatrix, bd_spectrum, bell_diagonal, random_bd_params
+from .states import random_density_matrix
 
 DEFAULT_RESOLUTION = (90, 180)
 REFINE_ROUNDS = 5
@@ -46,35 +33,47 @@ OVERLAP_CONVENTION_NOTE = (
 )
 
 
-def _entropy2x2_batch(mats: np.ndarray) -> np.ndarray:
-    """Entropies in bits of a batch of 2x2 Hermitian PSD matrices."""
-    tr = np.einsum("gaa->g", mats).real
-    det = (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]).real
+def _entropy2x2_batch(tr, det) -> np.ndarray:
+    """Entropies in bits of 2x2 Hermitian PSD matrices, given by their
+    traces and determinants (scalars or arrays)."""
     disc = np.sqrt(np.clip(tr * tr / 4 - det, 0.0, None))
-    lam = np.stack([tr / 2 - disc, tr / 2 + disc], axis=1)
-    lam = np.clip(lam, 0.0, None)
+    lam = np.clip(np.stack([tr / 2 - disc, tr / 2 + disc], axis=-1), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(lam > 0.0, lam * np.log(lam), 0.0)
-    return -terms.sum(axis=1) / LOG2
+    return -terms.sum(axis=-1) / LOG2
 
 
 def _holevo_batch(rho: DensityMatrix, ns: np.ndarray) -> np.ndarray:
-    """Holevo quantity in bits for a batch of Bob measurement Bloch vectors."""
-    r = rho.matrix.reshape(2, 2, 2, 2)
-    rho_a = np.trace(r, axis1=1, axis2=3)
-    s_avg = _entropy2x2_batch(rho_a[None])[0]
-    r_eb_ac = r.transpose(3, 1, 0, 2).reshape(4, 4)  # row (e, b), column (a, c)
-    cond = np.zeros(len(ns))
-    for sign in (1.0, -1.0):
-        proj = bloch_operator(sign * ns)
-        # Tr_B[rho (I (x) Pi)]: x[g, a, c] = sum_eb r[a, b, c, e] Pi_g[e, b]
-        x = (proj.reshape(-1, 4) @ r_eb_ac).reshape(-1, 2, 2)
-        p = np.einsum("gaa->g", x).real
-        ent = _entropy2x2_batch(
-            np.where(p[:, None, None] > ZERO_BRANCH, x / np.where(p == 0, 1, p)[:, None, None], 0)
-        )
-        cond += np.where(p > ZERO_BRANCH, p * ent, 0.0)
-    return s_avg - cond
+    """Holevo quantity in bits for a batch of Bob measurement Bloch vectors.
+
+    Bob's projector (I +- n . sigma)/2 leaves Alice the unnormalised state
+    x+-(n) = (A_0 +- n . A)/2, where A_k = Tr_B[rho (I (x) sigma_k)], so
+    every x+-(n) comes from one real product of the directions with the
+    entries of A_1, A_2, A_3. A_0 is rho_A.
+    """
+    # A_k[a, c] = sum_eb r[a, b, c, e] sigma_k[e, b], as rows (x00, x11, Re x01, Im x01)
+    a = np.einsum("abce,keb->kac", rho.matrix.reshape(2, 2, 2, 2), SIGMAS)
+    rows = np.stack([a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1].real, a[:, 0, 1].imag], axis=1)
+    lin = ns @ rows[1:]
+    x = np.concatenate([rows[:1], (rows[0] + lin) / 2, (rows[0] - lin) / 2])  # rho_A, x+, x-
+    tr, det = x[:, 0] + x[:, 1], x[:, 0] * x[:, 1] - x[:, 2] ** 2 - x[:, 3] ** 2
+    p = tr[1:]
+    q = np.where(p > ZERO_BRANCH, p, 1.0)
+    cond = np.where(p > ZERO_BRANCH, p * _entropy2x2_batch(p / q, det[1:] / (q * q)), 0.0)
+    return _entropy2x2_batch(tr[0], det[0]) - (cond[: len(ns)] + cond[len(ns) :])
+
+
+@functools.lru_cache(maxsize=16)
+def _direction_grid(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (thetas, phis, Bloch vectors) of the coarse grid's polar
+    rows theta <= pi/2, the first ceil(n_polar / 2) of n_polar, row-major."""
+    thetas = np.linspace(0.0, np.pi, n_polar)[: (n_polar + 1) // 2]
+    phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    grid = (thetas, phis, bloch_vector(tt.ravel(), pp.ravel()))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -88,19 +87,23 @@ def maximize_holevo(
 ) -> OptimizationResult:
     """Grid-maximize the Holevo quantity over Bob's measurement Bloch vector.
 
-    Polar x azimuthal grid, then REFINE_ROUNDS local passes with halved steps
-    around the running best. Grid ties break to the lexicographically
-    smallest (polar, azimuthal) index pair. The returned value is recomputed
-    through `holevo_quantity` at the winning direction.
+    chi(n) = chi(-n) for every two-qubit state: measuring along -n swaps
+    the two outcomes and leaves Alice's ensemble as it was. So the coarse
+    polar x azimuthal grid covers only the rows theta <= pi/2. With an even
+    n_azimuth the antipode of each of those points is a point of the full
+    grid, which therefore adds no direction; with an odd n_azimuth it is
+    not, and the hemisphere samples measurement directions more coarsely
+    than the full sphere. REFINE_ROUNDS local passes with halved steps
+    follow around the running best. Grid ties break to the
+    lexicographically smallest (polar, azimuthal) index pair. The returned
+    value is recomputed through `holevo_quantity` at the winning direction.
     """
     n_polar, n_azimuth = resolution
     if n_polar < 8 or n_azimuth < 8:
         raise ValueError("need at least 8 grid points per angle")
 
-    thetas = np.linspace(0.0, np.pi, n_polar)
-    phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    vals = _holevo_batch(rho, bloch_vector(tt.ravel(), pp.ravel()))
+    thetas, phis, ns = _direction_grid(n_polar, n_azimuth)
+    vals = _holevo_batch(rho, ns)
     best = int(np.argmax(vals))  # first occurrence = lexicographic tie-break
     th, ph = thetas[best // n_azimuth], phis[best % n_azimuth]
 
@@ -304,9 +307,9 @@ def check_ordered_frame(samples: list[BellDiagonalParams]) -> tuple[CheckResult,
     for p in samples:
         mags = np.sort(np.abs(p.as_array()))[::-1]
         q_med = correlation_bits(mags[1])
-        c = classical_correlation(p)
-        dev_qd = max(dev_qd, q_med - discord_bd(p))
-        dev_qci = max(dev_qci, q_med + c - bd_mutual_information(p))
+        c, i = classical_correlation(p), bd_mutual_information(p)
+        dev_qd = max(dev_qd, q_med - clamped_discord(i, c))
+        dev_qci = max(dev_qci, q_med + c - i)
     return (
         CheckResult("ordered-frame-q1-below-discord", dev_qd <= 1e-12, dev_qd, 1e-12),
         CheckResult("ordered-frame-q1-plus-c-below-i", dev_qci <= 1e-12, dev_qci, 1e-12),

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from .correlations import CorrelationReport, bd_mutual_information, classical_correlation, correlation_bits
-from .correlations import discord_bd
+from .correlations import CorrelationReport, bd_mutual_information, classical_correlation, clamped_discord
+from .correlations import correlation_bits
 from .entanglement import all_correlations_nonzero, negativity_bd, rel_entropy_entanglement_bd
 from .states import BellDiagonalParams, DensityMatrix, bell_diagonal, bloch_decompose, require_mixed_marginals
 from .states import round_onto_tetrahedron, signed_svd
@@ -26,14 +26,15 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
     diag = np.diag(dec.T)
     i_x, i_y, i_z = (correlation_bits(c) for c in np.clip(diag, -1.0, 1.0))
     p = round_onto_tetrahedron(signed_svd(dec.T)[1])
+    c, i = classical_correlation(p), bd_mutual_information(p)
     return CorrelationReport(
         i_x=i_x,
         i_y=i_y,
         i_z=i_z,
-        classical_c=classical_correlation(p),
-        discord=discord_bd(p),
+        classical_c=c,
+        discord=clamped_discord(i, c),
         q1=i_z,
-        mutual_info=bd_mutual_information(p),
+        mutual_info=i,
         negativity=negativity_bd(p),
         e_r=rel_entropy_entanglement_bd(p),
         all_complementary_nonzero=all_correlations_nonzero(diag),

@@ -6,6 +6,7 @@ in the Bell basis are closed-form and are used throughout as the exact
 reference against numeric eigensolves.
 """
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -14,10 +15,9 @@ import numpy as np
 
 from .matcore import (
     DERIVED_TOL,
-    I2,
     MARGINAL_TOL,
-    PAULIS,
     PHYSICALITY_TOL,
+    SIGMAS,
     STATE_TOL,
     entropy_of_probabilities,
     is_hermitian,
@@ -32,8 +32,7 @@ _BELL_SIGNS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], dtype=f
 # PAULI_PRODUCTS[i, j] = sigma_i (x) sigma_j, with sigma_0 = I: every Pauli
 # coefficient Tr[rho (sigma_i (x) sigma_j)] is read, and every state
 # (1/4) sum c_ij sigma_i (x) sigma_j built, by one contraction with it.
-_SIGMA = np.stack((I2,) + PAULIS)
-PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
+PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", SIGMAS, SIGMAS).reshape(4, 4, 4, 4)
 PAULI_PRODUCTS.flags.writeable = False
 
 
@@ -77,6 +76,16 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_spectrum", spectrum)
 
+    def permuted(self, grid) -> "DensityMatrix":
+        """This state conjugated by a basis permutation, given as its np.ix_
+        index grid. The spectrum is this state's, so it is kept, not solved
+        again, and nothing is re-validated."""
+        m = self.matrix[grid]
+        m.flags.writeable = False
+        out = copy.copy(self)  # dims and spectrum as they are, no __post_init__
+        object.__setattr__(out, "matrix", m)
+        return out
+
     def partial_trace(self, keep) -> "DensityMatrix":
         reduced = partial_trace(self.matrix, self.dims, keep)
         return DensityMatrix(reduced, tuple(self.dims[k] for k in sorted(keep)))
@@ -104,29 +113,26 @@ class BellDiagonalParams:
 
     def eigenvalues(self) -> np.ndarray:
         """Closed-form eigenvalues in Bell-basis order (phi+, phi-, psi+, psi-)."""
-        c1, c2, c3 = self.c1, self.c2, self.c3
-        return np.array(
-            [
-                (1 + c1 - c2 + c3) / 4,
-                (1 - c1 + c2 + c3) / 4,
-                (1 + c1 + c2 - c3) / 4,
-                (1 - c1 - c2 - c3) / 4,
-            ]
-        )
+        return np.array(_bell_eigenvalues(self.c1, self.c2, self.c3))
 
     def is_physical(self) -> bool:
-        return bool(self.eigenvalues().min() >= -PHYSICALITY_TOL)
+        return bool(min(_bell_eigenvalues(self.c1, self.c2, self.c3)) >= -PHYSICALITY_TOL)
 
     def validate(self, tol: float = PHYSICALITY_TOL) -> None:
         if not (math.isfinite(self.c1) and math.isfinite(self.c2) and math.isfinite(self.c3)):
             raise ValueError(f"non-finite correlation triple ({self.c1}, {self.c2}, {self.c3})")
-        eig = self.eigenvalues()
-        i = int(np.argmin(eig))
+        eig = _bell_eigenvalues(self.c1, self.c2, self.c3)
+        i = min(range(4), key=eig.__getitem__)
         if eig[i] < -tol:
             raise ValueError(
                 f"unphysical correlation triple ({self.c1}, {self.c2}, {self.c3}): "
                 f"Bell-basis eigenvalue for {_BELL_LABELS[i]} is {eig[i]:.6g}"
             )
+
+
+def _bell_eigenvalues(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:
+    """The four Bell-basis eigenvalues of the triple, in the order of _BELL_LABELS."""
+    return ((1 + c1 - c2 + c3) / 4, (1 - c1 + c2 + c3) / 4, (1 + c1 + c2 - c3) / 4, (1 - c1 - c2 - c3) / 4)
 
 
 @dataclass(frozen=True)
@@ -262,8 +268,7 @@ def bd_params_of(rho: DensityMatrix) -> BellDiagonalParams:
 def random_bd_params(rng: np.random.Generator) -> BellDiagonalParams:
     """Uniform sample of the physical Bell-diagonal tetrahedron (rejection)."""
     while True:
-        c = rng.uniform(-1, 1, 3)
-        p = BellDiagonalParams(*c)
+        p = BellDiagonalParams(*rng.uniform(-1, 1, 3).tolist())
         if p.is_physical():
             return p
 

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compcorr.correlations import classical_correlation, holevo_quantity, q1
 from compcorr import oracle
 from compcorr.edss import edss_useful
+from compcorr.matcore import LOG2, ZERO_BRANCH, bloch_operator, bloch_vector
 from compcorr.oracle import (
     check_holevo,
     check_spectra,
@@ -24,7 +29,90 @@ from compcorr.states import (
     family_eq15,
     is_separable_bd,
     random_bd_params,
+    random_density_matrix,
 )
+
+
+def _full_sphere_holevo_batch(rho, ns):
+    """Holevo quantity per direction from both projectors (I +- n . sigma)/2,
+    the conditional states by a complex matmul and their entropies from
+    trace and determinant."""
+
+    def entropies(mats):
+        tr = np.einsum("gaa->g", mats).real
+        det = (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]).real
+        disc = np.sqrt(np.clip(tr * tr / 4 - det, 0.0, None))
+        lam = np.clip(np.stack([tr / 2 - disc, tr / 2 + disc], axis=1), 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -np.where(lam > 0.0, lam * np.log(lam), 0.0).sum(axis=1) / LOG2
+
+    r = rho.matrix.reshape(2, 2, 2, 2)
+    r_eb_ac = r.transpose(3, 1, 0, 2).reshape(4, 4)  # row (e, b), column (a, c)
+    cond = np.zeros(len(ns))
+    for sign in (1.0, -1.0):
+        x = (bloch_operator(sign * ns).reshape(-1, 4) @ r_eb_ac).reshape(-1, 2, 2)
+        p = np.einsum("gaa->g", x).real
+        ent = entropies(np.where(p[:, None, None] > ZERO_BRANCH, x / np.where(p == 0, 1, p)[:, None, None], 0))
+        cond += np.where(p > ZERO_BRANCH, p * ent, 0.0)
+    return entropies(np.trace(r, axis1=1, axis2=3)[None])[0] - cond
+
+
+def _full_sphere_maximize(rho, n_polar, n_azimuth):
+    """The grid maximizer over every polar row, theta in [0, pi], with the
+    same refinement and tie-break as `maximize_holevo`."""
+    thetas = np.linspace(0.0, np.pi, n_polar)
+    phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    best = int(np.argmax(_full_sphere_holevo_batch(rho, bloch_vector(tt.ravel(), pp.ravel()))))
+    th, ph = thetas[best // n_azimuth], phis[best % n_azimuth]
+    step_t, step_p = np.pi / (n_polar - 1) / 2, np.pi / n_azimuth
+    offsets = np.array([-2, -1, 0, 1, 2])
+    for _ in range(oracle.REFINE_ROUNDS):
+        tg, pg = np.meshgrid(np.clip(th + offsets * step_t, 0.0, np.pi), ph + offsets * step_p, indexing="ij")
+        k = int(np.argmax(_full_sphere_holevo_batch(rho, bloch_vector(tg.ravel(), pg.ravel()))))
+        th, ph = tg.ravel()[k], pg.ravel()[k]
+        step_t, step_p = step_t / 2, step_p / 2
+    n = bloch_vector(th, ph)
+    return holevo_quantity(rho, n / np.linalg.norm(n)), n
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0, np.pi), st.floats(0, 2 * np.pi))
+@settings(max_examples=60, deadline=None)
+def test_holevo_quantity_is_even_in_the_direction(seed, theta, phi):
+    # Ginibre states have nonzero local Bloch vectors, so the two outcomes
+    # are not equally likely; measuring along -n only swaps them
+    rho = random_density_matrix(np.random.default_rng(seed), (2, 2))
+    n = bloch_vector(theta, phi)
+    assert abs(holevo_quantity(rho, n) - holevo_quantity(rho, -n)) <= 1e-14
+
+
+@pytest.mark.parametrize("resolution, count", [((90, 180), 4), ((16, 32), 12)])
+def test_hemisphere_maximum_matches_the_full_sphere(resolution, count):
+    rng = np.random.default_rng(55)
+    states = [bell_diagonal(random_bd_params(rng)) for _ in range(count)]
+    states += [random_density_matrix(rng, (2, 2)) for _ in range(count)]
+    for rho in states:
+        want, n_want = _full_sphere_maximize(rho, *resolution)
+        got = maximize_holevo(rho, resolution)
+        assert abs(got.value - want) <= 1e-15
+        n_got = got.argmax_bloch
+        assert min(np.max(np.abs(n_got - n_want)), np.max(np.abs(n_got + n_want))) <= 1e-12
+
+
+# (9, 11): an odd n_polar keeps the equator row theta = pi/2
+@pytest.mark.parametrize("resolution", [(90, 180), (16, 32), (9, 11)])
+def test_holevo_batch_sees_the_hemisphere_grid_and_refinement(monkeypatch, resolution):
+    sizes = []
+    original = oracle._holevo_batch
+
+    def counting(rho, ns):
+        sizes.append(len(ns))
+        return original(rho, ns)
+
+    monkeypatch.setattr(oracle, "_holevo_batch", counting)
+    maximize_holevo(bell_diagonal(BellDiagonalParams(0.45, -0.2, 0.3)), resolution)
+    n_polar, n_azimuth = resolution
+    assert sizes == [math.ceil(n_polar / 2) * n_azimuth] + [25] * oracle.REFINE_ROUNDS
 
 
 class TestMaximizeHolevo:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compcorr import edss, report, states
-from compcorr.correlations import complementary_correlations, total_mutual_information
+from compcorr.correlations import bd_mutual_information, classical_correlation, complementary_correlations
+from compcorr.correlations import total_mutual_information
 from compcorr.entanglement import negativity
 from compcorr.matcore import kron
 from compcorr.oracle import spectrum_crosscheck
@@ -82,14 +83,15 @@ def test_report_work_count(monkeypatch):
     # one report on an already built state costs no kron, one Bloch
     # decomposition (the triple is the signed SVD of its T, with no rotated
     # state) and no eigensolve: every field is a closed form of T, and the
-    # measured routes are not called
+    # measured routes are not called. C and I are evaluated once each, and
+    # the discord is formed from those two values.
     rho = _rotated_bd_state(BellDiagonalParams(0.4, 0.1, -0.3), 7)
     counts = {"kron": 0, "bloch_decompose": 0, "eigvalsh": 0}
     _count_calls(monkeypatch, np, "kron", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     wrapped = _count_calls(monkeypatch, states, "bloch_decompose", counts)
     monkeypatch.setattr(report, "bloch_decompose", wrapped)
-    for fn in _MEASURED_ROUTES:
+    for fn in _MEASURED_ROUTES + (classical_correlation, bd_mutual_information):
         _count_everywhere(monkeypatch, fn, counts)
     report_for_state(rho)
     assert counts == {
@@ -99,6 +101,8 @@ def test_report_work_count(monkeypatch):
         "complementary_correlations": 0,
         "total_mutual_information": 0,
         "negativity": 0,
+        "classical_correlation": 1,
+        "bd_mutual_information": 1,
     }
 
 

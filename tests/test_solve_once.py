@@ -1,6 +1,7 @@
 """Routes that solve each state once, against the routes that solved it again.
 
-`DensityMatrix` keeps the spectrum of its PSD check, `report_for_state`
+`DensityMatrix` keeps the spectrum of its PSD check (and a CNOT stage of
+`run_protocol`, a basis permutation, keeps its parent's), `report_for_state`
 reads the Bell-diagonal triple from the signed SVD of T with no rotated
 state, and `complementary_correlations` contracts the state once with
 the stacked axis projectors. Each is compared here with the direct form.
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from compcorr import report
 from compcorr.correlations import complementary_correlations, outcome_mutual_information
+from compcorr.edss import GRID_AC, GRID_BC, ancilla_state, run_protocol
 from compcorr.matcore import I2, PAULIS, hermitian_spectrum, kron, von_neumann_entropy
 from compcorr.states import (
     BellDiagonalParams,
@@ -43,6 +45,33 @@ def test_kept_spectrum_is_read_only():
     rho = bell_diagonal(BellDiagonalParams(0.5, 0.25, 0.25))
     with pytest.raises(ValueError):
         rho.spectrum()[0] = 1.0
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_permuted_state_keeps_the_matrix_spectrum(seed):
+    rho = random_density_matrix(np.random.default_rng(seed), (2, 2, 2))
+    for grid in (GRID_AC, GRID_BC):
+        out = rho.permuted(grid)
+        np.testing.assert_array_equal(out.matrix, rho.matrix[grid])
+        assert out.dims == rho.dims and not out.matrix.flags.writeable
+        np.testing.assert_allclose(out.spectrum(), np.linalg.eigvalsh(out.matrix), rtol=0, atol=1e-14)
+
+
+def test_run_protocol_solves_ten_8x8_spectra(monkeypatch):
+    # the PSD check of the initial state and the nine stage partial
+    # transposes; the two CNOT stages keep the initial state's spectrum
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return original(m, *args, **kwargs)
+
+    rho, anc = bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3)), ancilla_state(0.0, 0.0, 0.5)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    run_protocol(rho, anc)
+    assert calls.count((8, 8)) == 10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from compcorr.matcore import kron
+from compcorr.matcore import PHYSICALITY_TOL, kron
 from compcorr.oracle import check_spectra
 from compcorr.states import (
     PHI_PLUS,
@@ -89,6 +89,21 @@ class TestBellDiagonal:
     def test_spectrum_crosscheck_sampled(self):
         rng = np.random.default_rng(11)
         assert check_spectra([random_bd_params(rng) for _ in range(1000)]).passed
+
+    def test_random_bd_params_matches_a_reference_rejection_loop(self):
+        # one uniform draw of three per try, kept when its closed-form
+        # Bell-basis eigenvalues are all at least -PHYSICALITY_TOL
+        rng = np.random.default_rng(0)
+        want = []
+        while len(want) < 1000:
+            c = rng.uniform(-1, 1, 3)
+            c1, c2, c3 = c
+            lam = np.array([1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3]) / 4
+            if lam.min() >= -PHYSICALITY_TOL:
+                want.append(c)
+        rng = np.random.default_rng(0)
+        got = [random_bd_params(rng).as_array() for _ in range(1000)]
+        np.testing.assert_array_equal(got, want)
 
     def test_separability(self):
         assert is_separable_bd(BellDiagonalParams(0, 0, 1))
