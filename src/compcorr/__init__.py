@@ -26,7 +26,6 @@ from .edss import (
 )
 from .entanglement import (
     PptVerdict,
-    necessary_condition_bd,
     negativity,
     ppt_verdict,
     rel_entropy_entanglement_bd,

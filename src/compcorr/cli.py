@@ -4,6 +4,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .edss import ancilla_state, edss_useful, require_separable, run_protocol, sweep, sweep_csv, sweep_summary
 from .matcore import fmt
 from .oracle import run_verification, verification_report
@@ -11,12 +13,13 @@ from .report import report_for_state
 from .states import BellDiagonalParams, DensityMatrix, bd_params_of, bell_diagonal, load_state
 
 
-def _parse_bd(text: str) -> BellDiagonalParams:
+def _parse_bd(text: str) -> tuple[float, ...]:
+    # the command builds the BellDiagonalParams, so that its error reaches main
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated decimals: c1,c2,c3")
     try:
-        return BellDiagonalParams(*(float(x) for x in parts))
+        return tuple(float(x) for x in parts)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
 
@@ -40,7 +43,7 @@ def _parse_ancilla(text: str):
 def _resolve_state(args) -> DensityMatrix:
     if args.state is not None:
         return load_state(args.state)
-    return bell_diagonal(args.bd)
+    return bell_diagonal(BellDiagonalParams(*args.bd))
 
 
 def _emit(text: str, out_path) -> None:
@@ -100,7 +103,10 @@ def _trace_doc(trace) -> dict:
 
 
 def _cmd_edss(args) -> int:
-    p = bd_params_of(load_state(args.state)) if args.state is not None else args.bd
+    if args.state is not None:
+        p, RA, RB = bd_params_of(load_state(args.state))
+    else:
+        p, RA, RB = BellDiagonalParams(*args.bd), np.eye(3), np.eye(3)
     require_separable(p)
 
     if args.ancilla == "auto":
@@ -115,6 +121,8 @@ def _cmd_edss(args) -> int:
     else:
         doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*args.ancilla)))
         doc["ancilla"] = list(args.ancilla)
+    if not np.array_equal([RA, RB], [np.eye(3)] * 2):  # trace and witness are of the rotated state
+        doc["rotations"] = [RA.tolist(), RB.tolist()]
 
     text = json.dumps(doc, indent=1) + "\n" if args.format == "json" else _text(doc)
     _emit(text, args.out)

@@ -2,7 +2,8 @@
 
 Runtime closed forms (`report_for_state` reads every number off them):
 `correlation_bits`, `classical_correlation`, `bd_mutual_information`,
-`discord_bd` (`clamped_discord` of the two before it). Measured references,
+`discord_bd` (`clamped_discord` of the two before it), which read a
+`BellDiagonalParams` checked once when it was built. Measured references,
 which the oracle and the tests check them against:
 `complementary_correlations` (same-axis outcome tables), `holevo_quantity`
 (Bob measures along a unit Bloch vector n, projectors (I +- n . sigma)/2
@@ -103,7 +104,7 @@ def correlation_bits(c: float) -> float:
     error 1.4e-13 at c = 0.03, against 4e-15 here).
     """
     c = abs(float(c))
-    if c > 1 + PROB_CLAMP:
+    if not c <= 1 + PROB_CLAMP:  # written so that a NaN fails
         raise ValueError(f"correlation coefficient {c} outside [-1, 1]")
     c = min(c, 1.0)
     acc = (1 + c) / 2 * np.log(1 + c)
@@ -118,7 +119,6 @@ def classical_correlation(p: BellDiagonalParams) -> float:
 
     Attained along the axis carrying the largest |c_i|.
     """
-    p.validate()
     return correlation_bits(np.max(np.abs(p.as_array())))
 
 
@@ -136,15 +136,14 @@ def total_mutual_information(rho: DensityMatrix) -> float:
 
 def bd_mutual_information(p: BellDiagonalParams) -> float:
     """Closed form 2 - S(rho) for Bell-diagonal states."""
-    p.validate()
     return 2.0 - entropy_of_probabilities(bd_spectrum(p))
 
 
 def clamped_discord(mutual_info: float, classical_c: float) -> float:
     """Discord I - C, clamped at zero against float noise."""
     d = mutual_info - classical_c
-    if d < -DERIVED_TOL:
-        raise AssertionError(f"closed-form discord came out negative: {d}")
+    if not d >= -DERIVED_TOL:  # written so that a NaN fails
+        raise AssertionError(f"closed-form discord came out negative or NaN: {d}")
     return max(d, 0.0)
 
 

@@ -54,6 +54,7 @@ witness. `oracle.edss_useful_numeric` is the numeric reference: a per-point
 8x8 grid search over the whole ancilla ball.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -62,7 +63,7 @@ import numpy as np
 from .entanglement import PptVerdict, negativity, ppt_verdict
 from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, kron
 from .report import report_for_bd
-from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_separable_bd
+from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_physical, is_separable_bd
 
 STAGES = ("initial", "after_alice", "after_bob")
 CUT_FACTORS = (0, 2, 1)  # A|BC, C|AB, B|AC
@@ -146,8 +147,8 @@ class EdssSearchResult:
 
 
 def require_separable(p: BellDiagonalParams) -> None:
-    """Raise unless p is a physical, separable correlation triple."""
-    if not is_separable_bd(p):  # validates p first
+    """Raise unless p is a separable correlation triple."""
+    if not is_separable_bd(p):
         raise ValueError(
             f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
             "the protocol requires a separable resource"
@@ -167,7 +168,7 @@ def edss_useful(p: BellDiagonalParams) -> EdssSearchResult:
     """Decide whether some ancilla distributes entanglement with a PPT send
     step, and certify a z-axis witness through `run_protocol`.
 
-    The input must be a physical, separable correlation triple. The signs
+    The input must be a separable correlation triple. The signs
     are tested rather than the product, which can underflow to 0.
     """
     require_separable(p)
@@ -223,38 +224,38 @@ def sweep(resolution: int) -> list[SweepRow]:
         raise ValueError("resolution must be at least 2 per axis")
     axis = np.linspace(-1.0, 1.0, resolution)
     rows = []
-    for v1 in axis:
-        for v2 in axis:
-            for v3 in axis:
-                p = BellDiagonalParams(float(v1), float(v2), float(v3))
-                if not p.is_physical() or not is_separable_bd(p):
-                    continue
-                rep = report_for_bd(p)
-                res = edss_useful(p)
-                wit = res.witness if res.witness is not None else (None, None, None)
-                rows.append(
-                    SweepRow(
-                        c1=p.c1,
-                        c2=p.c2,
-                        c3=p.c3,
-                        i_x=rep.i_x,
-                        i_y=rep.i_y,
-                        i_z=rep.i_z,
-                        C=rep.classical_c,
-                        D=rep.discord,
-                        Q1=rep.q1,
-                        I=rep.mutual_info,
-                        negativity=rep.negativity,
-                        bd_rank=bd_rank(p),
-                        edss_useful=res.useful,
-                        witness_theta=wit[0],
-                        witness_phi=wit[1],
-                        witness_r=wit[2],
-                        r_a=res.r_a,
-                        s_c=res.s_c,
-                        protocol_invalid=(not res.useful) and res.r_a < 1,
-                    )
-                )
+    for c in itertools.product(axis.tolist(), repeat=3):
+        if not is_physical(c):
+            continue
+        p = BellDiagonalParams(*c)
+        if not is_separable_bd(p):
+            continue
+        rep = report_for_bd(p)
+        res = edss_useful(p)
+        wit = res.witness if res.witness is not None else (None, None, None)
+        rows.append(
+            SweepRow(
+                c1=p.c1,
+                c2=p.c2,
+                c3=p.c3,
+                i_x=rep.i_x,
+                i_y=rep.i_y,
+                i_z=rep.i_z,
+                C=rep.classical_c,
+                D=rep.discord,
+                Q1=rep.q1,
+                I=rep.mutual_info,
+                negativity=rep.negativity,
+                bd_rank=bd_rank(p),
+                edss_useful=res.useful,
+                witness_theta=wit[0],
+                witness_phi=wit[1],
+                witness_r=wit[2],
+                r_a=res.r_a,
+                s_c=res.s_c,
+                protocol_invalid=(not res.useful) and res.r_a < 1,
+            )
+        )
     return rows
 
 

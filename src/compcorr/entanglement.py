@@ -51,8 +51,7 @@ def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
 def negativity_bd(p: BellDiagonalParams) -> float:
     """Negativity, Bell-diagonal closed form: the partial transpose has
     eigenvalues 1/2 - lambda_k, so only a lambda_max above 1/2 counts."""
-    p.validate()
-    return max(0.0, float(p.eigenvalues().max()) - 0.5)
+    return max(0.0, max(p.eigenvalues) - 0.5)
 
 
 def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
@@ -61,8 +60,7 @@ def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
     Zero when the largest Bell-basis eigenvalue is at most 1/2, otherwise
     1 - H2(lambda_max) bits.
     """
-    p.validate()
-    lmax = float(p.eigenvalues().max())
+    lmax = max(p.eigenvalues)
     if lmax <= 0.5:
         return 0.0
     return 1.0 - entropy_of_probabilities([lmax, 1 - lmax])
@@ -71,14 +69,7 @@ def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
 def all_correlations_nonzero(diag) -> bool:
     """Every diagonal correlation |T_kk| above PPT_TOL. With maximally mixed
     marginals i_k = 0 iff T_kk = 0, and i_k (about 0.72 T_kk^2 bits) itself
-    falls below PPT_TOL already at |T_kk| of about 1e-6."""
+    falls below PPT_TOL already at |T_kk| of about 1e-6. On a Bell-diagonal
+    triple (`p.as_array()`) this is necessary, not sufficient, for the state
+    to be entangled."""
     return bool(np.all(np.abs(diag) > PPT_TOL))
-
-
-def necessary_condition_bd(p: BellDiagonalParams) -> bool:
-    """All three correlation coefficients nonzero.
-
-    Necessary (not sufficient) for a Bell-diagonal state to be entangled.
-    """
-    p.validate()
-    return all_correlations_nonzero(p.as_array())

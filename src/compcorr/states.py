@@ -57,6 +57,8 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
+        if any(d < 1 for d in dims):
+            raise ValueError(f"factor dims {dims} must each be at least 1")
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
@@ -102,37 +104,43 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class BellDiagonalParams:
-    """Correlation triple (c1, c2, c3); one point of the Bell-diagonal tetrahedron."""
+    """A point (c1, c2, c3) of the Bell-diagonal tetrahedron, checked once on
+    construction: finite, with every Bell-basis eigenvalue at least
+    -PHYSICALITY_TOL. The fields are Python floats. `eigenvalues` keeps the
+    four, in the order of _BELL_LABELS, for the closed forms; it is neither
+    compared nor hashed."""
 
     c1: float
     c2: float
     c3: float
+    eigenvalues: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = (float(self.c1), float(self.c2), float(self.c3))
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"non-finite correlation triple {c}")
+        lam = _bell_eigenvalues(*c)
+        i = min(range(4), key=lam.__getitem__)
+        if lam[i] < -PHYSICALITY_TOL:
+            raise ValueError(
+                f"unphysical correlation triple {c}: Bell-basis eigenvalue for {_BELL_LABELS[i]} is {lam[i]:.6g}"
+            )
+        for name, v in zip(("c1", "c2", "c3"), c):
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "eigenvalues", lam)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c1, self.c2, self.c3], dtype=float)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Closed-form eigenvalues in Bell-basis order (phi+, phi-, psi+, psi-)."""
-        return np.array(_bell_eigenvalues(self.c1, self.c2, self.c3))
-
-    def is_physical(self) -> bool:
-        return bool(min(_bell_eigenvalues(self.c1, self.c2, self.c3)) >= -PHYSICALITY_TOL)
-
-    def validate(self, tol: float = PHYSICALITY_TOL) -> None:
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2) and math.isfinite(self.c3)):
-            raise ValueError(f"non-finite correlation triple ({self.c1}, {self.c2}, {self.c3})")
-        eig = _bell_eigenvalues(self.c1, self.c2, self.c3)
-        i = min(range(4), key=eig.__getitem__)
-        if eig[i] < -tol:
-            raise ValueError(
-                f"unphysical correlation triple ({self.c1}, {self.c2}, {self.c3}): "
-                f"Bell-basis eigenvalue for {_BELL_LABELS[i]} is {eig[i]:.6g}"
-            )
 
 
 def _bell_eigenvalues(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:
     """The four Bell-basis eigenvalues of the triple, in the order of _BELL_LABELS."""
     return ((1 + c1 - c2 + c3) / 4, (1 - c1 + c2 + c3) / 4, (1 + c1 + c2 - c3) / 4, (1 - c1 - c2 - c3) / 4)
+
+
+def is_physical(c) -> bool:
+    """Whether a raw triple passes the eigenvalue check of BellDiagonalParams; a NaN fails."""
+    return all(x >= -PHYSICALITY_TOL for x in _bell_eigenvalues(*c))
 
 
 @dataclass(frozen=True)
@@ -152,23 +160,21 @@ PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = np.array(
 
 def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
     """Build the state (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n)."""
-    p.validate()
     return DensityMatrix(_pauli_sum(np.diag([1.0, p.c1, p.c2, p.c3])), (2, 2))
 
 
 def bd_spectrum(p: BellDiagonalParams) -> np.ndarray:
     """The four closed-form eigenvalues, sorted ascending."""
-    return np.sort(p.eigenvalues())
+    return np.sort(p.eigenvalues)
 
 
 def is_separable_bd(p: BellDiagonalParams) -> bool:
     """PPT (= separability for two qubits): max eigenvalue at most 1/2."""
-    p.validate()
-    return bool(p.eigenvalues().max() <= 0.5 + PHYSICALITY_TOL)
+    return max(p.eigenvalues) <= 0.5 + PHYSICALITY_TOL
 
 
 def bd_rank(p: BellDiagonalParams) -> int:
-    return int(np.sum(p.eigenvalues() > PHYSICALITY_TOL))
+    return sum(x > PHYSICALITY_TOL for x in p.eigenvalues)
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
@@ -224,53 +230,53 @@ def classically_correlated() -> DensityMatrix:
     return DensityMatrix(m, (2, 2))
 
 
-def require_mixed_marginals(dec: BlochDecomposition) -> None:
-    """Raise unless both local Bloch vectors vanish within MARGINAL_TOL, which
-    a state needs to be locally equivalent to a Bell-diagonal state."""
+def round_onto_tetrahedron(c) -> BellDiagonalParams:
+    """The triple c read off the T of a validated state, as a checked value.
+
+    c must be physical within DERIVED_TOL. A physical triple is kept as it
+    is. One within that slack but outside PHYSICALITY_TOL is rounded onto
+    the tetrahedron: its Bell-basis eigenvalues are clipped to 0 and
+    renormalised, and c is read back.
+    """
+    try:
+        return BellDiagonalParams(*c)
+    except ValueError:
+        lam = np.array(_bell_eigenvalues(*c))
+        if not lam.min() >= -DERIVED_TOL:  # written so that a NaN fails
+            raise
+    lam = np.clip(lam, 0.0, None)
+    return BellDiagonalParams(*(_BELL_SIGNS @ (lam / lam.sum())))
+
+
+def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np.ndarray]:
+    """(p, RA, RB) for a state whose local Bloch vectors vanish within
+    MARGINAL_TOL: its triple p, rounded onto the tetrahedron, and RA, RB in
+    SO(3) with RA T RB^T = diag(p). They lift to the local unitaries taking
+    the state to its normal form bell_diagonal(p) (R. Horodecki and
+    M. Horodecki, PRA 54, 1838 (1996)). A diagonal T keeps its frame, with
+    RA = RB = I, since r_a, s_c and the witness of `edss_useful` depend on
+    which axis carries which c_k; a `bell_diagonal` state's T has exact 0s
+    off the diagonal. Any other T goes through `signed_svd`, since a
+    diagonal taken within m of T can be sqrt(6) m off its singular values.
+    """
+    dec = bloch_decompose(rho)
     na, nb = np.linalg.norm(dec.a), np.linalg.norm(dec.b)
     if not max(na, nb) <= MARGINAL_TOL:
         raise ValueError(f"state does not have maximally mixed marginals: |a| = {na:.3e}, |b| = {nb:.3e}")
-
-
-def round_onto_tetrahedron(c) -> BellDiagonalParams:
-    """The triple c read off the T of a validated state, for the closed forms.
-
-    c must be physical within DERIVED_TOL. A triple within that slack but
-    outside PHYSICALITY_TOL, which the closed forms check, is rounded onto
-    the tetrahedron: its Bell-basis eigenvalues are clipped to 0 and
-    renormalised, and c is read back. A physical triple is kept as it is.
-    """
-    p = BellDiagonalParams(*c)
-    p.validate(tol=DERIVED_TOL)
-    if not p.is_physical():
-        lam = np.clip(p.eigenvalues(), 0.0, None)
-        p = BellDiagonalParams(*(_BELL_SIGNS @ (lam / lam.sum())))
-    return p
-
-
-def bd_params_of(rho: DensityMatrix) -> BellDiagonalParams:
-    """Correlation triple of a state with maximally mixed marginals, rounded
-    onto the tetrahedron as `report_for_state` rounds its own.
-
-    Requires vanishing local Bloch vectors; the T matrix must be diagonal
-    within MARGINAL_TOL (otherwise read the triple off signed_svd of T). The
-    diagonal is kept in its own frame, since r_a, s_c and the witness of
-    `edss_useful` depend on which axis carries which c_k.
-    """
-    dec = bloch_decompose(rho)
-    require_mixed_marginals(dec)
-    off = dec.T - np.diag(np.diag(dec.T))
-    if np.max(np.abs(off)) > MARGINAL_TOL:
-        raise ValueError("correlation matrix is not diagonal; not Bell-diagonal on these axes")
-    return round_onto_tetrahedron(np.diag(dec.T))
+    T = dec.T
+    if np.array_equal(T, np.diag(np.diag(T))):
+        RA, c, RB = np.eye(3), np.diag(T), np.eye(3)
+    else:
+        RA, c, RB = signed_svd(T)
+    return round_onto_tetrahedron(c), RA, RB
 
 
 def random_bd_params(rng: np.random.Generator) -> BellDiagonalParams:
     """Uniform sample of the physical Bell-diagonal tetrahedron (rejection)."""
     while True:
-        p = BellDiagonalParams(*rng.uniform(-1, 1, 3).tolist())
-        if p.is_physical():
-            return p
+        c = rng.uniform(-1, 1, 3).tolist()
+        if is_physical(c):
+            return BellDiagonalParams(*c)
 
 
 def random_density_matrix(rng: np.random.Generator, dims) -> DensityMatrix:

@@ -32,6 +32,7 @@ from compcorr.states import (
     bell_diagonal,
     classically_correlated,
     family_eq15,
+    is_physical,
     random_bd_params,
     random_density_matrix,
 )
@@ -114,11 +115,10 @@ def test_criterion_05_zeroed_coefficient_kills_entanglement():
         p = random_bd_params(rng)
         c = p.as_array()
         c[rng.integers(3)] = 0.0
-        zeroed = BellDiagonalParams(*c)
-        if not zeroed.is_physical():
+        if not is_physical(c):
             continue
         n += 1
-        rho = bell_diagonal(zeroed)
+        rho = bell_diagonal(BellDiagonalParams(*c))
         worst_neg = max(worst_neg, negativity(rho, 0))
         worst_spec = max(
             worst_spec,

@@ -6,7 +6,33 @@ import pytest
 
 from compcorr import cli, edss
 from compcorr.cli import main
-from compcorr.states import BellDiagonalParams, DensityMatrix, _pauli_sum, bell_diagonal, save_state
+from compcorr.matcore import kron
+from compcorr.states import (
+    BellDiagonalParams,
+    DensityMatrix,
+    _pauli_sum,
+    bd_params_of,
+    bell_diagonal,
+    bloch_decompose,
+    random_bd_params,
+    save_state,
+    signed_svd,
+)
+
+
+def _haar_u2(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _save_rotated_state(tmp_path, c, seed) -> tuple[str, DensityMatrix]:
+    """Save bell_diagonal(c) conjugated by two seeded Haar unitaries."""
+    rng = np.random.default_rng(seed)
+    local = kron(_haar_u2(rng), _haar_u2(rng))
+    rho = DensityMatrix(local @ bell_diagonal(BellDiagonalParams(*c)).matrix @ local.conj().T, (2, 2))
+    path = tmp_path / "rotated.json"
+    save_state(rho, path)
+    return str(path), rho
 
 
 def _save_overshooting_state(tmp_path) -> str:
@@ -152,6 +178,46 @@ class TestEdss:
         # tetrahedron as the report rounds its triple, giving c = (0, 0, 1)
         assert main(["edss", "--state", _save_overshooting_state(tmp_path)]) == 0
         assert capsys.readouterr().out.splitlines() == ["edss_useful false", "r_a 1", "s_c 1"]
+
+    def test_state_file_json(self, tmp_path, capsys):
+        # the triple read off a state is stored as Python floats, so the
+        # decision and every number serialise
+        path = tmp_path / "state.json"
+        save_state(bell_diagonal(BellDiagonalParams(0.2, -0.1, 0.4)), path)
+        assert main(["edss", "--state", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["edss_useful"] is True and doc["success"] is True
+        assert "rotations" not in doc
+
+    def test_locally_rotated_state(self, tmp_path, capsys):
+        # analyze and edss read a state through the one route, the signed
+        # SVD of T, and edss names the rotations it applied
+        path, rho = _save_rotated_state(tmp_path, (0.3, -0.3, 0.3), 3)
+        assert main(["edss", "--state", path, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        RA, s, RB = signed_svd(bloch_decompose(rho).T)
+        np.testing.assert_allclose(doc["rotations"], [RA, RB], rtol=0, atol=1e-15)
+        assert main(["edss", "--bd=" + ",".join(repr(float(x)) for x in s), "--format", "json"]) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert doc["edss_useful"] is want["edss_useful"] is True
+        assert doc.pop("rotations") and doc == want
+        assert main(["analyze", "--state", path]) == 0
+
+    def test_diagonal_state_prints_as_its_triple(self, tmp_path, capsys):
+        # a Bell-diagonal state file keeps its own frame: the same text as
+        # --bd of its diagonal, witness and trace included
+        rng = np.random.default_rng(61)
+        path = tmp_path / "state.json"
+        for _ in range(30):
+            p = random_bd_params(rng)
+            if max(p.eigenvalues) > 0.5:
+                continue
+            save_state(bell_diagonal(p), path)
+            got = bd_params_of(bell_diagonal(p))[0]
+            assert main(["edss", "--state", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert main(["edss", f"--bd={got.c1!r},{got.c2!r},{got.c3!r}"]) == 0
+            assert out == capsys.readouterr().out
 
     def test_useful_state(self, capsys):
         assert main(["edss", "--bd", "0.3,-0.3,0.3", "--format", "json"]) == 0

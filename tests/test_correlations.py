@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from compcorr.correlations import (
+    clamped_discord,
     classical_correlation,
     complementary_correlations,
     correlation_bits,
@@ -19,6 +20,7 @@ from compcorr.states import (
     DensityMatrix,
     bell_diagonal,
     classically_correlated,
+    is_physical,
     random_bd_params,
     random_density_matrix,
 )
@@ -154,10 +156,9 @@ class TestComplementaryCorrelations:
         rng = np.random.default_rng(23)
         for _ in range(50):
             p = random_bd_params(rng)
-            zeroed = BellDiagonalParams(p.c1, 0.0, p.c3)
-            if not zeroed.is_physical():
+            if not is_physical((p.c1, 0.0, p.c3)):
                 continue
-            vals = complementary_correlations(bell_diagonal(zeroed))
+            vals = complementary_correlations(bell_diagonal(BellDiagonalParams(p.c1, 0.0, p.c3)))
             assert vals[1] == pytest.approx(0.0, abs=1e-12)
             if abs(p.c1) > 1e-6:
                 assert vals[0] > 1e-12
@@ -237,3 +238,9 @@ class TestClosedForms:
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError):
             classical_correlation(BellDiagonalParams(1, 1, 1))
+
+    def test_nan_fails(self):
+        with pytest.raises(ValueError, match="outside"):
+            correlation_bits(float("nan"))
+        with pytest.raises(AssertionError, match="nan"):
+            clamped_discord(float("nan"), 0.0)

@@ -15,7 +15,7 @@ from compcorr.edss import (
     sweep_summary,
 )
 from compcorr.matcore import kron
-from compcorr.states import BellDiagonalParams, bell_diagonal, random_bd_params, random_density_matrix
+from compcorr.states import BellDiagonalParams, bell_diagonal, is_physical, random_bd_params, random_density_matrix
 
 
 # the CNOTs built from projectors: |0><0| (x) I (x) I + |1><1| (x) I (x) X
@@ -213,9 +213,8 @@ class TestSweep:
         rows = sweep(3)
         assert rows  # separable points exist on the axis-aligned sub-grid
         for r in rows:
-            p = BellDiagonalParams(r.c1, r.c2, r.c3)
-            assert p.is_physical()
-            assert bell_diagonal(p).spectrum()[-1] <= 0.5 + 1e-12
+            assert is_physical((r.c1, r.c2, r.c3))
+            assert bell_diagonal(BellDiagonalParams(r.c1, r.c2, r.c3)).spectrum()[-1] <= 0.5 + 1e-12
         # deterministic lexicographic order
         keys = [(r.c1, r.c2, r.c3) for r in rows]
         assert keys == sorted(keys)

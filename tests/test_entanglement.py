@@ -3,7 +3,7 @@ import pytest
 
 from compcorr.correlations import correlation_bits
 from compcorr.entanglement import (
-    necessary_condition_bd,
+    all_correlations_nonzero,
     negativity,
     ppt_verdict,
     pt_spectrum,
@@ -17,6 +17,7 @@ from compcorr.states import (
     bd_spectrum,
     bell_diagonal,
     family_eq15,
+    is_physical,
     random_bd_params,
     random_density_matrix,
 )
@@ -40,10 +41,9 @@ def test_negativity_zero_when_any_coefficient_vanishes():
     rng = np.random.default_rng(31)
     for _ in range(100):
         p = random_bd_params(rng)
-        zeroed = BellDiagonalParams(p.c1, 0.0, p.c3)
-        if not zeroed.is_physical():
+        if not is_physical((p.c1, 0.0, p.c3)):
             continue
-        assert negativity(bell_diagonal(zeroed), 0) < 1e-12
+        assert negativity(bell_diagonal(BellDiagonalParams(p.c1, 0.0, p.c3)), 0) < 1e-12
 
 
 def test_negativity_iff_large_eigenvalue():
@@ -58,10 +58,9 @@ def test_zeroed_coefficient_pt_spectrum_identity():
     rng = np.random.default_rng(33)
     for _ in range(100):
         p = random_bd_params(rng)
-        zeroed = BellDiagonalParams(0.0, p.c2, p.c3)
-        if not zeroed.is_physical():
+        if not is_physical((0.0, p.c2, p.c3)):
             continue
-        rho = bell_diagonal(zeroed)
+        rho = bell_diagonal(BellDiagonalParams(0.0, p.c2, p.c3))
         np.testing.assert_allclose(pt_spectrum(rho, 0), rho.spectrum(), atol=1e-10)
 
 
@@ -104,18 +103,18 @@ def test_rel_entropy_equals_q1_on_family():
     from compcorr.states import bd_params_of
 
     for c3 in np.linspace(-0.9, 0.9, 10):
-        p = bd_params_of(family_eq15(c3))
+        p, _, _ = bd_params_of(family_eq15(c3))
         assert rel_entropy_entanglement_bd(p) == pytest.approx(correlation_bits(c3), abs=1e-12)
         assert rel_entropy_entanglement_bd(p) == pytest.approx(q1(p), abs=1e-12)
 
 
 def test_necessary_condition():
-    assert not necessary_condition_bd(BellDiagonalParams(0.5, 0, 0.25))
+    assert not all_correlations_nonzero(BellDiagonalParams(0.5, 0, 0.25).as_array())
     assert negativity(bell_diagonal(BellDiagonalParams(0.5, 0, 0.25)), 0) < 1e-12
-    assert necessary_condition_bd(BellDiagonalParams(1, -1, 1))
+    assert all_correlations_nonzero(BellDiagonalParams(1, -1, 1).as_array())
     # necessary but not sufficient: all coefficients nonzero yet separable
     p = BellDiagonalParams(0.3, -0.3, 0.3)
-    assert necessary_condition_bd(p)
+    assert all_correlations_nonzero(p.as_array())
     assert negativity(bell_diagonal(p), 0) < 1e-12
 
 
@@ -123,5 +122,5 @@ def test_contrapositive_sampled():
     rng = np.random.default_rng(35)
     for _ in range(200):
         p = random_bd_params(rng)
-        if not necessary_condition_bd(p):
+        if not all_correlations_nonzero(p.as_array()):
             assert negativity(bell_diagonal(p), 0) < 1e-12

@@ -27,6 +27,7 @@ from compcorr.states import (
     bell_diagonal,
     classically_correlated,
     family_eq15,
+    is_physical,
     is_separable_bd,
     random_bd_params,
     random_density_matrix,
@@ -160,7 +161,7 @@ class TestDiscordNumeric:
 
     def test_family_matches_z_correlation(self):
         rho = family_eq15(0.5)
-        assert abs(discord_numeric(rho) - q1(bd_params_of(rho))) < 1e-4
+        assert abs(discord_numeric(rho) - q1(bd_params_of(rho)[0])) < 1e-4
 
     def test_nonnegative(self):
         rng = np.random.default_rng(51)
@@ -182,8 +183,7 @@ class TestEdssNumeric:
             c = rng.uniform(-1, 1, 3)
             if len(triples) % 3 == 0:
                 c[len(triples) % 9 // 3] = 0.0  # on an axis plane
-            p = BellDiagonalParams(*(float(x) for x in c))
-            if p.is_physical() and is_separable_bd(p):
+            if is_physical(c) and is_separable_bd(p := BellDiagonalParams(*c)):
                 triples.append(p)
         found = npt_only = 0
         for p in triples:

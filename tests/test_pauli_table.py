@@ -17,6 +17,7 @@ from compcorr.states import (
     BellDiagonalParams,
     bell_diagonal,
     bloch_decompose,
+    is_physical,
     random_density_matrix,
 )
 
@@ -60,7 +61,7 @@ def test_bloch_decompose_matches_kron_traces(seed):
     np.testing.assert_allclose(dec.T, T, rtol=0, atol=TOL)
 
 
-@given(st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda c: BellDiagonalParams(*c).is_physical()))
+@given(st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical))
 @settings(max_examples=60, deadline=None)
 def test_bell_diagonal_matches_kron_sum(c):
     m = np.kron(I2, I2).astype(complex)

@@ -4,11 +4,11 @@ from hypothesis import strategies as st
 
 from compcorr.correlations import correlation_bits, discord_bd, q1
 from compcorr.edss import ancilla_state, edss_useful, run_protocol
-from compcorr.entanglement import necessary_condition_bd, negativity
+from compcorr.entanglement import all_correlations_nonzero, negativity
 from compcorr.matcore import PPT_TOL
 from compcorr.oracle import check_involution
 from compcorr.report import report_for_bd
-from compcorr.states import BellDiagonalParams, bd_spectrum, bell_diagonal, is_separable_bd
+from compcorr.states import BellDiagonalParams, bd_spectrum, bell_diagonal, is_physical, is_separable_bd
 
 
 def physical_triples():
@@ -18,8 +18,8 @@ def physical_triples():
             st.floats(-1, 1, allow_nan=False),
             st.floats(-1, 1, allow_nan=False),
         )
+        .filter(is_physical)
         .map(lambda t: BellDiagonalParams(*t))
-        .filter(lambda p: p.is_physical())
     )
 
 
@@ -94,7 +94,7 @@ def test_clean_success_needs_negative_product(p, theta, phi, r):
 def test_z_axis_window_is_exact(p, r):
     res = edss_useful(p)
     assert 0.0 <= res.r_a <= 1.0 and 0.0 <= res.s_c <= 1.0
-    lam = p.eigenvalues()
+    lam = np.array(p.eigenvalues)
     # every partial-transpose term moves with r at a slope of at least
     # min(4 lam_min, 2 - 4 lam_max)/8 >= 2.5e-3 here, so a 1e-9 step in r
     # moves it past PPT_TOL
@@ -128,7 +128,7 @@ def test_sign_rule_matches_ratios(p):
 def test_pure_ancilla_cuts_go_npt_together(p, theta, phi):
     # with r_perp > 0 both cuts are NPT iff some partner pair of Bell-basis
     # eigenvalues differs; (0, 0, c3) makes both pairs equal
-    lam = p.eigenvalues()
+    lam = p.eigenvalues
     gap = max(abs(lam[0] - lam[1]), abs(lam[2] - lam[3]))
     assume(gap == 0.0 or gap > 1e-6)
     r_perp, v_a, v_c = _pure_send_step(p, theta, phi)
@@ -140,7 +140,7 @@ def test_pure_ancilla_cuts_go_npt_together(p, theta, phi):
 def _with_tiny_coordinate(t):
     c = list(t[:2])
     c.insert(t[3], t[2])
-    return BellDiagonalParams(*c)
+    return tuple(c)
 
 
 tiny = st.floats(1e-13, 1e-5).flatmap(lambda x: st.sampled_from([x, -x]))
@@ -149,7 +149,8 @@ tiny = st.floats(1e-13, 1e-5).flatmap(lambda x: st.sampled_from([x, -x]))
 @given(
     st.tuples(st.floats(-1, 1), st.floats(-1, 1), tiny, st.integers(0, 2))
     .map(_with_tiny_coordinate)
-    .filter(lambda p: p.is_physical())
+    .filter(is_physical)
+    .map(lambda c: BellDiagonalParams(*c))
 )
 @settings(max_examples=100, deadline=None)
 def test_entangled_means_all_complementary_nonzero(p):
@@ -160,4 +161,4 @@ def test_entangled_means_all_complementary_nonzero(p):
         assert rep.all_complementary_nonzero
     # the report and the Bell-diagonal condition give one answer
     assume(min(abs(abs(x) - PPT_TOL) for x in p.as_array()) > 1e-14)
-    assert rep.all_complementary_nonzero == necessary_condition_bd(p)
+    assert rep.all_complementary_nonzero == all_correlations_nonzero(p.as_array())

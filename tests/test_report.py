@@ -83,21 +83,29 @@ def test_report_work_count(monkeypatch):
     # one report on an already built state costs no kron, one Bloch
     # decomposition (the triple is the signed SVD of its T, with no rotated
     # state) and no eigensolve: every field is a closed form of T, and the
-    # measured routes are not called. C and I are evaluated once each, and
-    # the discord is formed from those two values.
+    # measured routes are not called. The triple is checked once, when its
+    # BellDiagonalParams is built, and its Bell-basis eigenvalues are formed
+    # once and kept. C and I are evaluated once each, and the discord is
+    # formed from those two values.
     rho = _rotated_bd_state(BellDiagonalParams(0.4, 0.1, -0.3), 7)
-    counts = {"kron": 0, "bloch_decompose": 0, "eigvalsh": 0}
+    counts = {"kron": 0, "eigvalsh": 0}
     _count_calls(monkeypatch, np, "kron", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
-    wrapped = _count_calls(monkeypatch, states, "bloch_decompose", counts)
-    monkeypatch.setattr(report, "bloch_decompose", wrapped)
+    counts["__post_init__"] = 0
+    _count_calls(monkeypatch, BellDiagonalParams, "__post_init__", counts)
+    for fn in (states.bloch_decompose, states.signed_svd, states.is_physical, states._bell_eigenvalues):
+        _count_everywhere(monkeypatch, fn, counts)
     for fn in _MEASURED_ROUTES + (classical_correlation, bd_mutual_information):
         _count_everywhere(monkeypatch, fn, counts)
     report_for_state(rho)
     assert counts == {
         "kron": 0,
-        "bloch_decompose": 1,
         "eigvalsh": 0,
+        "__post_init__": 1,
+        "bloch_decompose": 1,
+        "signed_svd": 1,
+        "is_physical": 0,
+        "_bell_eigenvalues": 1,
         "complementary_correlations": 0,
         "total_mutual_information": 0,
         "negativity": 0,
@@ -127,7 +135,7 @@ def _measured(rho) -> dict:
     }
 
 
-physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda c: BellDiagonalParams(*c).is_physical())
+physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(states.is_physical)
 
 
 @given(physical_triples, st.integers(0, 2**32 - 1))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compcorr import report
+from compcorr import report, states
 from compcorr.correlations import complementary_correlations, outcome_mutual_information
 from compcorr.edss import GRID_AC, GRID_BC, ancilla_state, run_protocol
 from compcorr.matcore import I2, PAULIS, hermitian_spectrum, kron, von_neumann_entropy
@@ -20,12 +20,13 @@ from compcorr.states import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
+    is_physical,
     random_density_matrix,
     signed_svd,
 )
 
 seeds = st.integers(0, 2**32 - 1)
-physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda c: BellDiagonalParams(*c).is_physical())
+physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical)
 
 
 def _haar_su2(rng):
@@ -112,12 +113,12 @@ def test_report_triple_is_the_normal_form_diagonal(c, seed):
         seen.append(tuple(triple))
         return original(triple)
 
-    original = report.round_onto_tetrahedron
-    report.round_onto_tetrahedron = recording
+    original = states.round_onto_tetrahedron
+    states.round_onto_tetrahedron = recording
     try:
         report.report_for_state(rho)
     finally:
-        report.round_onto_tetrahedron = original
+        states.round_onto_tetrahedron = original
     (triple,) = seen
     np.testing.assert_allclose(sorted(np.abs(triple)), sorted(np.abs(c)), rtol=0, atol=1e-14)
     assert np.prod(triple) == pytest.approx(np.prod(c), rel=0, abs=1e-14)

@@ -15,10 +15,12 @@ from compcorr.states import (
     bloch_decompose,
     classically_correlated,
     family_eq15,
+    is_physical,
     is_separable_bd,
     load_state,
     random_bd_params,
     random_density_matrix,
+    round_onto_tetrahedron,
     save_state,
     signed_svd,
     werner,
@@ -51,6 +53,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 2, 2))
 
+    def test_rejects_factor_dims_below_one(self, tmp_path):
+        with pytest.raises(ValueError, match=r"dims \(-1, -1\)"):
+            DensityMatrix(np.eye(1), (-1, -1))
+        path = tmp_path / "state.json"
+        path.write_text('{"dims": [-1, -1], "matrix_re": [1.0], "matrix_im": [0.0]}')
+        with pytest.raises(ValueError, match=r"dims \(-1, -1\)"):
+            load_state(path)
+
     def test_immutable(self):
         rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
         with pytest.raises(ValueError):
@@ -72,6 +82,30 @@ class TestBellDiagonal:
     def test_unphysical_reports_eigenvalue(self):
         with pytest.raises(ValueError, match="-0.5"):
             bell_diagonal(BellDiagonalParams(1, 1, 1))
+
+    def test_params_are_a_checked_value(self):
+        # checked on construction; Python floats; the kept eigenvalues are
+        # neither compared nor hashed
+        p = BellDiagonalParams(np.float64(0.5), 0, np.float64(-0.25))
+        assert all(type(x) is float for x in (p.c1, p.c2, p.c3))
+        assert p.eigenvalues == (0.3125, 0.0625, 0.4375, 0.1875)
+        q = BellDiagonalParams(0.5, 0.0, -0.25)
+        assert p == q and hash(p) == hash(q) and "eigenvalues" not in repr(p)
+        with pytest.raises(ValueError, match="psi- is -0.5"):
+            BellDiagonalParams(1, 1, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            BellDiagonalParams(0.0, float("inf"), 0.0)
+        assert not is_physical((1, 1, 1)) and not is_physical((0.0, float("nan"), 0.0))
+        assert is_physical((1, -1, 1))
+
+    def test_rounding_onto_the_tetrahedron(self):
+        # psi- eigenvalue -5e-11: within DERIVED_TOL, clipped to 0
+        p = round_onto_tetrahedron((0.0, 0.0, 1 + 2e-10))
+        assert p.as_array() == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
+        assert min(p.eigenvalues) >= -PHYSICALITY_TOL
+        # -2.5e-9, beyond it
+        with pytest.raises(ValueError, match="unphysical correlation triple"):
+            round_onto_tetrahedron((0.0, 0.0, 1 + 1e-8))
 
     def test_pure_bell_state(self):
         rho = bell_diagonal(BellDiagonalParams(1, -1, 1))
@@ -239,7 +273,9 @@ class TestStateFiles:
 
     def test_bd_params_of(self):
         p = BellDiagonalParams(0.2, -0.1, 0.3)
-        got = bd_params_of(bell_diagonal(p))
+        got, RA, RB = bd_params_of(bell_diagonal(p))
         assert got.as_array() == pytest.approx(p.as_array(), abs=1e-12)
+        np.testing.assert_array_equal(RA, np.eye(3))
+        np.testing.assert_array_equal(RB, np.eye(3))
         with pytest.raises(ValueError, match="marginals"):
             bd_params_of(DensityMatrix(np.diag([1, 0, 0, 0]).astype(complex), (2, 2)))
