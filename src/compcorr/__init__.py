@@ -26,6 +26,7 @@ from .edss import (
 )
 from .entanglement import (
     PptVerdict,
+    is_separable_bd,
     negativity,
     ppt_verdict,
     rel_entropy_entanglement_bd,
@@ -47,7 +48,6 @@ from .states import (
     bloch_decompose,
     classically_correlated,
     family_eq15,
-    is_separable_bd,
     load_state,
     save_state,
     werner,

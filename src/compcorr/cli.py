@@ -6,7 +6,8 @@ import sys
 
 import numpy as np
 
-from .edss import ancilla_state, edss_useful, require_separable, run_protocol, sweep, sweep_csv, sweep_summary
+from .edss import ancilla_state, edss_useful, run_protocol, sweep, sweep_csv, sweep_summary
+from .entanglement import require_separable
 from .matcore import fmt
 from .oracle import run_verification, verification_report
 from .report import report_for_state
@@ -107,10 +108,9 @@ def _cmd_edss(args) -> int:
         p, RA, RB = bd_params_of(load_state(args.state))
     else:
         p, RA, RB = BellDiagonalParams(*args.bd), np.eye(3), np.eye(3)
-    require_separable(p)
 
     if args.ancilla == "auto":
-        result = edss_useful(p)
+        result = edss_useful(p)  # refuses an entangled p
         doc = {}
         if result.trace is not None:  # with no witness there is no ancilla worth tracing
             doc = _trace_doc(result.trace)
@@ -119,6 +119,7 @@ def _cmd_edss(args) -> int:
         doc["r_a"] = result.r_a
         doc["s_c"] = result.s_c
     else:
+        require_separable(p)
         doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*args.ancilla)))
         doc["ancilla"] = list(args.ancilla)
     if not np.array_equal([RA, RB], [np.eye(3)] * 2):  # trace and witness are of the rotated state

@@ -60,10 +60,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .entanglement import PptVerdict, negativity, ppt_verdict
+from .entanglement import PptVerdict, is_separable_bd, negativity, ppt_verdict, require_separable
 from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, kron
 from .report import report_for_bd
-from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_physical, is_separable_bd
+from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_physical
 
 STAGES = ("initial", "after_alice", "after_bob")
 CUT_FACTORS = (0, 2, 1)  # A|BC, C|AB, B|AC
@@ -144,15 +144,6 @@ class EdssSearchResult:
     s_c: float  # C|AB stays PPT at the send step iff the z-axis radius is at most s_c
     # the run_protocol trace that certified the witness, None without one
     trace: ProtocolTrace | None = field(default=None, compare=False, repr=False)
-
-
-def require_separable(p: BellDiagonalParams) -> None:
-    """Raise unless p is a separable correlation triple."""
-    if not is_separable_bd(p):
-        raise ValueError(
-            f"input state ({p.c1}, {p.c2}, {p.c3}) is entangled; "
-            "the protocol requires a separable resource"
-        )
 
 
 def _ratio(u: float, w: float) -> float:

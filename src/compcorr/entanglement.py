@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import PPT_TOL, entropy_of_probabilities, hermitian_spectrum
+from .correlations import correlation_bits
+from .matcore import PHYSICALITY_TOL, PPT_TOL, hermitian_spectrum
 from .states import BellDiagonalParams, DensityMatrix
 
 
@@ -33,8 +34,6 @@ class PptVerdict:
 
 def pt_spectrum(rho: DensityMatrix, factor: int) -> np.ndarray:
     """Spectrum of the partial transpose on one factor, ascending."""
-    if factor < 0 or factor >= len(rho.dims):
-        raise ValueError(f"invalid cut: factor {factor} of {len(rho.dims)}")
     return hermitian_spectrum(rho.partial_transpose(factor))
 
 
@@ -49,21 +48,34 @@ def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
 
 
 def negativity_bd(p: BellDiagonalParams) -> float:
-    """Negativity, Bell-diagonal closed form: the partial transpose has
-    eigenvalues 1/2 - lambda_k, so only a lambda_max above 1/2 counts."""
-    return max(0.0, max(p.eigenvalues) - 0.5)
+    """Negativity, Bell-diagonal closed form: the partial transpose has eigenvalues 1/2 - lambda_k,
+    so N = lambda_max - 1/2 (exact, by Sterbenz, as lambda_max is in [1/4, 1]) counts above
+    PHYSICALITY_TOL. Every Bell-diagonal entanglement verdict reads this one margin."""
+    n = max(p.eigenvalues) - 0.5
+    return n if n > PHYSICALITY_TOL else 0.0
+
+
+def is_separable_bd(p: BellDiagonalParams) -> bool:
+    """PPT, so separable for two qubits: `negativity_bd(p)` is 0. On the
+    tetrahedron that is sum|c_k| <= 1 <=> lambda_max <= 1/2 (R. Horodecki and
+    M. Horodecki, PRA 54, 1838 (1996)). Each lambda is (1 + s.c)/4 for one of the
+    four s with s1 s2 s3 = -1, and s.c <= sum|c_k| gives =>. The four t with
+    t1 t2 t3 = +1 have t.c <= 1, as -t is such an s and its lambda is >= 0; so a
+    sign pattern t of c with t.c = sum|c_k| > 1 has t1 t2 t3 = -1, a lambda > 1/2."""
+    return negativity_bd(p) == 0.0
+
+
+def require_separable(p: BellDiagonalParams) -> None:
+    """Raise unless p is a separable correlation triple."""
+    if not is_separable_bd(p):
+        raise ValueError(f"input state {p.c1, p.c2, p.c3} is entangled; the protocol requires a separable resource")
 
 
 def rel_entropy_entanglement_bd(p: BellDiagonalParams) -> float:
-    """Relative entropy of entanglement, Bell-diagonal closed form.
-
-    Zero when the largest Bell-basis eigenvalue is at most 1/2, otherwise
-    1 - H2(lambda_max) bits.
-    """
-    lmax = max(p.eigenvalues)
-    if lmax <= 0.5:
-        return 0.0
-    return 1.0 - entropy_of_probabilities([lmax, 1 - lmax])
+    """Relative entropy of entanglement, Bell-diagonal closed form: 1 - H2(lambda_max)
+    bits, `correlation_bits(2 N)` for N of `negativity_bd` (0 if separable). As 1 +- 2 N
+    are exact floats, it does not cancel next to the boundary as 1 - H2 does in floats."""
+    return correlation_bits(2 * negativity_bd(p))
 
 
 def all_correlations_nonzero(diag) -> bool:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .correlations import bd_mutual_information, clamped_discord, classical_correlation, complementary_correlations
 from .correlations import correlation_bits, discord_bd, holevo_quantity, q1, total_mutual_information
-from .edss import GRID_AC, ancilla_state, require_separable
+from .edss import GRID_AC, ancilla_state
+from .entanglement import require_separable
 from .matcore import LOG2, MUB_TOL, PPT_TOL, SIGMAS, ZERO_BRANCH, bloch_vector, kron, partial_transpose
 from .states import BellDiagonalParams, DensityMatrix, bd_spectrum, bell_diagonal, random_bd_params
 from .states import random_density_matrix

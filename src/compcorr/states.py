@@ -57,8 +57,8 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"factor dims {dims} must each be at least 1")
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError(f"factor dims {dims} must name at least one factor, each at least 1")
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
@@ -166,11 +166,6 @@ def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
 def bd_spectrum(p: BellDiagonalParams) -> np.ndarray:
     """The four closed-form eigenvalues, sorted ascending."""
     return np.sort(p.eigenvalues)
-
-
-def is_separable_bd(p: BellDiagonalParams) -> bool:
-    """PPT (= separability for two qubits): max eigenvalue at most 1/2."""
-    return max(p.eigenvalues) <= 0.5 + PHYSICALITY_TOL
 
 
 def bd_rank(p: BellDiagonalParams) -> int:

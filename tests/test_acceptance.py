@@ -5,6 +5,7 @@ on success; pytest shows them on failure regardless).
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,11 +13,12 @@ from compcorr.correlations import (
     bd_mutual_information,
     classical_correlation,
     complementary_correlations,
+    correlation_bits,
     discord_bd,
     q1,
 )
 from compcorr.edss import ancilla_state, run_protocol, sweep
-from compcorr.entanglement import negativity, pt_spectrum, rel_entropy_entanglement_bd
+from compcorr.entanglement import is_separable_bd, negativity, pt_spectrum, rel_entropy_entanglement_bd
 from compcorr.matcore import entropy_of_probabilities
 from compcorr.oracle import (
     check_holevo,
@@ -28,6 +30,7 @@ from compcorr.oracle import (
 from compcorr.states import (
     PHI_PLUS,
     BellDiagonalParams,
+    _bell_eigenvalues,
     DensityMatrix,
     bell_diagonal,
     classically_correlated,
@@ -240,4 +243,33 @@ def test_criterion_10_kernel_properties():
         worst_ent <= 1e-12 and dt < 30,
         f"entropy dev {worst_ent:.2e} (tol 1e-12), {dt:.1f}s (<30s)",
         checks,
+    )
+
+
+def test_criterion_11_complementary_correlations_detect_entanglement():
+    # on uniform tetrahedron triples: |c1| + |c2| + |c3| > 1 is exactly
+    # entanglement (the exact verdict: lambda_max > 1/2 in Fraction), and
+    # sum_k i_k > 1 is a one-sided witness of it
+    rng = np.random.default_rng(111)
+    n_ent = l1_hits = l1_mismatch = runtime_mismatch = mi_hits = mi_false = 0
+    for _ in range(20_000):
+        p = random_bd_params(rng)
+        c = p.as_array().tolist()
+        entangled = max(_bell_eigenvalues(*map(Fraction, c))) > Fraction(1, 2)
+        n_ent += entangled
+        l1 = sum(map(abs, c)) > 1
+        l1_hits += l1 and entangled
+        l1_mismatch += l1 != entangled
+        runtime_mismatch += is_separable_bd(p) == entangled
+        mi = sum(correlation_bits(x) for x in c) > 1
+        mi_hits += mi and entangled
+        mi_false += mi and not entangled
+    ok = n_ent > 0 and l1_mismatch == 0 and runtime_mismatch == 0 and mi_false == 0
+    _report(
+        "criterion-11 complementary correlations detect Bell-diagonal entanglement",
+        ok,
+        f"20000 triples, {n_ent} entangled; |c1|+|c2|+|c3| > 1 detects {l1_hits}/{n_ent} "
+        f"({l1_hits / max(n_ent, 1):.1%}), mismatches {l1_mismatch} (tol 0), is_separable_bd mismatches "
+        f"{runtime_mismatch} (tol 0); sum i_k > 1 detects {mi_hits}/{n_ent} ({mi_hits / max(n_ent, 1):.1%}), "
+        f"false positives {mi_false} (tol 0)",
     )

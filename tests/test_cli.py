@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from compcorr import cli, edss
+import compcorr
+from compcorr import cli, edss, entanglement
 from compcorr.cli import main
 from compcorr.matcore import kron
 from compcorr.states import (
@@ -135,6 +141,23 @@ class TestAnalyze:
             else:
                 assert float(text[key]) == pytest.approx(value, rel=1e-11, abs=0)
 
+    def test_tolerance_band_reads_separable(self, capsys):
+        # lambda_max - 1/2 = 5e-13 is within PHYSICALITY_TOL: negativity, e_r
+        # and the edss refusal read the one margin, and all call it separable
+        assert main(["analyze", "--bd", "1,0,2e-12"]) == 0
+        fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+        assert (fields["negativity"], fields["e_r"]) == ("0", "0")
+        assert main(["edss", "--bd", "1,0,2e-12"]) == 0
+
+    def test_e_r_next_to_the_boundary(self, capsys):
+        # lambda_psi- = 0.5000005: 1 - H2(lambda) in floats cancels to 7.21200876797e-13
+        assert main(["analyze", "--bd=-0.333334,-0.333334,-0.333334"]) == 0
+        fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+        mpmath.mp.dps = 50
+        lam = (1 + 3 * mpmath.mpf(0.333334)) / 4
+        ref = 1 + lam * mpmath.log(lam, 2) + (1 - lam) * mpmath.log(1 - lam, 2)
+        assert float(abs(float(fields["e_r"]) - ref) / ref) < 1e-9
+
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "report.txt"
         assert main(["analyze", "--bd", "0,0,0", "--out", str(dest)]) == 0
@@ -146,6 +169,22 @@ class TestEdss:
     def test_entangled_input_refused(self, capsys):
         assert main(["edss", "--bd", "1,-1,1"]) == 2
         assert "entangled" in capsys.readouterr().err
+
+    def test_auto_mode_checks_separability_once(self, monkeypatch, capsys):
+        # edss_useful refuses an entangled input itself, so the command does not check first
+        calls = []
+        original = entanglement.is_separable_bd
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "compcorr"]:
+            if getattr(mod, "is_separable_bd", None) is original:
+                monkeypatch.setattr(mod, "is_separable_bd", counting)
+        assert main(["edss", "--bd", "0.3,-0.3,0.3"]) == 0
+        assert "edss_useful true" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_non_finite_rejected(self, capsys):
         assert main(["edss", "--bd", "0.25,0.25,nan"]) == 2
@@ -278,7 +317,11 @@ class TestEdss:
 @pytest.mark.parametrize("command", ["analyze", "edss"])
 @pytest.mark.parametrize(
     "doc, message",
-    [({"dims": [2, 2], "matrix_re": [0.25] * 16}, "lacks the key 'matrix_im'"), ([1, 2], "JSON object")],
+    [
+        ({"dims": [2, 2], "matrix_re": [0.25] * 16}, "lacks the key 'matrix_im'"),
+        ([1, 2], "JSON object"),
+        ({"dims": [], "matrix_re": [1.0], "matrix_im": [0.0]}, "factor dims () must name at least one factor"),
+    ],
 )
 def test_malformed_state_file_rejected(command, doc, message, tmp_path, capsys):
     path = tmp_path / "state.json"
@@ -314,3 +357,21 @@ class TestVerify:
     def test_zero_samples_rejected(self, capsys):
         assert main(["verify", "--samples", "0"]) == 2
         assert "samples must be at least 1" in capsys.readouterr().err
+
+
+def test_runtime_imports_numpy_only(tmp_path):
+    # every command, in a fresh interpreter, imports none of the packages
+    # that only the tests and benchmarks may use
+    script = f"""
+import json, sys
+from compcorr.cli import main
+for argv in (["analyze", "--bd", "0.3,-0.3,0.3"], ["edss", "--bd", "0.3,-0.3,0.3"],
+             ["sweep", "--grid", "3"], ["verify", "--samples", "10"]):
+    assert main(argv + ["--out", {str(tmp_path / "out.txt")!r}]) == 0, argv
+print(json.dumps([m for m in ("scipy", "sympy", "mpmath", "hypothesis", "pytest") if m in sys.modules]))
+"""
+    src = str(Path(compcorr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == []

@@ -1,5 +1,10 @@
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compcorr.correlations import correlation_bits
 from compcorr.entanglement import (
@@ -11,10 +16,12 @@ from compcorr.entanglement import (
 )
 from compcorr.matcore import kron
 from compcorr.states import (
+    _BELL_SIGNS,
     PHI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
     bd_spectrum,
+    _bell_eigenvalues,
     bell_diagonal,
     family_eq15,
     is_physical,
@@ -124,3 +131,60 @@ def test_contrapositive_sampled():
         p = random_bd_params(rng)
         if not all_correlations_nonzero(p.as_array()):
             assert negativity(bell_diagonal(p), 0) < 1e-12
+
+
+def _triple_with_eigenvalue(k, lam_k, weights):
+    """The float triple whose Bell-basis eigenvalue k is lam_k, the other
+    three sharing 1 - lam_k in proportion to weights."""
+    w = np.asarray(weights, dtype=float)
+    return (_BELL_SIGNS @ np.insert(w / w.sum() * (1 - lam_k), k, lam_k)).tolist()
+
+
+def _exact_margin(c) -> Fraction:
+    """lambda_max - 1/2 of the triple, in exact rational arithmetic."""
+    return max(_bell_eigenvalues(*map(Fraction, c))) - Fraction(1, 2)
+
+
+def test_rel_entropy_matches_an_exact_reference():
+    # 1 - H2(lambda) at 60 digits, lambda the exact Bell eigenvalue of the
+    # float triple; margins lambda_max - 1/2 log-uniform in [1e-6, 0.5]. The
+    # route through 1 - H2 in floats cancels here (relative error up to 9e-5).
+    mpmath.mp.dps = 60
+    rng = np.random.default_rng(36)
+    worst, n = 0.0, 0
+    while n < 2000:
+        c = _triple_with_eigenvalue(rng.integers(4), 0.5 + 10 ** rng.uniform(-6, np.log10(0.5)), rng.random(3))
+        margin = _exact_margin(c)
+        if not (is_physical(c) and Fraction(1, 10**6) <= margin <= Fraction(1, 2)):
+            continue
+        n += 1
+        lam = mpmath.mpf(margin.numerator) / margin.denominator + mpmath.mpf(0.5)
+        ref = 1 + lam * mpmath.log(lam, 2) + (1 - lam) * mpmath.log(1 - lam, 2)
+        worst = max(worst, float(abs(rel_entropy_entanglement_bd(BellDiagonalParams(*c)) - ref) / ref))
+    assert worst <= 1e-9
+
+
+def _fraction_triples():
+    """Rational triples of the tetrahedron (every Bell-basis eigenvalue >= 0,
+    exactly): generic ones, ones on a face c_k = 0, and ones with
+    |c1| + |c2| + |c3| within 1e-12 of 1."""
+    q = st.fractions(-1, 1, max_denominator=10**9)
+    generic = st.tuples(q, q, q)
+    face = st.tuples(q, q, st.integers(0, 2)).map(lambda t: tuple(np.insert([t[0], t[1]], t[2], 0).tolist()))
+    near = st.builds(
+        lambda a, b, delta, signs: tuple(s * x for s, x in zip(signs, (a, b, 1 + delta - a - b))),
+        st.fractions(0, 1, max_denominator=10**9),
+        st.fractions(0, 1, max_denominator=10**9),
+        st.integers(-10**4, 10**4).map(lambda k: Fraction(k, 10**16)),
+        st.tuples(*[st.sampled_from((-1, 1))] * 3),
+    ).filter(lambda c: sum(map(abs, c)) - 1 <= Fraction(1, 10**12))
+    return st.one_of(generic, face, near).map(lambda c: tuple(map(Fraction, c))).filter(
+        lambda c: min(_bell_eigenvalues(*c)) >= 0
+    )
+
+
+@given(_fraction_triples())
+@settings(max_examples=200, deadline=None)
+def test_l1_norm_of_the_triple_decides_entanglement_exactly(c):
+    # |c1| + |c2| + |c3| > 1 <=> lambda_max > 1/2, in exact arithmetic
+    assert (sum(map(abs, c)) > 1) == (max(_bell_eigenvalues(*c)) > Fraction(1, 2))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from compcorr.correlations import classical_correlation, holevo_quantity, q1
 from compcorr import oracle
 from compcorr.edss import edss_useful
+from compcorr.entanglement import is_separable_bd
 from compcorr.matcore import LOG2, ZERO_BRANCH, bloch_operator, bloch_vector
 from compcorr.oracle import (
     check_holevo,
@@ -28,7 +29,6 @@ from compcorr.states import (
     classically_correlated,
     family_eq15,
     is_physical,
-    is_separable_bd,
     random_bd_params,
     random_density_matrix,
 )

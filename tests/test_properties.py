@@ -1,14 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from compcorr.correlations import correlation_bits, discord_bd, q1
 from compcorr.edss import ancilla_state, edss_useful, run_protocol
-from compcorr.entanglement import all_correlations_nonzero, negativity
+from compcorr.entanglement import all_correlations_nonzero, is_separable_bd, negativity
+from compcorr.entanglement import negativity_bd, rel_entropy_entanglement_bd
 from compcorr.matcore import PPT_TOL
 from compcorr.oracle import check_involution
 from compcorr.report import report_for_bd
-from compcorr.states import BellDiagonalParams, bd_spectrum, bell_diagonal, is_physical, is_separable_bd
+from compcorr.states import _BELL_SIGNS, BellDiagonalParams, _bell_eigenvalues, bd_spectrum, bell_diagonal
+from compcorr.states import is_physical
 
 
 def physical_triples():
@@ -162,3 +166,61 @@ def test_entangled_means_all_complementary_nonzero(p):
     # the report and the Bell-diagonal condition give one answer
     assume(min(abs(abs(x) - PPT_TOL) for x in p.as_array()) > 1e-14)
     assert rep.all_complementary_nonzero == all_correlations_nonzero(p.as_array())
+
+
+def _face_triples():
+    """Physical triples with one coordinate exactly 0."""
+    x = st.floats(-1, 1, allow_nan=False)
+    return (
+        st.tuples(x, x, st.integers(0, 2))
+        .map(lambda t: tuple(np.insert([t[0], t[1]], t[2], 0.0).tolist()))
+        .filter(is_physical)
+        .map(lambda t: BellDiagonalParams(*t))
+    )
+
+
+def _band_triples():
+    """Triples whose Bell-basis eigenvalue k is built as 1/2 + delta with
+    0 < delta <= 1e-12, the other three sharing the rest; rounding moves the
+    float triple's margin by about 1e-16."""
+    return (
+        st.builds(
+            lambda k, delta, w: (_BELL_SIGNS @ np.insert(np.array(w) / sum(w) * (0.5 - delta), k, 0.5 + delta)).tolist(),
+            st.integers(0, 3),
+            st.floats(0, 1e-12, exclude_min=True),
+            st.tuples(*[st.floats(0.01, 1)] * 3),
+        )
+        .filter(is_physical)
+        .map(lambda t: BellDiagonalParams(*t))
+    )
+
+
+@given(st.one_of(physical_triples(), _face_triples(), _band_triples()))
+@settings(max_examples=300, deadline=None)
+def test_one_margin_decides_separability_negativity_and_e_r(p):
+    separable = is_separable_bd(p)
+    assert separable == (negativity_bd(p) == 0) == (rel_entropy_entanglement_bd(p) == 0)
+    # the exact verdict wherever the exact margin is not within the tolerance
+    margin = max(_bell_eigenvalues(*map(Fraction, (p.c1, p.c2, p.c3)))) - Fraction(1, 2)
+    if margin <= 0:
+        assert separable
+    if margin > Fraction(2, 10**12):
+        assert not separable
+
+
+@given(physical_triples())
+@example(BellDiagonalParams(1.0, 1e-7, -1e-7))  # sum i_k = 1 + 1.5e-14, next to the vertex (1, 0, 0)
+@settings(max_examples=300, deadline=None)
+def test_mutual_information_witness_is_one_sided(p):
+    # correlation_bits(c) <= |c|, as it is convex, 0 at 0 and 1 at 1; so
+    # sum i_k > 1 forces |c1| + |c2| + |c3| > 1, which is entanglement
+    if sum(correlation_bits(c) for c in p.as_array()) > 1:
+        assert not is_separable_bd(p)
+
+
+def test_mutual_information_witness_misses_werner_0_34():
+    # the converse fails: Werner p = 0.34 has |c1| + |c2| + |c3| = 1.02, so
+    # it is entangled, but sum i_k is only about 0.255
+    p = BellDiagonalParams(-0.34, -0.34, -0.34)
+    assert not is_separable_bd(p)
+    assert 0.25 < sum(correlation_bits(c) for c in p.as_array()) < 0.26

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from compcorr.entanglement import is_separable_bd
 from compcorr.matcore import PHYSICALITY_TOL, kron
 from compcorr.oracle import check_spectra
 from compcorr.states import (
@@ -16,7 +17,6 @@ from compcorr.states import (
     classically_correlated,
     family_eq15,
     is_physical,
-    is_separable_bd,
     load_state,
     random_bd_params,
     random_density_matrix,
@@ -60,6 +60,8 @@ class TestDensityMatrix:
         path.write_text('{"dims": [-1, -1], "matrix_re": [1.0], "matrix_im": [0.0]}')
         with pytest.raises(ValueError, match=r"dims \(-1, -1\)"):
             load_state(path)
+        with pytest.raises(ValueError, match=r"dims \(\) must name at least one factor"):
+            DensityMatrix(np.eye(1), ())
 
     def test_immutable(self):
         rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
