@@ -10,8 +10,8 @@ from .edss import ancilla_state, edss_useful, run_protocol, sweep, sweep_csv, sw
 from .entanglement import require_separable
 from .matcore import fmt
 from .oracle import run_verification, verification_report
-from .report import report_for_state
-from .states import BellDiagonalParams, DensityMatrix, bd_params_of, bell_diagonal, load_state
+from .report import report_for_bd
+from .states import IDENTITY_FRAME, BellDiagonalParams, bd_params_of, bell_diagonal, load_state
 
 
 def _parse_bd(text: str) -> tuple[float, ...]:
@@ -41,10 +41,11 @@ def _parse_ancilla(text: str):
     return tuple(vals)
 
 
-def _resolve_state(args) -> DensityMatrix:
+def _triple(args) -> tuple[BellDiagonalParams, np.ndarray, np.ndarray]:
+    """(p, RA, RB) of a state file through `bd_params_of`, or a --bd triple in its own frame."""
     if args.state is not None:
-        return load_state(args.state)
-    return bell_diagonal(BellDiagonalParams(*args.bd))
+        return bd_params_of(load_state(args.state))
+    return BellDiagonalParams(*args.bd), IDENTITY_FRAME, IDENTITY_FRAME
 
 
 def _emit(text: str, out_path) -> None:
@@ -73,7 +74,7 @@ def _text(doc: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    doc = report_for_state(_resolve_state(args)).to_dict()
+    doc = report_for_bd(*_triple(args)).to_dict()
     if args.format == "json":
         text = json.dumps(doc, indent=1) + "\n"
     elif args.format == "csv":
@@ -104,11 +105,7 @@ def _trace_doc(trace) -> dict:
 
 
 def _cmd_edss(args) -> int:
-    if args.state is not None:
-        p, RA, RB = bd_params_of(load_state(args.state))
-    else:
-        p, RA, RB = BellDiagonalParams(*args.bd), np.eye(3), np.eye(3)
-
+    p, RA, RB = _triple(args)
     if args.ancilla == "auto":
         result = edss_useful(p)  # refuses an entangled p
         doc = {}
@@ -122,7 +119,7 @@ def _cmd_edss(args) -> int:
         require_separable(p)
         doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*args.ancilla)))
         doc["ancilla"] = list(args.ancilla)
-    if not np.array_equal([RA, RB], [np.eye(3)] * 2):  # trace and witness are of the rotated state
+    if not np.array_equal([RA, RB], [IDENTITY_FRAME] * 2):  # trace and witness are of the rotated state
         doc["rotations"] = [RA.tolist(), RB.tolist()]
 
     text = json.dumps(doc, indent=1) + "\n" if args.format == "json" else _text(doc)

@@ -1,6 +1,6 @@
 """Correlation measures for two-qubit states, in bits.
 
-Runtime closed forms (`report_for_state` reads every number off them):
+Runtime closed forms (`report_for_bd` reads every number off them):
 `correlation_bits`, `classical_correlation`, `bd_mutual_information`,
 `discord_bd` (`clamped_discord` of the two before it), which read a
 `BellDiagonalParams` checked once when it was built. Measured references,

@@ -208,8 +208,8 @@ def sweep(resolution: int) -> list[SweepRow]:
     """Evaluate every physical separable point of a cubic grid on [-1, 1]^3.
 
     Rows are ordered lexicographically by grid index. The eight correlation
-    columns are the closed forms of `report_for_bd`; the measured routes
-    they stand for are checked against them by the oracle and the tests.
+    columns are `report_for_bd` of each grid triple, with no state built;
+    the oracle and the tests check them against the measured routes.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")

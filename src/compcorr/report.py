@@ -5,12 +5,12 @@ import numpy as np
 from .correlations import CorrelationReport, bd_mutual_information, classical_correlation, clamped_discord
 from .correlations import correlation_bits
 from .entanglement import all_correlations_nonzero, negativity_bd, rel_entropy_entanglement_bd
-from .states import BellDiagonalParams, DensityMatrix, bd_params_of, bell_diagonal
+from .states import IDENTITY_FRAME, BellDiagonalParams, DensityMatrix, bd_params_of
 
 
-def report_for_state(rho: DensityMatrix) -> CorrelationReport:
-    """Report for a two-qubit state with maximally mixed marginals, every
-    field a closed form of the triple p and rotations RA, RB of `bd_params_of`.
+def report_for_bd(p: BellDiagonalParams, RA=IDENTITY_FRAME, RB=IDENTITY_FRAME) -> CorrelationReport:
+    """Report for the state of triple p in the frame RA, RB of `bd_params_of`
+    (I for a triple as given), every field a closed form of p, RA and RB.
 
     C, D, I, negativity and E_r are local-unitary invariants of p. The
     same-axis outcome table along k is (1 +- T_kk)/4, so i_x, i_y, i_z (and
@@ -19,7 +19,6 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
     `total_mutual_information` and `negativity` measure them on the state,
     as the references the oracle and the tests check.
     """
-    p, RA, RB = bd_params_of(rho)
     diag = np.einsum("jk,j,jk->k", RA, p.as_array(), RB)
     i_x, i_y, i_z = (correlation_bits(c) for c in np.clip(diag, -1.0, 1.0))
     c, i = classical_correlation(p), bd_mutual_information(p)
@@ -37,5 +36,5 @@ def report_for_state(rho: DensityMatrix) -> CorrelationReport:
     )
 
 
-def report_for_bd(p: BellDiagonalParams) -> CorrelationReport:
-    return report_for_state(bell_diagonal(p))
+def report_for_state(rho: DensityMatrix) -> CorrelationReport:
+    return report_for_bd(*bd_params_of(rho))

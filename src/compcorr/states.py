@@ -9,6 +9,7 @@ reference against numeric eigensolves.
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,9 @@ _BELL_SIGNS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], dtype=f
 PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", SIGMAS, SIGMAS).reshape(4, 4, 4, 4)
 PAULI_PRODUCTS.flags.writeable = False
 
+IDENTITY_FRAME = np.eye(3)  # RA = RB = I of `bd_params_of`: the frame of a triple as given
+IDENTITY_FRAME.flags.writeable = False
+
 
 def _pauli_sum(c: np.ndarray) -> np.ndarray:
     """The 4x4 matrix (1/4) sum_ij c_ij sigma_i (x) sigma_j."""
@@ -56,10 +60,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"factor dims {dims} must name at least one factor, each at least 1")
-        total = int(np.prod(dims))
+        dims = tuple(self.dims)
+        if not dims or not all(isinstance(d, numbers.Real) and math.isfinite(d) and int(d) == d >= 1 for d in dims):
+            raise ValueError(f"factor dims {dims} must name at least one factor, each an integer >= 1")
+        total = math.prod(dims)
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if not np.isfinite(m).all():
@@ -75,7 +79,7 @@ class DensityMatrix:
         m.flags.writeable = False
         spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(map(int, dims)))
         object.__setattr__(self, "_spectrum", spectrum)
 
     def permuted(self, grid) -> "DensityMatrix":
@@ -260,7 +264,7 @@ def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np
         raise ValueError(f"state does not have maximally mixed marginals: |a| = {na:.3e}, |b| = {nb:.3e}")
     T = dec.T
     if np.array_equal(T, np.diag(np.diag(T))):
-        RA, c, RB = np.eye(3), np.diag(T), np.eye(3)
+        RA, c, RB = IDENTITY_FRAME, np.diag(T), IDENTITY_FRAME
     else:
         RA, c, RB = signed_svd(T)
     return round_onto_tetrahedron(c), RA, RB
@@ -302,12 +306,11 @@ def load_state(path) -> DensityMatrix:
     if not isinstance(doc, dict):
         raise ValueError(f"state file must hold a JSON object, not a {type(doc).__name__}")
     try:
-        dims = tuple(int(d) for d in doc["dims"])
-        d = int(np.prod(dims))
-        re = np.array(doc["matrix_re"], dtype=float).reshape(d, d)
-        im = np.array(doc["matrix_im"], dtype=float).reshape(d, d)
+        dims, re = tuple(doc["dims"]), np.array(doc["matrix_re"], dtype=float)  # DensityMatrix checks the dims
+        n = math.isqrt(re.size)
+        m = re.reshape(n, n) + 1j * np.array(doc["matrix_im"], dtype=float).reshape(n, n)
     except KeyError as e:
         raise ValueError(f"state file lacks the key {e}") from e
     except (TypeError, ValueError) as e:
         raise ValueError(f"malformed state file: {e}") from e
-    return DensityMatrix(re + 1j * im, dims)
+    return DensityMatrix(m, dims)

@@ -242,22 +242,6 @@ class TestEdss:
         assert doc.pop("rotations") and doc == want
         assert main(["analyze", "--state", path]) == 0
 
-    def test_diagonal_state_prints_as_its_triple(self, tmp_path, capsys):
-        # a Bell-diagonal state file keeps its own frame: the same text as
-        # --bd of its diagonal, witness and trace included
-        rng = np.random.default_rng(61)
-        path = tmp_path / "state.json"
-        for _ in range(30):
-            p = random_bd_params(rng)
-            if max(p.eigenvalues) > 0.5:
-                continue
-            save_state(bell_diagonal(p), path)
-            got = bd_params_of(bell_diagonal(p))[0]
-            assert main(["edss", "--state", str(path)]) == 0
-            out = capsys.readouterr().out
-            assert main(["edss", f"--bd={got.c1!r},{got.c2!r},{got.c3!r}"]) == 0
-            assert out == capsys.readouterr().out
-
     def test_useful_state(self, capsys):
         assert main(["edss", "--bd", "0.3,-0.3,0.3", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -315,12 +299,37 @@ class TestEdss:
 
 
 @pytest.mark.parametrize("command", ["analyze", "edss"])
+def test_diagonal_state_prints_as_its_triple(command, tmp_path, capsys):
+    # a Bell-diagonal state file keeps its own frame: the same text as --bd
+    # of its diagonal (for edss, witness and trace included), although
+    # --state runs through bd_params_of and --bd reads the triple as typed
+    rng = np.random.default_rng(61)
+    path = tmp_path / "state.json"
+    for _ in range(30):
+        p = random_bd_params(rng)
+        if command == "edss" and max(p.eigenvalues) > 0.5:  # edss refuses an entangled input
+            continue
+        save_state(bell_diagonal(p), path)
+        got = bd_params_of(bell_diagonal(p))[0]
+        assert main([command, "--state", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert main([command, f"--bd={got.c1!r},{got.c2!r},{got.c3!r}"]) == 0
+        assert out == capsys.readouterr().out
+
+
+_MIXED = (np.eye(4) / 4).ravel().tolist()  # I/4, a valid matrix for dims (2, 2)
+
+
+@pytest.mark.parametrize("command", ["analyze", "edss"])
 @pytest.mark.parametrize(
     "doc, message",
     [
         ({"dims": [2, 2], "matrix_re": [0.25] * 16}, "lacks the key 'matrix_im'"),
         ([1, 2], "JSON object"),
         ({"dims": [], "matrix_re": [1.0], "matrix_im": [0.0]}, "factor dims () must name at least one factor"),
+        ({"dims": [2.9, 2], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, "factor dims (2.9, 2)"),
+        ({"dims": [float("inf"), 2], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, "factor dims (inf, 2)"),
+        ({"dims": [2, 2], "matrix_re": _MIXED, "matrix_im": [0.0]}, "malformed state file"),
     ],
 )
 def test_malformed_state_file_rejected(command, doc, message, tmp_path, capsys):

@@ -114,6 +114,36 @@ def test_report_work_count(monkeypatch):
     }
 
 
+def test_triple_report_work_count(monkeypatch):
+    # a report on an already built triple builds no state: no kron, no
+    # DensityMatrix, no Bloch decomposition, SVD or eigensolve, and the
+    # triple is neither checked nor its Bell-basis eigenvalues formed again
+    p = BellDiagonalParams(0.3, -0.3, 0.3)
+    counts = {"kron": 0, "eigvalsh": 0}
+    _count_calls(monkeypatch, np, "kron", counts)
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    built = {"__post_init__": 0}
+    _count_calls(monkeypatch, DensityMatrix, "__post_init__", built)
+    counts["__post_init__"] = 0
+    _count_calls(monkeypatch, BellDiagonalParams, "__post_init__", counts)
+    for fn in (states.bloch_decompose, states.signed_svd, states._bell_eigenvalues):
+        _count_everywhere(monkeypatch, fn, counts)
+    for fn in (classical_correlation, bd_mutual_information):
+        _count_everywhere(monkeypatch, fn, counts)
+    report_for_bd(p)
+    assert built == {"__post_init__": 0}
+    assert counts == {
+        "kron": 0,
+        "eigvalsh": 0,
+        "__post_init__": 0,
+        "bloch_decompose": 0,
+        "signed_svd": 0,
+        "_bell_eigenvalues": 0,
+        "classical_correlation": 1,
+        "bd_mutual_information": 1,
+    }
+
+
 def test_sweep_skips_the_measured_correlations(monkeypatch):
     counts = {}
     for fn in _MEASURED_ROUTES[:2]:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,13 @@ class TestDensityMatrix:
             load_state(path)
         with pytest.raises(ValueError, match=r"dims \(\) must name at least one factor"):
             DensityMatrix(np.eye(1), ())
+        # a fractional dim is refused, not truncated to 2
+        with pytest.raises(ValueError, match=r"dims \(2.9, 2\)"):
+            DensityMatrix(np.eye(4) / 4, (2.9, 2))
+        mixed = (np.eye(4) / 4).ravel().tolist()
+        path.write_text(json.dumps({"dims": [2.9, 2], "matrix_re": mixed, "matrix_im": [0.0] * 16}))
+        with pytest.raises(ValueError, match=r"dims \(2.9, 2\)"):
+            load_state(path)
 
     def test_immutable(self):
         rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
