@@ -100,18 +100,18 @@ def holevo_quantity(rho: DensityMatrix, n) -> float:
 def correlation_bits(c: float) -> float:
     """(1+c)/2 log2(1+c) + (1-c)/2 log2(1-c); even in c, 1 bit at |c| = 1.
 
-    Kept in this direct form: 1 - h((1+c)/2) cancels for small |c| (relative
-    error 1.4e-13 at c = 0.03, against 4e-15 here).
+    For |c| < 1/2 as (c atanh(c) + log1p(-c^2)/2)/ln 2, which rounds no 1 + c
+    before a log, and else directly, where log1p would lose digits (8e-12 at
+    c = 0.999999): within 2e-15 relative down to tiny |c| (7.2e-17 bits at 1e-8).
     """
     c = abs(float(c))
     if not c <= 1 + PROB_CLAMP:  # written so that a NaN fails
         raise ValueError(f"correlation coefficient {c} outside [-1, 1]")
     c = min(c, 1.0)
-    acc = (1 + c) / 2 * np.log(1 + c)
-    if c < 1.0:
-        acc += (1 - c) / 2 * np.log(1 - c)
-    # rounding can push tiny |c| a hair below zero
-    return max(float(acc / LOG2), 0.0)
+    if c < 0.5:
+        return float((c * np.arctanh(c) + np.log1p(-c * c) / 2) / LOG2)
+    acc = (1 + c) / 2 * np.log(1 + c) + ((1 - c) / 2 * np.log(1 - c) if c < 1.0 else 0.0)
+    return float(acc / LOG2)
 
 
 def classical_correlation(p: BellDiagonalParams) -> float:

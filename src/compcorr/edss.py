@@ -109,7 +109,8 @@ class ProtocolTrace:
 
 def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace:
     """Run the full protocol and record every stage's PPT verdicts, each with
-    its partial-transpose spectrum."""
+    its partial-transpose spectrum: the nine partial transposes, three stages
+    by three cuts, are solved in one stacked eigvalsh by `ppt_verdict`."""
     if rho_ab.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
     if ancilla.dims != (2,):
@@ -118,10 +119,7 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     after_alice = initial.permuted(GRID_AC)
     after_bob = after_alice.permuted(GRID_BC)
 
-    verdicts = {
-        stage: tuple(ppt_verdict(state, f) for f in CUT_FACTORS)
-        for stage, state in zip(STAGES, (initial, after_alice, after_bob))
-    }
+    verdicts = dict(zip(STAGES, ppt_verdict((initial, after_alice, after_bob), CUT_FACTORS)))
     success = verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL
     final_ab = after_bob.partial_trace([0, 1])
     return ProtocolTrace(

@@ -9,10 +9,7 @@ from .matcore import PHYSICALITY_TOL, PPT_TOL, hermitian_spectrum
 from .states import BellDiagonalParams, DensityMatrix
 
 
-def _cut_label(factor: int, n: int) -> str:
-    letters = "ABCDEFGH"
-    rest = "".join(letters[i] for i in range(n) if i != factor)
-    return f"{letters[factor]}|{rest}"
+CUT_LABELS = {2: ("A|B", "B|A"), 3: ("A|BC", "B|AC", "C|AB")}  # the cut across each factor, by factor count
 
 
 @dataclass(frozen=True)
@@ -43,8 +40,22 @@ def negativity(rho: DensityMatrix, factor: int = 0) -> float:
     return float(np.abs(lam[lam < 0]).sum())
 
 
-def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
-    return PptVerdict(tuple(pt_spectrum(rho, factor).tolist()), _cut_label(factor, len(rho.dims)))
+def ppt_verdict(rho, factor=0):
+    """PPT verdict of a two- or three-factor state across one factor's cut, or,
+    given a sequence of states with equal dims and a sequence of factors, a tuple
+    of verdicts per state. Every partial transpose is solved in one stacked eigvalsh."""
+    single = isinstance(rho, DensityMatrix)
+    states, factors = ((rho,), (factor,)) if single else (tuple(rho), tuple(factor))
+    dims = states[0].dims
+    n, labels = len(dims), CUT_LABELS.get(len(dims), ())
+    if any(s.dims != dims for s in states) or not all(0 <= f < len(labels) for f in factors):
+        raise ValueError(f"no cut across factors {factors} of states with dims {dims}")
+    # no Hermiticity check: PT and a CNOT stage permute the entries of M - M^dagger, which DensityMatrix checked
+    m = np.stack([s.matrix for s in states]).reshape((len(states),) + dims + dims)
+    pts = np.stack([np.swapaxes(m, 1 + f, 1 + f + n) for f in factors], axis=1)
+    spectra = np.linalg.eigvalsh(pts.reshape((-1,) + states[0].matrix.shape)).reshape(pts.shape[:2] + (-1,))
+    out = tuple(tuple(PptVerdict(tuple(s), labels[f]) for s, f in zip(row, factors)) for row in spectra.tolist())
+    return out[0][0] if single else out
 
 
 def negativity_bd(p: BellDiagonalParams) -> float:

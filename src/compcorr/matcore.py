@@ -47,10 +47,11 @@ _PAULI_ROWS = SIGMAS[1:].reshape(3, 4)
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right."""
+    """Kronecker product of one or more matrices, left to right: bit for bit
+    np.kron, whose entrywise products it forms as one broadcast per pair."""
     if not ops:
         raise ValueError("kron needs at least one operand")
-    return reduce(np.kron, ops)
+    return reduce(lambda a, b: (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1), ops)
 
 
 def bloch_vector(theta, phi) -> np.ndarray:

@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compcorr.correlations import (
     clamped_discord,
@@ -238,6 +241,26 @@ class TestClosedForms:
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError):
             classical_correlation(BellDiagonalParams(1, 1, 1))
+
+    @given(st.one_of(st.floats(0, 1), st.floats(-150, 0).map(lambda e: 10.0**e)))
+    @example(1e-8)  # the direct form returned 0 here
+    @example(1.13e-5)  # and was 8.6e-7 off here
+    @example(0.0)
+    @example(1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_correlation_bits_is_accurate_down_to_tiny_c(self, c):
+        # the series sum_k c^(2k) / (2k (2k - 1)) / ln 2 is exact at tiny c,
+        # where the direct form's 1 +- c would need ever more digits
+        with mpmath.workdps(60):
+            x = mpmath.mpf(c)
+            if x < 0.5:
+                ref = mpmath.fsum(x ** (2 * k) / (2 * k * (2 * k - 1)) for k in range(1, 100))
+            else:
+                ref = (1 + x) / 2 * mpmath.log(1 + x) + ((1 - x) / 2 * mpmath.log(1 - x) if x < 1 else 0)
+            ref = float(ref / mpmath.log(2))
+        # 2e-15 relative where the value is a normal float, a few units of the last place below
+        assert correlation_bits(c) == pytest.approx(ref, rel=2e-15, abs=1e-322)
+        assert correlation_bits(-c) == correlation_bits(c)
 
     def test_nan_fails(self):
         with pytest.raises(ValueError, match="outside"):

@@ -101,6 +101,16 @@ def test_ppt_verdict_invalid_cut():
         ppt_verdict(rho, 3)
 
 
+def test_ppt_verdict_stacked_form():
+    rng = np.random.default_rng(35)
+    states = [random_density_matrix(rng, (2, 2, 2)) for _ in range(2)]
+    got = ppt_verdict(states, (0, 2, 1))
+    assert got == tuple(tuple(ppt_verdict(rho, f) for f in (0, 2, 1)) for rho in states)
+    for bad in ([states[0], random_density_matrix(rng, (4, 2))], [random_density_matrix(rng, (2, 2, 2, 2))]):
+        with pytest.raises(ValueError, match="no cut"):
+            ppt_verdict(bad, (0,))
+
+
 def test_rel_entropy_examples():
     assert rel_entropy_entanglement_bd(BellDiagonalParams(0.3, -0.3, 0.3)) == 0.0
     assert rel_entropy_entanglement_bd(BellDiagonalParams(1, -1, 1)) == pytest.approx(1.0)

@@ -41,6 +41,23 @@ def test_kron_associative():
     assert check_kron([(complex_2x2(), complex_2x2(), complex_2x2()) for _ in range(20)]).passed
 
 
+def test_kron_is_np_kron_bit_for_bit():
+    rng = np.random.default_rng(8)
+
+    def cplx(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    def same_bits(x, y):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    for _ in range(20):
+        a, b, c, d = cplx(2), cplx(2), cplx(4), cplx(4)
+        assert same_bits(kron(a, b), np.kron(a, b))
+        assert same_bits(kron(c, d), np.kron(c, d))
+        assert same_bits(kron(a, c), np.kron(a, c))
+        assert same_bits(kron(a, b, c), np.kron(np.kron(a, b), c))
+
+
 def test_partial_trace_bell():
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     np.testing.assert_allclose(partial_trace(rho, (2, 2), [0]), np.eye(2) / 2, atol=1e-14)

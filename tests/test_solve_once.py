@@ -7,6 +7,8 @@ state, and `complementary_correlations` contracts the state once with
 the stacked axis projectors. Each is compared here with the direct form.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,14 @@ from hypothesis import strategies as st
 
 from compcorr import report, states
 from compcorr.correlations import complementary_correlations, outcome_mutual_information
-from compcorr.edss import GRID_AC, GRID_BC, ancilla_state, run_protocol
-from compcorr.matcore import I2, PAULIS, hermitian_spectrum, kron, von_neumann_entropy
+from compcorr.edss import CUT_FACTORS, GRID_AC, GRID_BC, STAGES, ancilla_state, run_protocol
+from compcorr.matcore import I2, PAULIS, hermitian_spectrum, kron, partial_transpose, von_neumann_entropy
 from compcorr.states import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
     is_physical,
+    random_bd_params,
     random_density_matrix,
     signed_svd,
 )
@@ -61,7 +64,8 @@ def test_permuted_state_keeps_the_matrix_spectrum(seed):
 
 def test_run_protocol_solves_ten_8x8_spectra(monkeypatch):
     # the PSD check of the initial state and the nine stage partial
-    # transposes; the two CNOT stages keep the initial state's spectrum
+    # transposes; the two CNOT stages keep the initial state's spectrum. A
+    # stacked call solves as many matrices as its leading dimension.
     calls = []
     original = np.linalg.eigvalsh
 
@@ -72,7 +76,24 @@ def test_run_protocol_solves_ten_8x8_spectra(monkeypatch):
     rho, anc = bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3)), ancilla_state(0.0, 0.0, 0.5)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     run_protocol(rho, anc)
-    assert calls.count((8, 8)) == 10
+    on_8x8 = [s for s in calls if s[-2:] == (8, 8)]
+    assert sum(math.prod(s[:-2]) for s in on_8x8) == 10
+    # in at most two calls: the PSD check and the one stack of nine
+    assert len(on_8x8) <= 2
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stacked_verdicts_are_the_per_cut_spectra(seed, bell_diagonal_input):
+    # bit for bit: the one stacked eigvalsh against one solve per stage and cut
+    rng = np.random.default_rng(seed)
+    rho = bell_diagonal(random_bd_params(rng)) if bell_diagonal_input else random_density_matrix(rng, (2, 2))
+    trace = run_protocol(rho, random_density_matrix(rng, (2,)))
+    stages = (trace.initial_state, trace.after_alice, trace.after_bob)
+    for stage, state in zip(STAGES, stages):
+        for verdict, f, cut in zip(trace.stage_verdicts[stage], CUT_FACTORS, ("A|BC", "C|AB", "B|AC")):
+            per_cut = np.linalg.eigvalsh(partial_transpose(state.matrix, (2, 2, 2), f))
+            assert np.array(verdict.spectrum).tobytes() == per_cut.tobytes() and verdict.cut == cut
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
