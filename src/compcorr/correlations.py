@@ -25,7 +25,7 @@ from .matcore import (
     entropy_of_probabilities,
     von_neumann_entropy,
 )
-from .states import BellDiagonalParams, DensityMatrix, bd_spectrum
+from .states import BellDiagonalParams, DensityMatrix
 
 
 def outcome_mutual_information(p) -> float:
@@ -119,7 +119,7 @@ def classical_correlation(p: BellDiagonalParams) -> float:
 
     Attained along the axis carrying the largest |c_i|.
     """
-    return correlation_bits(np.max(np.abs(p.as_array())))
+    return correlation_bits(max(abs(p.c1), abs(p.c2), abs(p.c3)))
 
 
 def q1(p: BellDiagonalParams) -> float:
@@ -136,7 +136,7 @@ def total_mutual_information(rho: DensityMatrix) -> float:
 
 def bd_mutual_information(p: BellDiagonalParams) -> float:
     """Closed form 2 - S(rho) for Bell-diagonal states."""
-    return 2.0 - entropy_of_probabilities(bd_spectrum(p))
+    return 2.0 - entropy_of_probabilities(sorted(p.eigenvalues))
 
 
 def clamped_discord(mutual_info: float, classical_c: float) -> float:

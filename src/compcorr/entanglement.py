@@ -95,4 +95,4 @@ def all_correlations_nonzero(diag) -> bool:
     falls below PPT_TOL already at |T_kk| of about 1e-6. On a Bell-diagonal
     triple (`p.as_array()`) this is necessary, not sufficient, for the state
     to be entangled."""
-    return bool(np.all(np.abs(diag) > PPT_TOL))
+    return all(abs(t) > PPT_TOL for t in diag)

@@ -145,15 +145,17 @@ def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
 def entropy_of_probabilities(p: np.ndarray) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0.
 
-    Tiny negative entries (float noise from eigensolves) are clamped to zero;
-    entries below -EIG_CLAMP_TOL raise.
+    Tiny negative entries (float noise from eigensolves) are dropped as zeros;
+    entries below -EIG_CLAMP_TOL, NaN and infinite entries raise.
     """
     p = np.asarray(p, dtype=float)
-    if p.min() < -EIG_CLAMP_TOL:
-        raise ValueError(f"negative probability {p.min():.3e} below clamp threshold")
-    p = np.clip(p, 0.0, None)
+    if not p.min() >= -EIG_CLAMP_TOL:  # written so that a NaN fails
+        raise ValueError(f"probability {p.min():.3e} is NaN or below -{EIG_CLAMP_TOL:g}")
     nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)) / LOG2)
+    h = float(-np.sum(nz * np.log(nz)) / LOG2)
+    if not h > -np.inf:  # an infinite entry makes h -inf
+        raise ValueError(f"entropy of {p.tolist()} is not finite")
+    return h
 
 
 def von_neumann_entropy(m: np.ndarray) -> float:

@@ -1,7 +1,5 @@
 """Assemble the full per-state correlation report."""
 
-import numpy as np
-
 from .correlations import CorrelationReport, bd_mutual_information, classical_correlation, clamped_discord
 from .correlations import correlation_bits
 from .entanglement import all_correlations_nonzero, negativity_bd, rel_entropy_entanglement_bd
@@ -18,9 +16,14 @@ def report_for_bd(p: BellDiagonalParams, RA=IDENTITY_FRAME, RB=IDENTITY_FRAME) -
     clipped into [-1, 1]. `complementary_correlations`,
     `total_mutual_information` and `negativity` measure them on the state,
     as the references the oracle and the tests check.
+
+    The closed forms run on Python floats, the diagonal summed in np.einsum's
+    order; the logs stay numpy's (`math.log` and its kin differ in the last
+    bit on some inputs), so every field is bit for bit the array formulas'.
     """
-    diag = np.einsum("jk,j,jk->k", RA, p.as_array(), RB)
-    i_x, i_y, i_z = (correlation_bits(c) for c in np.clip(diag, -1.0, 1.0))
+    ra, rb = RA.tolist(), RB.tolist()
+    diag = [ra[0][k] * p.c1 * rb[0][k] + ra[1][k] * p.c2 * rb[1][k] + ra[2][k] * p.c3 * rb[2][k] for k in range(3)]
+    i_x, i_y, i_z = (correlation_bits(min(max(t, -1.0), 1.0)) for t in diag)
     c, i = classical_correlation(p), bd_mutual_information(p)
     return CorrelationReport(
         i_x=i_x,

@@ -184,15 +184,21 @@ def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
     return BlochDecomposition(a=c[1:, 0], b=c[0, 1:], T=c[1:, 1:])
 
 
+def _det3(m: np.ndarray) -> float:
+    """Determinant by cofactor expansion; +-1 up to rounding on an SVD's orthogonal factor."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def signed_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(RA, s, RB) with RA, RB in SO(3) and RA T RB^T = diag(s): an SVD with the
     signs of improper factors absorbed into s[2], since only SO(3) rotations
     lift to local unitaries."""
     U, s, Vt = np.linalg.svd(T)
-    if np.linalg.det(U) < 0:
+    if _det3(U) < 0:
         U[:, 2] *= -1
         s[2] *= -1
-    if np.linalg.det(Vt) < 0:
+    if _det3(Vt) < 0:
         Vt[2, :] *= -1
         s[2] *= -1
     return U.T, s, Vt
@@ -262,12 +268,11 @@ def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np
     na, nb = np.linalg.norm(dec.a), np.linalg.norm(dec.b)
     if not max(na, nb) <= MARGINAL_TOL:
         raise ValueError(f"state does not have maximally mixed marginals: |a| = {na:.3e}, |b| = {nb:.3e}")
-    T = dec.T
-    if np.array_equal(T, np.diag(np.diag(T))):
-        RA, c, RB = IDENTITY_FRAME, np.diag(T), IDENTITY_FRAME
-    else:
-        RA, c, RB = signed_svd(T)
-    return round_onto_tetrahedron(c), RA, RB
+    (t11, t12, t13), (t21, t22, t23), (t31, t32, t33) = dec.T.tolist()
+    if t12 == t13 == t21 == t23 == t31 == t32 == 0.0:
+        return round_onto_tetrahedron((t11, t22, t33)), IDENTITY_FRAME, IDENTITY_FRAME
+    RA, s, RB = signed_svd(dec.T)
+    return round_onto_tetrahedron(s.tolist()), RA, RB
 
 
 def random_bd_params(rng: np.random.Generator) -> BellDiagonalParams:

@@ -7,6 +7,7 @@ from compcorr.matcore import (
     SIGMA_Z,
     bloch_operator,
     bloch_vector,
+    entropy_of_probabilities,
     fmt,
     hermitian_spectrum,
     kron,
@@ -149,6 +150,14 @@ def test_entropy_unitary_invariance():
 def test_entropy_rejects_genuinely_negative():
     with pytest.raises(ValueError):
         von_neumann_entropy(np.diag([1.0 + 1e-6, -1e-6]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entropy_rejects_a_non_finite_probability(bad):
+    # a NaN would be dropped by the p > 0 mask (entropy 1.0) and an infinity
+    # would give -inf, so both must raise
+    with pytest.raises(ValueError, match="NaN|not finite"):
+        entropy_of_probabilities([0.5, bad, 0.5])
 
 
 def test_bloch_vector_batches_and_scalars():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from compcorr import edss, report, states
 from compcorr.correlations import bd_mutual_information, classical_correlation, complementary_correlations
-from compcorr.correlations import total_mutual_information
-from compcorr.entanglement import negativity
-from compcorr.matcore import kron
+from compcorr.correlations import clamped_discord, correlation_bits, total_mutual_information
+from compcorr.entanglement import negativity, negativity_bd, rel_entropy_entanglement_bd
+from compcorr.matcore import LOG2, PPT_TOL, kron
 from compcorr.oracle import spectrum_crosscheck
 from compcorr.report import report_for_bd, report_for_state
 from compcorr.states import BellDiagonalParams, DensityMatrix, bell_diagonal
@@ -78,6 +78,17 @@ def _count_everywhere(monkeypatch, fn, counts):
 
 _MEASURED_ROUTES = (complementary_correlations, total_mutual_information, negativity)
 
+# numpy calls on 3x3 frames and 3-entry triples, which cost more than their
+# arithmetic: a report makes none of them
+_NO_SMALL_ARRAY_CALLS = {"det": 0, "clip": 0, "array_equal": 0}
+
+
+def _count_small_array_calls(monkeypatch, counts):
+    counts.update(_NO_SMALL_ARRAY_CALLS)
+    _count_calls(monkeypatch, np.linalg, "det", counts)
+    _count_calls(monkeypatch, np, "clip", counts)
+    _count_calls(monkeypatch, np, "array_equal", counts)
+
 
 def test_report_work_count(monkeypatch):
     # one report on an already built state costs no kron, one Bloch
@@ -91,6 +102,7 @@ def test_report_work_count(monkeypatch):
     counts = {"kron": 0, "eigvalsh": 0}
     _count_calls(monkeypatch, np, "kron", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    _count_small_array_calls(monkeypatch, counts)
     counts["__post_init__"] = 0
     _count_calls(monkeypatch, BellDiagonalParams, "__post_init__", counts)
     for fn in (states.bloch_decompose, states.signed_svd, states.is_physical, states._bell_eigenvalues):
@@ -101,6 +113,7 @@ def test_report_work_count(monkeypatch):
     assert counts == {
         "kron": 0,
         "eigvalsh": 0,
+        **_NO_SMALL_ARRAY_CALLS,
         "__post_init__": 1,
         "bloch_decompose": 1,
         "signed_svd": 1,
@@ -122,6 +135,7 @@ def test_triple_report_work_count(monkeypatch):
     counts = {"kron": 0, "eigvalsh": 0}
     _count_calls(monkeypatch, np, "kron", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    _count_small_array_calls(monkeypatch, counts)
     built = {"__post_init__": 0}
     _count_calls(monkeypatch, DensityMatrix, "__post_init__", built)
     counts["__post_init__"] = 0
@@ -135,6 +149,7 @@ def test_triple_report_work_count(monkeypatch):
     assert counts == {
         "kron": 0,
         "eigvalsh": 0,
+        **_NO_SMALL_ARRAY_CALLS,
         "__post_init__": 0,
         "bloch_decompose": 0,
         "signed_svd": 0,
@@ -142,6 +157,77 @@ def test_triple_report_work_count(monkeypatch):
         "classical_correlation": 1,
         "bd_mutual_information": 1,
     }
+
+
+def _array_triple(rho):
+    """`bd_params_of` as numpy arrays: exact diagonal test, then an SVD whose
+    improper factors are read off np.linalg.det."""
+    T = states.bloch_decompose(rho).T
+    if np.array_equal(T, np.diag(np.diag(T))):
+        return states.round_onto_tetrahedron(np.diag(T)), states.IDENTITY_FRAME, states.IDENTITY_FRAME
+    U, s, Vt = np.linalg.svd(T)
+    if np.linalg.det(U) < 0:
+        U[:, 2] *= -1
+        s[2] *= -1
+    if np.linalg.det(Vt) < 0:
+        Vt[2, :] *= -1
+        s[2] *= -1
+    return states.round_onto_tetrahedron(s), U.T, Vt
+
+
+def _array_report(p, RA=states.IDENTITY_FRAME, RB=states.IDENTITY_FRAME) -> dict:
+    """`report_for_bd` as numpy array formulas: the reference its Python-float
+    closed forms must equal bit for bit."""
+    c = p.as_array()
+    diag = np.einsum("jk,j,jk->k", RA, c, RB)
+    i_x, i_y, i_z = (correlation_bits(t) for t in np.clip(diag, -1.0, 1.0))
+    classical = correlation_bits(np.max(np.abs(c)))
+    lam = np.clip(np.sort(p.eigenvalues), 0.0, None)
+    nz = lam[lam > 0.0]
+    mutual = 2.0 - float(-np.sum(nz * np.log(nz)) / LOG2)
+    return dict(
+        i_x=i_x,
+        i_y=i_y,
+        i_z=i_z,
+        classical_c=classical,
+        discord=clamped_discord(mutual, classical),
+        q1=i_z,
+        mutual_info=mutual,
+        negativity=negativity_bd(p),
+        e_r=rel_entropy_entanglement_bd(p),
+        all_complementary_nonzero=bool(np.all(np.abs(diag) > PPT_TOL)),
+    )
+
+
+def _edge_triples():
+    """Seeded triples in the interior, on the faces (one Bell eigenvalue 0),
+    at c = +-1 on one axis, and with |c_k| = 1/2, where `correlation_bits`
+    changes branch."""
+    rng = np.random.default_rng(20)
+    out = [states.random_bd_params(rng) for _ in range(60)]
+    for k in range(4):
+        for _ in range(15):
+            lam = np.insert(rng.dirichlet(np.ones(3)), k, 0.0)
+            out.append(states.round_onto_tetrahedron(states._BELL_SIGNS @ lam))
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            for t in (0.0, 0.3, -0.7):
+                c = [0.0, 0.0, 0.0]
+                c[axis], c[(axis + 1) % 3], c[(axis + 2) % 3] = sign, t, -sign * t
+                out.append(BellDiagonalParams(*c))
+    while len(out) < 200:
+        c = rng.uniform(-1, 1, 3)
+        c[rng.integers(3)] = rng.choice([0.5, -0.5])
+        if states.is_physical(c):
+            out.append(BellDiagonalParams(*c))
+    return out
+
+
+def test_reports_equal_the_array_formulas_bit_for_bit():
+    for n, p in enumerate(_edge_triples()):
+        assert report_for_bd(p).to_dict() == _array_report(p), p
+        for rho in (bell_diagonal(p), _rotated_bd_state(p, n)):
+            assert report_for_state(rho).to_dict() == _array_report(*_array_triple(rho)), (p, n)
 
 
 def test_sweep_skips_the_measured_correlations(monkeypatch):
