@@ -149,7 +149,26 @@ def clamped_discord(mutual_info: float, classical_c: float) -> float:
 
 def discord_bd(p: BellDiagonalParams) -> float:
     """Quantum discord of a Bell-diagonal state, closed form: the clamped
-    difference of `bd_mutual_information` and `classical_correlation`."""
+    difference of `bd_mutual_information` and `classical_correlation`.
+
+    D - Q1 is a mutual information. The Bell states are the joint
+    eigenstates of the parities P_x = XX, P_y = YY and P_z = ZZ, with
+    P_y = -P_x P_z, and their signs on (phi+, phi-, psi+, psi-) are the rows
+    of `states._BELL_SIGNS`. Any two parities fix the third, so the Bell
+    eigenvalues lambda are the joint distribution of any two of them:
+    H(P_k, P_l) = H(lambda), E[P_k] = c_k and H(P_k) = 1 -
+    correlation_bits(c_k). Let k be the axis of the largest |c|, so that
+    C = correlation_bits(c_k), and l another axis, Q1 = correlation_bits(c_l);
+    the ordered frame takes the median |c|. With I = 2 - H(lambda)
+    (S. Luo, PRA 77, 042303 (2008)),
+
+        D - Q1 = 2 - H(lambda) - correlation_bits(c_k) - correlation_bits(c_l)
+               = H(P_k) + H(P_l) - H(P_k, P_l) = I(P_k : P_l) >= 0.
+
+    It vanishes iff P_k and P_l are independent. For two +-1 variables that
+    is E[P_k P_l] = E[P_k] E[P_l], and P_k P_l = -P_m for the third axis m,
+    so D = Q1 exactly on the surface c_m = -c_k c_l.
+    """
     return clamped_discord(bd_mutual_information(p), classical_correlation(p))
 
 

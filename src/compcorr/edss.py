@@ -50,8 +50,9 @@ c1 c2 < 0; the psi pair is the mirror case, c3 < 0 and c1 c2 > 0.
 floating point, and certifies its witness r = (r_a + s_c)/2 with one
 `run_protocol`. Within about 1e-10 of a face the window (r_a, s_c] is below
 rounding and the certification can fail; the result is then useful with no
-witness. `oracle.edss_useful_numeric` is the numeric reference: a per-point
-8x8 grid search over the whole ancilla ball.
+witness. `oracle.edss_useful_numeric` is the numeric reference: a grid
+search over the whole ancilla ball that solves the 8x8 send-step cuts of
+all its grid points as one stacked eigensolve.
 """
 
 import itertools
@@ -92,7 +93,17 @@ def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatri
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Per-stage record of one protocol run."""
+    """Per-stage record of one protocol run.
+
+    `final_ab_negativity` is the A|B negativity of Tr_C of the state after
+    both CNOTs. Together they add a XOR b to the ancilla's bit, so an entry
+    of rho_AB between basis states of equal parity a XOR b comes back from
+    Tr_C unchanged, times Tr of the ancilla, which is 1. Every nonzero entry
+    of a Bell-diagonal rho_AB is of that kind, so for a Bell-diagonal input
+    Tr_C returns rho_AB exactly, for every ancilla, and the field is the
+    input's negativity: `negativity_bd(p)`, up to the eigensolver's rounding,
+    and 0 on every separable input.
+    """
 
     initial_state: DensityMatrix
     after_alice: DensityMatrix

@@ -1,12 +1,16 @@
 """Independent brute-force verifiers.
 
 The grid maximizer of the Holevo quantity is the oracle for the closed-form
-classical correlation; numeric discord follows from it. The per-point 8x8
-ancilla grid search is the oracle for the exact EDSS rule. Also here: the
-mutual-unbiasedness checker and the closed-form-vs-eigensolver spectrum
-cross-check. Each cross-check of the seeded suite behind `compcorr verify`
-is one `check_*` function of its input samples; the tests call the same
-functions on their own seeds.
+classical correlation; numeric discord follows from it. The stacked 8x8
+ancilla grid search is the oracle for the exact EDSS rule: the A|BC cut of
+every grid ancilla is one stacked eigensolve, and the C|AB cut a second
+one where A|BC is NPT. Also here: the mutual-unbiasedness checker and the
+closed-form-vs-eigensolver spectrum cross-check. Each cross-check of the seeded suite behind
+`compcorr verify` is one `check_*` function of its input samples; the
+tests call the same functions on their own seeds. A check's Bell-diagonal
+samples are drawn as one block; its spectra are one (n, 4, 4) eigvalsh and
+its Holevo maximizations run in lockstep. Every number is bit for bit that
+of the same work done one sample at a time.
 """
 
 import functools
@@ -17,14 +21,15 @@ import numpy as np
 
 from .correlations import bd_mutual_information, clamped_discord, classical_correlation, complementary_correlations
 from .correlations import correlation_bits, discord_bd, holevo_quantity, q1, total_mutual_information
-from .edss import GRID_AC, ancilla_state
+from .edss import PERM_AC
 from .entanglement import require_separable
-from .matcore import LOG2, MUB_TOL, PPT_TOL, SIGMAS, ZERO_BRANCH, bloch_vector, kron, partial_transpose
-from .states import BellDiagonalParams, DensityMatrix, bd_spectrum, bell_diagonal, random_bd_params
+from .matcore import LOG2, MUB_TOL, PPT_TOL, SIGMAS, ZERO_BRANCH, bloch_operator, bloch_vector, kron, partial_transpose
+from .states import PAULI_PRODUCTS, BellDiagonalParams, DensityMatrix, bell_diagonal, random_bd_params
 from .states import random_density_matrix
 
 DEFAULT_RESOLUTION = (90, 180)
 REFINE_ROUNDS = 5
+HOLEVO_STACK = 20  # states per lockstep pass of `maximize_holevo`: about 50 MB of arrays at the default grid
 ANCILLA_RADII = (1.0, 0.8, 0.6, 0.4, 0.2)
 
 OVERLAP_CONVENTION_NOTE = (
@@ -44,24 +49,32 @@ def _entropy2x2_batch(tr, det) -> np.ndarray:
     return -terms.sum(axis=-1) / LOG2
 
 
-def _holevo_batch(rho: DensityMatrix, ns: np.ndarray) -> np.ndarray:
-    """Holevo quantity in bits for a batch of Bob measurement Bloch vectors.
+def _alice_rows(rho: DensityMatrix) -> np.ndarray:
+    """A_k = Tr_B[rho (I (x) sigma_k)], k = 0..3, as rows (x00, x11, Re x01, Im x01)."""
+    # A_k[a, c] = sum_eb r[a, b, c, e] sigma_k[e, b]
+    a = np.einsum("abce,keb->kac", rho.matrix.reshape(2, 2, 2, 2), SIGMAS)
+    return np.stack([a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1].real, a[:, 0, 1].imag], axis=1)
+
+
+def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Holevo quantity in bits for a stack of states, given by their
+    `_alice_rows` (S, 4, 4), and a batch of Bob measurement Bloch vectors,
+    (N, 3) for every state or (S, N, 3) per state: an (S, N) array.
 
     Bob's projector (I +- n . sigma)/2 leaves Alice the unnormalised state
-    x+-(n) = (A_0 +- n . A)/2, where A_k = Tr_B[rho (I (x) sigma_k)], so
-    every x+-(n) comes from one real product of the directions with the
-    entries of A_1, A_2, A_3. A_0 is rho_A.
+    x+-(n) = (A_0 +- n . A)/2, so every x+-(n) comes from one real product
+    of the directions with the rows of A_1, A_2, A_3. A_0 is rho_A. Each
+    state's values are bit for bit those of a stack of that state alone.
     """
-    # A_k[a, c] = sum_eb r[a, b, c, e] sigma_k[e, b], as rows (x00, x11, Re x01, Im x01)
-    a = np.einsum("abce,keb->kac", rho.matrix.reshape(2, 2, 2, 2), SIGMAS)
-    rows = np.stack([a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1].real, a[:, 0, 1].imag], axis=1)
-    lin = ns @ rows[1:]
-    x = np.concatenate([rows[:1], (rows[0] + lin) / 2, (rows[0] - lin) / 2])  # rho_A, x+, x-
-    tr, det = x[:, 0] + x[:, 1], x[:, 0] * x[:, 1] - x[:, 2] ** 2 - x[:, 3] ** 2
-    p = tr[1:]
+    lin = ns @ rows[:, 1:]
+    a0 = rows[:, None, 0]
+    x = np.concatenate([a0, (a0 + lin) / 2, (a0 - lin) / 2], axis=1)  # rho_A, x+, x-
+    tr, det = x[..., 0] + x[..., 1], x[..., 0] * x[..., 1] - x[..., 2] ** 2 - x[..., 3] ** 2
+    p = tr[:, 1:]
     q = np.where(p > ZERO_BRANCH, p, 1.0)
-    cond = np.where(p > ZERO_BRANCH, p * _entropy2x2_batch(p / q, det[1:] / (q * q)), 0.0)
-    return _entropy2x2_batch(tr[0], det[0]) - (cond[: len(ns)] + cond[len(ns) :])
+    cond = np.where(p > ZERO_BRANCH, p * _entropy2x2_batch(p / q, det[:, 1:] / (q * q)), 0.0)
+    n = lin.shape[1]
+    return _entropy2x2_batch(tr[:, :1], det[:, :1]) - (cond[:, :n] + cond[:, n:])
 
 
 @functools.lru_cache(maxsize=16)
@@ -83,10 +96,10 @@ class OptimizationResult:
     argmax_bloch: np.ndarray
 
 
-def maximize_holevo(
-    rho: DensityMatrix, resolution: tuple[int, int] = DEFAULT_RESOLUTION
-) -> OptimizationResult:
-    """Grid-maximize the Holevo quantity over Bob's measurement Bloch vector.
+def maximize_holevo(rho, resolution: tuple[int, int] = DEFAULT_RESOLUTION):
+    """Grid-maximize the Holevo quantity over Bob's measurement Bloch vector:
+    an `OptimizationResult` for one state, or a tuple of them, one per
+    state, for a sequence of states.
 
     chi(n) = chi(-n) for every two-qubit state: measuring along -n swaps
     the two outcomes and leaves Alice's ensemble as it was. So the coarse
@@ -98,33 +111,47 @@ def maximize_holevo(
     follow around the running best. Grid ties break to the
     lexicographically smallest (polar, azimuthal) index pair. The returned
     value is recomputed through `holevo_quantity` at the winning direction.
+
+    The states of a sequence run in lockstep, HOLEVO_STACK at a time: one
+    `_holevo_batch` for the coarse pass and one per refinement round. Each
+    result is bit for bit that of the state alone.
     """
     n_polar, n_azimuth = resolution
     if n_polar < 8 or n_azimuth < 8:
         raise ValueError("need at least 8 grid points per angle")
+    if isinstance(rho, DensityMatrix):
+        return _maximize_stack((rho,), n_polar, n_azimuth)[0]
+    states = tuple(rho)
+    return tuple(
+        opt
+        for i in range(0, len(states), HOLEVO_STACK)
+        for opt in _maximize_stack(states[i : i + HOLEVO_STACK], n_polar, n_azimuth)
+    )
 
+
+def _maximize_stack(states, n_polar: int, n_azimuth: int) -> list[OptimizationResult]:
+    rows = np.stack([_alice_rows(rho) for rho in states])
     thetas, phis, ns = _direction_grid(n_polar, n_azimuth)
-    vals = _holevo_batch(rho, ns)
-    best = int(np.argmax(vals))  # first occurrence = lexicographic tie-break
+    best = np.argmax(_holevo_batch(rows, ns), axis=1)  # first occurrence = lexicographic tie-break
     th, ph = thetas[best // n_azimuth], phis[best % n_azimuth]
 
     step_t = np.pi / (n_polar - 1) / 2
     step_p = 2 * np.pi / n_azimuth / 2
     offsets = np.array([-2, -1, 0, 1, 2])
+    pick = np.arange(len(states))
     for _ in range(REFINE_ROUNDS):
-        tt = np.clip(th + offsets * step_t, 0.0, np.pi)
-        pp = ph + offsets * step_p
-        tg, pg = np.meshgrid(tt, pp, indexing="ij")
-        local = bloch_vector(tg.ravel(), pg.ravel())
-        lvals = _holevo_batch(rho, local)
-        k = int(np.argmax(lvals))
-        th, ph = tg.ravel()[k], pg.ravel()[k]
+        # each state's 5 x 5 local grid, row-major as np.meshgrid(..., indexing="ij") lays it out
+        tg = np.repeat(np.clip(th[:, None] + offsets * step_t, 0.0, np.pi), 5, axis=1)
+        pg = np.tile(ph[:, None] + offsets * step_p, 5)
+        k = np.argmax(_holevo_batch(rows, bloch_vector(tg, pg)), axis=1)
+        th, ph = tg[pick, k], pg[pick, k]
         step_t /= 2
         step_p /= 2
 
-    n_best = bloch_vector(th, ph)
-    value = holevo_quantity(rho, n_best / np.linalg.norm(n_best))
-    return OptimizationResult(value=value, argmax_bloch=n_best)
+    return [
+        OptimizationResult(value=holevo_quantity(rho, n / np.linalg.norm(n)), argmax_bloch=n)
+        for rho, n in zip(states, bloch_vector(th, ph))
+    ]
 
 
 def discord_numeric(
@@ -134,27 +161,11 @@ def discord_numeric(
     return total_mutual_information(rho) - maximize_holevo(rho, resolution).value
 
 
-_DIMS3 = (2, 2, 2)
-
-
-def _min_pt_after_alice(rho4: np.ndarray, anc2: np.ndarray) -> tuple[float, np.ndarray]:
-    """Min eigenvalue of PT over A after Alice's CNOT, plus the 8x8 state."""
-    rabc = np.kron(rho4, anc2)[GRID_AC]
-    lam = np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 0))
-    return float(lam[0]), rabc
-
-
-def _min_pt_c(rabc: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(partial_transpose(rabc, _DIMS3, 2))[0])
-
-
-def _ancilla_grid(n_polar: int, n_azimuth: int):
+def _ancilla_grid(n_polar: int, n_azimuth: int) -> list[tuple[float, float, float]]:
+    """The (theta, phi, radius) grid, radius outermost, then theta, then phi."""
     thetas = np.linspace(0.0, np.pi, n_polar)
     phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
-    for r in ANCILLA_RADII:
-        for th in thetas:
-            for ph in phis:
-                yield th, ph, r
+    return [(th, ph, r) for r in ANCILLA_RADII for th in thetas for ph in phis]
 
 
 def _ancilla_refinement(center: tuple[float, float, float], n_polar: int, n_azimuth: int):
@@ -162,12 +173,34 @@ def _ancilla_refinement(center: tuple[float, float, float], n_polar: int, n_azim
     dth = 0.5 * np.pi / max(n_polar - 1, 1)
     dph = 0.5 * 2 * np.pi / n_azimuth
     dr = 0.5 * (max(ANCILLA_RADII) - min(ANCILLA_RADII)) / (len(ANCILLA_RADII) - 1)
-    for k in (-1, 0, 1):
-        r = min(max(r0 + k * dr, 0.0), 1.0)
-        for i, j in itertools.product((-2, -1, 0, 1, 2), repeat=2):
-            th = min(max(th0 + i * dth, 0.0), np.pi)
-            ph = (ph0 + j * dph) % (2 * np.pi)
-            yield th, ph, r
+    return [
+        (min(max(th0 + i * dth, 0.0), np.pi), (ph0 + j * dph) % (2 * np.pi), min(max(r0 + k * dr, 0.0), 1.0))
+        for k in (-1, 0, 1)
+        for i, j in itertools.product((-2, -1, 0, 1, 2), repeat=2)
+    ]
+
+
+def _min_pt_eigenvalues(rabc: np.ndarray, factor: int) -> np.ndarray:
+    """Least eigenvalue of the partial transpose on one factor of each
+    three-qubit matrix of an (n, 8, 8) stack, in one stacked eigvalsh."""
+    pt = np.swapaxes(rabc.reshape((-1,) + (2,) * 6), 1 + factor, 4 + factor)
+    return np.linalg.eigvalsh(pt.reshape(rabc.shape))[:, 0]
+
+
+def _scan_ancillas(rho4: np.ndarray, points) -> tuple[np.ndarray, int | None, bool]:
+    """Both send-step verdicts of the protocol on rho4 for every ancilla in
+    points: (the A|BC minima, the index of the first clean success or None,
+    whether an NPT send step came before it). The C|AB cut is solved only
+    where A|BC is NPT."""
+    th, ph, r = np.array(points).T
+    anc = bloch_operator(r[:, None] * bloch_vector(th, ph))
+    # np.kron(rho4, anc) for every ancilla, then Alice's CNOT: index by PERM_AC
+    rabc = (rho4[None, :, None, :, None] * anc[:, None, :, None, :]).reshape(-1, 8, 8)[:, PERM_AC][:, :, PERM_AC]
+    m_a = _min_pt_eigenvalues(rabc, 0)
+    npt = np.flatnonzero(m_a < -PPT_TOL)
+    clean = _min_pt_eigenvalues(rabc[npt], 2) >= -PPT_TOL
+    first = int(np.argmax(clean)) if clean.any() else len(npt)
+    return m_a, (int(npt[first]) if first < len(npt) else None), first > 0
 
 
 @dataclass(frozen=True)
@@ -180,38 +213,29 @@ def edss_useful_numeric(
     p: BellDiagonalParams, n_polar: int = 24, n_azimuth: int = 48
 ) -> NumericEdssResult:
     """Reference for `edss.edss_useful`: search a (theta, phi, radius) grid,
-    radius outermost, one ancilla at a time, with both send-step verdicts
-    from 8x8 eigensolves, and stop at the first clean success.
+    radius outermost, for the first ancilla with a clean success, both
+    send-step verdicts from 8x8 eigensolves.
 
-    With no witness on the grid, refine at half steps around the first grid
-    point within PPT_TOL of the lowest A|BC minimum. The C|AB cut is solved
-    only where A|BC is NPT.
+    The whole grid is one (n, 8, 8) stack: one broadcast product builds
+    every rho (x) ancilla, Alice's CNOT permutes it, and one stacked
+    eigvalsh solves A|BC; C|AB is solved, in a second one, only where A|BC
+    is NPT. With no witness on the grid, the search refines at half steps
+    around the first grid point within PPT_TOL of the lowest A|BC minimum,
+    as one more stack. The result is the first clean success in grid
+    order, as a search that stopped there would find it.
     """
+    if n_polar < 2 or n_azimuth < 1:
+        raise ValueError(f"need at least 2 polar and 1 azimuthal grid points, got {n_polar} and {n_azimuth}")
     require_separable(p)
     rho4 = bell_diagonal(p).matrix
-    scored = []  # (min PT_A, point) for every point considered
-    npt_seen = False
-
-    def consider(th, ph, r):
-        nonlocal npt_seen
-        m_a, rabc = _min_pt_after_alice(rho4, ancilla_state(th, ph, r).matrix)
-        scored.append((m_a, (th, ph, r)))
-        if m_a >= -PPT_TOL:
-            return False
-        if _min_pt_c(rabc) >= -PPT_TOL:
-            return True
-        npt_seen = True
-        return False
-
-    for pt in _ancilla_grid(n_polar, n_azimuth):
-        if consider(*pt):
-            return NumericEdssResult(pt, npt_seen)
-    lowest = min(m for m, _ in scored)
-    center = next(pt for m, pt in scored if m <= lowest + PPT_TOL)
-    for pt in _ancilla_refinement(center, n_polar, n_azimuth):
-        if consider(*pt):
-            return NumericEdssResult(pt, npt_seen)
-    return NumericEdssResult(None, npt_seen)
+    grid = _ancilla_grid(n_polar, n_azimuth)
+    m_a, hit, npt_seen = _scan_ancillas(rho4, grid)
+    if hit is not None:
+        return NumericEdssResult(grid[hit], npt_seen)
+    center = grid[int(np.argmax(m_a <= m_a.min() + PPT_TOL))]
+    refinement = _ancilla_refinement(center, n_polar, n_azimuth)
+    _, hit, npt_after = _scan_ancillas(rho4, refinement)
+    return NumericEdssResult(None if hit is None else refinement[hit], npt_seen or npt_after)
 
 
 def mub_check(bases) -> bool:
@@ -242,10 +266,18 @@ def pauli_mub_bases() -> list[np.ndarray]:
     return [z, x, y]
 
 
-def spectrum_crosscheck(p: BellDiagonalParams) -> float:
-    """Max deviation between closed-form and numeric eigenvalues."""
-    numeric = bell_diagonal(p).spectrum()
-    return float(np.max(np.abs(bd_spectrum(p) - numeric)))
+def spectrum_crosscheck(p) -> float:
+    """Max deviation between closed-form and numeric eigenvalues, of one
+    triple or over a sequence of them. The states are built as one
+    (n, 4, 4) stack, each bit for bit `bell_diagonal(p).matrix`, and solved
+    by one stacked eigvalsh."""
+    triples = (p,) if isinstance(p, BellDiagonalParams) else tuple(p)
+    diag = np.zeros((len(triples), 4, 4))
+    diag[:, 0, 0] = 1.0
+    diag[:, (1, 2, 3), (1, 2, 3)] = [(t.c1, t.c2, t.c3) for t in triples]
+    numeric = np.linalg.eigvalsh(np.einsum("nij,ijkl->nkl", diag, PAULI_PRODUCTS) / 4.0)
+    closed = np.sort([t.eigenvalues for t in triples], axis=1)
+    return float(np.max(np.abs(closed - numeric)))
 
 
 @dataclass(frozen=True)
@@ -271,7 +303,7 @@ def _axis_angle_deg(n: np.ndarray, axis: int) -> float:
 
 def check_spectra(samples: list[BellDiagonalParams]) -> CheckResult:
     """Closed-form Bell-diagonal spectra vs the numeric eigensolver."""
-    dev = max(spectrum_crosscheck(p) for p in samples)
+    dev = spectrum_crosscheck(samples)
     return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
 
@@ -279,9 +311,8 @@ def check_holevo(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
     """Closed-form classical correlation and discord vs grid maximization of
     the Holevo quantity, and the maximizing direction vs the strongest axis."""
     dev_c = dev_d = dev_ax = 0.0
-    for p in samples:
-        state = bell_diagonal(p)
-        opt = maximize_holevo(state)
+    states = [bell_diagonal(p) for p in samples]
+    for p, state, opt in zip(samples, states, maximize_holevo(states)):
         dev_c = max(dev_c, abs(classical_correlation(p) - opt.value))
         dev_d = max(dev_d, abs(discord_bd(p) - (total_mutual_information(state) - opt.value)))
         mags = np.abs(p.as_array())
@@ -306,8 +337,7 @@ def check_ordered_frame(samples: list[BellDiagonalParams]) -> tuple[CheckResult,
     Q1 <= D and Q1 + C <= I."""
     dev_qd = dev_qci = -np.inf
     for p in samples:
-        mags = np.sort(np.abs(p.as_array()))[::-1]
-        q_med = correlation_bits(mags[1])
+        q_med = correlation_bits(sorted((abs(p.c1), abs(p.c2), abs(p.c3)))[1])
         c, i = classical_correlation(p), bd_mutual_information(p)
         dev_qd = max(dev_qd, q_med - clamped_discord(i, c))
         dev_qci = max(dev_qci, q_med + c - i)
@@ -340,9 +370,6 @@ def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
 
-    def triples(n):
-        return [random_bd_params(rng) for _ in range(n)]
-
     def complex_2x2():
         return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
 
@@ -350,10 +377,10 @@ def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
     return [
         CheckResult("pauli-bases-mutually-unbiased", mub_check(pauli_mub_bases()), 0.0, MUB_TOL),
         CheckResult("repeated-basis-rejected", not mub_check([z, z]), 0.0, MUB_TOL),
-        check_spectra(triples(samples)),
-        *check_holevo(triples(max(10, samples // 50))),
-        check_z_correlation(triples(min(samples, 200))),
-        *check_ordered_frame(triples(samples)),
+        check_spectra(random_bd_params(rng, samples)),
+        *check_holevo(random_bd_params(rng, max(10, samples // 50))),
+        check_z_correlation(random_bd_params(rng, min(samples, 200))),
+        *check_ordered_frame(random_bd_params(rng, samples)),
         check_involution([random_density_matrix(rng, (2, 2)) for _ in range(min(samples, 100))]),
         check_kron([(complex_2x2(), complex_2x2(), complex_2x2()) for _ in range(min(samples, 100))]),
     ]

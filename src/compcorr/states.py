@@ -275,12 +275,34 @@ def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np
     return round_onto_tetrahedron(s.tolist()), RA, RB
 
 
-def random_bd_params(rng: np.random.Generator) -> BellDiagonalParams:
-    """Uniform sample of the physical Bell-diagonal tetrahedron (rejection)."""
-    while True:
-        c = rng.uniform(-1, 1, 3).tolist()
-        if is_physical(c):
-            return BellDiagonalParams(*c)
+def random_bd_params(rng: np.random.Generator, n: int | None = None):
+    """Uniform sample of the physical Bell-diagonal tetrahedron (rejection),
+    or, given n, a list of n such samples.
+
+    The n-sample form draws blocks of tries and keeps the rows that
+    `is_physical` keeps, by the same `_bell_eigenvalues` arithmetic. It
+    returns what n single calls return and leaves the generator where they
+    leave it: `Generator.uniform` draws one double per entry, in order, so
+    a block of k rows of three is k draws of three.
+    """
+    if n is None:
+        while True:
+            c = rng.uniform(-1, 1, 3).tolist()
+            if is_physical(c):
+                return BellDiagonalParams(*c)
+    if n < 0:
+        raise ValueError(f"sample count {n} must be at least 0")
+    start = rng.bit_generator.state
+    tries = np.empty((0, 3))
+    while True:  # about one try in three is physical
+        tries = np.concatenate([tries, rng.uniform(-1, 1, (3 * n + 32, 3))])
+        kept = np.flatnonzero((np.array(_bell_eigenvalues(*tries.T)) >= -PHYSICALITY_TOL).all(axis=0))
+        if len(kept) >= n:
+            break
+    used = kept[n - 1] + 1 if n else 0
+    rng.bit_generator.state = start
+    rng.uniform(-1, 1, (used, 3))  # advance past the tries that n single calls make
+    return [BellDiagonalParams(*c) for c in tries[kept[:n]].tolist()]
 
 
 def random_density_matrix(rng: np.random.Generator, dims) -> DensityMatrix:

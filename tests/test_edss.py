@@ -14,6 +14,7 @@ from compcorr.edss import (
     sweep_csv,
     sweep_summary,
 )
+from compcorr.entanglement import negativity_bd
 from compcorr.matcore import kron
 from compcorr.states import BellDiagonalParams, bell_diagonal, is_physical, random_bd_params, random_density_matrix
 
@@ -109,6 +110,21 @@ class TestRunProtocol:
             np.sort(trace.initial_state.spectrum()),
             atol=1e-10,
         )
+
+    def test_final_ab_state_is_the_bell_diagonal_input(self):
+        # the CNOTs add a XOR b to the ancilla, and a Bell-diagonal rho_AB has
+        # no entry between states of unequal parity: Tr_C gives rho_AB back,
+        # so final_ab_negativity is the input's, entangled inputs included
+        rng = np.random.default_rng(43)
+        separable = 0
+        for p in random_bd_params(rng, 100):
+            th, ph, r = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 1)
+            rho = bell_diagonal(p)
+            trace = run_protocol(rho, ancilla_state(th, ph, r))
+            assert np.max(np.abs(trace.after_bob.partial_trace([0, 1]).matrix - rho.matrix)) <= 1e-15
+            assert abs(trace.final_ab_negativity - negativity_bd(p)) <= 1e-15
+            separable += negativity_bd(p) == 0.0
+        assert 20 <= separable <= 80
 
     def test_maximally_mixed_never_succeeds(self):
         trace = run_protocol(bell_diagonal(BellDiagonalParams(0, 0, 0)), ancilla_state(0.3, 2.0, 1.0))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from compcorr.correlations import classical_correlation, holevo_quantity, q1
 from compcorr import oracle
-from compcorr.edss import edss_useful
+from compcorr.edss import GRID_AC, edss_useful
 from compcorr.entanglement import is_separable_bd
-from compcorr.matcore import LOG2, ZERO_BRANCH, bloch_operator, bloch_vector
+from compcorr.matcore import LOG2, PPT_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron, partial_transpose
 from compcorr.oracle import (
     check_holevo,
     check_spectra,
@@ -100,15 +100,30 @@ def test_hemisphere_maximum_matches_the_full_sphere(resolution, count):
         assert min(np.max(np.abs(n_got - n_want)), np.max(np.abs(n_got + n_want))) <= 1e-12
 
 
+@pytest.mark.parametrize("resolution, count", [((90, 180), 3), ((16, 32), 12), ((9, 11), 12)])
+def test_holevo_on_a_sequence_is_each_single_call(resolution, count):
+    # 2 * count states cross the HOLEVO_STACK boundary at the smaller grids
+    rng = np.random.default_rng(56)
+    states = [bell_diagonal(p) for p in random_bd_params(rng, count)]
+    states += [random_density_matrix(rng, (2, 2)) for _ in range(count)]
+    got = maximize_holevo(states, resolution)
+    assert isinstance(got, tuple) and len(got) == len(states)
+    for rho, opt in zip(states, got):
+        want = maximize_holevo(rho, resolution)
+        assert opt.value == want.value
+        assert opt.argmax_bloch.tobytes() == want.argmax_bloch.tobytes()
+    assert maximize_holevo([], resolution) == ()
+
+
 # (9, 11): an odd n_polar keeps the equator row theta = pi/2
 @pytest.mark.parametrize("resolution", [(90, 180), (16, 32), (9, 11)])
 def test_holevo_batch_sees_the_hemisphere_grid_and_refinement(monkeypatch, resolution):
     sizes = []
     original = oracle._holevo_batch
 
-    def counting(rho, ns):
-        sizes.append(len(ns))
-        return original(rho, ns)
+    def counting(rows, ns):
+        sizes.append(ns.shape[-2])  # directions per state: (N, 3) shared or (S, N, 3)
+        return original(rows, ns)
 
     monkeypatch.setattr(oracle, "_holevo_batch", counting)
     maximize_holevo(bell_diagonal(BellDiagonalParams(0.45, -0.2, 0.3)), resolution)
@@ -173,18 +188,71 @@ class TestDiscordNumeric:
         assert check_holevo([random_bd_params(rng) for _ in range(25)])[1].passed
 
 
+def _edss_numeric_per_point(p, n_polar, n_azimuth):
+    """The numeric EDSS search one ancilla at a time: for each grid point in
+    order, an 8x8 kron, Alice's CNOT and the A|BC eigensolve, and the C|AB
+    eigensolve only where A|BC is NPT; it stops at the first clean success."""
+    rho4 = bell_diagonal(p).matrix
+    scored = []  # (min PT_A, point) for every point considered
+    npt_seen = False
+
+    def consider(th, ph, r):
+        nonlocal npt_seen
+        rabc = kron(rho4, bloch_operator(r * bloch_vector(th, ph)))[GRID_AC]
+        m_a = float(np.linalg.eigvalsh(partial_transpose(rabc, (2, 2, 2), 0))[0])
+        scored.append((m_a, (th, ph, r)))
+        if m_a >= -PPT_TOL:
+            return False
+        if np.linalg.eigvalsh(partial_transpose(rabc, (2, 2, 2), 2))[0] >= -PPT_TOL:
+            return True
+        npt_seen = True
+        return False
+
+    for pt in oracle._ancilla_grid(n_polar, n_azimuth):
+        if consider(*pt):
+            return oracle.NumericEdssResult(pt, npt_seen)
+    lowest = min(m for m, _ in scored)
+    center = next(pt for m, pt in scored if m <= lowest + PPT_TOL)
+    for pt in oracle._ancilla_refinement(center, n_polar, n_azimuth):
+        if consider(*pt):
+            return oracle.NumericEdssResult(pt, npt_seen)
+    return oracle.NumericEdssResult(None, npt_seen)
+
+
+def _edss_numeric_triples():
+    rng = np.random.default_rng(54)
+    # a refinement-step witness: the grid's A|BC minimum is tied along
+    # r_x = 0, and the search must refine around the first tied point
+    triples = [BellDiagonalParams(0.01413628, 0.01277, -0.52761174)]
+    while len(triples) < 30:
+        c = rng.uniform(-1, 1, 3)
+        if len(triples) % 3 == 0:
+            c[len(triples) % 9 // 3] = 0.0  # on an axis plane
+        if is_physical(c) and is_separable_bd(p := BellDiagonalParams(*c)):
+            triples.append(p)
+    return triples
+
+
 class TestEdssNumeric:
+    def test_stacked_search_matches_the_per_point_search(self):
+        # every triple on a 4 x 8 grid, which keeps the per-point search under
+        # a second, and the refinement triple also on the 8 x 16 grid below
+        triples = _edss_numeric_triples()
+        refined = 0
+        for p, n_polar, n_azimuth in [(p, 4, 8) for p in triples] + [(triples[0], 8, 16)]:
+            got, want = edss_useful_numeric(p, n_polar, n_azimuth), _edss_numeric_per_point(p, n_polar, n_azimuth)
+            # the same values and types: (numpy float, numpy float, float) on the grid
+            assert repr(got) == repr(want), (p, n_polar, n_azimuth)
+            refined += want.witness is not None and want.witness[2] not in oracle.ANCILLA_RADII
+        assert refined == 2
+
+    @pytest.mark.parametrize("n_polar, n_azimuth", [(1, 16), (0, 16), (8, 0), (8, -3)])
+    def test_rejects_a_degenerate_grid(self, n_polar, n_azimuth):
+        with pytest.raises(ValueError, match="grid points"):
+            edss_useful_numeric(BellDiagonalParams(0.3, -0.3, 0.3), n_polar, n_azimuth)
+
     def test_closed_form_search_matches_numeric_search(self):
-        rng = np.random.default_rng(54)
-        # a refinement-step witness: the grid's A|BC minimum is tied along
-        # r_x = 0, and the search must refine around the first tied point
-        triples = [BellDiagonalParams(0.01413628, 0.01277, -0.52761174)]
-        while len(triples) < 30:
-            c = rng.uniform(-1, 1, 3)
-            if len(triples) % 3 == 0:
-                c[len(triples) % 9 // 3] = 0.0  # on an axis plane
-            if is_physical(c) and is_separable_bd(p := BellDiagonalParams(*c)):
-                triples.append(p)
+        triples = _edss_numeric_triples()
         found = npt_only = 0
         for p in triples:
             exact, ref = edss_useful(p), edss_useful_numeric(p, n_polar=8, n_azimuth=16)
@@ -237,6 +305,10 @@ class TestSpectrumCrosscheck:
     def test_sampled(self):
         rng = np.random.default_rng(53)
         assert check_spectra([random_bd_params(rng) for _ in range(1000)]).passed
+
+    def test_sequence_is_the_largest_single_deviation(self):
+        triples = random_bd_params(np.random.default_rng(57), 200) + [BellDiagonalParams(1, -1, 1)]
+        assert spectrum_crosscheck(triples) == max(spectrum_crosscheck(p) for p in triples)
 
 
 class TestVerificationSuite:

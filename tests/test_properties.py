@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,49 @@ def test_q1_even_in_c3(p):
 def test_discord_within_information_bounds(p):
     d = discord_bd(p)
     assert 0.0 <= d <= 1.0 + 1e-9
+
+
+def _parity_mutual_information(lam, k, l):
+    """I(P_k : P_l) in bits of two Bell parities, from their joint
+    distribution: Bell state j has the signs _BELL_SIGNS[:, j]."""
+    table = {}
+    for j, w in enumerate(lam):
+        key = (_BELL_SIGNS[k, j], _BELL_SIGNS[l, j])
+        table[key] = table.get(key, 0.0) + max(w, 0.0)
+    pk = {a: sum(w for (x, _), w in table.items() if x == a) for a in (-1.0, 1.0)}
+    pl = {b: sum(w for (_, y), w in table.items() if y == b) for b in (-1.0, 1.0)}
+    return sum(w * math.log2(w / (pk[a] * pl[b])) for (a, b), w in table.items() if w > 0)
+
+
+# Bell weights with zeros (faces of the tetrahedron) and repeats, which tie
+# |c_k| = |c_l|: equal weights on phi+ and phi- give c1 = c2, for example
+bell_weights = st.lists(st.one_of(st.just(0.0), st.just(0.5), st.floats(0, 1)), min_size=4, max_size=4)
+
+
+@given(bell_weights)
+@example([0.5, 0.5, 0.0, 0.0])
+@example([1.0, 0.0, 0.0, 0.0])
+@settings(max_examples=100, deadline=None)
+def test_discord_minus_q1_is_a_parity_mutual_information(w):
+    assume(sum(w) > 0)
+    p = BellDiagonalParams(*(_BELL_SIGNS @ (np.array(w) / sum(w))))
+    c = (p.c1, p.c2, p.c3)
+    k = max(range(3), key=lambda i: abs(c[i]))
+    for l in set(range(3)) - {k}:  # the identity holds for either other axis
+        gap = discord_bd(p) - correlation_bits(c[l])
+        assert abs(gap - _parity_mutual_information(p.eigenvalues, k, l)) <= 1e-12
+
+
+@given(st.floats(-1, 1), st.floats(-1, 1), st.permutations(range(3)))
+@example(1.0, -0.5, [0, 1, 2])
+@example(0.5, 0.5, [2, 0, 1])
+@settings(max_examples=100, deadline=None)
+def test_discord_equals_q1_on_the_independence_surface(u, v, axes):
+    # c_m = -c_k c_l: the parities P_k and P_l are independent
+    ck, cl = (u, v) if abs(u) >= abs(v) else (v, u)
+    c = [0.0] * 3
+    c[axes[0]], c[axes[1]], c[axes[2]] = ck, cl, -ck * cl
+    assert abs(discord_bd(BellDiagonalParams(*c)) - correlation_bits(cl)) <= 1e-14
 
 
 @given(physical_triples())

@@ -149,6 +149,16 @@ class TestBellDiagonal:
         rng = np.random.default_rng(0)
         got = [random_bd_params(rng).as_array() for _ in range(1000)]
         np.testing.assert_array_equal(got, want)
+        # the n-sample form draws the same triples and leaves the generator
+        # where n single calls leave it; at seed 3 a first block of 3032
+        # tries holds only 963 physical triples, so a second block is drawn
+        for n, seed in ((0, 0), (1, 1), (7, 2), (1000, 0), (1000, 3)):
+            singles, block = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [random_bd_params(singles) for _ in range(n)]
+            assert random_bd_params(block, n) == want
+            assert block.uniform() == singles.uniform()
+        with pytest.raises(ValueError, match="at least 0"):
+            random_bd_params(rng, -1)
 
     def test_separability(self):
         assert is_separable_bd(BellDiagonalParams(0, 0, 1))
