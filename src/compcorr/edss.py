@@ -61,8 +61,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .entanglement import PptVerdict, is_separable_bd, negativity, ppt_verdict, require_separable
-from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, kron
+from .entanglement import PptVerdict, is_separable_bd, negativity_of_spectrum, ppt_verdict, require_separable
+from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, pt_spectra
 from .report import report_for_bd
 from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_physical
 
@@ -83,12 +83,15 @@ GRID_BC = np.ix_(PERM_BC, PERM_BC)
 
 
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
-    """Qubit state (I + r n . sigma)/2 with Bloch direction (theta, phi)."""
+    """Qubit state (I + r n . sigma)/2 with Bloch direction (theta, phi). It
+    is valid for finite angles and r in [0, 1], which are checked, and its
+    spectrum is ((1 - r)/2, (1 + r)/2), so it is not solved."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"ancilla angles ({theta}, {phi}) must be finite")
     if not 0.0 <= radius <= 1.0:  # also rejects NaN
         raise ValueError(f"Bloch radius {radius} outside [0, 1]")
-    return DensityMatrix(bloch_operator(radius * bloch_vector(theta, phi)), (2,))
+    spectrum = np.array([(1 - radius) / 2, (1 + radius) / 2], dtype=float)
+    return DensityMatrix._derived(bloch_operator(radius * bloch_vector(theta, phi)), (2,), spectrum)
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,8 @@ class ProtocolTrace:
     """Per-stage record of one protocol run.
 
     `final_ab_negativity` is the A|B negativity of Tr_C of the state after
-    both CNOTs. Together they add a XOR b to the ancilla's bit, so an entry
+    both CNOTs, read off the raw 4x4 matrix with no state built or checked
+    again. Together the CNOTs add a XOR b to the ancilla's bit, so an entry
     of rho_AB between basis states of equal parity a XOR b comes back from
     Tr_C unchanged, times Tr of the ancilla, which is 1. Every nonzero entry
     of a Bell-diagonal rho_AB is of that kind, so for a Bell-diagonal input
@@ -120,25 +124,32 @@ class ProtocolTrace:
 
 def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace:
     """Run the full protocol and record every stage's PPT verdicts, each with
-    its partial-transpose spectrum: the nine partial transposes, three stages
-    by three cuts, are solved in one stacked eigvalsh by `ppt_verdict`."""
+    its partial-transpose spectrum.
+
+    Every stage is built once from the two checked inputs: the initial state
+    is `rho_ab.product(ancilla)` and each CNOT stage a `permuted` copy, all
+    keeping the spectrum their construction implies, so no stage is solved
+    or validated again. Two eigvalsh calls remain: the nine partial
+    transposes, three stages by three cuts, as one stack in `ppt_verdict`,
+    and the A|B transpose of Tr_C after both CNOTs."""
     if rho_ab.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
     if ancilla.dims != (2,):
         raise ValueError(f"expected a single-qubit ancilla, got dims {ancilla.dims}")
-    initial = DensityMatrix(kron(rho_ab.matrix, ancilla.matrix), (2, 2, 2))
+    initial = rho_ab.product(ancilla)
     after_alice = initial.permuted(GRID_AC)
     after_bob = after_alice.permuted(GRID_BC)
 
     verdicts = dict(zip(STAGES, ppt_verdict((initial, after_alice, after_bob), CUT_FACTORS)))
     success = verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL
-    final_ab = after_bob.partial_trace([0, 1])
+    r = after_bob.matrix.reshape((2,) * 6)
+    final_ab = (r[:, :, 0, :, :, 0] + r[:, :, 1, :, :, 1]).reshape(1, 4, 4)  # Tr_C, as matcore.partial_trace sums it
     return ProtocolTrace(
         initial_state=initial,
         after_alice=after_alice,
         after_bob=after_bob,
         stage_verdicts=verdicts,
-        final_ab_negativity=negativity(final_ab, 0),
+        final_ab_negativity=negativity_of_spectrum(pt_spectra(final_ab, (2, 2), (0,))[0, 0]),
         success=success,
     )
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import correlation_bits
-from .matcore import PHYSICALITY_TOL, PPT_TOL, hermitian_spectrum
+from .matcore import PHYSICALITY_TOL, PPT_TOL, pt_spectra
 from .states import BellDiagonalParams, DensityMatrix
 
 
@@ -31,13 +31,17 @@ class PptVerdict:
 
 def pt_spectrum(rho: DensityMatrix, factor: int) -> np.ndarray:
     """Spectrum of the partial transpose on one factor, ascending."""
-    return hermitian_spectrum(rho.partial_transpose(factor))
+    return pt_spectra(rho.matrix[None], rho.dims, (factor,))[0, 0]
+
+
+def negativity_of_spectrum(lam: np.ndarray) -> float:
+    """Sum of |negative eigenvalues| of a partial-transpose spectrum."""
+    return float(np.abs(lam[lam < 0]).sum())
 
 
 def negativity(rho: DensityMatrix, factor: int = 0) -> float:
     """Sum of |negative eigenvalues| of the partial transpose across the cut."""
-    lam = pt_spectrum(rho, factor)
-    return float(np.abs(lam[lam < 0]).sum())
+    return negativity_of_spectrum(pt_spectrum(rho, factor))
 
 
 def ppt_verdict(rho, factor=0):
@@ -47,13 +51,11 @@ def ppt_verdict(rho, factor=0):
     single = isinstance(rho, DensityMatrix)
     states, factors = ((rho,), (factor,)) if single else (tuple(rho), tuple(factor))
     dims = states[0].dims
-    n, labels = len(dims), CUT_LABELS.get(len(dims), ())
+    labels = CUT_LABELS.get(len(dims), ())
     if any(s.dims != dims for s in states) or not all(0 <= f < len(labels) for f in factors):
         raise ValueError(f"no cut across factors {factors} of states with dims {dims}")
     # no Hermiticity check: PT and a CNOT stage permute the entries of M - M^dagger, which DensityMatrix checked
-    m = np.stack([s.matrix for s in states]).reshape((len(states),) + dims + dims)
-    pts = np.stack([np.swapaxes(m, 1 + f, 1 + f + n) for f in factors], axis=1)
-    spectra = np.linalg.eigvalsh(pts.reshape((-1,) + states[0].matrix.shape)).reshape(pts.shape[:2] + (-1,))
+    spectra = pt_spectra(np.stack([s.matrix for s in states]), dims, factors)
     out = tuple(tuple(PptVerdict(tuple(s), labels[f]) for s, f in zip(row, factors)) for row in spectra.tolist())
     return out[0][0] if single else out
 

@@ -135,6 +135,22 @@ def partial_transpose(m: np.ndarray, dims, factor: int) -> np.ndarray:
     return r.reshape(m.shape)
 
 
+def pt_spectra(stack: np.ndarray, dims, factors) -> np.ndarray:
+    """Ascending spectra of the partial transpose on each of `factors` of
+    every matrix of an (n, d, d) stack, as an (n, len(factors), d) array,
+    all from one stacked eigvalsh. A (1, d, d) stack gives the bits of one
+    eigvalsh of the d x d partial transpose.
+
+    No Hermiticity check: a partial transpose permutes the entries of
+    M - M^dagger, so the caller's check on M covers it."""
+    n, d = len(dims), stack.shape[-1]
+    if not all(0 <= f < n for f in factors):
+        raise ValueError(f"factor indices {tuple(factors)} out of range for {n} factors")
+    m = stack.reshape((len(stack),) + tuple(dims) * 2)
+    pts = np.stack([np.swapaxes(m, 1 + f, 1 + f + n) for f in factors], axis=1)
+    return np.linalg.eigvalsh(pts.reshape(-1, d, d)).reshape(pts.shape[:2] + (d,))
+
+
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted ascending."""
     if not is_hermitian(m):

@@ -24,6 +24,7 @@ from .correlations import correlation_bits, discord_bd, holevo_quantity, q1, tot
 from .edss import PERM_AC
 from .entanglement import require_separable
 from .matcore import LOG2, MUB_TOL, PPT_TOL, SIGMAS, ZERO_BRANCH, bloch_operator, bloch_vector, kron, partial_transpose
+from .matcore import pt_spectra
 from .states import PAULI_PRODUCTS, BellDiagonalParams, DensityMatrix, bell_diagonal, random_bd_params
 from .states import random_density_matrix
 
@@ -180,13 +181,6 @@ def _ancilla_refinement(center: tuple[float, float, float], n_polar: int, n_azim
     ]
 
 
-def _min_pt_eigenvalues(rabc: np.ndarray, factor: int) -> np.ndarray:
-    """Least eigenvalue of the partial transpose on one factor of each
-    three-qubit matrix of an (n, 8, 8) stack, in one stacked eigvalsh."""
-    pt = np.swapaxes(rabc.reshape((-1,) + (2,) * 6), 1 + factor, 4 + factor)
-    return np.linalg.eigvalsh(pt.reshape(rabc.shape))[:, 0]
-
-
 def _scan_ancillas(rho4: np.ndarray, points) -> tuple[np.ndarray, int | None, bool]:
     """Both send-step verdicts of the protocol on rho4 for every ancilla in
     points: (the A|BC minima, the index of the first clean success or None,
@@ -196,9 +190,9 @@ def _scan_ancillas(rho4: np.ndarray, points) -> tuple[np.ndarray, int | None, bo
     anc = bloch_operator(r[:, None] * bloch_vector(th, ph))
     # np.kron(rho4, anc) for every ancilla, then Alice's CNOT: index by PERM_AC
     rabc = (rho4[None, :, None, :, None] * anc[:, None, :, None, :]).reshape(-1, 8, 8)[:, PERM_AC][:, :, PERM_AC]
-    m_a = _min_pt_eigenvalues(rabc, 0)
+    m_a = pt_spectra(rabc, (2, 2, 2), (0,))[:, 0, 0]
     npt = np.flatnonzero(m_a < -PPT_TOL)
-    clean = _min_pt_eigenvalues(rabc[npt], 2) >= -PPT_TOL
+    clean = pt_spectra(rabc[npt], (2, 2, 2), (2,))[:, 0, 0] >= -PPT_TOL
     first = int(np.argmax(clean)) if clean.any() else len(npt)
     return m_a, (int(npt[first]) if first < len(npt) else None), first > 0
 

@@ -6,7 +6,6 @@ in the Bell basis are closed-form and are used throughout as the exact
 reference against numeric eigensolves.
 """
 
-import copy
 import json
 import math
 import numbers
@@ -22,6 +21,7 @@ from .matcore import (
     STATE_TOL,
     entropy_of_probabilities,
     is_hermitian,
+    kron,
     partial_trace,
     partial_transpose,
 )
@@ -31,18 +31,13 @@ _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _BELL_SIGNS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], dtype=float)
 
 # PAULI_PRODUCTS[i, j] = sigma_i (x) sigma_j, with sigma_0 = I: every Pauli
-# coefficient Tr[rho (sigma_i (x) sigma_j)] is read, and every state
-# (1/4) sum c_ij sigma_i (x) sigma_j built, by one contraction with it.
+# coefficient Tr[rho (sigma_i (x) sigma_j)] is read by one contraction with
+# it, and the oracle builds its stacks of Bell-diagonal states with it.
 PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", SIGMAS, SIGMAS).reshape(4, 4, 4, 4)
 PAULI_PRODUCTS.flags.writeable = False
 
 IDENTITY_FRAME = np.eye(3)  # RA = RB = I of `bd_params_of`: the frame of a triple as given
 IDENTITY_FRAME.flags.writeable = False
-
-
-def _pauli_sum(c: np.ndarray) -> np.ndarray:
-    """The 4x4 matrix (1/4) sum_ij c_ij sigma_i (x) sigma_j."""
-    return np.einsum("ij,ijkl->kl", c, PAULI_PRODUCTS) / 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +49,9 @@ class DensityMatrix:
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    # ascending and read-only: the PSD check's eigensolve, kept for spectrum()
-    # and entropy() since the matrix cannot change
+    # ascending and read-only, kept for spectrum() and entropy() since the
+    # matrix cannot change: the PSD check's eigensolve, or, for a state
+    # derived from checked parts, the spectrum its construction implies
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -82,15 +78,31 @@ class DensityMatrix:
         object.__setattr__(self, "dims", tuple(map(int, dims)))
         object.__setattr__(self, "_spectrum", spectrum)
 
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...], spectrum: np.ndarray) -> "DensityMatrix":
+        """A state built from checked parts, whose validity and ascending
+        spectrum follow from its construction: the fields are set as given,
+        with no __post_init__, and both arrays are made read-only. Any other
+        matrix goes through the public constructor and all its checks."""
+        out = object.__new__(cls)
+        matrix.flags.writeable = spectrum.flags.writeable = False
+        object.__setattr__(out, "matrix", matrix)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "_spectrum", spectrum)
+        return out
+
     def permuted(self, grid) -> "DensityMatrix":
         """This state conjugated by a basis permutation, given as its np.ix_
         index grid. The spectrum is this state's, so it is kept, not solved
         again, and nothing is re-validated."""
-        m = self.matrix[grid]
-        m.flags.writeable = False
-        out = copy.copy(self)  # dims and spectrum as they are, no __post_init__
-        object.__setattr__(out, "matrix", m)
-        return out
+        return DensityMatrix._derived(self.matrix[grid], self.dims, self._spectrum)
+
+    def product(self, other: "DensityMatrix") -> "DensityMatrix":
+        """The product state rho (x) sigma, as `matcore.kron` builds it. Its
+        spectrum is the sorted products of the two kept spectra, so it is not
+        solved, and nothing is re-validated."""
+        spectrum = np.sort(np.multiply.outer(self._spectrum, other._spectrum), axis=None)
+        return DensityMatrix._derived(kron(self.matrix, other.matrix), self.dims + other.dims, spectrum)
 
     def partial_trace(self, keep) -> "DensityMatrix":
         reduced = partial_trace(self.matrix, self.dims, keep)
@@ -163,8 +175,18 @@ PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = np.array(
 
 
 def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
-    """Build the state (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n)."""
-    return DensityMatrix(_pauli_sum(np.diag([1.0, p.c1, p.c2, p.c3])), (2, 2))
+    """Build the state (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n) from its
+    8 nonzero entries: (1 +- c3)/4 on the diagonal, (c1 - c2)/4 at (0, 3) and
+    (3, 0), (c1 + c2)/4 at (1, 2) and (2, 1). The state is fully validated,
+    and its kept spectrum is the PSD check's eigensolve, the numeric reference
+    for the closed-form eigenvalues."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[3, 3] = (1 + p.c3) / 4
+    m[1, 1] = m[2, 2] = (1 - p.c3) / 4
+    # + 0.0 turns a sum of signed zeros into +0.0, as the Pauli sum's zero terms do
+    m[0, 3] = m[3, 0] = (p.c1 - p.c2 + 0.0) / 4
+    m[1, 2] = m[2, 1] = (p.c1 + p.c2 + 0.0) / 4
+    return DensityMatrix(m, (2, 2))
 
 
 def bd_spectrum(p: BellDiagonalParams) -> np.ndarray:

@@ -14,9 +14,9 @@ from compcorr import cli, edss, entanglement
 from compcorr.cli import main
 from compcorr.matcore import kron
 from compcorr.states import (
+    PAULI_PRODUCTS,
     BellDiagonalParams,
     DensityMatrix,
-    _pauli_sum,
     bd_params_of,
     bell_diagonal,
     bloch_decompose,
@@ -45,7 +45,8 @@ def _save_overshooting_state(tmp_path) -> str:
     """Save the state of c = (0, 0, 1 + 2e-10), whose eigenvalue -5e-11 is
     inside the state tolerance; return its path."""
     path = tmp_path / "state.json"
-    save_state(DensityMatrix(_pauli_sum(np.diag([1.0, 0.0, 0.0, 1 + 2e-10])), (2, 2)), path)
+    c = np.diag([1.0, 0.0, 0.0, 1 + 2e-10])
+    save_state(DensityMatrix(np.einsum("ij,ijkl->kl", c, PAULI_PRODUCTS) / 4.0, (2, 2)), path)
     return str(path)
 
 

@@ -13,6 +13,7 @@ from compcorr.matcore import (
     kron,
     partial_trace,
     partial_transpose,
+    pt_spectra,
     von_neumann_entropy,
 )
 from compcorr.oracle import check_involution, check_kron
@@ -110,6 +111,29 @@ def test_partial_transpose_product_is_psd():
 def test_partial_transpose_bad_factor():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4) / 4, (2, 2), 5)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)])
+def test_pt_spectra_are_the_single_solves_bit_for_bit(dims):
+    rng = np.random.default_rng(22)
+    stack = np.stack([random_density_matrix(rng, dims).matrix for _ in range(300)])
+    factors = tuple(range(len(dims)))
+    spectra = pt_spectra(stack, dims, factors)
+    assert spectra.shape == (300, len(dims), stack.shape[-1])
+    for m, row in zip(stack, spectra):
+        for f, lam in zip(factors, row):
+            single = np.linalg.eigvalsh(partial_transpose(m, dims, f))
+            assert lam.tobytes() == single.tobytes() == pt_spectra(m[None], dims, (f,))[0, 0].tobytes()
+
+
+def test_pt_spectra_of_an_empty_stack():
+    assert pt_spectra(np.zeros((0, 8, 8), dtype=complex), (2, 2, 2), (2,)).shape == (0, 1, 8)
+
+
+@pytest.mark.parametrize("factor", [2, -1])
+def test_pt_spectra_bad_factor(factor):
+    with pytest.raises(ValueError, match="out of range for 2 factors"):
+        pt_spectra((np.eye(4) / 4)[None], (2, 2), (0, factor))
 
 
 def test_hermitian_spectrum_examples():

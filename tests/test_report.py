@@ -15,6 +15,11 @@ from compcorr.report import report_for_bd, report_for_state
 from compcorr.states import BellDiagonalParams, DensityMatrix, bell_diagonal
 
 
+def _pauli_state(c):
+    """The validated state (1/4) sum_ij c_ij sigma_i (x) sigma_j."""
+    return DensityMatrix(np.einsum("ij,ijkl->kl", c, states.PAULI_PRODUCTS) / 4.0, (2, 2))
+
+
 def _rotated_bd_state(p, seed):
     """A Bell-diagonal state conjugated by a random local unitary."""
     rng = np.random.default_rng(seed)
@@ -37,7 +42,7 @@ def test_local_invariants_survive_a_local_rotation():
 def test_triple_within_state_tolerance_is_rounded_onto_the_tetrahedron():
     # psi- eigenvalue -5e-11: inside STATE_TOL, so DensityMatrix accepts the
     # state, but outside the closed forms' PHYSICALITY_TOL
-    rho = DensityMatrix(states._pauli_sum(np.diag([1.0, 0.5, 0.25, 0.25 + 2e-10])), (2, 2))
+    rho = _pauli_state(np.diag([1.0, 0.5, 0.25, 0.25 + 2e-10]))
     got, want = report_for_state(rho), report_for_bd(BellDiagonalParams(0.5, 0.25, 0.25))
     for field in ("classical_c", "discord", "e_r"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-9)
@@ -46,7 +51,7 @@ def test_triple_within_state_tolerance_is_rounded_onto_the_tetrahedron():
 def test_outcome_table_entry_within_state_tolerance_is_accepted():
     # c = (0, 0, 1 + 2e-10): eigenvalue -5e-11, inside STATE_TOL, so
     # DensityMatrix accepts the state; its z table has entries of -5e-11
-    rho = DensityMatrix(states._pauli_sum(np.diag([1.0, 0.0, 0.0, 1 + 2e-10])), (2, 2))
+    rho = _pauli_state(np.diag([1.0, 0.0, 0.0, 1 + 2e-10]))
     got, want = report_for_state(rho), report_for_bd(BellDiagonalParams(0, 0, 1))
     for field, value in want.to_dict().items():
         assert getattr(got, field) == pytest.approx(value, rel=0, abs=1e-9), field

@@ -1,24 +1,32 @@
 """Routes that solve each state once, against the routes that solved it again.
 
-`DensityMatrix` keeps the spectrum of its PSD check (and a CNOT stage of
-`run_protocol`, a basis permutation, keeps its parent's), `report_for_state`
-reads the Bell-diagonal triple from the signed SVD of T with no rotated
-state, and `complementary_correlations` contracts the state once with
-the stacked axis projectors. Each is compared here with the direct form.
+`DensityMatrix` keeps the spectrum of its PSD check, and a state built from
+checked parts keeps the spectrum its construction implies: an ancilla's is
+((1 - r)/2, (1 + r)/2), a product state's the products of its factors', and
+a CNOT stage of `run_protocol`, a basis permutation, keeps its parent's.
+`report_for_state` reads the Bell-diagonal triple from the signed SVD of T
+with no rotated state, and `complementary_correlations` contracts the state
+once with the stacked axis projectors. Each is compared here with the
+direct form.
 """
 
-import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import compcorr
 from compcorr import report, states
 from compcorr.correlations import complementary_correlations, outcome_mutual_information
-from compcorr.edss import CUT_FACTORS, GRID_AC, GRID_BC, STAGES, ancilla_state, run_protocol
-from compcorr.matcore import I2, PAULIS, hermitian_spectrum, kron, partial_transpose, von_neumann_entropy
+from compcorr.edss import CUT_FACTORS, GRID_AC, GRID_BC, STAGES, ancilla_state, edss_useful, run_protocol
+from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, hermitian_spectrum, kron
+from compcorr.matcore import partial_trace, partial_transpose, von_neumann_entropy
 from compcorr.states import (
+    _BELL_SIGNS,
+    PAULI_PRODUCTS,
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
@@ -30,6 +38,14 @@ from compcorr.states import (
 
 seeds = st.integers(0, 2**32 - 1)
 physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical)
+# Bell weights with zeros (faces of the tetrahedron) and repeats
+bell_weights = st.lists(st.one_of(st.just(0.0), st.just(0.5), st.floats(0, 1)), min_size=4, max_size=4)
+bd_params = st.one_of(
+    physical_triples.map(lambda c: BellDiagonalParams(*c)),
+    bell_weights.filter(lambda w: sum(w) > 0).map(lambda w: BellDiagonalParams(*(_BELL_SIGNS @ np.divide(w, sum(w))))),
+)
+angles = st.tuples(st.floats(0, np.pi), st.floats(0, 2 * np.pi))
+radii = st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1))
 
 
 def _haar_su2(rng):
@@ -62,24 +78,132 @@ def test_permuted_state_keeps_the_matrix_spectrum(seed):
         np.testing.assert_allclose(out.spectrum(), np.linalg.eigvalsh(out.matrix), rtol=0, atol=1e-14)
 
 
-def test_run_protocol_solves_ten_8x8_spectra(monkeypatch):
-    # the PSD check of the initial state and the nine stage partial
-    # transposes; the two CNOT stages keep the initial state's spectrum. A
-    # stacked call solves as many matrices as its leading dimension.
-    calls = []
-    original = np.linalg.eigvalsh
+def _work(monkeypatch, call):
+    """(the shape of each np.linalg.eigvalsh argument, the number of
+    DensityMatrix validations) of call()."""
+    shapes, validations = [], []
+    eigvalsh, post_init = np.linalg.eigvalsh, DensityMatrix.__post_init__
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: shapes.append(np.shape(a)) or eigvalsh(a, *args, **kw))
+        m.setattr(DensityMatrix, "__post_init__", lambda self: validations.append(1) or post_init(self))
+        call()
+    return shapes, len(validations)
 
-    def counting(m, *args, **kwargs):
-        calls.append(np.shape(m))
-        return original(m, *args, **kwargs)
 
+def test_run_protocol_solves_nine_8x8_spectra_in_one_call(monkeypatch):
+    # the nine stage partial transposes as one stack, then the A|B transpose
+    # after Tr_C; no stage is solved or validated, since the initial state's
+    # spectrum is the products of its factors' and the CNOT stages keep it
     rho, anc = bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3)), ancilla_state(0.0, 0.0, 0.5)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    run_protocol(rho, anc)
-    on_8x8 = [s for s in calls if s[-2:] == (8, 8)]
-    assert sum(math.prod(s[:-2]) for s in on_8x8) == 10
-    # in at most two calls: the PSD check and the one stack of nine
-    assert len(on_8x8) <= 2
+    assert _work(monkeypatch, lambda: run_protocol(rho, anc)) == ([(9, 8, 8), (1, 4, 4)], 0)
+
+
+@pytest.mark.parametrize(
+    "c, solves, validations",
+    [
+        ((0.3, -0.3, 0.3), [(4, 4), (9, 8, 8), (1, 4, 4)], 1),  # useful: bell_diagonal's check, then run_protocol
+        ((0.3, 0.3, 0.3), [], 0),  # not useful: decided in closed form, nothing built
+        ((0.5, 0.0, 0.25), [], 0),
+    ],
+)
+def test_edss_useful_work(monkeypatch, c, solves, validations):
+    results = []
+    assert _work(monkeypatch, lambda: results.append(edss_useful(BellDiagonalParams(*c)))) == (solves, validations)
+    assert (results[0].witness is not None) == results[0].useful == bool(solves)
+
+
+def _assert_kept_spectrum(rho):
+    assert not rho.matrix.flags.writeable and not rho.spectrum().flags.writeable
+    np.testing.assert_allclose(rho.spectrum(), np.linalg.eigvalsh(rho.matrix), rtol=0, atol=1e-14)
+
+
+@given(angles, radii)
+@settings(max_examples=100, deadline=None)
+def test_ancilla_spectrum_is_read_off_its_radius(angle, r):
+    anc = ancilla_state(*angle, r)
+    assert anc.matrix.tobytes() == bloch_operator(r * bloch_vector(*angle)).tobytes() and anc.dims == (2,)
+    assert anc.spectrum().tolist() == [(1 - r) / 2, (1 + r) / 2]
+    _assert_kept_spectrum(anc)
+
+
+@given(bd_params, seeds, angles, radii)
+@settings(max_examples=100, deadline=None)
+def test_product_spectrum_is_the_products_of_its_factors(p, seed, angle, r):
+    rng = np.random.default_rng(seed)
+    anc = ancilla_state(*angle, r)
+    pairs = (
+        (bell_diagonal(p), anc),
+        (random_density_matrix(rng, (2, 2)), anc),
+        (random_density_matrix(rng, (2,)), random_density_matrix(rng, (2, 2))),
+    )
+    for rho, other in pairs:
+        prod = rho.product(other)
+        assert prod.matrix.tobytes() == kron(rho.matrix, other.matrix).tobytes()
+        assert prod.dims == rho.dims + other.dims
+        _assert_kept_spectrum(prod)
+
+
+def _pauli_contraction(p):
+    """bell_diagonal(p).matrix as (1/4) sum_ij c_ij sigma_i (x) sigma_j, one
+    contraction with PAULI_PRODUCTS: the reference for its 8 entries."""
+    return np.einsum("ij,ijkl->kl", np.diag([1.0, p.c1, p.c2, p.c3]), PAULI_PRODUCTS) / 4.0
+
+
+@given(bd_params)
+@example(BellDiagonalParams(-0.0, 0.0, 0.5))  # signed zeros
+@example(BellDiagonalParams(-0.0, -0.0, -0.0))
+@example(BellDiagonalParams(0.0, 5e-324, -1.0))  # a subnormal difference
+@settings(max_examples=100, deadline=None)
+def test_bell_diagonal_is_the_pauli_contraction(p):
+    assert bell_diagonal(p).matrix.tobytes() == _pauli_contraction(p).tobytes()
+
+
+def test_bell_diagonal_is_the_pauli_contraction_on_seeded_triples():
+    for p in random_bd_params(np.random.default_rng(22), 5000):
+        assert bell_diagonal(p).matrix.tobytes() == _pauli_contraction(p).tobytes()
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_trace_over_c_is_the_partial_trace(seed):
+    # run_protocol's Tr_C: two slices of the (2,)*6 view, added once
+    m = random_density_matrix(np.random.default_rng(seed), (2, 2, 2)).matrix
+    r = m.reshape((2,) * 6)
+    slice_sum = (r[:, :, 0, :, :, 0] + r[:, :, 1, :, :, 1]).reshape(4, 4)
+    assert slice_sum.tobytes() == partial_trace(m, (2, 2, 2), [0, 1]).tobytes()
+
+
+def _validated_route(rho4, anc2):
+    """The verdict spectra and final A|B negativity of run_protocol, by the
+    route that built every state through the public constructor: the
+    initial state and Tr_C after both CNOTs validated, each A|B transpose
+    solved on its own."""
+    initial = DensityMatrix(kron(rho4, anc2), (2, 2, 2))
+    stages = (initial.matrix, initial.matrix[GRID_AC], initial.matrix[GRID_AC][GRID_BC])
+    m = np.stack(stages).reshape((3,) + (2,) * 6)
+    pts = np.stack([np.swapaxes(m, 1 + f, 4 + f) for f in CUT_FACTORS], axis=1)
+    spectra = np.linalg.eigvalsh(pts.reshape(-1, 8, 8)).reshape(3, 3, 8)
+    final = DensityMatrix(partial_trace(stages[2], (2, 2, 2), [0, 1]), (2, 2))
+    lam = hermitian_spectrum(partial_transpose(final.matrix, (2, 2), 0))
+    return spectra, float(np.abs(lam[lam < 0]).sum())
+
+
+@given(seeds, st.booleans(), angles, radii)
+@settings(max_examples=100, deadline=None)
+def test_protocol_output_is_the_validated_route(seed, bell_diagonal_input, angle, r):
+    rng = np.random.default_rng(seed)
+    if bell_diagonal_input:
+        p = random_bd_params(rng)
+        rho, rho4 = bell_diagonal(p), _pauli_contraction(p)
+    else:
+        rho = random_density_matrix(rng, (2, 2))
+        rho4 = rho.matrix
+    anc2 = DensityMatrix(bloch_operator(r * bloch_vector(*angle)), (2,)).matrix
+    trace = run_protocol(rho, ancilla_state(*angle, r))
+    spectra, neg = _validated_route(rho4, anc2)
+    got = np.array([[v.spectrum for v in trace.stage_verdicts[stage]] for stage in STAGES])
+    assert got.tobytes() == spectra.tobytes()
+    assert np.float64(trace.final_ab_negativity).tobytes() == np.float64(neg).tobytes()
 
 
 @given(seeds, st.booleans())
@@ -102,6 +226,61 @@ def test_non_finite_entry_rejected(bad):
     m[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite entry"):
         DensityMatrix(m, (2, 2))
+
+
+def _with_entry(i, j, v):
+    m = np.eye(4, dtype=complex) / 4
+    m[i, j] = v
+    return m
+
+
+@pytest.mark.parametrize(
+    "matrix, dims, message",
+    [
+        (np.eye(4) / 4, (2, 0), "factor dims (2, 0) must name at least one factor, each an integer >= 1"),
+        (np.eye(4) / 4, (), "factor dims () must name at least one factor, each an integer >= 1"),
+        (np.eye(4) / 4, (2, 2, 2), "matrix shape (4, 4) does not match dims (2, 2, 2)"),
+        (_with_entry(0, 3, np.nan), (2, 2), "density matrix has a non-finite entry"),
+        (_with_entry(0, 1, 0.1), (2, 2), "density matrix is not Hermitian within 1e-10"),
+        (np.eye(4) / 2, (2, 2), "trace 2.0 differs from 1 by more than 1e-10"),
+        (np.diag([1.5, -0.5, 0, 0]), (2, 2), "negative eigenvalue -5.000e-01 below -1e-10"),
+    ],
+)
+def test_public_constructor_rejects_with_its_message(matrix, dims, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DensityMatrix(matrix, dims)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((np.inf, 0.0), "ancilla angles (inf, 0.0) must be finite"),
+        ((0.0, np.nan), "ancilla angles (0.0, nan) must be finite"),
+        ((0.0, 0.0, np.nan), "Bloch radius nan outside [0, 1]"),
+        ((0.0, 0.0, 1 + 1e-16 * 3), "Bloch radius 1.0000000000000002 outside [0, 1]"),
+        ((0.0, 0.0, -5e-324), "Bloch radius -5e-324 outside [0, 1]"),
+    ],
+)
+def test_ancilla_state_rejects_with_its_message(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ancilla_state(*args)
+
+
+def test_run_protocol_rejects_wrong_dims():
+    rho, anc = bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3)), ancilla_state(0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="two-qubit state, got dims \\(2,\\)"):
+        run_protocol(anc, anc)
+    with pytest.raises(ValueError, match="single-qubit ancilla, got dims \\(2, 2\\)"):
+        run_protocol(rho, rho)
+
+
+def test_derived_constructor_is_called_only_inside_the_package():
+    # this file names it only in the string below
+    root = Path(__file__).resolve().parent.parent
+    files = [p for d in ("src", "bench", "tests") for p in (root / d).rglob("*.py") if p != Path(__file__).resolve()]
+    callers = {p.relative_to(root).as_posix() for p in files if "._derived(" in p.read_text()}
+    assert callers and all(c.startswith("src/compcorr/") for c in callers)
+    assert "_derived" not in compcorr.__all__
 
 
 @given(seeds, st.integers(0, 3), st.booleans(), st.booleans())

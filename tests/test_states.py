@@ -7,11 +7,11 @@ from compcorr.entanglement import is_separable_bd
 from compcorr.matcore import PHYSICALITY_TOL, kron
 from compcorr.oracle import check_spectra
 from compcorr.states import (
+    PAULI_PRODUCTS,
     PHI_PLUS,
     PSI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
-    _pauli_sum,
     bd_params_of,
     bd_spectrum,
     bell_diagonal,
@@ -199,7 +199,7 @@ class TestBlochDecomposition:
             rho = random_density_matrix(rng, (2, 2))
             dec = bloch_decompose(rho)
             c = np.block([[np.ones((1, 1)), dec.b[None, :]], [dec.a[:, None], dec.T]])
-            back = DensityMatrix(_pauli_sum(c), (2, 2))
+            back = DensityMatrix(np.einsum("ij,ijkl->kl", c, PAULI_PRODUCTS) / 4.0, (2, 2))
             np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-10)
 
     def test_bd_recovery_tight(self):
