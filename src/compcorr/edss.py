@@ -61,8 +61,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .entanglement import PptVerdict, is_separable_bd, negativity_of_spectrum, ppt_verdict, require_separable
-from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, pt_spectra
+from .entanglement import CUT_LABELS, PptVerdict, is_separable_bd, negativity_of_spectrum, require_separable
+from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, kron, pt_spectra
 from .report import report_for_bd
 from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_physical
 
@@ -72,14 +72,14 @@ CUT_FACTORS = (0, 2, 1)  # A|BC, C|AB, B|AC
 
 # Alice's CNOT (A controls C) and Bob's (B controls C) on the A, B, C register,
 # A the high bit, permute the basis. Each permutation is its own inverse, so
-# conjugating an 8x8 matrix by the CNOT is indexing with its np.ix_ grid:
-# U m U^T = m[GRID_AC].
+# conjugating an 8x8 matrix by the CNOT indexes its rows and columns:
+# U m U^T = m[np.ix_(PERM_AC, PERM_AC)]. Row s of _STAGE_ROWS indexes the
+# initial state into stage s: no CNOT, Alice's, then Bob's after Alice's.
 _BASIS = np.arange(8)
 PERM_AC = _BASIS ^ ((_BASIS >> 2) & 1)
 PERM_BC = _BASIS ^ ((_BASIS >> 1) & 1)
-PERM_AC.flags.writeable = PERM_BC.flags.writeable = False
-GRID_AC = np.ix_(PERM_AC, PERM_AC)
-GRID_BC = np.ix_(PERM_BC, PERM_BC)
+_STAGE_ROWS = np.array([_BASIS, PERM_AC, PERM_AC[PERM_BC]])
+PERM_AC.flags.writeable = PERM_BC.flags.writeable = _STAGE_ROWS.flags.writeable = False
 
 
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
@@ -96,7 +96,8 @@ def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatri
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Per-stage record of one protocol run.
+    """The PPT verdicts of one protocol run, per stage, each with its
+    partial-transpose spectrum.
 
     `final_ab_negativity` is the A|B negativity of Tr_C of the state after
     both CNOTs, read off the raw 4x4 matrix with no state built or checked
@@ -109,9 +110,6 @@ class ProtocolTrace:
     and 0 on every separable input.
     """
 
-    initial_state: DensityMatrix
-    after_alice: DensityMatrix
-    after_bob: DensityMatrix
     stage_verdicts: dict[str, tuple[PptVerdict, ...]]
     final_ab_negativity: float
     success: bool
@@ -126,31 +124,28 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     """Run the full protocol and record every stage's PPT verdicts, each with
     its partial-transpose spectrum.
 
-    Every stage is built once from the two checked inputs: the initial state
-    is `rho_ab.product(ancilla)` and each CNOT stage a `permuted` copy, all
-    keeping the spectrum their construction implies, so no stage is solved
-    or validated again. Two eigvalsh calls remain: the nine partial
-    transposes, three stages by three cuts, as one stack in `ppt_verdict`,
-    and the A|B transpose of Tr_C after both CNOTs."""
+    The three stages are raw 8x8 matrices, one index of the initial
+    rho_ab (x) ancilla through _STAGE_ROWS; no stage state is built. Two
+    eigvalsh calls remain: the nine partial transposes, three stages by
+    three cuts, as one stack, and the A|B transpose of Tr_C after both
+    CNOTs."""
     if rho_ab.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
     if ancilla.dims != (2,):
         raise ValueError(f"expected a single-qubit ancilla, got dims {ancilla.dims}")
-    initial = rho_ab.product(ancilla)
-    after_alice = initial.permuted(GRID_AC)
-    after_bob = after_alice.permuted(GRID_BC)
-
-    verdicts = dict(zip(STAGES, ppt_verdict((initial, after_alice, after_bob), CUT_FACTORS)))
-    success = verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL
-    r = after_bob.matrix.reshape((2,) * 6)
+    stages = kron(rho_ab.matrix, ancilla.matrix)[_STAGE_ROWS[:, :, None], _STAGE_ROWS[:, None, :]]
+    # pt_spectra needs no Hermiticity check here: each stage is a basis
+    # permutation of the kron of two validated states, and a partial
+    # transpose only permutes its entries again
+    spectra = pt_spectra(stages, (2, 2, 2), CUT_FACTORS).tolist()
+    labels = [CUT_LABELS[3][f] for f in CUT_FACTORS]
+    verdicts = {stage: tuple(map(PptVerdict, map(tuple, row), labels)) for stage, row in zip(STAGES, spectra)}
+    r = stages[2].reshape((2,) * 6)
     final_ab = (r[:, :, 0, :, :, 0] + r[:, :, 1, :, :, 1]).reshape(1, 4, 4)  # Tr_C, as matcore.partial_trace sums it
     return ProtocolTrace(
-        initial_state=initial,
-        after_alice=after_alice,
-        after_bob=after_bob,
         stage_verdicts=verdicts,
         final_ab_negativity=negativity_of_spectrum(pt_spectra(final_ab, (2, 2), (0,))[0, 0]),
-        success=success,
+        success=verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL,
     )
 
 

@@ -44,20 +44,14 @@ def negativity(rho: DensityMatrix, factor: int = 0) -> float:
     return negativity_of_spectrum(pt_spectrum(rho, factor))
 
 
-def ppt_verdict(rho, factor=0):
-    """PPT verdict of a two- or three-factor state across one factor's cut, or,
-    given a sequence of states with equal dims and a sequence of factors, a tuple
-    of verdicts per state. Every partial transpose is solved in one stacked eigvalsh."""
-    single = isinstance(rho, DensityMatrix)
-    states, factors = ((rho,), (factor,)) if single else (tuple(rho), tuple(factor))
-    dims = states[0].dims
-    labels = CUT_LABELS.get(len(dims), ())
-    if any(s.dims != dims for s in states) or not all(0 <= f < len(labels) for f in factors):
-        raise ValueError(f"no cut across factors {factors} of states with dims {dims}")
-    # no Hermiticity check: PT and a CNOT stage permute the entries of M - M^dagger, which DensityMatrix checked
-    spectra = pt_spectra(np.stack([s.matrix for s in states]), dims, factors)
-    out = tuple(tuple(PptVerdict(tuple(s), labels[f]) for s, f in zip(row, factors)) for row in spectra.tolist())
-    return out[0][0] if single else out
+def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
+    """PPT verdict of a two- or three-factor state across one factor's cut.
+    No Hermiticity check: a partial transpose permutes the entries of
+    M - M^dagger, which DensityMatrix checked."""
+    labels = CUT_LABELS.get(len(rho.dims), ())
+    if not 0 <= factor < len(labels):
+        raise ValueError(f"no cut across factor {factor} of a state with dims {rho.dims}")
+    return PptVerdict(tuple(pt_spectrum(rho, factor).tolist()), labels[factor])
 
 
 def negativity_bd(p: BellDiagonalParams) -> float:

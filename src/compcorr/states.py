@@ -21,9 +21,7 @@ from .matcore import (
     STATE_TOL,
     entropy_of_probabilities,
     is_hermitian,
-    kron,
     partial_trace,
-    partial_transpose,
 )
 
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -50,8 +48,8 @@ class DensityMatrix:
     matrix: np.ndarray
     dims: tuple[int, ...]
     # ascending and read-only, kept for spectrum() and entropy() since the
-    # matrix cannot change: the PSD check's eigensolve, or, for a state
-    # derived from checked parts, the spectrum its construction implies
+    # matrix cannot change: the PSD check's eigensolve, or, for the EDSS
+    # ancilla, the spectrum read off its checked radius
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -80,10 +78,12 @@ class DensityMatrix:
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...], spectrum: np.ndarray) -> "DensityMatrix":
-        """A state built from checked parts, whose validity and ascending
-        spectrum follow from its construction: the fields are set as given,
-        with no __post_init__, and both arrays are made read-only. Any other
-        matrix goes through the public constructor and all its checks."""
+        """A state whose validity and ascending spectrum follow from checked
+        parameters: `edss.ancilla_state`, the one caller, knows both from its
+        Bloch radius. The fields are set as given, with no __post_init__,
+        and both arrays are made read-only. Any other matrix goes through the
+        public constructor and all its checks, whose 2x2 eigensolve would
+        cost the ancilla about a tenth of a useful `edss_useful` call."""
         out = object.__new__(cls)
         matrix.flags.writeable = spectrum.flags.writeable = False
         object.__setattr__(out, "matrix", matrix)
@@ -91,25 +91,9 @@ class DensityMatrix:
         object.__setattr__(out, "_spectrum", spectrum)
         return out
 
-    def permuted(self, grid) -> "DensityMatrix":
-        """This state conjugated by a basis permutation, given as its np.ix_
-        index grid. The spectrum is this state's, so it is kept, not solved
-        again, and nothing is re-validated."""
-        return DensityMatrix._derived(self.matrix[grid], self.dims, self._spectrum)
-
-    def product(self, other: "DensityMatrix") -> "DensityMatrix":
-        """The product state rho (x) sigma, as `matcore.kron` builds it. Its
-        spectrum is the sorted products of the two kept spectra, so it is not
-        solved, and nothing is re-validated."""
-        spectrum = np.sort(np.multiply.outer(self._spectrum, other._spectrum), axis=None)
-        return DensityMatrix._derived(kron(self.matrix, other.matrix), self.dims + other.dims, spectrum)
-
     def partial_trace(self, keep) -> "DensityMatrix":
         reduced = partial_trace(self.matrix, self.dims, keep)
         return DensityMatrix(reduced, tuple(self.dims[k] for k in sorted(keep)))
-
-    def partial_transpose(self, factor: int) -> np.ndarray:
-        return partial_transpose(self.matrix, self.dims, factor)
 
     def spectrum(self) -> np.ndarray:
         return self._spectrum

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from compcorr.edss import (
-    GRID_AC,
-    GRID_BC,
+    CUT_FACTORS,
     PERM_AC,
     PERM_BC,
+    STAGES,
     EdssSearchResult,
     ancilla_state,
     edss_useful,
@@ -15,7 +15,7 @@ from compcorr.edss import (
     sweep_summary,
 )
 from compcorr.entanglement import negativity_bd
-from compcorr.matcore import kron
+from compcorr.matcore import kron, partial_trace, partial_transpose
 from compcorr.states import BellDiagonalParams, bell_diagonal, is_physical, random_bd_params, random_density_matrix
 
 
@@ -24,9 +24,17 @@ from compcorr.states import BellDiagonalParams, bell_diagonal, is_physical, rand
 _P0, _P1, _X = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
 _I = np.eye(2)
 CNOT_MATRICES = {
-    "AC": (kron(kron(_P0, _I), _I) + kron(kron(_P1, _I), _X), PERM_AC, GRID_AC),
-    "BC": (kron(kron(_I, _P0), _I) + kron(kron(_I, _P1), _X), PERM_BC, GRID_BC),
+    "AC": (kron(kron(_P0, _I), _I) + kron(kron(_P1, _I), _X), PERM_AC, np.ix_(PERM_AC, PERM_AC)),
+    "BC": (kron(kron(_I, _P0), _I) + kron(kron(_I, _P1), _X), PERM_BC, np.ix_(PERM_BC, PERM_BC)),
 }
+
+
+def _stages(rho, anc):
+    """The protocol's three 8x8 stages, built here: rho (x) ancilla, then
+    Alice's CNOT, then Bob's."""
+    initial = kron(rho.matrix, anc.matrix)
+    after_alice = initial[np.ix_(PERM_AC, PERM_AC)]
+    return initial, after_alice, after_alice[np.ix_(PERM_BC, PERM_BC)]
 
 
 class TestCnot:
@@ -95,19 +103,24 @@ class TestRunProtocol:
             p = random_bd_params(rng)
             if bell_diagonal(p).spectrum()[-1] > 0.5:
                 continue
-            trace = run_protocol(bell_diagonal(p), ancilla_state(0.9, 0.4, 0.6))
-            for state in (trace.initial_state, trace.after_alice, trace.after_bob):
-                assert abs(np.trace(state.matrix).real - 1.0) < 1e-12
-                assert np.linalg.eigvalsh(state.matrix)[0] > -1e-10
+            rho, anc = bell_diagonal(p), ancilla_state(0.9, 0.4, 0.6)
+            trace = run_protocol(rho, anc)
+            for stage, m in zip(STAGES, _stages(rho, anc)):
+                assert abs(np.trace(m).real - 1.0) < 1e-12
+                assert np.linalg.eigvalsh(m)[0] > -1e-10
+                # the verdicts are read off these stages
+                for v, f in zip(trace.stage_verdicts[stage], CUT_FACTORS):
+                    pt = np.linalg.eigvalsh(partial_transpose(m, (2, 2, 2), f))
+                    np.testing.assert_allclose(v.spectrum, pt, rtol=0, atol=1e-14)
 
     def test_alice_step_is_unitary_conjugation(self):
         p = BellDiagonalParams(0.2, -0.1, 0.3)
-        anc = ancilla_state(0.5, 0.5, 0.8)
-        trace = run_protocol(bell_diagonal(p), anc)
-        # solved afresh: the stage keeps the initial state's spectrum
+        rho, anc = bell_diagonal(p), ancilla_state(0.5, 0.5, 0.8)
+        _, after_alice, _ = _stages(rho, anc)
+        # solved afresh: the stage keeps the product spectrum of rho (x) ancilla
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(trace.after_alice.matrix),
-            np.sort(trace.initial_state.spectrum()),
+            np.linalg.eigvalsh(after_alice),
+            np.sort(np.multiply.outer(rho.spectrum(), anc.spectrum()), axis=None),
             atol=1e-10,
         )
 
@@ -119,9 +132,10 @@ class TestRunProtocol:
         separable = 0
         for p in random_bd_params(rng, 100):
             th, ph, r = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 1)
-            rho = bell_diagonal(p)
-            trace = run_protocol(rho, ancilla_state(th, ph, r))
-            assert np.max(np.abs(trace.after_bob.partial_trace([0, 1]).matrix - rho.matrix)) <= 1e-15
+            rho, anc = bell_diagonal(p), ancilla_state(th, ph, r)
+            trace = run_protocol(rho, anc)
+            after_bob = _stages(rho, anc)[2]
+            assert np.max(np.abs(partial_trace(after_bob, (2, 2, 2), [0, 1]) - rho.matrix)) <= 1e-15
             assert abs(trace.final_ab_negativity - negativity_bd(p)) <= 1e-15
             separable += negativity_bd(p) == 0.0
         assert 20 <= separable <= 80
@@ -173,9 +187,10 @@ class TestEdssUseful:
         assert trace.send_step_ppt
 
     def test_witness_carries_its_trace(self):
-        res = edss_useful(BellDiagonalParams(0.3, -0.3, 0.3))
+        p = BellDiagonalParams(0.3, -0.3, 0.3)
+        res = edss_useful(p)
         assert res.trace.success and res.trace.send_step_ppt
-        assert res.trace.initial_state.dims == (2, 2, 2)
+        assert res.trace == run_protocol(bell_diagonal(p), ancilla_state(*res.witness))
         # the trace is neither compared nor printed
         assert res == EdssSearchResult(res.useful, res.witness, res.r_a, res.s_c)
         assert "trace" not in repr(res)

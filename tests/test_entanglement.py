@@ -97,18 +97,11 @@ def test_ppt_verdict_sign_flipped_separable():
 
 def test_ppt_verdict_invalid_cut():
     rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no cut"):
         ppt_verdict(rho, 3)
-
-
-def test_ppt_verdict_stacked_form():
-    rng = np.random.default_rng(35)
-    states = [random_density_matrix(rng, (2, 2, 2)) for _ in range(2)]
-    got = ppt_verdict(states, (0, 2, 1))
-    assert got == tuple(tuple(ppt_verdict(rho, f) for f in (0, 2, 1)) for rho in states)
-    for bad in ([states[0], random_density_matrix(rng, (4, 2))], [random_density_matrix(rng, (2, 2, 2, 2))]):
-        with pytest.raises(ValueError, match="no cut"):
-            ppt_verdict(bad, (0,))
+    # a four-factor state has no cut labels
+    with pytest.raises(ValueError, match="no cut"):
+        ppt_verdict(random_density_matrix(np.random.default_rng(35), (2, 2, 2, 2)), 0)
 
 
 def test_rel_entropy_examples():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from compcorr.correlations import classical_correlation, holevo_quantity, q1
 from compcorr import oracle
-from compcorr.edss import GRID_AC, edss_useful
+from compcorr.edss import PERM_AC, edss_useful
 from compcorr.entanglement import is_separable_bd
 from compcorr.matcore import LOG2, PPT_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron, partial_transpose
 from compcorr.oracle import (
@@ -198,7 +198,7 @@ def _edss_numeric_per_point(p, n_polar, n_azimuth):
 
     def consider(th, ph, r):
         nonlocal npt_seen
-        rabc = kron(rho4, bloch_operator(r * bloch_vector(th, ph)))[GRID_AC]
+        rabc = kron(rho4, bloch_operator(r * bloch_vector(th, ph)))[np.ix_(PERM_AC, PERM_AC)]
         m_a = float(np.linalg.eigvalsh(partial_transpose(rabc, (2, 2, 2), 0))[0])
         scored.append((m_a, (th, ph, r)))
         if m_a >= -PPT_TOL:

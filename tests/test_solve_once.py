@@ -1,13 +1,14 @@
 """Routes that solve each state once, against the routes that solved it again.
 
-`DensityMatrix` keeps the spectrum of its PSD check, and a state built from
-checked parts keeps the spectrum its construction implies: an ancilla's is
-((1 - r)/2, (1 + r)/2), a product state's the products of its factors', and
-a CNOT stage of `run_protocol`, a basis permutation, keeps its parent's.
-`report_for_state` reads the Bell-diagonal triple from the signed SVD of T
-with no rotated state, and `complementary_correlations` contracts the state
-once with the stacked axis projectors. Each is compared here with the
-direct form.
+`DensityMatrix` keeps the spectrum of its PSD check, and the EDSS ancilla
+the spectrum ((1 - r)/2, (1 + r)/2) read off its radius. `run_protocol`
+builds no state: its three stages are raw 8x8 matrices, one index of
+rho (x) ancilla, and its nine verdicts one stacked eigensolve; the tests
+rebuild the stages from `kron` and `np.ix_` of the CNOT permutations and
+solve each cut on its own. `report_for_state` reads the Bell-diagonal
+triple from the signed SVD of T with no rotated state, and
+`complementary_correlations` contracts the state once with the stacked
+axis projectors. Each is compared here with the direct form.
 """
 
 import re
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import compcorr
 from compcorr import report, states
 from compcorr.correlations import complementary_correlations, outcome_mutual_information
-from compcorr.edss import CUT_FACTORS, GRID_AC, GRID_BC, STAGES, ancilla_state, edss_useful, run_protocol
+from compcorr.edss import CUT_FACTORS, PERM_AC, PERM_BC, STAGES, ancilla_state, edss_useful, run_protocol
 from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, hermitian_spectrum, kron
 from compcorr.matcore import partial_trace, partial_transpose, von_neumann_entropy
 from compcorr.states import (
@@ -46,6 +47,8 @@ bd_params = st.one_of(
 )
 angles = st.tuples(st.floats(0, np.pi), st.floats(0, 2 * np.pi))
 radii = st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1))
+# conjugation by Alice's and by Bob's CNOT, as index grids of an 8x8 matrix
+GRID_AC, GRID_BC = np.ix_(PERM_AC, PERM_AC), np.ix_(PERM_BC, PERM_BC)
 
 
 def _haar_su2(rng):
@@ -67,54 +70,41 @@ def test_kept_spectrum_is_read_only():
         rho.spectrum()[0] = 1.0
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_permuted_state_keeps_the_matrix_spectrum(seed):
-    rho = random_density_matrix(np.random.default_rng(seed), (2, 2, 2))
-    for grid in (GRID_AC, GRID_BC):
-        out = rho.permuted(grid)
-        np.testing.assert_array_equal(out.matrix, rho.matrix[grid])
-        assert out.dims == rho.dims and not out.matrix.flags.writeable
-        np.testing.assert_allclose(out.spectrum(), np.linalg.eigvalsh(out.matrix), rtol=0, atol=1e-14)
-
-
 def _work(monkeypatch, call):
     """(the shape of each np.linalg.eigvalsh argument, the number of
-    DensityMatrix validations) of call()."""
-    shapes, validations = [], []
-    eigvalsh, post_init = np.linalg.eigvalsh, DensityMatrix.__post_init__
+    DensityMatrix validations, the number of DensityMatrix._derived builds)
+    of call()."""
+    shapes, validations, derived = [], [], []
+    eigvalsh, post_init, build = np.linalg.eigvalsh, DensityMatrix.__post_init__, DensityMatrix._derived
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: shapes.append(np.shape(a)) or eigvalsh(a, *args, **kw))
         m.setattr(DensityMatrix, "__post_init__", lambda self: validations.append(1) or post_init(self))
+        m.setattr(DensityMatrix, "_derived", classmethod(lambda cls, *args: derived.append(1) or build(*args)))
         call()
-    return shapes, len(validations)
+    return shapes, len(validations), len(derived)
 
 
 def test_run_protocol_solves_nine_8x8_spectra_in_one_call(monkeypatch):
     # the nine stage partial transposes as one stack, then the A|B transpose
-    # after Tr_C; no stage is solved or validated, since the initial state's
-    # spectrum is the products of its factors' and the CNOT stages keep it
+    # after Tr_C; the stages are raw matrices, so no state is built
     rho, anc = bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3)), ancilla_state(0.0, 0.0, 0.5)
-    assert _work(monkeypatch, lambda: run_protocol(rho, anc)) == ([(9, 8, 8), (1, 4, 4)], 0)
+    assert _work(monkeypatch, lambda: run_protocol(rho, anc)) == ([(9, 8, 8), (1, 4, 4)], 0, 0)
 
 
 @pytest.mark.parametrize(
-    "c, solves, validations",
+    "c, solves, validations, derived",
     [
-        ((0.3, -0.3, 0.3), [(4, 4), (9, 8, 8), (1, 4, 4)], 1),  # useful: bell_diagonal's check, then run_protocol
-        ((0.3, 0.3, 0.3), [], 0),  # not useful: decided in closed form, nothing built
-        ((0.5, 0.0, 0.25), [], 0),
+        # useful: bell_diagonal's check, the ancilla, then run_protocol
+        ((0.3, -0.3, 0.3), [(4, 4), (9, 8, 8), (1, 4, 4)], 1, 1),
+        ((0.3, 0.3, 0.3), [], 0, 0),  # not useful: decided in closed form, nothing built
+        ((0.5, 0.0, 0.25), [], 0, 0),
     ],
 )
-def test_edss_useful_work(monkeypatch, c, solves, validations):
+def test_edss_useful_work(monkeypatch, c, solves, validations, derived):
     results = []
-    assert _work(monkeypatch, lambda: results.append(edss_useful(BellDiagonalParams(*c)))) == (solves, validations)
+    work = _work(monkeypatch, lambda: results.append(edss_useful(BellDiagonalParams(*c))))
+    assert work == (solves, validations, derived)
     assert (results[0].witness is not None) == results[0].useful == bool(solves)
-
-
-def _assert_kept_spectrum(rho):
-    assert not rho.matrix.flags.writeable and not rho.spectrum().flags.writeable
-    np.testing.assert_allclose(rho.spectrum(), np.linalg.eigvalsh(rho.matrix), rtol=0, atol=1e-14)
 
 
 @given(angles, radii)
@@ -123,24 +113,8 @@ def test_ancilla_spectrum_is_read_off_its_radius(angle, r):
     anc = ancilla_state(*angle, r)
     assert anc.matrix.tobytes() == bloch_operator(r * bloch_vector(*angle)).tobytes() and anc.dims == (2,)
     assert anc.spectrum().tolist() == [(1 - r) / 2, (1 + r) / 2]
-    _assert_kept_spectrum(anc)
-
-
-@given(bd_params, seeds, angles, radii)
-@settings(max_examples=100, deadline=None)
-def test_product_spectrum_is_the_products_of_its_factors(p, seed, angle, r):
-    rng = np.random.default_rng(seed)
-    anc = ancilla_state(*angle, r)
-    pairs = (
-        (bell_diagonal(p), anc),
-        (random_density_matrix(rng, (2, 2)), anc),
-        (random_density_matrix(rng, (2,)), random_density_matrix(rng, (2, 2))),
-    )
-    for rho, other in pairs:
-        prod = rho.product(other)
-        assert prod.matrix.tobytes() == kron(rho.matrix, other.matrix).tobytes()
-        assert prod.dims == rho.dims + other.dims
-        _assert_kept_spectrum(prod)
+    assert not anc.matrix.flags.writeable and not anc.spectrum().flags.writeable
+    np.testing.assert_allclose(anc.spectrum(), np.linalg.eigvalsh(anc.matrix), rtol=0, atol=1e-14)
 
 
 def _pauli_contraction(p):
@@ -212,11 +186,13 @@ def test_stacked_verdicts_are_the_per_cut_spectra(seed, bell_diagonal_input):
     # bit for bit: the one stacked eigvalsh against one solve per stage and cut
     rng = np.random.default_rng(seed)
     rho = bell_diagonal(random_bd_params(rng)) if bell_diagonal_input else random_density_matrix(rng, (2, 2))
-    trace = run_protocol(rho, random_density_matrix(rng, (2,)))
-    stages = (trace.initial_state, trace.after_alice, trace.after_bob)
-    for stage, state in zip(STAGES, stages):
+    anc = random_density_matrix(rng, (2,))
+    trace = run_protocol(rho, anc)
+    initial = kron(rho.matrix, anc.matrix)
+    stages = (initial, initial[GRID_AC], initial[GRID_AC][GRID_BC])
+    for stage, m in zip(STAGES, stages):
         for verdict, f, cut in zip(trace.stage_verdicts[stage], CUT_FACTORS, ("A|BC", "C|AB", "B|AC")):
-            per_cut = np.linalg.eigvalsh(partial_transpose(state.matrix, (2, 2, 2), f))
+            per_cut = np.linalg.eigvalsh(partial_transpose(m, (2, 2, 2), f))
             assert np.array(verdict.spectrum).tobytes() == per_cut.tobytes() and verdict.cut == cut
 
 
@@ -279,7 +255,7 @@ def test_derived_constructor_is_called_only_inside_the_package():
     root = Path(__file__).resolve().parent.parent
     files = [p for d in ("src", "bench", "tests") for p in (root / d).rglob("*.py") if p != Path(__file__).resolve()]
     callers = {p.relative_to(root).as_posix() for p in files if "._derived(" in p.read_text()}
-    assert callers and all(c.startswith("src/compcorr/") for c in callers)
+    assert callers == {"src/compcorr/edss.py"}
     assert "_derived" not in compcorr.__all__
 
 
