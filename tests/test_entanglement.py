@@ -14,7 +14,7 @@ from compcorr.entanglement import (
     pt_spectrum,
     rel_entropy_entanglement_bd,
 )
-from compcorr.matcore import kron
+from compcorr.matcore import kron, pt_spectra
 from compcorr.states import (
     _BELL_SIGNS,
     PHI_PLUS,
@@ -99,9 +99,18 @@ def test_ppt_verdict_invalid_cut():
     rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
     with pytest.raises(ValueError, match="no cut"):
         ppt_verdict(rho, 3)
+
+
+def test_ppt_verdict_stacked_form():
+    # the verdicts of a stack of states are the rows of one stacked solve
+    rng = np.random.default_rng(35)
+    states = [random_density_matrix(rng, (2, 2, 2)) for _ in range(2)]
+    got = pt_spectra(np.stack([rho.matrix for rho in states]), (2, 2, 2), (0, 2, 1))
+    for rho, row in zip(states, got):
+        assert [ppt_verdict(rho, f).spectrum for f in (0, 2, 1)] == [tuple(lam.tolist()) for lam in row]
     # a four-factor state has no cut labels
     with pytest.raises(ValueError, match="no cut"):
-        ppt_verdict(random_density_matrix(np.random.default_rng(35), (2, 2, 2, 2)), 0)
+        ppt_verdict(random_density_matrix(rng, (2, 2, 2, 2)), 0)
 
 
 def test_rel_entropy_examples():

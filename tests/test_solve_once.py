@@ -92,18 +92,19 @@ def test_run_protocol_solves_nine_8x8_spectra_in_one_call(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "c, solves, validations, derived",
+    "c, solves, validations",
     [
         # useful: bell_diagonal's check, the ancilla, then run_protocol
-        ((0.3, -0.3, 0.3), [(4, 4), (9, 8, 8), (1, 4, 4)], 1, 1),
-        ((0.3, 0.3, 0.3), [], 0, 0),  # not useful: decided in closed form, nothing built
-        ((0.5, 0.0, 0.25), [], 0, 0),
+        ((0.3, -0.3, 0.3), [(4, 4), (9, 8, 8), (1, 4, 4)], 1),
+        ((0.3, 0.3, 0.3), [], 0),  # not useful: decided in closed form, nothing built
+        ((0.5, 0.0, 0.25), [], 0),
     ],
 )
-def test_edss_useful_work(monkeypatch, c, solves, validations, derived):
+def test_edss_useful_work(monkeypatch, c, solves, validations):
     results = []
     work = _work(monkeypatch, lambda: results.append(edss_useful(BellDiagonalParams(*c))))
-    assert work == (solves, validations, derived)
+    # the ancilla is the one derived build, made exactly when bell_diagonal's check is
+    assert work == (solves, validations, validations)
     assert (results[0].witness is not None) == results[0].useful == bool(solves)
 
 
