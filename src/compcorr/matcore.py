@@ -6,7 +6,8 @@ Everything here works on plain numpy arrays in dimensions 2, 4 and 8.
 Qubit ordering is big-endian: factor 0 is the leftmost tensor slot.
 """
 
-from functools import reduce
+import math
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -135,20 +136,35 @@ def partial_transpose(m: np.ndarray, dims, factor: int) -> np.ndarray:
     return r.reshape(m.shape)
 
 
+@lru_cache(maxsize=32)
+def _pt_index(dims: tuple[int, ...], factors: tuple[int, ...]) -> np.ndarray:
+    """Read-only (len(factors), d * d) gather index: row i lists, for each
+    entry of a flattened d x d matrix, the flat position that its partial
+    transpose on factors[i] reads."""
+    n = len(dims)
+    flat = np.arange(math.prod(dims) ** 2).reshape(dims * 2)
+    index = np.stack([np.swapaxes(flat, f, f + n).ravel() for f in factors])
+    index.flags.writeable = False
+    return index
+
+
 def pt_spectra(stack: np.ndarray, dims, factors) -> np.ndarray:
     """Ascending spectra of the partial transpose on each of `factors` of
     every matrix of an (n, d, d) stack, as an (n, len(factors), d) array,
     all from one stacked eigvalsh. A (1, d, d) stack gives the bits of one
-    eigvalsh of the d x d partial transpose.
+    eigvalsh of the d x d partial transpose. The transposes are one gather
+    of the flattened (n, d * d) stack through a cached index array.
 
     No Hermiticity check: a partial transpose permutes the entries of
     M - M^dagger, so the caller's check on M covers it."""
+    dims, factors = tuple(dims), tuple(factors)
     n, d = len(dims), stack.shape[-1]
     if not all(0 <= f < n for f in factors):
-        raise ValueError(f"factor indices {tuple(factors)} out of range for {n} factors")
-    m = stack.reshape((len(stack),) + tuple(dims) * 2)
-    pts = np.stack([np.swapaxes(m, 1 + f, 1 + f + n) for f in factors], axis=1)
-    return np.linalg.eigvalsh(pts.reshape(-1, d, d)).reshape(pts.shape[:2] + (d,))
+        raise ValueError(f"factor indices {factors} out of range for {n} factors")
+    if math.prod(dims) != d:
+        raise ValueError(f"matrix size {d} does not match factor dims {dims}")
+    pts = stack.reshape(len(stack), d * d)[:, _pt_index(dims, factors)]
+    return np.linalg.eigvalsh(pts.reshape(-1, d, d)).reshape(len(stack), len(factors), d)
 
 
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
@@ -158,19 +174,32 @@ def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def entropy_of_probabilities(p: np.ndarray) -> float:
+def entropy_of_probabilities(p) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0.
 
     Tiny negative entries (float noise from eigensolves) are dropped as zeros;
     entries below -EIG_CLAMP_TOL, NaN and infinite entries raise.
+
+    The entries are summed left to right as Python floats, each term with
+    the scalar np.log, whose bits are the array np.log's (math.log's are
+    not always). np.sum also adds fewer than 8 entries left to right, so
+    for such inputs (every runtime caller passes at most 4) the result is
+    bit for bit -np.sum(nz * np.log(nz)) / LOG2 over the positive entries
+    nz; from 8 entries on, np.sum sums pairwise and the two can differ in
+    the last bits.
     """
-    p = np.asarray(p, dtype=float)
-    if not p.min() >= -EIG_CLAMP_TOL:  # written so that a NaN fails
-        raise ValueError(f"probability {p.min():.3e} is NaN or below -{EIG_CLAMP_TOL:g}")
-    nz = p[p > 0.0]
-    h = float(-np.sum(nz * np.log(nz)) / LOG2)
+    ps = p.ravel().tolist() if isinstance(p, np.ndarray) else [float(x) for x in p]
+    if not ps:
+        raise ValueError("entropy of an empty probability list")
+    if not all(x >= -EIG_CLAMP_TOL for x in ps):  # written so that a NaN fails
+        raise ValueError(f"probability {np.min(ps):.3e} is NaN or below -{EIG_CLAMP_TOL:g}")
+    acc = 0.0
+    for x in ps:
+        if x > 0.0:
+            acc += x * np.log(x)
+    h = float(-acc / LOG2)
     if not h > -np.inf:  # an infinite entry makes h -inf
-        raise ValueError(f"entropy of {p.tolist()} is not finite")
+        raise ValueError(f"entropy of {ps} is not finite")
     return h
 
 

@@ -8,9 +8,11 @@ one where A|BC is NPT. Also here: the mutual-unbiasedness checker and the
 closed-form-vs-eigensolver spectrum cross-check. Each cross-check of the seeded suite behind
 `compcorr verify` is one `check_*` function of its input samples; the
 tests call the same functions on their own seeds. A check's Bell-diagonal
-samples are drawn as one block; its spectra are one (n, 4, 4) eigvalsh and
-its Holevo maximizations run in lockstep. Every number is bit for bit that
-of the same work done one sample at a time.
+samples are drawn as one block and built as one validated (n, 4, 4) stack,
+whose spectra are one eigvalsh and whose outcome tables are one
+contraction; its Holevo maximizations run in lockstep, their coarse pass
+in cache-sized blocks of directions. Every number is bit for bit that of
+the same work done one sample at a time.
 """
 
 import functools
@@ -19,18 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import bd_mutual_information, clamped_discord, classical_correlation, complementary_correlations
-from .correlations import correlation_bits, discord_bd, holevo_quantity, q1, total_mutual_information
+from .correlations import _AXIS_PROJECTORS, bd_mutual_information, clamped_discord, classical_correlation
+from .correlations import correlation_bits, discord_bd, holevo_quantity, outcome_mutual_information, q1
+from .correlations import total_mutual_information
 from .edss import PERM_AC
 from .entanglement import require_separable
-from .matcore import LOG2, MUB_TOL, PPT_TOL, SIGMAS, ZERO_BRANCH, bloch_operator, bloch_vector, kron, partial_transpose
-from .matcore import pt_spectra
+from .matcore import LOG2, MUB_TOL, PPT_TOL, SIGMAS, STATE_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron
+from .matcore import partial_transpose, pt_spectra
 from .states import PAULI_PRODUCTS, BellDiagonalParams, DensityMatrix, bell_diagonal, random_bd_params
 from .states import random_density_matrix
 
 DEFAULT_RESOLUTION = (90, 180)
 REFINE_ROUNDS = 5
-HOLEVO_STACK = 20  # states per lockstep pass of `maximize_holevo`: about 50 MB of arrays at the default grid
+HOLEVO_STACK = 20  # states per lockstep pass of `maximize_holevo`
+# (state, direction) pairs per block of `_holevo_batch`, chosen by timing
+# `check_holevo`: 4,096 to 16,384 ran alike, 2,560 was 15-20% slower
+_HOLEVO_BLOCK = 8192
 ANCILLA_RADII = (1.0, 0.8, 0.6, 0.4, 0.2)
 
 OVERLAP_CONVENTION_NOTE = (
@@ -40,14 +46,23 @@ OVERLAP_CONVENTION_NOTE = (
 )
 
 
-def _entropy2x2_batch(tr, det) -> np.ndarray:
-    """Entropies in bits of 2x2 Hermitian PSD matrices, given by their
-    traces and determinants (scalars or arrays)."""
-    disc = np.sqrt(np.clip(tr * tr / 4 - det, 0.0, None))
-    lam = np.clip(np.stack([tr / 2 - disc, tr / 2 + disc], axis=-1), 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log(lam), 0.0)
-    return -terms.sum(axis=-1) / LOG2
+def _xlogx(lam: np.ndarray) -> np.ndarray:
+    """lam log(lam) of an array clipped in place at 0, with 0 log 0 = 0."""
+    np.clip(lam, 0.0, None, out=lam)
+    pos = lam > 0.0
+    out = np.zeros_like(lam)
+    np.log(lam, out=out, where=pos)
+    return np.multiply(lam, out, out=out, where=pos)
+
+
+def _entropy2x2_batch(tr: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Entropies in bits of 2x2 Hermitian PSD matrices, given by arrays of
+    their traces and determinants. The two eigenvalues tr/2 -+ disc are
+    clipped at 0 and their terms added in that order."""
+    disc = tr * tr / 4 - det
+    np.sqrt(np.clip(disc, 0.0, None, out=disc), out=disc)
+    half = tr / 2
+    return -(_xlogx(half - disc) + _xlogx(half + disc)) / LOG2
 
 
 def _alice_rows(rho: DensityMatrix) -> np.ndarray:
@@ -57,6 +72,21 @@ def _alice_rows(rho: DensityMatrix) -> np.ndarray:
     return np.stack([a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1].real, a[:, 0, 1].imag], axis=1)
 
 
+def _trace_det(x0, x1, x2, x3) -> tuple[np.ndarray, np.ndarray]:
+    """Trace and determinant of 2x2 Hermitian matrices with entries
+    (x00, x11, Re x01, Im x01) = (x0, x1, x2, x3)."""
+    return x0 + x1, x0 * x1 - x2**2 - x3**2
+
+
+def _weighted_entropy(*x) -> np.ndarray:
+    """p S(x / p) in bits of unnormalised 2x2 states x, given as in
+    `_trace_det`, of weight p = Tr x, and 0 where p <= ZERO_BRANCH."""
+    p, det = _trace_det(*x)
+    live = p > ZERO_BRANCH
+    q = np.where(live, p, 1.0)
+    return np.where(live, p * _entropy2x2_batch(p / q, det / (q * q)), 0.0)
+
+
 def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """Holevo quantity in bits for a stack of states, given by their
     `_alice_rows` (S, 4, 4), and a batch of Bob measurement Bloch vectors,
@@ -64,18 +94,23 @@ def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
 
     Bob's projector (I +- n . sigma)/2 leaves Alice the unnormalised state
     x+-(n) = (A_0 +- n . A)/2, so every x+-(n) comes from one real product
-    of the directions with the rows of A_1, A_2, A_3. A_0 is rho_A. Each
-    state's values are bit for bit those of a stack of that state alone.
+    of the directions with the rows of A_1, A_2, A_3. A_0 is rho_A. The
+    directions run in blocks of about _HOLEVO_BLOCK (state, direction)
+    pairs, whose arrays stay in cache, each block written into the one
+    result. Each state's values are bit for bit those of a stack of that
+    state alone.
     """
-    lin = ns @ rows[:, 1:]
-    a0 = rows[:, None, 0]
-    x = np.concatenate([a0, (a0 + lin) / 2, (a0 - lin) / 2], axis=1)  # rho_A, x+, x-
-    tr, det = x[..., 0] + x[..., 1], x[..., 0] * x[..., 1] - x[..., 2] ** 2 - x[..., 3] ** 2
-    p = tr[:, 1:]
-    q = np.where(p > ZERO_BRANCH, p, 1.0)
-    cond = np.where(p > ZERO_BRANCH, p * _entropy2x2_batch(p / q, det[:, 1:] / (q * q)), 0.0)
-    n = lin.shape[1]
-    return _entropy2x2_batch(tr[:, :1], det[:, :1]) - (cond[:, :n] + cond[:, n:])
+    a0 = rows[:, 0].T[:, :, None]  # entry k of every rho_A as an (S, 1) column a0[k]
+    s_a = _entropy2x2_batch(*_trace_det(*a0))
+    n = ns.shape[-2]
+    out = np.empty((len(rows), n))
+    step = max(1, _HOLEVO_BLOCK // len(rows))
+    for j in range(0, n, step):
+        lin = ns[..., j : j + step, :] @ rows[:, 1:]
+        plus = _weighted_entropy(*((a0[k] + lin[..., k]) / 2 for k in range(4)))
+        minus = _weighted_entropy(*((a0[k] - lin[..., k]) / 2 for k in range(4)))
+        np.subtract(s_a, plus + minus, out=out[:, j : j + step])
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -260,18 +295,37 @@ def pauli_mub_bases() -> list[np.ndarray]:
     return [z, x, y]
 
 
-def spectrum_crosscheck(p) -> float:
-    """Max deviation between closed-form and numeric eigenvalues, of one
-    triple or over a sequence of them. The states are built as one
-    (n, 4, 4) stack, each bit for bit `bell_diagonal(p).matrix`, and solved
-    by one stacked eigvalsh."""
-    triples = (p,) if isinstance(p, BellDiagonalParams) else tuple(p)
+def _bd_stack(triples) -> tuple[np.ndarray, np.ndarray]:
+    """The Bell-diagonal states of a sequence of triples as one (n, 4, 4)
+    stack, each bit for bit `bell_diagonal(p).matrix`, and their ascending
+    spectra from one stacked eigvalsh. The stack passes the checks that
+    `DensityMatrix` makes on each state, in one vectorized pass, and the
+    first failing state raises that check's ValueError."""
     diag = np.zeros((len(triples), 4, 4))
     diag[:, 0, 0] = 1.0
     diag[:, (1, 2, 3), (1, 2, 3)] = [(t.c1, t.c2, t.c3) for t in triples]
-    numeric = np.linalg.eigvalsh(np.einsum("nij,ijkl->nkl", diag, PAULI_PRODUCTS) / 4.0)
+    stack = np.einsum("nij,ijkl->nkl", diag, PAULI_PRODUCTS) / 4.0
+    if not np.isfinite(stack).all():
+        raise ValueError("density matrix has a non-finite entry")
+    if not np.all(np.abs(stack - stack.conj().swapaxes(1, 2)) <= STATE_TOL):
+        raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    bad = np.abs(tr - 1.0) > STATE_TOL
+    if bad.any():
+        raise ValueError(f"trace {tr[np.argmax(bad)]} differs from 1 by more than {STATE_TOL:g}")
+    spectra = np.linalg.eigvalsh(stack)
+    bad = spectra[:, 0] < -STATE_TOL
+    if bad.any():
+        raise ValueError(f"negative eigenvalue {spectra[np.argmax(bad), 0]:.3e} below -{STATE_TOL:g}")
+    return stack, spectra
+
+
+def spectrum_crosscheck(p) -> float:
+    """Max deviation between closed-form and numeric eigenvalues, of one
+    triple or over a sequence of them, the numeric ones from `_bd_stack`."""
+    triples = (p,) if isinstance(p, BellDiagonalParams) else tuple(p)
     closed = np.sort([t.eigenvalues for t in triples], axis=1)
-    return float(np.max(np.abs(closed - numeric)))
+    return float(np.max(np.abs(closed - _bd_stack(triples)[1])))
 
 
 @dataclass(frozen=True)
@@ -295,8 +349,14 @@ def _axis_angle_deg(n: np.ndarray, axis: int) -> float:
     return float(np.degrees(np.arccos(min(c, 1.0))))
 
 
+def _require_samples(samples, check: str) -> None:
+    if len(samples) == 0:
+        raise ValueError(f"{check} needs at least one sample")
+
+
 def check_spectra(samples: list[BellDiagonalParams]) -> CheckResult:
     """Closed-form Bell-diagonal spectra vs the numeric eigensolver."""
+    _require_samples(samples, "check_spectra")
     dev = spectrum_crosscheck(samples)
     return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
@@ -304,6 +364,7 @@ def check_spectra(samples: list[BellDiagonalParams]) -> CheckResult:
 def check_holevo(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
     """Closed-form classical correlation and discord vs grid maximization of
     the Holevo quantity, and the maximizing direction vs the strongest axis."""
+    _require_samples(samples, "check_holevo")
     dev_c = dev_d = dev_ax = 0.0
     states = [bell_diagonal(p) for p in samples]
     for p, state, opt in zip(samples, states, maximize_holevo(states)):
@@ -321,14 +382,21 @@ def check_holevo(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
 
 
 def check_z_correlation(samples: list[BellDiagonalParams]) -> CheckResult:
-    """z-axis closed form vs the measured outcome mutual information."""
-    dev = max(abs(q1(p) - complementary_correlations(bell_diagonal(p))[2]) for p in samples)
+    """z-axis closed form vs the measured outcome mutual information. The
+    outcome tables of all three axes come from one contraction of the
+    `_bd_stack`, each bit for bit those of `complementary_correlations`;
+    only the z tables are scored."""
+    _require_samples(samples, "check_z_correlation")
+    r = _bd_stack(samples)[0].reshape(-1, 2, 2, 2, 2)
+    tables = np.einsum("nabce,kica,kjeb->nkij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real
+    dev = max(abs(q1(p) - outcome_mutual_information(t)) for p, t in zip(samples, tables[:, 2]))
     return CheckResult("z-correlation-closed-form-vs-measured", dev < 1e-12, dev, 1e-12)
 
 
 def check_ordered_frame(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
     """With |c| sorted so the strongest axis is x and the median axis is z,
     Q1 <= D and Q1 + C <= I."""
+    _require_samples(samples, "check_ordered_frame")
     dev_qd = dev_qci = -np.inf
     for p in samples:
         q_med = correlation_bits(sorted((abs(p.c1), abs(p.c2), abs(p.c3)))[1])
@@ -343,6 +411,7 @@ def check_ordered_frame(samples: list[BellDiagonalParams]) -> tuple[CheckResult,
 
 def check_involution(states: list[DensityMatrix]) -> CheckResult:
     """The partial transpose of two-qubit states is an involution."""
+    _require_samples(states, "check_involution")
     dev = 0.0
     for rho in states:
         back = partial_transpose(partial_transpose(rho.matrix, (2, 2), 0), (2, 2), 0)
@@ -352,6 +421,7 @@ def check_involution(states: list[DensityMatrix]) -> CheckResult:
 
 def check_kron(triples: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> CheckResult:
     """kron is associative."""
+    _require_samples(triples, "check_kron")
     dev = max(float(np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))))) for a, b, c in triples)
     return CheckResult("kron-associativity", dev < 1e-12, dev, 1e-12)
 

@@ -1,8 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compcorr.matcore import (
+    EIG_CLAMP_TOL,
     I2,
+    LOG2,
     PAULIS,
     SIGMA_Z,
     bloch_operator,
@@ -126,6 +132,11 @@ def test_pt_spectra_are_the_single_solves_bit_for_bit(dims):
             assert lam.tobytes() == single.tobytes() == pt_spectra(m[None], dims, (f,))[0, 0].tobytes()
 
 
+def test_pt_spectra_size_must_match_the_dims():
+    with pytest.raises(ValueError, match="does not match factor dims"):
+        pt_spectra((np.eye(4) / 4)[None], (2, 2, 2), (0,))
+
+
 def test_pt_spectra_of_an_empty_stack():
     assert pt_spectra(np.zeros((0, 8, 8), dtype=complex), (2, 2, 2), (2,)).shape == (0, 1, 8)
 
@@ -182,6 +193,54 @@ def test_entropy_rejects_a_non_finite_probability(bad):
     # would give -inf, so both must raise
     with pytest.raises(ValueError, match="NaN|not finite"):
         entropy_of_probabilities([0.5, bad, 0.5])
+
+
+def _entropy_numpy(p):
+    """The numpy form of `entropy_of_probabilities`: one array log and one
+    np.sum over the positive entries."""
+    p = np.asarray(p, dtype=float)
+    if not p.min() >= -EIG_CLAMP_TOL:
+        raise ValueError(f"probability {p.min():.3e} is NaN or below -{EIG_CLAMP_TOL:g}")
+    nz = p[p > 0.0]
+    h = float(-np.sum(nz * np.log(nz)) / LOG2)
+    if not h > -np.inf:
+        raise ValueError(f"entropy of {p.tolist()} is not finite")
+    return h
+
+
+# zeros, tiny negatives down to -EIG_CLAMP_TOL, and positive entries over
+# many decades, as eigensolves and closed forms produce them
+entries = st.one_of(
+    st.just(0.0),
+    st.just(-EIG_CLAMP_TOL),
+    st.floats(-EIG_CLAMP_TOL, 0.0),
+    st.floats(0.0, 1.0),
+    st.floats(1e-300, 1e-3),
+)
+
+
+@given(st.lists(entries, min_size=1, max_size=7), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_entropy_is_the_numpy_form_bit_for_bit(p, as_array):
+    # np.sum adds fewer than 8 entries left to right, as the Python loop does
+    arg = np.array(p) if as_array else p
+    assert np.float64(entropy_of_probabilities(arg)).tobytes() == np.float64(_entropy_numpy(p)).tobytes()
+
+
+@pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.5, -2e-8, 0.5], [np.inf, np.nan], [-1.0]])
+def test_entropy_error_messages_are_the_numpy_forms(p):
+    with pytest.raises(ValueError) as want:
+        _entropy_numpy(p)
+    with pytest.raises(ValueError) as got:
+        entropy_of_probabilities(np.array(p))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        entropy_of_probabilities(p)
+
+
+def test_entropy_of_no_probabilities():
+    with pytest.raises(ValueError, match="empty"):
+        entropy_of_probabilities([])
 
 
 def test_bloch_vector_batches_and_scalars():

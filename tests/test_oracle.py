@@ -1,18 +1,26 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compcorr.correlations import classical_correlation, holevo_quantity, q1
+from compcorr.correlations import clamped_discord, classical_correlation, complementary_correlations
+from compcorr.correlations import correlation_bits, holevo_quantity, q1
 from compcorr import oracle
 from compcorr.edss import PERM_AC, edss_useful
 from compcorr.entanglement import is_separable_bd
 from compcorr.matcore import LOG2, PPT_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron, partial_transpose
 from compcorr.oracle import (
+    CheckResult,
     check_holevo,
+    check_involution,
+    check_kron,
+    check_ordered_frame,
     check_spectra,
+    check_z_correlation,
     discord_numeric,
     edss_useful_numeric,
     maximize_holevo,
@@ -129,6 +137,49 @@ def test_holevo_batch_sees_the_hemisphere_grid_and_refinement(monkeypatch, resol
     maximize_holevo(bell_diagonal(BellDiagonalParams(0.45, -0.2, 0.3)), resolution)
     n_polar, n_azimuth = resolution
     assert sizes == [math.ceil(n_polar / 2) * n_azimuth] + [25] * oracle.REFINE_ROUNDS
+
+
+def _holevo_batch_one_pass(rows, ns):
+    """`_holevo_batch` as a single pass over all directions: every x+-(n)
+    of every state concatenated with rho_A and the entropies of the stacked
+    eigenvalue pairs."""
+
+    def entropies(tr, det):
+        disc = np.sqrt(np.clip(tr * tr / 4 - det, 0.0, None))
+        lam = np.clip(np.stack([tr / 2 - disc, tr / 2 + disc], axis=-1), 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -np.where(lam > 0.0, lam * np.log(lam), 0.0).sum(axis=-1) / LOG2
+
+    lin = ns @ rows[:, 1:]
+    a0 = rows[:, None, 0]
+    x = np.concatenate([a0, (a0 + lin) / 2, (a0 - lin) / 2], axis=1)  # rho_A, x+, x-
+    tr, det = x[..., 0] + x[..., 1], x[..., 0] * x[..., 1] - x[..., 2] ** 2 - x[..., 3] ** 2
+    p = tr[:, 1:]
+    q = np.where(p > ZERO_BRANCH, p, 1.0)
+    cond = np.where(p > ZERO_BRANCH, p * entropies(p / q, det[:, 1:] / (q * q)), 0.0)
+    n = lin.shape[1]
+    return entropies(tr[:, :1], det[:, :1]) - (cond[:, :n] + cond[:, n:])
+
+
+def test_holevo_blocks_are_the_one_pass_bit_for_bit():
+    # more states than HOLEVO_STACK, and a grid that no block size divides,
+    # so the last block of directions is a short one
+    rng = np.random.default_rng(58)
+    states = [bell_diagonal(p) for p in random_bd_params(rng, 12)]
+    states += [random_density_matrix(rng, (2, 2)) for _ in range(12)]
+    assert len(states) > oracle.HOLEVO_STACK
+    rows = np.stack([oracle._alice_rows(rho) for rho in states])
+    _, _, ns = oracle._direction_grid(90, 180)
+    per_stack = oracle._HOLEVO_BLOCK // oracle.HOLEVO_STACK
+    assert len(ns) > per_stack and len(ns) % per_stack != 0
+    for stack in (rows[: oracle.HOLEVO_STACK], rows):
+        assert oracle._holevo_batch(stack, ns).tobytes() == _holevo_batch_one_pass(stack, ns).tobytes()
+    per_state = bloch_vector(rng.uniform(0, np.pi, (len(states), 25)), rng.uniform(0, 2 * np.pi, (len(states), 25)))
+    assert oracle._holevo_batch(rows, per_state).tobytes() == _holevo_batch_one_pass(rows, per_state).tobytes()
+    for rho, opt in zip(states, maximize_holevo(states)):
+        want = maximize_holevo(rho)
+        assert opt.value == want.value
+        assert opt.argmax_bloch.tobytes() == want.argmax_bloch.tobytes()
 
 
 class TestMaximizeHolevo:
@@ -309,6 +360,67 @@ class TestSpectrumCrosscheck:
     def test_sequence_is_the_largest_single_deviation(self):
         triples = random_bd_params(np.random.default_rng(57), 200) + [BellDiagonalParams(1, -1, 1)]
         assert spectrum_crosscheck(triples) == max(spectrum_crosscheck(p) for p in triples)
+
+
+def _z_correlation_per_sample(samples):
+    """`check_z_correlation` one validated state at a time, through
+    `complementary_correlations`."""
+    dev = max(abs(q1(p) - complementary_correlations(bell_diagonal(p))[2]) for p in samples)
+    return CheckResult("z-correlation-closed-form-vs-measured", dev < 1e-12, dev, 1e-12)
+
+
+def _ordered_frame_per_sample(samples):
+    """`check_ordered_frame` one sample at a time, with I = 2 - H(lambda)
+    from one array log and one np.sum."""
+    dev_qd = dev_qci = -np.inf
+    for p in samples:
+        q_med = correlation_bits(sorted((abs(p.c1), abs(p.c2), abs(p.c3)))[1])
+        lam = np.array(sorted(p.eigenvalues))
+        nz = lam[lam > 0.0]
+        c, i = classical_correlation(p), 2.0 - float(-np.sum(nz * np.log(nz)) / LOG2)
+        dev_qd = max(dev_qd, q_med - clamped_discord(i, c))
+        dev_qci = max(dev_qci, q_med + c - i)
+    return (
+        CheckResult("ordered-frame-q1-below-discord", dev_qd <= 1e-12, dev_qd, 1e-12),
+        CheckResult("ordered-frame-q1-plus-c-below-i", dev_qci <= 1e-12, dev_qci, 1e-12),
+    )
+
+
+def _fields(result):
+    deviation = result.deviation
+    return result.name, result.passed, np.float64(deviation).tobytes(), type(deviation), result.tolerance
+
+
+@pytest.mark.parametrize("n", [1, 7, 200, 1000, "vertices"])
+def test_stacked_checks_are_the_per_sample_loops(n):
+    if n == "vertices":  # the tetrahedron's vertices, a point on an edge and the centre
+        corners = [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1), (0, 0, 1), (0, 0, 0)]
+        samples = [BellDiagonalParams(*c) for c in corners]
+    else:
+        samples = random_bd_params(np.random.default_rng(59 + n), n)
+    assert _fields(check_z_correlation(samples)) == _fields(_z_correlation_per_sample(samples))
+    assert list(map(_fields, check_ordered_frame(samples))) == list(map(_fields, _ordered_frame_per_sample(samples)))
+
+
+@pytest.mark.parametrize("c", [(1.0, 1.0, 1.0), (0.0, 0.0, 1.0 + 1e-9), (0.0, 0.0, 1e17), (np.nan, 0.0, 0.0)])
+def test_bd_stack_refuses_what_density_matrix_refuses(c):
+    # raw triples that BellDiagonalParams would refuse, so that the stack's
+    # own checks are reached: a negative eigenvalue, a trace that rounds
+    # away from 1, a non-finite entry
+    triple = SimpleNamespace(c1=c[0], c2=c[1], c3=c[2])
+    with pytest.raises(ValueError) as want:
+        bell_diagonal(triple)
+    good = random_bd_params(np.random.default_rng(61), 3)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        oracle._bd_stack(good + [triple])
+
+
+@pytest.mark.parametrize(
+    "check", [check_spectra, check_holevo, check_z_correlation, check_ordered_frame, check_involution, check_kron]
+)
+def test_a_check_refuses_an_empty_sample_list(check):
+    with pytest.raises(ValueError, match=f"{check.__name__} needs at least one sample"):
+        check([])
 
 
 class TestVerificationSuite:

@@ -25,6 +25,7 @@ from compcorr.correlations import complementary_correlations, outcome_mutual_inf
 from compcorr.edss import CUT_FACTORS, PERM_AC, PERM_BC, STAGES, ancilla_state, edss_useful, run_protocol
 from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, hermitian_spectrum, kron
 from compcorr.matcore import partial_trace, partial_transpose, von_neumann_entropy
+from compcorr.oracle import check_z_correlation
 from compcorr.states import (
     _BELL_SIGNS,
     PAULI_PRODUCTS,
@@ -106,6 +107,13 @@ def test_edss_useful_work(monkeypatch, c, solves, validations):
     # the ancilla is the one derived build, made exactly when bell_diagonal's check is
     assert work == (solves, validations, validations)
     assert (results[0].witness is not None) == results[0].useful == bool(solves)
+
+
+@pytest.mark.parametrize("n", [1, 200])
+def test_z_correlation_check_solves_one_stack(monkeypatch, n):
+    # the samples are one validated (n, 4, 4) stack: no state is built
+    samples = random_bd_params(np.random.default_rng(60), n)
+    assert _work(monkeypatch, lambda: check_z_correlation(samples)) == ([(n, 4, 4)], 0, 0)
 
 
 @given(angles, radii)
