@@ -47,12 +47,18 @@ SIGMAS = np.stack((I2,) + PAULIS)  # sigma_0 = I, then sigma_x, sigma_y, sigma_z
 _PAULI_ROWS = SIGMAS[1:].reshape(3, 4)
 
 
+def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return p.reshape(p.shape[:-4] + (p.shape[-4] * p.shape[-3], p.shape[-2] * p.shape[-1]))
+
+
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right: bit for bit
-    np.kron, whose entrywise products it forms as one broadcast per pair."""
+    """Kronecker product of one or more matrices, left to right, or of
+    stacks (..., r, c) of them matrix by matrix: bit for bit np.kron of
+    each, whose entrywise products it forms as one broadcast per pair."""
     if not ops:
         raise ValueError("kron needs at least one operand")
-    return reduce(lambda a, b: (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1), ops)
+    return reduce(_kron_pair, ops)
 
 
 def bloch_vector(theta, phi) -> np.ndarray:
@@ -89,10 +95,12 @@ def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= STATE_TOL)
 
 
-def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
+def _check_dims(m: np.ndarray, dims, stack: bool = False) -> tuple[int, ...]:
+    """dims as ints, refused unless they fit the matrix, or every matrix
+    of a stack (..., d, d) when stack is set."""
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if m.shape != (total, total):
+    if m.shape[max(m.ndim - 2, 0) if stack else 0 :] != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match factor dims {dims}")
     return dims
 
@@ -125,14 +133,15 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def partial_transpose(m: np.ndarray, dims, factor: int) -> np.ndarray:
-    """Transpose a single tensor factor, leaving the others alone."""
-    dims = _check_dims(m, dims)
-    n = len(dims)
+    """Transpose a single tensor factor, leaving the others alone, of a
+    matrix or of every matrix of a stack (..., d, d)."""
+    dims = _check_dims(m, dims, stack=True)
+    n, lead = len(dims), m.shape[:-2]
     factor = int(factor)
     if factor < 0 or factor >= n:
         raise ValueError(f"factor index {factor} out of range for {n} factors")
-    r = m.reshape(dims + dims)
-    r = np.swapaxes(r, factor, factor + n)
+    r = m.reshape(lead + dims + dims)
+    r = np.swapaxes(r, len(lead) + factor, len(lead) + factor + n)
     return r.reshape(m.shape)
 
 

@@ -7,12 +7,17 @@ every grid ancilla is one stacked eigensolve, and the C|AB cut a second
 one where A|BC is NPT. Also here: the mutual-unbiasedness checker and the
 closed-form-vs-eigensolver spectrum cross-check. Each cross-check of the seeded suite behind
 `compcorr verify` is one `check_*` function of its input samples; the
-tests call the same functions on their own seeds. A check's Bell-diagonal
-samples are drawn as one block and built as one validated (n, 4, 4) stack,
-whose spectra are one eigvalsh and whose outcome tables are one
-contraction; its Holevo maximizations run in lockstep, their coarse pass
-in cache-sized blocks of directions. Every number is bit for bit that of
-the same work done one sample at a time.
+tests call the same functions on their own seeds. Every check draws its
+samples as one block and scores them as arrays: Bell-diagonal triples as
+an (n, 3) block checked by `states.bd_block` (a sequence of
+BellDiagonalParams is read once into one), built as one validated
+(n, 4, 4) stack whose spectra are one eigvalsh and whose outcome tables
+are one contraction, with the closed forms as array forms of the runtime
+scalars; Ginibre states as one validated (n, 4, 4) stack; kron operands
+as one (n, 3, 2, 2) stack. Only `check_holevo` builds objects, its 20
+states, whose maximizations run in lockstep, their coarse pass in
+cache-sized blocks of directions. Every number is bit for bit that of the
+same work done one sample at a time.
 """
 
 import functools
@@ -21,15 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _AXIS_PROJECTORS, bd_mutual_information, clamped_discord, classical_correlation
-from .correlations import correlation_bits, discord_bd, holevo_quantity, outcome_mutual_information, q1
-from .correlations import total_mutual_information
+from .correlations import _AXIS_PROJECTORS, classical_correlation, discord_bd, holevo_quantity
+from .correlations import outcome_mutual_information, total_mutual_information
 from .edss import PERM_AC
 from .entanglement import require_separable
-from .matcore import LOG2, MUB_TOL, PPT_TOL, SIGMAS, STATE_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron
-from .matcore import partial_transpose, pt_spectra
-from .states import PAULI_PRODUCTS, BellDiagonalParams, DensityMatrix, bell_diagonal, random_bd_params
-from .states import random_density_matrix
+from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PPT_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
+from .matcore import bloch_vector, kron, partial_transpose, pt_spectra
+from .states import _bell_eigenvalues, PAULI_PRODUCTS, BellDiagonalParams, DensityMatrix, bd_block, bell_diagonal
+from .states import density_stack_spectra, random_bd_block, random_density_matrix, sample_count
 
 DEFAULT_RESOLUTION = (90, 180)
 REFINE_ROUNDS = 5
@@ -295,37 +299,39 @@ def pauli_mub_bases() -> list[np.ndarray]:
     return [z, x, y]
 
 
+def _as_block(samples) -> np.ndarray:
+    """A check's Bell-diagonal samples as one (n, 3) block: an array as
+    `bd_block` checks it, a sequence of BellDiagonalParams (or of anything
+    with fields c1, c2, c3) read once."""
+    if isinstance(samples, np.ndarray):
+        return bd_block(samples)
+    return np.array([(t.c1, t.c2, t.c3) for t in samples], dtype=float).reshape(-1, 3)
+
+
 def _bd_stack(triples) -> tuple[np.ndarray, np.ndarray]:
-    """The Bell-diagonal states of a sequence of triples as one (n, 4, 4)
-    stack, each bit for bit `bell_diagonal(p).matrix`, and their ascending
-    spectra from one stacked eigvalsh. The stack passes the checks that
-    `DensityMatrix` makes on each state, in one vectorized pass, and the
-    first failing state raises that check's ValueError."""
-    diag = np.zeros((len(triples), 4, 4))
+    """The Bell-diagonal states of an (n, 3) block, or of a sequence of
+    triples read as `_as_block` reads one, as one (n, 4, 4) stack, each bit
+    for bit `bell_diagonal(p).matrix`, and their ascending spectra from
+    `density_stack_spectra`, whose checks the stack passes."""
+    c = triples if isinstance(triples, np.ndarray) else _as_block(triples)
+    diag = np.zeros((len(c), 4, 4))
     diag[:, 0, 0] = 1.0
-    diag[:, (1, 2, 3), (1, 2, 3)] = [(t.c1, t.c2, t.c3) for t in triples]
+    diag[:, (1, 2, 3), (1, 2, 3)] = c
     stack = np.einsum("nij,ijkl->nkl", diag, PAULI_PRODUCTS) / 4.0
-    if not np.isfinite(stack).all():
-        raise ValueError("density matrix has a non-finite entry")
-    if not np.all(np.abs(stack - stack.conj().swapaxes(1, 2)) <= STATE_TOL):
-        raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    bad = np.abs(tr - 1.0) > STATE_TOL
-    if bad.any():
-        raise ValueError(f"trace {tr[np.argmax(bad)]} differs from 1 by more than {STATE_TOL:g}")
-    spectra = np.linalg.eigvalsh(stack)
-    bad = spectra[:, 0] < -STATE_TOL
-    if bad.any():
-        raise ValueError(f"negative eigenvalue {spectra[np.argmax(bad), 0]:.3e} below -{STATE_TOL:g}")
-    return stack, spectra
+    return stack, density_stack_spectra(stack)
+
+
+def _closed_spectra(block: np.ndarray) -> np.ndarray:
+    """The closed-form Bell-basis eigenvalues of every row, ascending."""
+    return np.sort(np.array(_bell_eigenvalues(*block.T)).T, axis=1)
 
 
 def spectrum_crosscheck(p) -> float:
     """Max deviation between closed-form and numeric eigenvalues, of one
-    triple or over a sequence of them, the numeric ones from `_bd_stack`."""
-    triples = (p,) if isinstance(p, BellDiagonalParams) else tuple(p)
-    closed = np.sort([t.eigenvalues for t in triples], axis=1)
-    return float(np.max(np.abs(closed - _bd_stack(triples)[1])))
+    triple or over a sequence or block of them, the numeric ones from
+    `_bd_stack`."""
+    block = _as_block((p,) if isinstance(p, BellDiagonalParams) else p)
+    return float(np.max(np.abs(_closed_spectra(block) - _bd_stack(block)[1])))
 
 
 @dataclass(frozen=True)
@@ -354,17 +360,51 @@ def _require_samples(samples, check: str) -> None:
         raise ValueError(f"{check} needs at least one sample")
 
 
-def check_spectra(samples: list[BellDiagonalParams]) -> CheckResult:
+def _correlation_bits(c: np.ndarray) -> np.ndarray:
+    """`correlation_bits` of every entry of an array, bit for bit, with its
+    ValueError for the first entry in C order outside [-1, 1]."""
+    c = np.abs(c)
+    bad = ~(c <= 1 + PROB_CLAMP)  # written so that a NaN fails
+    if bad.any():
+        raise ValueError(f"correlation coefficient {c.flat[np.argmax(bad)]} outside [-1, 1]")
+    c = np.minimum(c, 1.0)
+    out = np.empty_like(c)
+    low = c < 0.5
+    x = c[low]
+    out[low] = (x * np.arctanh(x) + np.log1p(-x * x) / 2) / LOG2
+    x = c[~low]
+    tail = np.zeros_like(x)
+    np.log(1 - x, out=tail, where=x < 1.0)
+    out[~low] = ((1 + x) / 2 * np.log(1 + x) + (1 - x) / 2 * tail) / LOG2
+    return out
+
+
+def _bd_mutual_information(block: np.ndarray) -> np.ndarray:
+    """`bd_mutual_information`, 2 - H(lambda), of every row, bit for bit:
+    the terms of the ascending eigenvalues added left to right."""
+    lam = _closed_spectra(block)
+    terms = np.zeros_like(lam)
+    live = lam > 0.0
+    np.log(lam, out=terms, where=live)
+    np.multiply(lam, terms, out=terms, where=live)
+    acc = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    entropy = -acc / LOG2
+    return 2.0 - entropy
+
+
+def check_spectra(samples) -> CheckResult:
     """Closed-form Bell-diagonal spectra vs the numeric eigensolver."""
     _require_samples(samples, "check_spectra")
     dev = spectrum_crosscheck(samples)
     return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
 
-def check_holevo(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
+def check_holevo(samples) -> tuple[CheckResult, ...]:
     """Closed-form classical correlation and discord vs grid maximization of
     the Holevo quantity, and the maximizing direction vs the strongest axis."""
     _require_samples(samples, "check_holevo")
+    if isinstance(samples, np.ndarray):
+        samples = [BellDiagonalParams(*c) for c in samples.tolist()]
     dev_c = dev_d = dev_ax = 0.0
     states = [bell_diagonal(p) for p in samples]
     for p, state, opt in zip(samples, states, maximize_holevo(states)):
@@ -381,72 +421,83 @@ def check_holevo(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
     )
 
 
-def check_z_correlation(samples: list[BellDiagonalParams]) -> CheckResult:
+def check_z_correlation(samples) -> CheckResult:
     """z-axis closed form vs the measured outcome mutual information. The
     outcome tables of all three axes come from one contraction of the
     `_bd_stack`, each bit for bit those of `complementary_correlations`;
     only the z tables are scored."""
     _require_samples(samples, "check_z_correlation")
-    r = _bd_stack(samples)[0].reshape(-1, 2, 2, 2, 2)
+    block = _as_block(samples)
+    r = _bd_stack(block)[0].reshape(-1, 2, 2, 2, 2)
     tables = np.einsum("nabce,kica,kjeb->nkij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real
-    dev = max(abs(q1(p) - outcome_mutual_information(t)) for p, t in zip(samples, tables[:, 2]))
+    dev = float(np.max(np.abs(_correlation_bits(block[:, 2]) - outcome_mutual_information(tables[:, 2]))))
     return CheckResult("z-correlation-closed-form-vs-measured", dev < 1e-12, dev, 1e-12)
 
 
-def check_ordered_frame(samples: list[BellDiagonalParams]) -> tuple[CheckResult, ...]:
+def check_ordered_frame(samples) -> tuple[CheckResult, ...]:
     """With |c| sorted so the strongest axis is x and the median axis is z,
     Q1 <= D and Q1 + C <= I."""
     _require_samples(samples, "check_ordered_frame")
-    dev_qd = dev_qci = -np.inf
-    for p in samples:
-        q_med = correlation_bits(sorted((abs(p.c1), abs(p.c2), abs(p.c3)))[1])
-        c, i = classical_correlation(p), bd_mutual_information(p)
-        dev_qd = max(dev_qd, q_med - clamped_discord(i, c))
-        dev_qci = max(dev_qci, q_med + c - i)
+    block = _as_block(samples)
+    # the median and largest |c| of each row, in the order the closed forms read them
+    q_med, c = _correlation_bits(np.sort(np.abs(block), axis=1)[:, 1:]).T
+    i = _bd_mutual_information(block)
+    d = i - c
+    bad = ~(d >= -DERIVED_TOL)  # as clamped_discord
+    if bad.any():
+        raise AssertionError(f"closed-form discord came out negative or NaN: {d[np.argmax(bad)]}")
+    dev_qd = float(np.max(q_med - np.maximum(d, 0.0)))
+    dev_qci = float(np.max(q_med + c - i))
     return (
         CheckResult("ordered-frame-q1-below-discord", dev_qd <= 1e-12, dev_qd, 1e-12),
         CheckResult("ordered-frame-q1-plus-c-below-i", dev_qci <= 1e-12, dev_qci, 1e-12),
     )
 
 
-def check_involution(states: list[DensityMatrix]) -> CheckResult:
-    """The partial transpose of two-qubit states is an involution."""
+def check_involution(states) -> CheckResult:
+    """The partial transpose of two-qubit states is an involution. The
+    states are an (n, 4, 4) stack of their matrices, or a sequence of
+    DensityMatrix read once into one."""
     _require_samples(states, "check_involution")
-    dev = 0.0
-    for rho in states:
-        back = partial_transpose(partial_transpose(rho.matrix, (2, 2), 0), (2, 2), 0)
-        dev = max(dev, float(np.max(np.abs(back - rho.matrix))))
+    m = states if isinstance(states, np.ndarray) else np.stack([rho.matrix for rho in states])
+    back = partial_transpose(partial_transpose(m, (2, 2), 0), (2, 2), 0)
+    dev = float(np.max(np.abs(back - m)))
     return CheckResult("partial-transpose-involution", dev < 1e-14, dev, 1e-14)
 
 
-def check_kron(triples: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> CheckResult:
-    """kron is associative."""
+def check_kron(triples) -> CheckResult:
+    """kron is associative, on an (n, 3, 2, 2) stack of operand triples."""
     _require_samples(triples, "check_kron")
-    dev = max(float(np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))))) for a, b, c in triples)
+    a, b, c = np.moveaxis(np.asarray(triples), 1, 0)
+    dev = float(np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))))
     return CheckResult("kron-associativity", dev < 1e-12, dev, 1e-12)
+
+
+def _operand_triples(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n triples of complex 2x2 matrices with standard normal real and
+    imaginary parts, as one (n, 3, 2, 2) stack from one draw: each matrix
+    takes its real, then its imaginary block from the stream, in order."""
+    x = rng.normal(size=(n, 3, 2, 2, 2))
+    return x[:, :, 0] + 1j * x[:, :, 1]
 
 
 def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
     """Seeded cross-check suite; every check pairs an implementation with an
     independent route to the same number. Each check draws its inputs from
-    the one stream in turn."""
-    if samples < 1:
+    the one stream in turn, as one block."""
+    if sample_count(samples) < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-
-    def complex_2x2():
-        return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-
     z = pauli_mub_bases()[0]
     return [
         CheckResult("pauli-bases-mutually-unbiased", mub_check(pauli_mub_bases()), 0.0, MUB_TOL),
         CheckResult("repeated-basis-rejected", not mub_check([z, z]), 0.0, MUB_TOL),
-        check_spectra(random_bd_params(rng, samples)),
-        *check_holevo(random_bd_params(rng, max(10, samples // 50))),
-        check_z_correlation(random_bd_params(rng, min(samples, 200))),
-        *check_ordered_frame(random_bd_params(rng, samples)),
-        check_involution([random_density_matrix(rng, (2, 2)) for _ in range(min(samples, 100))]),
-        check_kron([(complex_2x2(), complex_2x2(), complex_2x2()) for _ in range(min(samples, 100))]),
+        check_spectra(random_bd_block(rng, samples)),
+        *check_holevo(random_bd_block(rng, max(10, samples // 50))),
+        check_z_correlation(random_bd_block(rng, min(samples, 200))),
+        *check_ordered_frame(random_bd_block(rng, samples)),
+        check_involution(random_density_matrix(rng, (2, 2), min(samples, 100))),
+        check_kron(_operand_triples(rng, min(samples, 100))),
     ]
 
 

@@ -281,21 +281,38 @@ def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np
     return round_onto_tetrahedron(s.tolist()), RA, RB
 
 
-def random_bd_params(rng: np.random.Generator, n: int | None = None):
-    """Uniform sample of the physical Bell-diagonal tetrahedron (rejection),
-    or, given n, a list of n such samples.
+def sample_count(n) -> int:
+    """n as an int, refused with a ValueError that names it unless it is
+    an integer; a bool is not one. The callers check its range."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"sample count {n!r} is not an integer")
+    return int(n)
 
-    The n-sample form draws blocks of tries and keeps the rows that
-    `is_physical` keeps, by the same `_bell_eigenvalues` arithmetic. It
-    returns what n single calls return and leaves the generator where they
-    leave it: `Generator.uniform` draws one double per entry, in order, so
-    a block of k rows of three is k draws of three.
+
+def bd_block(c) -> np.ndarray:
+    """Correlation triples as one (n, 3) float array, each row checked as
+    `BellDiagonalParams` checks its triple: the first row that fails raises
+    that constructor's ValueError."""
+    c = np.array(c, dtype=float)
+    if c.ndim != 2 or c.shape[1] != 3:
+        raise ValueError(f"triples must form an (n, 3) array, got shape {c.shape}")
+    ok = np.isfinite(c).all(axis=1) & (np.array(_bell_eigenvalues(*c.T)) >= -PHYSICALITY_TOL).all(axis=0)
+    if not ok.all():
+        BellDiagonalParams(*c[np.argmin(ok)].tolist())
+    return c
+
+
+def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform samples of the physical Bell-diagonal tetrahedron
+    (rejection) as one checked (n, 3) block from `bd_block`.
+
+    Tries are drawn in blocks, and the rows that `is_physical` keeps are
+    kept, by the same `_bell_eigenvalues` arithmetic. The rows are those of
+    n calls of `random_bd_params(rng)`, and the generator is left where
+    they leave it: `Generator.uniform` draws one double per entry, in
+    order, so a block of k rows of three is k draws of three.
     """
-    if n is None:
-        while True:
-            c = rng.uniform(-1, 1, 3).tolist()
-            if is_physical(c):
-                return BellDiagonalParams(*c)
+    n = sample_count(n)
     if n < 0:
         raise ValueError(f"sample count {n} must be at least 0")
     start = rng.bit_generator.state
@@ -308,16 +325,66 @@ def random_bd_params(rng: np.random.Generator, n: int | None = None):
     used = kept[n - 1] + 1 if n else 0
     rng.bit_generator.state = start
     rng.uniform(-1, 1, (used, 3))  # advance past the tries that n single calls make
-    return [BellDiagonalParams(*c) for c in tries[kept[:n]].tolist()]
+    return bd_block(tries[kept[:n]])
 
 
-def random_density_matrix(rng: np.random.Generator, dims) -> DensityMatrix:
-    """Ginibre-distributed full-rank random state."""
+def random_bd_params(rng: np.random.Generator, n: int | None = None):
+    """Uniform sample of the physical Bell-diagonal tetrahedron (rejection),
+    or, given n, a list of n such samples, built over the rows of
+    `random_bd_block(rng, n)`."""
+    if n is None:
+        while True:
+            c = rng.uniform(-1, 1, 3).tolist()
+            if is_physical(c):
+                return BellDiagonalParams(*c)
+    return [BellDiagonalParams(*c) for c in random_bd_block(rng, n).tolist()]
+
+
+def density_stack_spectra(stack: np.ndarray) -> np.ndarray:
+    """Ascending spectra, from one stacked eigvalsh, of an (n, d, d) stack
+    of density matrices. The stack passes the checks that `DensityMatrix`
+    makes on each matrix, as one vectorized pass per check, and the first
+    failing matrix of the first failing check raises that check's
+    ValueError."""
+    if not np.isfinite(stack).all():
+        raise ValueError("density matrix has a non-finite entry")
+    if not np.all(np.abs(stack - stack.conj().swapaxes(1, 2)) <= STATE_TOL):
+        raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    bad = np.abs(tr - 1.0) > STATE_TOL
+    if bad.any():
+        raise ValueError(f"trace {tr[np.argmax(bad)]} differs from 1 by more than {STATE_TOL:g}")
+    spectra = np.linalg.eigvalsh(stack)
+    bad = spectra[:, 0] < -STATE_TOL
+    if bad.any():
+        raise ValueError(f"negative eigenvalue {spectra[np.argmax(bad), 0]:.3e} below -{STATE_TOL:g}")
+    return spectra
+
+
+def random_density_matrix(rng: np.random.Generator, dims, n: int | None = None):
+    """Ginibre-distributed full-rank random state, or, given n, the matrices
+    of n such states as one (n, d, d) stack checked by
+    `density_stack_spectra`.
+
+    The stack comes from one draw of n (real, imaginary) pairs of d x d
+    blocks: its matrices are those of n single calls, bit for bit, and the
+    generator is left where they leave it.
+    """
     dims = tuple(dims)
     d = int(np.prod(dims))
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, dims)
+    if n is None:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g @ g.conj().T
+        return DensityMatrix(m / np.trace(m).real, dims)
+    n = sample_count(n)
+    if n < 0:
+        raise ValueError(f"sample count {n} must be at least 0")
+    x = rng.normal(size=(n, 2, d, d))
+    g = x[:, 0] + 1j * x[:, 1]
+    m = g @ g.conj().swapaxes(1, 2)
+    stack = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    density_stack_spectra(stack)
+    return stack
 
 
 def save_state(rho: DensityMatrix, path) -> None:

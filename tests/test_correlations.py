@@ -1,10 +1,14 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from compcorr import correlations
 from compcorr.correlations import (
+    _AXIS_PROJECTORS,
     clamped_discord,
     classical_correlation,
     complementary_correlations,
@@ -15,7 +19,7 @@ from compcorr.correlations import (
     q1,
     total_mutual_information,
 )
-from compcorr.matcore import bloch_operator, bloch_vector, kron
+from compcorr.matcore import LOG2, STATE_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron
 from compcorr.oracle import check_z_correlation
 from compcorr.states import (
     PHI_PLUS,
@@ -127,6 +131,68 @@ class TestOutcomeMutualInformation:
             got = complementary_correlations(bell_diagonal(p))
             for g, c in zip(got, p.as_array()):
                 assert g == pytest.approx(1 - binary_entropy((1 + abs(c)) / 2), abs=1e-10)
+
+
+def _outcome_mutual_information_loop(p):
+    """`outcome_mutual_information` of one 2x2 table as a loop over its
+    entries, each term added to a Python float in row-major order."""
+    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    pa, pb = p.sum(axis=1), p.sum(axis=0)
+    acc = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            if p[i, j] > ZERO_BRANCH:
+                acc += p[i, j] * np.log(p[i, j] / (pa[i] * pb[j]))
+    return float(acc / LOG2)
+
+
+def _seeded_tables():
+    rng = np.random.default_rng(24)
+    tables = list(rng.dirichlet(np.ones(4), size=300).reshape(-1, 2, 2))
+    for _ in range(50):  # the same-axis tables of Ginibre states
+        r = random_density_matrix(rng, (2, 2)).matrix.reshape(2, 2, 2, 2)
+        tables += list(np.einsum("abce,kica,kjeb->kij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real)
+    # zeros, entries under ZERO_BRANCH, entries just below 0 within STATE_TOL
+    tables += [
+        np.array([[0.5, 0.0], [0.0, 0.5]]),
+        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        np.array([[0.5, 1e-16], [0.25, 0.25 - 1e-16]]),
+        np.array([[0.5 + 5e-11, -5e-11], [-5e-11, 0.5 + 5e-11]]),
+        np.full((2, 2), 0.25),
+    ]
+    return np.array(tables)
+
+
+class TestOutcomeMutualInformationStack:
+    def test_stack_is_each_table_alone_bit_for_bit(self):
+        tables = _seeded_tables()
+        want = np.array([_outcome_mutual_information_loop(t) for t in tables])
+        got = outcome_mutual_information(tables)
+        assert got.shape == (len(tables),) and got.tobytes() == want.tobytes()
+        assert [outcome_mutual_information(t) for t in tables] == want.tolist()
+        assert type(outcome_mutual_information(tables[0])) is float
+        # any leading shape
+        assert outcome_mutual_information(tables[:300].reshape(3, 100, 2, 2)).tobytes() == want[:300].tobytes()
+
+    @pytest.mark.parametrize("bad", [[[0.5, 0.5], [0.5, 0.5]], [[0.25, np.nan], [0.25, 0.25]], [[0.5, -1e-9], [0.0, 0.5]]])
+    def test_stack_names_the_first_bad_table(self, bad):
+        tables = np.full((6, 2, 2), 0.25)
+        tables[3] = bad
+        tables[5] = [[1.0, 1.0], [1.0, 1.0]]  # a later bad table is not reached
+        message = f"outcome table {np.array(bad).tolist()} at (3,) is not a probability table within {STATE_TOL:g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            outcome_mutual_information(tables)
+        with pytest.raises(ValueError, match=re.escape("at (1, 0)")):
+            outcome_mutual_information(tables.reshape(2, 3, 2, 2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message.replace(' at (3,)', ''))}$"):
+            outcome_mutual_information(np.array(bad))
+
+    def test_complementary_correlations_scores_one_stack(self, monkeypatch):
+        shapes = []
+        original = correlations.outcome_mutual_information
+        monkeypatch.setattr(correlations, "outcome_mutual_information", lambda t: shapes.append(t.shape) or original(t))
+        got = complementary_correlations(random_density_matrix(np.random.default_rng(25), (2, 2)))
+        assert shapes == [(3, 2, 2)] and all(type(v) is float for v in got)
 
 
 class TestComplementaryCorrelations:

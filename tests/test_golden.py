@@ -1,4 +1,4 @@
-"""Pinned stdout of `analyze` and `edss`.
+"""Pinned stdout of `analyze`, `edss`, `sweep` and `verify`.
 
 `golden_outputs.json` maps each command line to the stdout it printed when
 captured. Text, CSV and `edss` JSON must match byte for byte; `analyze` JSON

@@ -66,6 +66,33 @@ def test_kron_is_np_kron_bit_for_bit():
         assert same_bits(kron(a, b, c), np.kron(np.kron(a, b), c))
 
 
+def test_kron_of_stacks_is_each_kron_bit_for_bit():
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(2, 5, 2, 2)) + 1j * rng.normal(size=(2, 5, 2, 2))
+    c = rng.normal(size=(5, 4, 3))
+    got = kron(a, b, c)
+    assert got.shape == (5, 16, 12)
+    for k in range(5):
+        assert got[k].tobytes() == np.kron(np.kron(a[k], b[k]), c[k]).tobytes()
+    # a single matrix broadcasts against a stack
+    assert kron(a[0], b).tobytes() == np.stack([np.kron(a[0], m) for m in b]).tobytes()
+
+
+@pytest.mark.parametrize("dims, factor", [((2, 2), 0), ((2, 2), 1), ((2, 2, 2), 1), ((2, 3), 0)])
+def test_partial_transpose_of_a_stack_is_each_transpose(dims, factor):
+    d = int(np.prod(dims))
+    stack = np.random.default_rng(10).normal(size=(3, 4, d, d))
+    got = partial_transpose(stack, dims, factor)
+    want = [[partial_transpose(m, dims, factor) for m in row] for row in stack]
+    assert got.shape == stack.shape and got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4, 2), (2, 4, 4, 2)])
+def test_partial_transpose_refuses_a_shape_that_does_not_match_the_dims(shape):
+    with pytest.raises(ValueError, match=re.escape(f"matrix shape {shape} does not match factor dims (2, 2)")):
+        partial_transpose(np.zeros(shape), (2, 2), 0)
+
+
 def test_partial_trace_bell():
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
     np.testing.assert_allclose(partial_trace(rho, (2, 2), [0]), np.eye(2) / 2, atol=1e-14)

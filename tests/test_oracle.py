@@ -32,7 +32,9 @@ from compcorr.oracle import (
 )
 from compcorr.states import (
     BellDiagonalParams,
+    bd_block,
     bd_params_of,
+    bd_spectrum,
     bell_diagonal,
     classically_correlated,
     family_eq15,
@@ -386,6 +388,28 @@ def _ordered_frame_per_sample(samples):
     )
 
 
+def _spectra_per_sample(samples):
+    """`check_spectra` one validated state at a time: the closed-form
+    spectrum against the state's own eigensolve."""
+    dev = max(float(np.max(np.abs(bd_spectrum(p) - bell_diagonal(p).spectrum()))) for p in samples)
+    return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
+
+
+def _involution_per_sample(states):
+    """`check_involution` one DensityMatrix at a time."""
+    dev = 0.0
+    for rho in states:
+        back = partial_transpose(partial_transpose(rho.matrix, (2, 2), 0), (2, 2), 0)
+        dev = max(dev, float(np.max(np.abs(back - rho.matrix))))
+    return CheckResult("partial-transpose-involution", dev < 1e-14, dev, 1e-14)
+
+
+def _kron_per_sample(triples):
+    """`check_kron` one triple of 2x2 matrices at a time."""
+    dev = max(float(np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))))) for a, b, c in triples)
+    return CheckResult("kron-associativity", dev < 1e-12, dev, 1e-12)
+
+
 def _fields(result):
     deviation = result.deviation
     return result.name, result.passed, np.float64(deviation).tobytes(), type(deviation), result.tolerance
@@ -398,8 +422,24 @@ def test_stacked_checks_are_the_per_sample_loops(n):
         samples = [BellDiagonalParams(*c) for c in corners]
     else:
         samples = random_bd_params(np.random.default_rng(59 + n), n)
-    assert _fields(check_z_correlation(samples)) == _fields(_z_correlation_per_sample(samples))
-    assert list(map(_fields, check_ordered_frame(samples))) == list(map(_fields, _ordered_frame_per_sample(samples)))
+    block = bd_block([(p.c1, p.c2, p.c3) for p in samples])
+    for given in (samples, block):  # a list is read once into the block
+        assert _fields(check_spectra(given)) == _fields(_spectra_per_sample(samples))
+        assert _fields(check_z_correlation(given)) == _fields(_z_correlation_per_sample(samples))
+        want = list(map(_fields, _ordered_frame_per_sample(samples)))
+        assert list(map(_fields, check_ordered_frame(given))) == want
+
+    # Ginibre states and operand triples, drawn one at a time and as one block
+    m = len(samples)
+    singles = np.random.default_rng(62 + m)
+    states = [random_density_matrix(singles, (2, 2)) for _ in range(m)]
+    triples = [tuple(singles.normal(size=(2, 2)) + 1j * singles.normal(size=(2, 2)) for _ in range(3)) for _ in range(m)]
+    blocks = np.random.default_rng(62 + m)
+    stack, operands = random_density_matrix(blocks, (2, 2), m), oracle._operand_triples(blocks, m)
+    for given in (states, stack):
+        assert _fields(check_involution(given)) == _fields(_involution_per_sample(states))
+    for given in (triples, operands):
+        assert _fields(check_kron(given)) == _fields(_kron_per_sample(triples))
 
 
 @pytest.mark.parametrize("c", [(1.0, 1.0, 1.0), (0.0, 0.0, 1.0 + 1e-9), (0.0, 0.0, 1e17), (np.nan, 0.0, 0.0)])
@@ -421,6 +461,81 @@ def test_bd_stack_refuses_what_density_matrix_refuses(c):
 def test_a_check_refuses_an_empty_sample_list(check):
     with pytest.raises(ValueError, match=f"{check.__name__} needs at least one sample"):
         check([])
+
+
+# deviations of every CheckResult of run_verification(seed, 1000) in order,
+# as float.hex(): verify prints them to three digits, which hides the last bits
+PINNED_DEVIATIONS = {
+    0: (
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p-51",
+        "0x1.e000000000000p-53",
+        "0x1.4000000000000p-51",
+        "0x0.0p+0",
+        "0x1.4000000000000p-53",
+        "-0x1.73dee0b580000p-27",
+        "-0x1.73dee0c000000p-27",
+        "0x0.0p+0",
+        "0x1.07e0f66afed07p-48",
+    ),
+    1: (
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p-51",
+        "0x1.0000000000000p-52",
+        "0x1.8000000000000p-51",
+        "0x0.0p+0",
+        "0x1.0000000000000p-53",
+        "-0x1.0a80ef07f0000p-24",
+        "-0x1.0a80ef0800000p-24",
+        "0x0.0p+0",
+        "0x1.11687a8ae14a3p-48",
+    ),
+    2: (
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p-51",
+        "0x1.8000000000000p-53",
+        "0x1.0000000000000p-51",
+        "0x0.0p+0",
+        "0x1.0000000000000p-53",
+        "-0x1.441a6a02f0000p-24",
+        "-0x1.441a6a0300000p-24",
+        "0x0.0p+0",
+        "0x1.6a09e667f3bcdp-49",
+    ),
+    3: (
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p-51",
+        "0x1.8000000000000p-53",
+        "0x1.e000000000000p-51",
+        "0x0.0p+0",
+        "0x1.0000000000000p-53",
+        "-0x1.cc1402e000000p-29",
+        "-0x1.cc14030000000p-29",
+        "0x0.0p+0",
+        "0x1.07e0f66afed07p-48",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DEVIATIONS))
+def test_verification_deviations_are_pinned_bit_for_bit(seed):
+    checks = run_verification(seed, 1000)
+    assert [c.deviation.hex() for c in checks] == list(PINNED_DEVIATIONS[seed])
+    # the Holevo grid's deviations and verdicts are numpy scalars, every other one a Python float and bool
+    holevo = [c.name in ("classical-correlation-vs-grid-maximum", "closed-form-discord-vs-numeric") for c in checks]
+    assert [type(c.deviation) for c in checks] == [np.float64 if h else float for h in holevo]
+    assert [type(c.passed) for c in checks] == [np.bool_ if h else bool for h in holevo]
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("samples", [2.5, math.nan, True, np.float64(3.0), "10"])
+def test_verification_refuses_a_sample_count_that_is_not_an_integer(samples):
+    with pytest.raises(ValueError, match=f"^sample count {re.escape(repr(samples))} is not an integer$"):
+        run_verification(0, samples)
 
 
 class TestVerificationSuite:

@@ -1,10 +1,13 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 from compcorr.entanglement import is_separable_bd
 from compcorr.matcore import PHYSICALITY_TOL, kron
+from compcorr import oracle
 from compcorr.oracle import check_spectra
 from compcorr.states import (
     PAULI_PRODUCTS,
@@ -12,6 +15,7 @@ from compcorr.states import (
     PSI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
+    bd_block,
     bd_params_of,
     bd_spectrum,
     bell_diagonal,
@@ -20,6 +24,7 @@ from compcorr.states import (
     family_eq15,
     is_physical,
     load_state,
+    random_bd_block,
     random_bd_params,
     random_density_matrix,
     round_onto_tetrahedron,
@@ -174,6 +179,69 @@ class TestBellDiagonal:
             p = random_bd_params(rng)
             neg = negativity(bell_diagonal(p), 0)
             assert is_separable_bd(p) == (neg < 1e-12)
+
+
+class TestBlockDraws:
+    """Each block draw is bit for bit the single draws it stands for, and
+    leaves the generator's state where they leave it."""
+
+    @pytest.mark.parametrize("n, seed", [(0, 0), (1, 1), (7, 2), (1000, 0), (1000, 3)])
+    def test_bell_diagonal_block(self, n, seed):
+        singles, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [random_bd_params(singles).as_array() for _ in range(n)]
+        got = random_bd_block(blocks, n)
+        assert got.shape == (n, 3) and got.tobytes() == np.array(want).reshape(n, 3).tobytes()
+        assert blocks.bit_generator.state == singles.bit_generator.state
+
+    @pytest.mark.parametrize("n, seed, dims", [(0, 0, (2, 2)), (1, 1, (2, 2)), (100, 3, (2, 2)), (9, 4, (2,)), (9, 5, (2, 2, 2))])
+    def test_ginibre_block(self, n, seed, dims):
+        singles, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [random_density_matrix(singles, dims).matrix for _ in range(n)]
+        got = random_density_matrix(blocks, dims, n)
+        d = math.prod(dims)
+        assert got.shape == (n, d, d) and got.tobytes() == np.array(want).reshape(n, d, d).tobytes()
+        assert blocks.bit_generator.state == singles.bit_generator.state
+
+    @pytest.mark.parametrize("n, seed", [(1, 1), (100, 6)])
+    def test_operand_block(self, n, seed):
+        singles, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [[singles.normal(size=(2, 2)) + 1j * singles.normal(size=(2, 2)) for _ in range(3)] for _ in range(n)]
+        assert oracle._operand_triples(blocks, n).tobytes() == np.array(want).tobytes()
+        assert blocks.bit_generator.state == singles.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "row",
+        [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0 + 1e-9), (-1.0, -1.0, -1.0 - 1e-11)],
+    )
+    def test_block_refuses_a_row_as_the_constructor_does(self, row):
+        with pytest.raises(ValueError) as want:
+            BellDiagonalParams(*row)
+        good = random_bd_block(np.random.default_rng(63), 4)
+        # the first failing row is named, a later one is not reached
+        block = np.concatenate([good[:2], [row], good[2:], [(1.0, 1.0, 1.0)]])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            bd_block(block)
+
+    @pytest.mark.parametrize("c", [[], [0.1, 0.2, 0.3], np.zeros((2, 4))])
+    def test_block_must_have_rows_of_three(self, c):
+        with pytest.raises(ValueError, match=r"triples must form an \(n, 3\) array"):
+            bd_block(c)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, True, np.bool_(True), 3.0, "3"])
+    def test_block_forms_refuse_a_count_that_is_not_an_integer(self, n):
+        rng = np.random.default_rng(0)
+        message = f"^sample count {re.escape(repr(n))} is not an integer$"
+        for draw in (random_bd_params, random_bd_block, lambda rng, n: random_density_matrix(rng, (2, 2), n)):
+            with pytest.raises(ValueError, match=message):
+                draw(rng, n)
+
+    def test_block_forms_take_numpy_integers_and_refuse_negative_counts(self):
+        rng = np.random.default_rng(0)
+        assert random_bd_block(rng, np.int64(3)).shape == (3, 3)
+        assert random_density_matrix(rng, (2, 2), np.int32(2)).shape == (2, 4, 4)
+        for draw in (random_bd_block, lambda rng, n: random_density_matrix(rng, (2, 2), n)):
+            with pytest.raises(ValueError, match="sample count -1 must be at least 0"):
+                draw(rng, -1)
 
 
 class TestBlochDecomposition:
