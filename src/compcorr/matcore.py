@@ -95,12 +95,11 @@ def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= STATE_TOL)
 
 
-def _check_dims(m: np.ndarray, dims, stack: bool = False) -> tuple[int, ...]:
-    """dims as ints, refused unless they fit the matrix, or every matrix
-    of a stack (..., d, d) when stack is set."""
+def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
+    """dims as ints, refused unless they fit the matrix."""
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if m.shape[max(m.ndim - 2, 0) if stack else 0 :] != (total, total):
+    if m.shape != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match factor dims {dims}")
     return dims
 
@@ -130,19 +129,6 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
         live.pop(i)
     d = int(np.prod([dims[k] for k in keep]))
     return r.reshape(d, d)
-
-
-def partial_transpose(m: np.ndarray, dims, factor: int) -> np.ndarray:
-    """Transpose a single tensor factor, leaving the others alone, of a
-    matrix or of every matrix of a stack (..., d, d)."""
-    dims = _check_dims(m, dims, stack=True)
-    n, lead = len(dims), m.shape[:-2]
-    factor = int(factor)
-    if factor < 0 or factor >= n:
-        raise ValueError(f"factor index {factor} out of range for {n} factors")
-    r = m.reshape(lead + dims + dims)
-    r = np.swapaxes(r, len(lead) + factor, len(lead) + factor + n)
-    return r.reshape(m.shape)
 
 
 @lru_cache(maxsize=32)

@@ -7,14 +7,11 @@ every grid ancilla is one stacked eigensolve, and the C|AB cut a second
 one where A|BC is NPT. Also here: the mutual-unbiasedness checker and the
 closed-form-vs-eigensolver spectrum cross-check. Each cross-check of the seeded suite behind
 `compcorr verify` is one `check_*` function of its input samples; the
-tests call the same functions on their own seeds. Every check draws its
-samples as one block and scores them as arrays: Bell-diagonal triples as
-an (n, 3) block checked by `states.bd_block` (a sequence of
-BellDiagonalParams is read once into one), built as one validated
-(n, 4, 4) stack whose spectra are one eigvalsh and whose outcome tables
-are one contraction, with the closed forms as array forms of the runtime
-scalars; Ginibre states as one validated (n, 4, 4) stack; kron operands
-as one (n, 3, 2, 2) stack. Only `check_holevo` builds objects, its 20
+tests call the same functions on their own seeds. Every check takes its
+Bell-diagonal samples as one (n, 3) block checked by `states.bd_block`,
+built as one validated (n, 4, 4) stack whose spectra are one eigvalsh and
+whose outcome tables are one contraction, with the closed forms as array
+forms of the runtime scalars. Only `check_holevo` builds objects, its 20
 states, whose maximizations run in lockstep, their coarse pass in
 cache-sized blocks of directions. Every number is bit for bit that of the
 same work done one sample at a time.
@@ -31,9 +28,9 @@ from .correlations import outcome_mutual_information, total_mutual_information
 from .edss import PERM_AC
 from .entanglement import require_separable
 from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PPT_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
-from .matcore import bloch_vector, kron, partial_transpose, pt_spectra
+from .matcore import bloch_vector, pt_spectra
 from .states import _bell_eigenvalues, PAULI_PRODUCTS, BellDiagonalParams, DensityMatrix, bd_block, bell_diagonal
-from .states import density_stack_spectra, random_bd_block, random_density_matrix, sample_count
+from .states import density_stack_spectra, random_bd_block, sample_count
 
 DEFAULT_RESOLUTION = (90, 180)
 REFINE_ROUNDS = 5
@@ -299,21 +296,10 @@ def pauli_mub_bases() -> list[np.ndarray]:
     return [z, x, y]
 
 
-def _as_block(samples) -> np.ndarray:
-    """A check's Bell-diagonal samples as one (n, 3) block: an array as
-    `bd_block` checks it, a sequence of BellDiagonalParams (or of anything
-    with fields c1, c2, c3) read once."""
-    if isinstance(samples, np.ndarray):
-        return bd_block(samples)
-    return np.array([(t.c1, t.c2, t.c3) for t in samples], dtype=float).reshape(-1, 3)
-
-
-def _bd_stack(triples) -> tuple[np.ndarray, np.ndarray]:
-    """The Bell-diagonal states of an (n, 3) block, or of a sequence of
-    triples read as `_as_block` reads one, as one (n, 4, 4) stack, each bit
-    for bit `bell_diagonal(p).matrix`, and their ascending spectra from
-    `density_stack_spectra`, whose checks the stack passes."""
-    c = triples if isinstance(triples, np.ndarray) else _as_block(triples)
+def _bd_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Bell-diagonal states of an (n, 3) block as one (n, 4, 4) stack,
+    each bit for bit `bell_diagonal(p).matrix`, and their ascending spectra
+    from `density_stack_spectra`, whose checks the stack passes."""
     diag = np.zeros((len(c), 4, 4))
     diag[:, 0, 0] = 1.0
     diag[:, (1, 2, 3), (1, 2, 3)] = c
@@ -326,11 +312,10 @@ def _closed_spectra(block: np.ndarray) -> np.ndarray:
     return np.sort(np.array(_bell_eigenvalues(*block.T)).T, axis=1)
 
 
-def spectrum_crosscheck(p) -> float:
-    """Max deviation between closed-form and numeric eigenvalues, of one
-    triple or over a sequence or block of them, the numeric ones from
-    `_bd_stack`."""
-    block = _as_block((p,) if isinstance(p, BellDiagonalParams) else p)
+def spectrum_crosscheck(samples) -> float:
+    """Max deviation between closed-form and numeric eigenvalues over an
+    (n, 3) block of triples, the numeric ones from `_bd_stack`."""
+    block = _sample_block(samples, "spectrum_crosscheck")
     return float(np.max(np.abs(_closed_spectra(block) - _bd_stack(block)[1])))
 
 
@@ -355,9 +340,12 @@ def _axis_angle_deg(n: np.ndarray, axis: int) -> float:
     return float(np.degrees(np.arccos(min(c, 1.0))))
 
 
-def _require_samples(samples, check: str) -> None:
+def _sample_block(samples, check: str) -> np.ndarray:
+    """A check's samples as one (n, 3) block from `bd_block`, refused
+    unless n >= 1."""
     if len(samples) == 0:
         raise ValueError(f"{check} needs at least one sample")
+    return bd_block(samples)
 
 
 def _correlation_bits(c: np.ndarray) -> np.ndarray:
@@ -394,17 +382,14 @@ def _bd_mutual_information(block: np.ndarray) -> np.ndarray:
 
 def check_spectra(samples) -> CheckResult:
     """Closed-form Bell-diagonal spectra vs the numeric eigensolver."""
-    _require_samples(samples, "check_spectra")
-    dev = spectrum_crosscheck(samples)
+    dev = spectrum_crosscheck(_sample_block(samples, "check_spectra"))
     return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
 
 def check_holevo(samples) -> tuple[CheckResult, ...]:
     """Closed-form classical correlation and discord vs grid maximization of
     the Holevo quantity, and the maximizing direction vs the strongest axis."""
-    _require_samples(samples, "check_holevo")
-    if isinstance(samples, np.ndarray):
-        samples = [BellDiagonalParams(*c) for c in samples.tolist()]
+    samples = [BellDiagonalParams(*c) for c in _sample_block(samples, "check_holevo").tolist()]
     dev_c = dev_d = dev_ax = 0.0
     states = [bell_diagonal(p) for p in samples]
     for p, state, opt in zip(samples, states, maximize_holevo(states)):
@@ -426,8 +411,7 @@ def check_z_correlation(samples) -> CheckResult:
     outcome tables of all three axes come from one contraction of the
     `_bd_stack`, each bit for bit those of `complementary_correlations`;
     only the z tables are scored."""
-    _require_samples(samples, "check_z_correlation")
-    block = _as_block(samples)
+    block = _sample_block(samples, "check_z_correlation")
     r = _bd_stack(block)[0].reshape(-1, 2, 2, 2, 2)
     tables = np.einsum("nabce,kica,kjeb->nkij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real
     dev = float(np.max(np.abs(_correlation_bits(block[:, 2]) - outcome_mutual_information(tables[:, 2]))))
@@ -437,8 +421,7 @@ def check_z_correlation(samples) -> CheckResult:
 def check_ordered_frame(samples) -> tuple[CheckResult, ...]:
     """With |c| sorted so the strongest axis is x and the median axis is z,
     Q1 <= D and Q1 + C <= I."""
-    _require_samples(samples, "check_ordered_frame")
-    block = _as_block(samples)
+    block = _sample_block(samples, "check_ordered_frame")
     # the median and largest |c| of each row, in the order the closed forms read them
     q_med, c = _correlation_bits(np.sort(np.abs(block), axis=1)[:, 1:]).T
     i = _bd_mutual_information(block)
@@ -452,33 +435,6 @@ def check_ordered_frame(samples) -> tuple[CheckResult, ...]:
         CheckResult("ordered-frame-q1-below-discord", dev_qd <= 1e-12, dev_qd, 1e-12),
         CheckResult("ordered-frame-q1-plus-c-below-i", dev_qci <= 1e-12, dev_qci, 1e-12),
     )
-
-
-def check_involution(states) -> CheckResult:
-    """The partial transpose of two-qubit states is an involution. The
-    states are an (n, 4, 4) stack of their matrices, or a sequence of
-    DensityMatrix read once into one."""
-    _require_samples(states, "check_involution")
-    m = states if isinstance(states, np.ndarray) else np.stack([rho.matrix for rho in states])
-    back = partial_transpose(partial_transpose(m, (2, 2), 0), (2, 2), 0)
-    dev = float(np.max(np.abs(back - m)))
-    return CheckResult("partial-transpose-involution", dev < 1e-14, dev, 1e-14)
-
-
-def check_kron(triples) -> CheckResult:
-    """kron is associative, on an (n, 3, 2, 2) stack of operand triples."""
-    _require_samples(triples, "check_kron")
-    a, b, c = np.moveaxis(np.asarray(triples), 1, 0)
-    dev = float(np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))))
-    return CheckResult("kron-associativity", dev < 1e-12, dev, 1e-12)
-
-
-def _operand_triples(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n triples of complex 2x2 matrices with standard normal real and
-    imaginary parts, as one (n, 3, 2, 2) stack from one draw: each matrix
-    takes its real, then its imaginary block from the stream, in order."""
-    x = rng.normal(size=(n, 3, 2, 2, 2))
-    return x[:, :, 0] + 1j * x[:, :, 1]
 
 
 def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
@@ -496,8 +452,6 @@ def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
         *check_holevo(random_bd_block(rng, max(10, samples // 50))),
         check_z_correlation(random_bd_block(rng, min(samples, 200))),
         *check_ordered_frame(random_bd_block(rng, samples)),
-        check_involution(random_density_matrix(rng, (2, 2), min(samples, 100))),
-        check_kron(_operand_triples(rng, min(samples, 100))),
     ]
 
 

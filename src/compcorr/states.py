@@ -293,7 +293,10 @@ def bd_block(c) -> np.ndarray:
     """Correlation triples as one (n, 3) float array, each row checked as
     `BellDiagonalParams` checks its triple: the first row that fails raises
     that constructor's ValueError."""
-    c = np.array(c, dtype=float)
+    try:
+        c = np.array(c, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"triples must form an (n, 3) array of numbers: {e}") from e
     if c.ndim != 2 or c.shape[1] != 3:
         raise ValueError(f"triples must form an (n, 3) array, got shape {c.shape}")
     ok = np.isfinite(c).all(axis=1) & (np.array(_bell_eigenvalues(*c.T)) >= -PHYSICALITY_TOL).all(axis=0)
@@ -306,11 +309,12 @@ def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform samples of the physical Bell-diagonal tetrahedron
     (rejection) as one checked (n, 3) block from `bd_block`.
 
-    Tries are drawn in blocks, and the rows that `is_physical` keeps are
-    kept, by the same `_bell_eigenvalues` arithmetic. The rows are those of
-    n calls of `random_bd_params(rng)`, and the generator is left where
-    they leave it: `Generator.uniform` draws one double per entry, in
-    order, so a block of k rows of three is k draws of three.
+    The rows are those of a loop that draws `rng.uniform(-1, 1, 3)` until
+    n triples pass `is_physical`, and the generator is left where that
+    loop leaves it: `Generator.uniform` draws one double per entry, in
+    order, so a block of k tries of three is k draws of three. Tries are
+    drawn in blocks, and the physical ones are kept by the same
+    `_bell_eigenvalues` arithmetic.
     """
     n = sample_count(n)
     if n < 0:
@@ -324,20 +328,8 @@ def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
             break
     used = kept[n - 1] + 1 if n else 0
     rng.bit_generator.state = start
-    rng.uniform(-1, 1, (used, 3))  # advance past the tries that n single calls make
+    rng.uniform(-1, 1, (used, 3))  # advance past the tries that the loop makes
     return bd_block(tries[kept[:n]])
-
-
-def random_bd_params(rng: np.random.Generator, n: int | None = None):
-    """Uniform sample of the physical Bell-diagonal tetrahedron (rejection),
-    or, given n, a list of n such samples, built over the rows of
-    `random_bd_block(rng, n)`."""
-    if n is None:
-        while True:
-            c = rng.uniform(-1, 1, 3).tolist()
-            if is_physical(c):
-                return BellDiagonalParams(*c)
-    return [BellDiagonalParams(*c) for c in random_bd_block(rng, n).tolist()]
 
 
 def density_stack_spectra(stack: np.ndarray) -> np.ndarray:
@@ -361,30 +353,13 @@ def density_stack_spectra(stack: np.ndarray) -> np.ndarray:
     return spectra
 
 
-def random_density_matrix(rng: np.random.Generator, dims, n: int | None = None):
-    """Ginibre-distributed full-rank random state, or, given n, the matrices
-    of n such states as one (n, d, d) stack checked by
-    `density_stack_spectra`.
-
-    The stack comes from one draw of n (real, imaginary) pairs of d x d
-    blocks: its matrices are those of n single calls, bit for bit, and the
-    generator is left where they leave it.
-    """
+def random_density_matrix(rng: np.random.Generator, dims) -> DensityMatrix:
+    """Ginibre-distributed full-rank random state."""
     dims = tuple(dims)
     d = int(np.prod(dims))
-    if n is None:
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = g @ g.conj().T
-        return DensityMatrix(m / np.trace(m).real, dims)
-    n = sample_count(n)
-    if n < 0:
-        raise ValueError(f"sample count {n} must be at least 0")
-    x = rng.normal(size=(n, 2, d, d))
-    g = x[:, 0] + 1j * x[:, 1]
-    m = g @ g.conj().swapaxes(1, 2)
-    stack = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-    density_stack_spectra(stack)
-    return stack
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real, dims)
 
 
 def save_state(rho: DensityMatrix, path) -> None:

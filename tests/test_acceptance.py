@@ -21,8 +21,8 @@ from compcorr.edss import ancilla_state, run_protocol, sweep
 from compcorr.entanglement import is_separable_bd, negativity, pt_spectrum, rel_entropy_entanglement_bd
 from compcorr.matcore import entropy_of_probabilities
 from compcorr.oracle import (
+    CheckResult,
     check_holevo,
-    check_involution,
     check_ordered_frame,
     check_spectra,
     discord_numeric,
@@ -36,9 +36,10 @@ from compcorr.states import (
     classically_correlated,
     family_eq15,
     is_physical,
-    random_bd_params,
+    random_bd_block,
     random_density_matrix,
 )
+from testkit import partial_transpose, random_bd_params
 
 # frozen references for the discord comparison (criterion 6)
 DISCORD_FULL_REF = 0.25
@@ -53,17 +54,15 @@ def _report(name: str, ok: bool, detail: str, checks=()) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _inequality_samples() -> list[BellDiagonalParams]:
-    rng = np.random.default_rng(2024)
-    samples = [random_bd_params(rng) for _ in range(10_000)]
-    samples += [BellDiagonalParams(-w, -w, -w) for w in np.arange(0.1, 0.95, 0.1)]
-    return samples
+def _inequality_samples() -> np.ndarray:
+    werner_line = [(-w, -w, -w) for w in np.arange(0.1, 0.95, 0.1)]
+    return np.concatenate([random_bd_block(np.random.default_rng(2024), 10_000), werner_line])
 
 
 def test_criterion_01_holevo_maximum_matches_closed_form():
     rng = np.random.default_rng(101)
     t0 = time.time()
-    checks = check_holevo([random_bd_params(rng) for _ in range(200)])
+    checks = check_holevo(random_bd_block(rng, 200))
     dt = time.time() - t0
     name = "criterion-01 grid-maximized Holevo vs closed-form classical correlation"
     _report(name, dt < 60, f"{dt:.1f}s (<60s)", checks)
@@ -224,10 +223,13 @@ def test_criterion_09_separable_sweep():
 def test_criterion_10_kernel_properties():
     rng = np.random.default_rng(110)
     t0 = time.time()
-    checks = [
-        check_spectra([random_bd_params(rng) for _ in range(1000)]),
-        check_involution([random_density_matrix(rng, (2, 2)) for _ in range(200)]),
-    ]
+    spectra = check_spectra(random_bd_block(rng, 1000))
+    involution = 0.0
+    for _ in range(200):
+        m = random_density_matrix(rng, (2, 2)).matrix
+        back = partial_transpose(partial_transpose(m, (2, 2), 0), (2, 2), 0)
+        involution = max(involution, float(np.max(np.abs(back - m))))
+    checks = [spectra, CheckResult("partial-transpose-involution", involution < 1e-14, involution, 1e-14)]
     # entropy axioms: zero on point masses, maximal and additive on uniforms
     worst_ent = max(
         abs(entropy_of_probabilities(np.array([1.0, 0.0, 0.0]))),
@@ -252,8 +254,7 @@ def test_criterion_11_complementary_correlations_detect_entanglement():
     # sum_k i_k > 1 is a one-sided witness of it
     rng = np.random.default_rng(111)
     n_ent = l1_hits = l1_mismatch = runtime_mismatch = mi_hits = mi_false = 0
-    for _ in range(20_000):
-        p = random_bd_params(rng)
+    for p in random_bd_params(rng, 20_000):
         c = p.as_array().tolist()
         entangled = max(_bell_eigenvalues(*map(Fraction, c))) > Fraction(1, 2)
         n_ent += entangled

@@ -20,10 +20,10 @@ from compcorr.states import (
     bd_params_of,
     bell_diagonal,
     bloch_decompose,
-    random_bd_params,
     save_state,
     signed_svd,
 )
+from testkit import random_bd_params
 
 
 def _haar_u2(rng):

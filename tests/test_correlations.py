@@ -28,9 +28,10 @@ from compcorr.states import (
     bell_diagonal,
     classically_correlated,
     is_physical,
-    random_bd_params,
+    random_bd_block,
     random_density_matrix,
 )
+from testkit import random_bd_params
 
 
 def binary_entropy(x):
@@ -268,7 +269,7 @@ class TestClosedForms:
 
     def test_q1_matches_measured_z_correlation(self):
         rng = np.random.default_rng(25)
-        assert check_z_correlation([random_bd_params(rng) for _ in range(100)]).passed
+        assert check_z_correlation(random_bd_block(rng, 100)).passed
 
     def test_total_mutual_information(self):
         rng = np.random.default_rng(26)

@@ -15,8 +15,9 @@ from compcorr.edss import (
     sweep_summary,
 )
 from compcorr.entanglement import negativity_bd
-from compcorr.matcore import kron, partial_trace, partial_transpose
-from compcorr.states import BellDiagonalParams, bell_diagonal, is_physical, random_bd_params, random_density_matrix
+from compcorr.matcore import kron, partial_trace
+from compcorr.states import BellDiagonalParams, bell_diagonal, is_physical, random_density_matrix
+from testkit import partial_transpose, random_bd_params
 
 
 # the CNOTs built from projectors: |0><0| (x) I (x) I + |1><1| (x) I (x) X

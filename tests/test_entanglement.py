@@ -25,9 +25,9 @@ from compcorr.states import (
     bell_diagonal,
     family_eq15,
     is_physical,
-    random_bd_params,
     random_density_matrix,
 )
+from testkit import random_bd_params
 from compcorr.correlations import q1
 
 
@@ -54,9 +54,7 @@ def test_negativity_zero_when_any_coefficient_vanishes():
 
 
 def test_negativity_iff_large_eigenvalue():
-    rng = np.random.default_rng(32)
-    for _ in range(10_000):
-        p = random_bd_params(rng)
+    for p in random_bd_params(np.random.default_rng(32), 10_000):
         neg = negativity(bell_diagonal(p), 0)
         assert (neg > 1e-12) == (bd_spectrum(p)[-1] > 0.5 + 1e-12)
 

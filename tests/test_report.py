@@ -13,6 +13,7 @@ from compcorr.matcore import LOG2, PPT_TOL, kron
 from compcorr.oracle import spectrum_crosscheck
 from compcorr.report import report_for_bd, report_for_state
 from compcorr.states import BellDiagonalParams, DensityMatrix, bell_diagonal
+from testkit import random_bd_params
 
 
 def _pauli_state(c):
@@ -209,7 +210,7 @@ def _edge_triples():
     at c = +-1 on one axis, and with |c_k| = 1/2, where `correlation_bits`
     changes branch."""
     rng = np.random.default_rng(20)
-    out = [states.random_bd_params(rng) for _ in range(60)]
+    out = random_bd_params(rng, 60)
     for k in range(4):
         for _ in range(15):
             lam = np.insert(rng.dirichlet(np.ones(3)), k, 0.0)
@@ -282,5 +283,5 @@ def test_spectrum_crosscheck_solves_once(monkeypatch):
     # building the state solves it; reading its spectrum does not
     counts = {"eigvalsh": 0}
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
-    spectrum_crosscheck(BellDiagonalParams(0.4, 0.1, -0.3))
+    spectrum_crosscheck(np.array([(0.4, 0.1, -0.3)]))
     assert counts["eigvalsh"] == 1

@@ -26,7 +26,7 @@ from compcorr import report, states
 from compcorr.correlations import complementary_correlations, outcome_mutual_information
 from compcorr.edss import CUT_FACTORS, PERM_AC, PERM_BC, STAGES, ancilla_state, edss_useful, run_protocol
 from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, hermitian_spectrum, kron
-from compcorr.matcore import partial_trace, partial_transpose, von_neumann_entropy
+from compcorr.matcore import partial_trace, von_neumann_entropy
 from compcorr.oracle import check_z_correlation, run_verification
 from compcorr.states import (
     _BELL_SIGNS,
@@ -35,10 +35,11 @@ from compcorr.states import (
     DensityMatrix,
     bell_diagonal,
     is_physical,
-    random_bd_params,
+    random_bd_block,
     random_density_matrix,
     signed_svd,
 )
+from testkit import partial_transpose, random_bd_params
 
 seeds = st.integers(0, 2**32 - 1)
 physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical)
@@ -114,23 +115,23 @@ def test_edss_useful_work(monkeypatch, c, solves, validations):
 @pytest.mark.parametrize("n", [1, 200])
 def test_z_correlation_check_solves_one_stack(monkeypatch, n):
     # the samples are one validated (n, 4, 4) stack: no state is built
-    samples = random_bd_params(np.random.default_rng(60), n)
+    samples = random_bd_block(np.random.default_rng(60), n)
     assert _work(monkeypatch, lambda: check_z_correlation(samples)) == ([(n, 4, 4)], 0, 0)
 
 
 def test_verification_builds_objects_only_for_the_holevo_grid(monkeypatch):
     # every sample but check_holevo's 20 is a row of a block: the 1,000 +
-    # 200 + 1,000 triples and the 100 Ginibre states are never objects. The
-    # blocks are three stacked eigensolves (spectra, z tables, Ginibre
-    # check); check_holevo builds 20 triples, their 20 states (the (4, 4)
-    # solves), the 40 marginals of total_mutual_information and 60 2x2
-    # entropies of holevo_quantity (the 100 (2, 2) solves)
+    # 200 + 1,000 triples are never objects. The blocks are two stacked
+    # eigensolves (spectra, z tables); check_holevo builds 20 triples, their
+    # 20 states (the (4, 4) solves), the 40 marginals of
+    # total_mutual_information and 60 2x2 entropies of holevo_quantity (the
+    # 100 (2, 2) solves)
     built, post_init = [], BellDiagonalParams.__post_init__
     with monkeypatch.context() as m:
         m.setattr(BellDiagonalParams, "__post_init__", lambda self: built.append(1) or post_init(self))
         shapes, validations, derived = _work(monkeypatch, lambda: run_verification(0, 1000))
     assert (len(built), validations, derived) == (20, 60, 0)
-    assert Counter(shapes) == {(1000, 4, 4): 1, (200, 4, 4): 1, (100, 4, 4): 1, (4, 4): 20, (2, 2): 100}
+    assert Counter(shapes) == {(1000, 4, 4): 1, (200, 4, 4): 1, (4, 4): 20, (2, 2): 100}
 
 
 @given(angles, radii)

@@ -7,7 +7,6 @@ import pytest
 
 from compcorr.entanglement import is_separable_bd
 from compcorr.matcore import PHYSICALITY_TOL, kron
-from compcorr import oracle
 from compcorr.oracle import check_spectra
 from compcorr.states import (
     PAULI_PRODUCTS,
@@ -25,13 +24,27 @@ from compcorr.states import (
     is_physical,
     load_state,
     random_bd_block,
-    random_bd_params,
     random_density_matrix,
     round_onto_tetrahedron,
     save_state,
     signed_svd,
     werner,
 )
+from testkit import random_bd_params
+
+
+def _rejection_loop(rng, n):
+    """n triples of a loop that draws one uniform triple per try and keeps
+    it when its closed-form Bell-basis eigenvalues are all at least
+    -PHYSICALITY_TOL: the reference for `random_bd_block`."""
+    out = []
+    while len(out) < n:
+        c = rng.uniform(-1, 1, 3)
+        c1, c2, c3 = c
+        lam = np.array([1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3]) / 4
+        if lam.min() >= -PHYSICALITY_TOL:
+            out.append(c)
+    return out
 
 
 def random_su2(rng):
@@ -138,32 +151,16 @@ class TestBellDiagonal:
 
     def test_spectrum_crosscheck_sampled(self):
         rng = np.random.default_rng(11)
-        assert check_spectra([random_bd_params(rng) for _ in range(1000)]).passed
+        assert check_spectra(random_bd_block(rng, 1000)).passed
 
     def test_random_bd_params_matches_a_reference_rejection_loop(self):
-        # one uniform draw of three per try, kept when its closed-form
-        # Bell-basis eigenvalues are all at least -PHYSICALITY_TOL
-        rng = np.random.default_rng(0)
-        want = []
-        while len(want) < 1000:
-            c = rng.uniform(-1, 1, 3)
-            c1, c2, c3 = c
-            lam = np.array([1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3]) / 4
-            if lam.min() >= -PHYSICALITY_TOL:
-                want.append(c)
-        rng = np.random.default_rng(0)
-        got = [random_bd_params(rng).as_array() for _ in range(1000)]
-        np.testing.assert_array_equal(got, want)
-        # the n-sample form draws the same triples and leaves the generator
-        # where n single calls leave it; at seed 3 a first block of 3032
-        # tries holds only 963 physical triples, so a second block is drawn
-        for n, seed in ((0, 0), (1, 1), (7, 2), (1000, 0), (1000, 3)):
-            singles, block = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = [random_bd_params(singles) for _ in range(n)]
-            assert random_bd_params(block, n) == want
-            assert block.uniform() == singles.uniform()
-        with pytest.raises(ValueError, match="at least 0"):
-            random_bd_params(rng, -1)
+        # the block draw, and testkit's one-row blocks, give the loop's
+        # triples and leave the generator where the loop leaves it
+        loop, block, rows = (np.random.default_rng(0) for _ in range(3))
+        want = _rejection_loop(loop, 1000)
+        np.testing.assert_array_equal(random_bd_block(block, 1000), want)
+        np.testing.assert_array_equal([random_bd_params(rows).as_array() for _ in range(1000)], want)
+        assert loop.bit_generator.state == block.bit_generator.state == rows.bit_generator.state
 
     def test_separability(self):
         assert is_separable_bd(BellDiagonalParams(0, 0, 1))
@@ -182,31 +179,17 @@ class TestBellDiagonal:
 
 
 class TestBlockDraws:
-    """Each block draw is bit for bit the single draws it stands for, and
-    leaves the generator's state where they leave it."""
+    """The block draw is bit for bit the rejection loop it stands for, and
+    leaves the generator's state where the loop leaves it."""
 
+    # at seed 3 a first block of 3032 tries holds only 963 physical
+    # triples, so a second block is drawn
     @pytest.mark.parametrize("n, seed", [(0, 0), (1, 1), (7, 2), (1000, 0), (1000, 3)])
     def test_bell_diagonal_block(self, n, seed):
         singles, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [random_bd_params(singles).as_array() for _ in range(n)]
+        want = _rejection_loop(singles, n)
         got = random_bd_block(blocks, n)
         assert got.shape == (n, 3) and got.tobytes() == np.array(want).reshape(n, 3).tobytes()
-        assert blocks.bit_generator.state == singles.bit_generator.state
-
-    @pytest.mark.parametrize("n, seed, dims", [(0, 0, (2, 2)), (1, 1, (2, 2)), (100, 3, (2, 2)), (9, 4, (2,)), (9, 5, (2, 2, 2))])
-    def test_ginibre_block(self, n, seed, dims):
-        singles, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [random_density_matrix(singles, dims).matrix for _ in range(n)]
-        got = random_density_matrix(blocks, dims, n)
-        d = math.prod(dims)
-        assert got.shape == (n, d, d) and got.tobytes() == np.array(want).reshape(n, d, d).tobytes()
-        assert blocks.bit_generator.state == singles.bit_generator.state
-
-    @pytest.mark.parametrize("n, seed", [(1, 1), (100, 6)])
-    def test_operand_block(self, n, seed):
-        singles, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [[singles.normal(size=(2, 2)) + 1j * singles.normal(size=(2, 2)) for _ in range(3)] for _ in range(n)]
-        assert oracle._operand_triples(blocks, n).tobytes() == np.array(want).tobytes()
         assert blocks.bit_generator.state == singles.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -222,7 +205,8 @@ class TestBlockDraws:
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             bd_block(block)
 
-    @pytest.mark.parametrize("c", [[], [0.1, 0.2, 0.3], np.zeros((2, 4))])
+    # a list of BellDiagonalParams, the checks' removed input form, is refused too
+    @pytest.mark.parametrize("c", [[], [0.1, 0.2, 0.3], np.zeros((2, 4)), [BellDiagonalParams(0, 0, 0)]])
     def test_block_must_have_rows_of_three(self, c):
         with pytest.raises(ValueError, match=r"triples must form an \(n, 3\) array"):
             bd_block(c)
@@ -230,18 +214,14 @@ class TestBlockDraws:
     @pytest.mark.parametrize("n", [2.5, math.nan, True, np.bool_(True), 3.0, "3"])
     def test_block_forms_refuse_a_count_that_is_not_an_integer(self, n):
         rng = np.random.default_rng(0)
-        message = f"^sample count {re.escape(repr(n))} is not an integer$"
-        for draw in (random_bd_params, random_bd_block, lambda rng, n: random_density_matrix(rng, (2, 2), n)):
-            with pytest.raises(ValueError, match=message):
-                draw(rng, n)
+        with pytest.raises(ValueError, match=f"^sample count {re.escape(repr(n))} is not an integer$"):
+            random_bd_block(rng, n)
 
     def test_block_forms_take_numpy_integers_and_refuse_negative_counts(self):
         rng = np.random.default_rng(0)
         assert random_bd_block(rng, np.int64(3)).shape == (3, 3)
-        assert random_density_matrix(rng, (2, 2), np.int32(2)).shape == (2, 4, 4)
-        for draw in (random_bd_block, lambda rng, n: random_density_matrix(rng, (2, 2), n)):
-            with pytest.raises(ValueError, match="sample count -1 must be at least 0"):
-                draw(rng, -1)
+        with pytest.raises(ValueError, match="sample count -1 must be at least 0"):
+            random_bd_block(rng, -1)
 
 
 class TestBlochDecomposition:

@@ -1,0 +1,24 @@
+"""Helpers the tests share: checked Bell-diagonal draws as objects, and the
+swapaxes partial transpose that is the reference for `matcore.pt_spectra`'s
+gather. pytest puts this directory on sys.path, so tests import it by name."""
+
+import numpy as np
+
+from compcorr.states import BellDiagonalParams, random_bd_block
+
+
+def random_bd_params(rng: np.random.Generator, n: int | None = None):
+    """One uniform sample of the physical Bell-diagonal tetrahedron, or,
+    given n, a list of n: the rows of `random_bd_block`, which leaves the
+    generator where a one-at-a-time rejection loop leaves it."""
+    if n is None:
+        return BellDiagonalParams(*random_bd_block(rng, 1)[0].tolist())
+    return [BellDiagonalParams(*c) for c in random_bd_block(rng, n).tolist()]
+
+
+def partial_transpose(m: np.ndarray, dims, factor: int) -> np.ndarray:
+    """m with tensor factor `factor` transposed: its row and column axes of
+    that factor swapped in the (dims + dims) view."""
+    dims = tuple(dims)
+    r = np.swapaxes(m.reshape(dims + dims), factor, factor + len(dims))
+    return r.reshape(m.shape)
