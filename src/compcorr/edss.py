@@ -53,6 +53,9 @@ rounding and the certification can fail; the result is then useful with no
 witness. `oracle.edss_useful_numeric` is the numeric reference: a grid
 search over the whole ancilla ball that solves the 8x8 send-step cuts of
 all its grid points as one stacked eigensolve.
+
+`run_protocol` reports its stages' PPT verdicts from one stacked eigensolve,
+and no A|B negativity after both CNOTs: that is the input's `negativity_bd`.
 """
 
 import itertools
@@ -61,7 +64,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .entanglement import CUT_LABELS, PptVerdict, is_separable_bd, negativity_of_spectrum, require_separable
+from .entanglement import CUT_LABELS, PptVerdict, is_separable_bd, require_separable
 from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, kron, pt_spectra
 from .report import report_for_bd
 from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_physical
@@ -83,35 +86,22 @@ PERM_AC.flags.writeable = PERM_BC.flags.writeable = _STAGE_ROWS.flags.writeable 
 
 
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
-    """Qubit state (I + r n . sigma)/2 with Bloch direction (theta, phi). It
-    is valid for finite angles and r in [0, 1], which are checked, and its
-    spectrum is ((1 - r)/2, (1 + r)/2), so it is not solved."""
+    """Qubit state (I + r n . sigma)/2 with Bloch direction (theta, phi), for
+    finite angles and r in [0, 1], which are checked before the state is
+    built and validated."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"ancilla angles ({theta}, {phi}) must be finite")
     if not 0.0 <= radius <= 1.0:  # also rejects NaN
         raise ValueError(f"Bloch radius {radius} outside [0, 1]")
-    spectrum = np.array([(1 - radius) / 2, (1 + radius) / 2], dtype=float)
-    return DensityMatrix._derived(bloch_operator(radius * bloch_vector(theta, phi)), (2,), spectrum)
+    return DensityMatrix(bloch_operator(radius * bloch_vector(theta, phi)), (2,))
 
 
 @dataclass(frozen=True)
 class ProtocolTrace:
     """The PPT verdicts of one protocol run, per stage, each with its
-    partial-transpose spectrum.
-
-    `final_ab_negativity` is the A|B negativity of Tr_C of the state after
-    both CNOTs, read off the raw 4x4 matrix with no state built or checked
-    again. Together the CNOTs add a XOR b to the ancilla's bit, so an entry
-    of rho_AB between basis states of equal parity a XOR b comes back from
-    Tr_C unchanged, times Tr of the ancilla, which is 1. Every nonzero entry
-    of a Bell-diagonal rho_AB is of that kind, so for a Bell-diagonal input
-    Tr_C returns rho_AB exactly, for every ancilla, and the field is the
-    input's negativity: `negativity_bd(p)`, up to the eigensolver's rounding,
-    and 0 on every separable input.
-    """
+    partial-transpose spectrum."""
 
     stage_verdicts: dict[str, tuple[PptVerdict, ...]]
-    final_ab_negativity: float
     success: bool
 
     @property
@@ -125,10 +115,9 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     its partial-transpose spectrum.
 
     The three stages are raw 8x8 matrices, one index of the initial
-    rho_ab (x) ancilla through _STAGE_ROWS; no stage state is built. Two
-    eigvalsh calls remain: the nine partial transposes, three stages by
-    three cuts, as one stack, and the A|B transpose of Tr_C after both
-    CNOTs."""
+    rho_ab (x) ancilla through _STAGE_ROWS; no stage state is built. One
+    eigvalsh call solves the nine partial transposes, three stages by three
+    cuts, as one stack."""
     if rho_ab.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
     if ancilla.dims != (2,):
@@ -140,13 +129,7 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     spectra = pt_spectra(stages, (2, 2, 2), CUT_FACTORS).tolist()
     labels = [CUT_LABELS[3][f] for f in CUT_FACTORS]
     verdicts = {stage: tuple(map(PptVerdict, map(tuple, row), labels)) for stage, row in zip(STAGES, spectra)}
-    r = stages[2].reshape((2,) * 6)
-    final_ab = (r[:, :, 0, :, :, 0] + r[:, :, 1, :, :, 1]).reshape(1, 4, 4)  # Tr_C, as matcore.partial_trace sums it
-    return ProtocolTrace(
-        stage_verdicts=verdicts,
-        final_ab_negativity=negativity_of_spectrum(pt_spectra(final_ab, (2, 2), (0,))[0, 0]),
-        success=verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL,
-    )
+    return ProtocolTrace(stage_verdicts=verdicts, success=verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL)
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,10 @@ def pt_spectrum(rho: DensityMatrix, factor: int) -> np.ndarray:
     return pt_spectra(rho.matrix[None], rho.dims, (factor,))[0, 0]
 
 
-def negativity_of_spectrum(lam: np.ndarray) -> float:
-    """Sum of |negative eigenvalues| of a partial-transpose spectrum."""
-    return float(np.abs(lam[lam < 0]).sum())
-
-
 def negativity(rho: DensityMatrix, factor: int = 0) -> float:
     """Sum of |negative eigenvalues| of the partial transpose across the cut."""
-    return negativity_of_spectrum(pt_spectrum(rho, factor))
+    lam = pt_spectrum(rho, factor)
+    return float(np.abs(lam[lam < 0]).sum())
 
 
 def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:

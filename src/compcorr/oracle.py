@@ -9,12 +9,12 @@ closed-form-vs-eigensolver spectrum cross-check. Each cross-check of the seeded 
 `compcorr verify` is one `check_*` function of its input samples; the
 tests call the same functions on their own seeds. Every check takes its
 Bell-diagonal samples as one (n, 3) block checked by `states.bd_block`,
-built as one validated (n, 4, 4) stack whose spectra are one eigvalsh and
-whose outcome tables are one contraction, with the closed forms as array
-forms of the runtime scalars. Only `check_holevo` builds objects, its 20
-states, whose maximizations run in lockstep, their coarse pass in
-cache-sized blocks of directions. Every number is bit for bit that of the
-same work done one sample at a time.
+built by `states.bd_matrix` as one (n, 4, 4) stack, checked no further,
+whose spectra are one eigvalsh and whose outcome tables are one
+contraction, with the closed forms as array forms of the runtime scalars.
+Only `check_holevo` builds objects, its 20 states, whose maximizations run
+in lockstep, their coarse pass in cache-sized blocks of directions. Every
+number is bit for bit that of the same work done one sample at a time.
 """
 
 import functools
@@ -29,8 +29,8 @@ from .edss import PERM_AC
 from .entanglement import require_separable
 from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PPT_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
 from .matcore import bloch_vector, pt_spectra
-from .states import _bell_eigenvalues, PAULI_PRODUCTS, BellDiagonalParams, DensityMatrix, bd_block, bell_diagonal
-from .states import density_stack_spectra, random_bd_block, sample_count
+from .states import _bell_eigenvalues, BellDiagonalParams, DensityMatrix, bd_block, bd_matrix, bell_diagonal
+from .states import random_bd_block, sample_count
 
 DEFAULT_RESOLUTION = (90, 180)
 REFINE_ROUNDS = 5
@@ -297,14 +297,11 @@ def pauli_mub_bases() -> list[np.ndarray]:
 
 
 def _bd_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Bell-diagonal states of an (n, 3) block as one (n, 4, 4) stack,
-    each bit for bit `bell_diagonal(p).matrix`, and their ascending spectra
-    from `density_stack_spectra`, whose checks the stack passes."""
-    diag = np.zeros((len(c), 4, 4))
-    diag[:, 0, 0] = 1.0
-    diag[:, (1, 2, 3), (1, 2, 3)] = c
-    stack = np.einsum("nij,ijkl->nkl", diag, PAULI_PRODUCTS) / 4.0
-    return stack, density_stack_spectra(stack)
+    """The Bell-diagonal states of an (n, 3) block that `bd_block` checked,
+    as one (n, 4, 4) stack from `bd_matrix`, each bit for bit
+    `bell_diagonal(p).matrix`, and their ascending spectra."""
+    stack = bd_matrix(*c.T)
+    return stack, np.linalg.eigvalsh(stack)
 
 
 def _closed_spectra(block: np.ndarray) -> np.ndarray:
@@ -312,11 +309,15 @@ def _closed_spectra(block: np.ndarray) -> np.ndarray:
     return np.sort(np.array(_bell_eigenvalues(*block.T)).T, axis=1)
 
 
-def spectrum_crosscheck(samples) -> float:
-    """Max deviation between closed-form and numeric eigenvalues over an
-    (n, 3) block of triples, the numeric ones from `_bd_stack`."""
-    block = _sample_block(samples, "spectrum_crosscheck")
+def _spectrum_deviation(block: np.ndarray) -> float:
+    """Max deviation between closed-form and numeric eigenvalues over a
+    checked (n, 3) block, the numeric ones from `_bd_stack`."""
     return float(np.max(np.abs(_closed_spectra(block) - _bd_stack(block)[1])))
+
+
+def spectrum_crosscheck(samples) -> float:
+    """`_spectrum_deviation` of an (n, 3) block of triples."""
+    return _spectrum_deviation(_sample_block(samples, "spectrum_crosscheck"))
 
 
 @dataclass(frozen=True)
@@ -382,7 +383,7 @@ def _bd_mutual_information(block: np.ndarray) -> np.ndarray:
 
 def check_spectra(samples) -> CheckResult:
     """Closed-form Bell-diagonal spectra vs the numeric eigensolver."""
-    dev = spectrum_crosscheck(_sample_block(samples, "check_spectra"))
+    dev = _spectrum_deviation(_sample_block(samples, "check_spectra"))
     return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
 

@@ -29,8 +29,7 @@ _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _BELL_SIGNS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], dtype=float)
 
 # PAULI_PRODUCTS[i, j] = sigma_i (x) sigma_j, with sigma_0 = I: every Pauli
-# coefficient Tr[rho (sigma_i (x) sigma_j)] is read by one contraction with
-# it, and the oracle builds its stacks of Bell-diagonal states with it.
+# coefficient Tr[rho (sigma_i (x) sigma_j)] is read by one contraction with it
 PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", SIGMAS, SIGMAS).reshape(4, 4, 4, 4)
 PAULI_PRODUCTS.flags.writeable = False
 
@@ -48,8 +47,7 @@ class DensityMatrix:
     matrix: np.ndarray
     dims: tuple[int, ...]
     # ascending and read-only, kept for spectrum() and entropy() since the
-    # matrix cannot change: the PSD check's eigensolve, or, for the EDSS
-    # ancilla, the spectrum read off its checked radius
+    # matrix cannot change: the PSD check's eigensolve
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -75,21 +73,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(map(int, dims)))
         object.__setattr__(self, "_spectrum", spectrum)
-
-    @classmethod
-    def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...], spectrum: np.ndarray) -> "DensityMatrix":
-        """A state whose validity and ascending spectrum follow from checked
-        parameters: `edss.ancilla_state`, the one caller, knows both from its
-        Bloch radius. The fields are set as given, with no __post_init__,
-        and both arrays are made read-only. Any other matrix goes through the
-        public constructor and all its checks, whose 2x2 eigensolve would
-        cost the ancilla about a tenth of a useful `edss_useful` call."""
-        out = object.__new__(cls)
-        matrix.flags.writeable = spectrum.flags.writeable = False
-        object.__setattr__(out, "matrix", matrix)
-        object.__setattr__(out, "dims", dims)
-        object.__setattr__(out, "_spectrum", spectrum)
-        return out
 
     def partial_trace(self, keep) -> "DensityMatrix":
         reduced = partial_trace(self.matrix, self.dims, keep)
@@ -158,19 +141,26 @@ PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = np.array(
 ) * (1 / np.sqrt(2))
 
 
-def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
-    """Build the state (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n) from its
-    8 nonzero entries: (1 +- c3)/4 on the diagonal, (c1 - c2)/4 at (0, 3) and
-    (3, 0), (c1 + c2)/4 at (1, 2) and (2, 1). The state is fully validated,
-    and its kept spectrum is the PSD check's eigensolve, the numeric reference
-    for the closed-form eigenvalues."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = (1 + p.c3) / 4
-    m[1, 1] = m[2, 2] = (1 - p.c3) / 4
+def bd_matrix(c1, c2, c3) -> np.ndarray:
+    """The matrix (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n) from its 8
+    nonzero entries: (1 +- c3)/4 on the diagonal, (c1 - c2)/4 at (0, 3) and
+    (3, 0), (c1 + c2)/4 at (1, 2) and (2, 1). Three floats give one 4x4
+    matrix and three length-n arrays an (n, 4, 4) stack, each matrix bit for
+    bit that of its triple. Nothing is checked."""
+    m = np.zeros(np.shape(c1) + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = (1 + c3) / 4
+    m[..., 1, 1] = m[..., 2, 2] = (1 - c3) / 4
     # + 0.0 turns a sum of signed zeros into +0.0, as the Pauli sum's zero terms do
-    m[0, 3] = m[3, 0] = (p.c1 - p.c2 + 0.0) / 4
-    m[1, 2] = m[2, 1] = (p.c1 + p.c2 + 0.0) / 4
-    return DensityMatrix(m, (2, 2))
+    m[..., 0, 3] = m[..., 3, 0] = (c1 - c2 + 0.0) / 4
+    m[..., 1, 2] = m[..., 2, 1] = (c1 + c2 + 0.0) / 4
+    return m
+
+
+def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
+    """The state of `bd_matrix`, fully validated; its kept spectrum is the
+    PSD check's eigensolve, the numeric reference for the closed-form
+    eigenvalues."""
+    return DensityMatrix(bd_matrix(p.c1, p.c2, p.c3), (2, 2))
 
 
 def bd_spectrum(p: BellDiagonalParams) -> np.ndarray:
@@ -330,27 +320,6 @@ def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
     rng.bit_generator.state = start
     rng.uniform(-1, 1, (used, 3))  # advance past the tries that the loop makes
     return bd_block(tries[kept[:n]])
-
-
-def density_stack_spectra(stack: np.ndarray) -> np.ndarray:
-    """Ascending spectra, from one stacked eigvalsh, of an (n, d, d) stack
-    of density matrices. The stack passes the checks that `DensityMatrix`
-    makes on each matrix, as one vectorized pass per check, and the first
-    failing matrix of the first failing check raises that check's
-    ValueError."""
-    if not np.isfinite(stack).all():
-        raise ValueError("density matrix has a non-finite entry")
-    if not np.all(np.abs(stack - stack.conj().swapaxes(1, 2)) <= STATE_TOL):
-        raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    bad = np.abs(tr - 1.0) > STATE_TOL
-    if bad.any():
-        raise ValueError(f"trace {tr[np.argmax(bad)]} differs from 1 by more than {STATE_TOL:g}")
-    spectra = np.linalg.eigvalsh(stack)
-    bad = spectra[:, 0] < -STATE_TOL
-    if bad.any():
-        raise ValueError(f"negative eigenvalue {spectra[np.argmax(bad), 0]:.3e} below -{STATE_TOL:g}")
-    return spectra
 
 
 def random_density_matrix(rng: np.random.Generator, dims) -> DensityMatrix:

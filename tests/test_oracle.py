@@ -1,6 +1,5 @@
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -411,19 +410,6 @@ def test_stacked_checks_are_the_per_sample_loops(n):
     assert _fields(check_z_correlation(block)) == _fields(_z_correlation_per_sample(samples))
     want = list(map(_fields, _ordered_frame_per_sample(samples)))
     assert list(map(_fields, check_ordered_frame(block))) == want
-
-
-@pytest.mark.parametrize("c", [(1.0, 1.0, 1.0), (0.0, 0.0, 1.0 + 1e-9), (0.0, 0.0, 1e17), (np.nan, 0.0, 0.0)])
-def test_bd_stack_refuses_what_density_matrix_refuses(c):
-    # raw triples that BellDiagonalParams would refuse, so that the stack's
-    # own checks are reached: a negative eigenvalue, a trace that rounds
-    # away from 1, a non-finite entry
-    triple = SimpleNamespace(c1=c[0], c2=c[1], c3=c[2])
-    with pytest.raises(ValueError) as want:
-        bell_diagonal(triple)
-    good = random_bd_block(np.random.default_rng(61), 3)
-    with pytest.raises(ValueError, match=re.escape(str(want.value))):
-        oracle._bd_stack(np.concatenate([good, [c]]))
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Routes that solve each state once, against the routes that solved it again.
 
-`DensityMatrix` keeps the spectrum of its PSD check, and the EDSS ancilla
-the spectrum ((1 - r)/2, (1 + r)/2) read off its radius. `run_protocol`
+`DensityMatrix` keeps the spectrum of its PSD check. `run_protocol`
 builds no state: its three stages are raw 8x8 matrices, one index of
 rho (x) ancilla, and its nine verdicts one stacked eigensolve; the tests
 rebuild the stages from `kron` and `np.ix_` of the CNOT permutations and
@@ -21,7 +20,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import compcorr
 from compcorr import report, states
 from compcorr.correlations import complementary_correlations, outcome_mutual_information
 from compcorr.edss import CUT_FACTORS, PERM_AC, PERM_BC, STAGES, ancilla_state, edss_useful, run_protocol
@@ -76,39 +74,37 @@ def test_kept_spectrum_is_read_only():
 
 def _work(monkeypatch, call):
     """(the shape of each np.linalg.eigvalsh argument, the number of
-    DensityMatrix validations, the number of DensityMatrix._derived builds)
-    of call()."""
-    shapes, validations, derived = [], [], []
-    eigvalsh, post_init, build = np.linalg.eigvalsh, DensityMatrix.__post_init__, DensityMatrix._derived
+    DensityMatrix validations) of call()."""
+    shapes, validations = [], []
+    eigvalsh, post_init = np.linalg.eigvalsh, DensityMatrix.__post_init__
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: shapes.append(np.shape(a)) or eigvalsh(a, *args, **kw))
         m.setattr(DensityMatrix, "__post_init__", lambda self: validations.append(1) or post_init(self))
-        m.setattr(DensityMatrix, "_derived", classmethod(lambda cls, *args: derived.append(1) or build(*args)))
         call()
-    return shapes, len(validations), len(derived)
+    return shapes, len(validations)
 
 
 def test_run_protocol_solves_nine_8x8_spectra_in_one_call(monkeypatch):
-    # the nine stage partial transposes as one stack, then the A|B transpose
-    # after Tr_C; the stages are raw matrices, so no state is built
+    # the nine stage partial transposes as one stack; the stages are raw
+    # matrices, so no state is built
     rho, anc = bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3)), ancilla_state(0.0, 0.0, 0.5)
-    assert _work(monkeypatch, lambda: run_protocol(rho, anc)) == ([(9, 8, 8), (1, 4, 4)], 0, 0)
+    assert _work(monkeypatch, lambda: run_protocol(rho, anc)) == ([(9, 8, 8)], 0)
 
 
 @pytest.mark.parametrize(
     "c, solves, validations",
     [
-        # useful: bell_diagonal's check, the ancilla, then run_protocol
-        ((0.3, -0.3, 0.3), [(4, 4), (9, 8, 8), (1, 4, 4)], 1),
-        ((0.3, 0.3, 0.3), [], 0),  # not useful: decided in closed form, nothing built
-        ((0.5, 0.0, 0.25), [], 0),
+        # useful: bell_diagonal's check, the ancilla's, then run_protocol
+        pytest.param((0.3, -0.3, 0.3), [(4, 4), (2, 2), (9, 8, 8)], 2, id="c0-solves0-1"),
+        # not useful: decided in closed form, nothing built
+        pytest.param((0.3, 0.3, 0.3), [], 0, id="c1-solves1-0"),
+        pytest.param((0.5, 0.0, 0.25), [], 0, id="c2-solves2-0"),
     ],
 )
 def test_edss_useful_work(monkeypatch, c, solves, validations):
     results = []
     work = _work(monkeypatch, lambda: results.append(edss_useful(BellDiagonalParams(*c))))
-    # the ancilla is the one derived build, made exactly when bell_diagonal's check is
-    assert work == (solves, validations, validations)
+    assert work == (solves, validations)
     assert (results[0].witness is not None) == results[0].useful == bool(solves)
 
 
@@ -116,7 +112,7 @@ def test_edss_useful_work(monkeypatch, c, solves, validations):
 def test_z_correlation_check_solves_one_stack(monkeypatch, n):
     # the samples are one validated (n, 4, 4) stack: no state is built
     samples = random_bd_block(np.random.default_rng(60), n)
-    assert _work(monkeypatch, lambda: check_z_correlation(samples)) == ([(n, 4, 4)], 0, 0)
+    assert _work(monkeypatch, lambda: check_z_correlation(samples)) == ([(n, 4, 4)], 0)
 
 
 def test_verification_builds_objects_only_for_the_holevo_grid(monkeypatch):
@@ -129,8 +125,8 @@ def test_verification_builds_objects_only_for_the_holevo_grid(monkeypatch):
     built, post_init = [], BellDiagonalParams.__post_init__
     with monkeypatch.context() as m:
         m.setattr(BellDiagonalParams, "__post_init__", lambda self: built.append(1) or post_init(self))
-        shapes, validations, derived = _work(monkeypatch, lambda: run_verification(0, 1000))
-    assert (len(built), validations, derived) == (20, 60, 0)
+        shapes, validations = _work(monkeypatch, lambda: run_verification(0, 1000))
+    assert (len(built), validations) == (20, 60)
     assert Counter(shapes) == {(1000, 4, 4): 1, (200, 4, 4): 1, (4, 4): 20, (2, 2): 100}
 
 
@@ -139,7 +135,7 @@ def test_verification_builds_objects_only_for_the_holevo_grid(monkeypatch):
 def test_ancilla_spectrum_is_read_off_its_radius(angle, r):
     anc = ancilla_state(*angle, r)
     assert anc.matrix.tobytes() == bloch_operator(r * bloch_vector(*angle)).tobytes() and anc.dims == (2,)
-    assert anc.spectrum().tolist() == [(1 - r) / 2, (1 + r) / 2]
+    np.testing.assert_allclose(anc.spectrum(), [(1 - r) / 2, (1 + r) / 2], rtol=0, atol=1e-14)
     assert not anc.matrix.flags.writeable and not anc.spectrum().flags.writeable
     np.testing.assert_allclose(anc.spectrum(), np.linalg.eigvalsh(anc.matrix), rtol=0, atol=1e-14)
 
@@ -159,6 +155,16 @@ def test_bell_diagonal_is_the_pauli_contraction(p):
     assert bell_diagonal(p).matrix.tobytes() == _pauli_contraction(p).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_bd_matrix_stack_is_its_rows(n):
+    # seeded blocks, then the signed-zero and subnormal examples above
+    block = np.concatenate(
+        [random_bd_block(np.random.default_rng(27 + n), n), [(-0.0, 0.0, 0.5), (-0.0, -0.0, -0.0), (0.0, 5e-324, -1.0)]]
+    )
+    rows = np.stack([states.bd_matrix(*row) for row in block.tolist()])
+    assert states.bd_matrix(*block.T).tobytes() == rows.tobytes()
+
+
 def test_bell_diagonal_is_the_pauli_contraction_on_seeded_triples():
     for p in random_bd_params(np.random.default_rng(22), 5000):
         assert bell_diagonal(p).matrix.tobytes() == _pauli_contraction(p).tobytes()
@@ -167,7 +173,7 @@ def test_bell_diagonal_is_the_pauli_contraction_on_seeded_triples():
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_trace_over_c_is_the_partial_trace(seed):
-    # run_protocol's Tr_C: two slices of the (2,)*6 view, added once
+    # Tr_C as two slices of the (2,)*6 view, added once
     m = random_density_matrix(np.random.default_rng(seed), (2, 2, 2)).matrix
     r = m.reshape((2,) * 6)
     slice_sum = (r[:, :, 0, :, :, 0] + r[:, :, 1, :, :, 1]).reshape(4, 4)
@@ -175,18 +181,13 @@ def test_trace_over_c_is_the_partial_trace(seed):
 
 
 def _validated_route(rho4, anc2):
-    """The verdict spectra and final A|B negativity of run_protocol, by the
-    route that built every state through the public constructor: the
-    initial state and Tr_C after both CNOTs validated, each A|B transpose
-    solved on its own."""
+    """The verdict spectra of run_protocol, by the route that built the
+    initial state through the public constructor."""
     initial = DensityMatrix(kron(rho4, anc2), (2, 2, 2))
     stages = (initial.matrix, initial.matrix[GRID_AC], initial.matrix[GRID_AC][GRID_BC])
     m = np.stack(stages).reshape((3,) + (2,) * 6)
     pts = np.stack([np.swapaxes(m, 1 + f, 4 + f) for f in CUT_FACTORS], axis=1)
-    spectra = np.linalg.eigvalsh(pts.reshape(-1, 8, 8)).reshape(3, 3, 8)
-    final = DensityMatrix(partial_trace(stages[2], (2, 2, 2), [0, 1]), (2, 2))
-    lam = hermitian_spectrum(partial_transpose(final.matrix, (2, 2), 0))
-    return spectra, float(np.abs(lam[lam < 0]).sum())
+    return np.linalg.eigvalsh(pts.reshape(-1, 8, 8)).reshape(3, 3, 8)
 
 
 @given(seeds, st.booleans(), angles, radii)
@@ -201,10 +202,9 @@ def test_protocol_output_is_the_validated_route(seed, bell_diagonal_input, angle
         rho4 = rho.matrix
     anc2 = DensityMatrix(bloch_operator(r * bloch_vector(*angle)), (2,)).matrix
     trace = run_protocol(rho, ancilla_state(*angle, r))
-    spectra, neg = _validated_route(rho4, anc2)
+    spectra = _validated_route(rho4, anc2)
     got = np.array([[v.spectrum for v in trace.stage_verdicts[stage]] for stage in STAGES])
     assert got.tobytes() == spectra.tobytes()
-    assert np.float64(trace.final_ab_negativity).tobytes() == np.float64(neg).tobytes()
 
 
 @given(seeds, st.booleans())
@@ -277,13 +277,10 @@ def test_run_protocol_rejects_wrong_dims():
         run_protocol(rho, rho)
 
 
-def test_derived_constructor_is_called_only_inside_the_package():
-    # this file names it only in the string below
-    root = Path(__file__).resolve().parent.parent
-    files = [p for d in ("src", "bench", "tests") for p in (root / d).rglob("*.py") if p != Path(__file__).resolve()]
-    callers = {p.relative_to(root).as_posix() for p in files if "._derived(" in p.read_text()}
-    assert callers == {"src/compcorr/edss.py"}
-    assert "_derived" not in compcorr.__all__
+def test_no_state_skips_the_public_constructor():
+    # a state made with object.__new__ would carry fields that no check saw
+    root = Path(__file__).resolve().parent.parent / "src"
+    assert not [p.name for p in root.rglob("*.py") if "object.__new__(" in p.read_text()]
 
 
 @given(seeds, st.integers(0, 3), st.booleans(), st.booleans())
