@@ -5,9 +5,10 @@ Runtime closed forms (`report_for_bd` reads every number off them):
 `discord_bd` (`clamped_discord` of the two before it), which read a
 `BellDiagonalParams` checked once when it was built. Measured references,
 which the oracle and the tests check them against:
-`complementary_correlations` (same-axis outcome tables), `holevo_quantity`
+`complementary_correlations` (same-axis `outcome_tables`), `holevo_quantity`
 (Bob measures along a unit Bloch vector n, projectors (I +- n . sigma)/2
-from `matcore.bloch_operator`), `total_mutual_information`.
+from `matcore.bloch_operator`), `total_mutual_information`; the matrices
+they derive from a checked state are solved with no second check.
 """
 
 from dataclasses import dataclass, fields
@@ -23,7 +24,7 @@ from .matcore import (
     ZERO_BRANCH,
     bloch_operator,
     entropy_of_probabilities,
-    von_neumann_entropy,
+    partial_trace,
 )
 from .states import BellDiagonalParams, DensityMatrix
 
@@ -68,15 +69,20 @@ _AXIS_PROJECTORS = bloch_operator(np.stack([np.eye(3), -np.eye(3)], axis=1))
 _AXIS_PROJECTORS.flags.writeable = False
 
 
+def outcome_tables(m: np.ndarray) -> np.ndarray:
+    """Same-axis outcome tables Tr[m (Pi_ki (x) Pi_kj)] of (..., 4, 4)
+    two-qubit matrices m as one real (..., 3, 2, 2) array, axes x, y, z;
+    each matrix of a stack gets the bits of its own call."""
+    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+    return np.einsum("...abce,kica,kjeb->...kij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real
+
+
 def complementary_correlations(rho: DensityMatrix) -> tuple[float, float, float]:
     """I(sigma_i : sigma_i) for same-axis measurements along x, y, z; the three
-    outcome tables come from one contraction with the stacked projectors
-    and are scored as one stack."""
+    `outcome_tables` are scored as one stack."""
     if rho.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
-    r = rho.matrix.reshape(2, 2, 2, 2)
-    tables = np.einsum("abce,kica,kjeb->kij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real
-    return tuple(outcome_mutual_information(tables).tolist())
+    return tuple(outcome_mutual_information(outcome_tables(rho.matrix)).tolist())
 
 
 def holevo_quantity(rho: DensityMatrix, n) -> float:
@@ -101,8 +107,8 @@ def holevo_quantity(rho: DensityMatrix, n) -> float:
         p = np.trace(x).real
         avg += x
         if p > ZERO_BRANCH:
-            cond_term += p * von_neumann_entropy(x / p)
-    return von_neumann_entropy(avg) - cond_term
+            cond_term += p * entropy_of_probabilities(np.linalg.eigvalsh(x / p))
+    return entropy_of_probabilities(np.linalg.eigvalsh(avg)) - cond_term
 
 
 def correlation_bits(c: float) -> float:
@@ -137,8 +143,7 @@ def q1(p: BellDiagonalParams) -> float:
 
 def total_mutual_information(rho: DensityMatrix) -> float:
     """S(rho_A) + S(rho_B) - S(rho), in bits."""
-    sa = rho.partial_trace([0]).entropy()
-    sb = rho.partial_trace([1]).entropy()
+    sa, sb = (entropy_of_probabilities(np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, [k]))) for k in (0, 1))
     return sa + sb - rho.entropy()
 
 

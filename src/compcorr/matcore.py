@@ -91,10 +91,6 @@ def fmt(v) -> str:
     return f"{v:.12g}"
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= STATE_TOL)
-
-
 def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
     """dims as ints, refused unless they fit the matrix."""
     dims = tuple(int(d) for d in dims)
@@ -162,13 +158,6 @@ def pt_spectra(stack: np.ndarray, dims, factors) -> np.ndarray:
     return np.linalg.eigvalsh(pts.reshape(-1, d, d)).reshape(len(stack), len(factors), d)
 
 
-def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)
-
-
 def entropy_of_probabilities(p) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0.
 
@@ -196,8 +185,3 @@ def entropy_of_probabilities(p) -> float:
     if not h > -np.inf:  # an infinite entry makes h -inf
         raise ValueError(f"entropy of {ps} is not finite")
     return h
-
-
-def von_neumann_entropy(m: np.ndarray) -> float:
-    """Von Neumann entropy in bits of a positive semidefinite matrix."""
-    return entropy_of_probabilities(hermitian_spectrum(m))

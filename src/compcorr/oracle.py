@@ -11,7 +11,8 @@ tests call the same functions on their own seeds. Every check takes its
 Bell-diagonal samples as one (n, 3) block checked by `states.bd_block`,
 built by `states.bd_matrix` as one (n, 4, 4) stack, checked no further,
 whose spectra are one eigvalsh and whose outcome tables are one
-contraction, with the closed forms as array forms of the runtime scalars.
+`outcome_tables` call, with the closed forms as array forms of the runtime
+scalars.
 Only `check_holevo` builds objects, its 20 states, whose maximizations run
 in lockstep, their coarse pass in cache-sized blocks of directions. Every
 number is bit for bit that of the same work done one sample at a time.
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _AXIS_PROJECTORS, classical_correlation, discord_bd, holevo_quantity
-from .correlations import outcome_mutual_information, total_mutual_information
+from .correlations import classical_correlation, discord_bd, holevo_quantity, outcome_mutual_information
+from .correlations import outcome_tables, total_mutual_information
 from .edss import PERM_AC
 from .entanglement import require_separable
 from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PPT_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
-from .matcore import bloch_vector, pt_spectra
+from .matcore import bloch_vector, kron, pt_spectra
 from .states import _bell_eigenvalues, BellDiagonalParams, DensityMatrix, bd_block, bd_matrix, bell_diagonal
 from .states import random_bd_block, sample_count
 
@@ -224,8 +225,8 @@ def _scan_ancillas(rho4: np.ndarray, points) -> tuple[np.ndarray, int | None, bo
     where A|BC is NPT."""
     th, ph, r = np.array(points).T
     anc = bloch_operator(r[:, None] * bloch_vector(th, ph))
-    # np.kron(rho4, anc) for every ancilla, then Alice's CNOT: index by PERM_AC
-    rabc = (rho4[None, :, None, :, None] * anc[:, None, :, None, :]).reshape(-1, 8, 8)[:, PERM_AC][:, :, PERM_AC]
+    # rho4 (x) ancilla for every ancilla, then Alice's CNOT: index by PERM_AC
+    rabc = kron(rho4, anc)[:, PERM_AC[:, None], PERM_AC]
     m_a = pt_spectra(rabc, (2, 2, 2), (0,))[:, 0, 0]
     npt = np.flatnonzero(m_a < -PPT_TOL)
     clean = pt_spectra(rabc[npt], (2, 2, 2), (2,))[:, 0, 0] >= -PPT_TOL
@@ -296,14 +297,6 @@ def pauli_mub_bases() -> list[np.ndarray]:
     return [z, x, y]
 
 
-def _bd_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Bell-diagonal states of an (n, 3) block that `bd_block` checked,
-    as one (n, 4, 4) stack from `bd_matrix`, each bit for bit
-    `bell_diagonal(p).matrix`, and their ascending spectra."""
-    stack = bd_matrix(*c.T)
-    return stack, np.linalg.eigvalsh(stack)
-
-
 def _closed_spectra(block: np.ndarray) -> np.ndarray:
     """The closed-form Bell-basis eigenvalues of every row, ascending."""
     return np.sort(np.array(_bell_eigenvalues(*block.T)).T, axis=1)
@@ -311,8 +304,8 @@ def _closed_spectra(block: np.ndarray) -> np.ndarray:
 
 def _spectrum_deviation(block: np.ndarray) -> float:
     """Max deviation between closed-form and numeric eigenvalues over a
-    checked (n, 3) block, the numeric ones from `_bd_stack`."""
-    return float(np.max(np.abs(_closed_spectra(block) - _bd_stack(block)[1])))
+    checked (n, 3) block, the numeric ones one eigvalsh of its `bd_matrix`."""
+    return float(np.max(np.abs(_closed_spectra(block) - np.linalg.eigvalsh(bd_matrix(*block.T)))))
 
 
 def spectrum_crosscheck(samples) -> float:
@@ -371,11 +364,7 @@ def _correlation_bits(c: np.ndarray) -> np.ndarray:
 def _bd_mutual_information(block: np.ndarray) -> np.ndarray:
     """`bd_mutual_information`, 2 - H(lambda), of every row, bit for bit:
     the terms of the ascending eigenvalues added left to right."""
-    lam = _closed_spectra(block)
-    terms = np.zeros_like(lam)
-    live = lam > 0.0
-    np.log(lam, out=terms, where=live)
-    np.multiply(lam, terms, out=terms, where=live)
+    terms = _xlogx(_closed_spectra(block))
     acc = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
     entropy = -acc / LOG2
     return 2.0 - entropy
@@ -409,12 +398,11 @@ def check_holevo(samples) -> tuple[CheckResult, ...]:
 
 def check_z_correlation(samples) -> CheckResult:
     """z-axis closed form vs the measured outcome mutual information. The
-    outcome tables of all three axes come from one contraction of the
-    `_bd_stack`, each bit for bit those of `complementary_correlations`;
-    only the z tables are scored."""
+    `outcome_tables` of the block's `bd_matrix` stack are each bit for bit
+    those of `complementary_correlations`; only the z tables are scored,
+    and nothing is solved."""
     block = _sample_block(samples, "check_z_correlation")
-    r = _bd_stack(block)[0].reshape(-1, 2, 2, 2, 2)
-    tables = np.einsum("nabce,kica,kjeb->nkij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real
+    tables = outcome_tables(bd_matrix(*block.T))
     dev = float(np.max(np.abs(_correlation_bits(block[:, 2]) - outcome_mutual_information(tables[:, 2]))))
     return CheckResult("z-correlation-closed-form-vs-measured", dev < 1e-12, dev, 1e-12)
 

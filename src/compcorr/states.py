@@ -20,8 +20,6 @@ from .matcore import (
     SIGMAS,
     STATE_TOL,
     entropy_of_probabilities,
-    is_hermitian,
-    partial_trace,
 )
 
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -39,7 +37,8 @@ IDENTITY_FRAME.flags.writeable = False
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A Hermitian, unit-trace, positive semidefinite matrix with factor dims.
+    """A Hermitian, unit-trace, positive semidefinite matrix with factor dims,
+    checked once, here: what is derived from it is solved, not checked again.
 
     Equality and hashing are by identity, since the fields are arrays.
     """
@@ -60,7 +59,7 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has a non-finite entry")
-        if not is_hermitian(m):
+        if not np.max(np.abs(m - m.conj().T)) <= STATE_TOL:
             raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
         tr = np.trace(m).real
         if abs(tr - 1.0) > STATE_TOL:
@@ -73,10 +72,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(map(int, dims)))
         object.__setattr__(self, "_spectrum", spectrum)
-
-    def partial_trace(self, keep) -> "DensityMatrix":
-        reduced = partial_trace(self.matrix, self.dims, keep)
-        return DensityMatrix(reduced, tuple(self.dims[k] for k in sorted(keep)))
 
     def spectrum(self) -> np.ndarray:
         return self._spectrum
@@ -297,14 +292,14 @@ def bd_block(c) -> np.ndarray:
 
 def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform samples of the physical Bell-diagonal tetrahedron
-    (rejection) as one checked (n, 3) block from `bd_block`.
+    (rejection) as one (n, 3) block of the rows that `bd_block` accepts.
 
     The rows are those of a loop that draws `rng.uniform(-1, 1, 3)` until
     n triples pass `is_physical`, and the generator is left where that
     loop leaves it: `Generator.uniform` draws one double per entry, in
     order, so a block of k tries of three is k draws of three. Tries are
-    drawn in blocks, and the physical ones are kept by the same
-    `_bell_eigenvalues` arithmetic.
+    drawn in blocks; the physical ones are kept by `bd_block`'s eigenvalue
+    test, and uniform draws are finite, so no second check runs.
     """
     n = sample_count(n)
     if n < 0:
@@ -319,7 +314,7 @@ def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
     used = kept[n - 1] + 1 if n else 0
     rng.bit_generator.state = start
     rng.uniform(-1, 1, (used, 3))  # advance past the tries that the loop makes
-    return bd_block(tries[kept[:n]])
+    return tries[kept[:n]]
 
 
 def random_density_matrix(rng: np.random.Generator, dims) -> DensityMatrix:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from compcorr import correlations
 from compcorr.correlations import (
-    _AXIS_PROJECTORS,
     clamped_discord,
     classical_correlation,
     complementary_correlations,
@@ -16,6 +15,7 @@ from compcorr.correlations import (
     discord_bd,
     holevo_quantity,
     outcome_mutual_information,
+    outcome_tables,
     q1,
     total_mutual_information,
 )
@@ -151,8 +151,7 @@ def _seeded_tables():
     rng = np.random.default_rng(24)
     tables = list(rng.dirichlet(np.ones(4), size=300).reshape(-1, 2, 2))
     for _ in range(50):  # the same-axis tables of Ginibre states
-        r = random_density_matrix(rng, (2, 2)).matrix.reshape(2, 2, 2, 2)
-        tables += list(np.einsum("abce,kica,kjeb->kij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real)
+        tables += list(outcome_tables(random_density_matrix(rng, (2, 2)).matrix))
     # zeros, entries under ZERO_BRANCH, entries just below 0 within STATE_TOL
     tables += [
         np.array([[0.5, 0.0], [0.0, 0.5]]),

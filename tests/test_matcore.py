@@ -15,13 +15,11 @@ from compcorr.matcore import (
     bloch_vector,
     entropy_of_probabilities,
     fmt,
-    hermitian_spectrum,
     kron,
     partial_trace,
     pt_spectra,
-    von_neumann_entropy,
 )
-from compcorr.states import PHI_PLUS, random_density_matrix
+from compcorr.states import PHI_PLUS, DensityMatrix, random_density_matrix
 from testkit import partial_transpose
 
 
@@ -105,7 +103,7 @@ def test_partial_trace_bad_index():
 
 def test_partial_transpose_bell_spectrum():
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    lam = hermitian_spectrum(partial_transpose(rho, (2, 2), 0))
+    lam = np.linalg.eigvalsh(partial_transpose(rho, (2, 2), 0))
     np.testing.assert_allclose(lam, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
@@ -124,7 +122,7 @@ def test_partial_transpose_product_is_psd():
     rng = np.random.default_rng(4)
     ra = random_density_matrix(rng, (2,)).matrix
     rb = random_density_matrix(rng, (2,)).matrix
-    lam = hermitian_spectrum(partial_transpose(kron(ra, rb), (2, 2), 0))
+    lam = np.linalg.eigvalsh(partial_transpose(kron(ra, rb), (2, 2), 0))
     assert lam.min() > -1e-12
 
 
@@ -156,44 +154,26 @@ def test_pt_spectra_bad_factor(factor):
         pt_spectra((np.eye(4) / 4)[None], (2, 2), (0, factor))
 
 
-def test_hermitian_spectrum_examples():
-    np.testing.assert_allclose(hermitian_spectrum(np.eye(4) / 4), [0.25] * 4)
-    np.testing.assert_allclose(hermitian_spectrum(np.diag([0.9, 0.1])), [0.1, 0.9])
-
-
-def test_hermitian_spectrum_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_hermitian_spectrum_sums_to_trace():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        rho = random_density_matrix(rng, (2, 2)).matrix
-        assert abs(hermitian_spectrum(rho).sum() - np.trace(rho).real) < 1e-10
-
-
 def test_entropy_examples():
-    pure = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
-    assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
-    assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-12)
+    pure = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
+    assert pure.entropy() == pytest.approx(0.0, abs=1e-12)
+    assert DensityMatrix(np.eye(2) / 2, (2,)).entropy() == pytest.approx(1.0, abs=1e-12)
+    assert DensityMatrix(np.eye(4) / 4, (2, 2)).entropy() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_entropy_unitary_invariance():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        rho = random_density_matrix(rng, (2, 2)).matrix
+        rho = random_density_matrix(rng, (2, 2))
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u, _ = np.linalg.qr(g)
-        assert von_neumann_entropy(u @ rho @ u.conj().T) == pytest.approx(
-            von_neumann_entropy(rho), abs=1e-10
-        )
+        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2))
+        assert rotated.entropy() == pytest.approx(rho.entropy(), abs=1e-10)
 
 
 def test_entropy_rejects_genuinely_negative():
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.diag([1.0 + 1e-6, -1e-6]))
+    with pytest.raises(ValueError, match="below -1e-08"):
+        entropy_of_probabilities(np.linalg.eigvalsh(np.diag([1.0 + 1e-6, -1e-6])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -8,7 +8,9 @@ solve each cut on its own. `report_for_state` reads the Bell-diagonal
 triple from the signed SVD of T with no rotated state, and
 `complementary_correlations` contracts the state once with the stacked
 axis projectors. Each is compared here with the direct form.
-`run_verification` builds objects only for its Holevo grid.
+`run_verification` builds objects only for its Holevo grid, and the
+measured references solve the matrices they derive from a state with no
+second check.
 """
 
 import re
@@ -21,11 +23,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compcorr import report, states
-from compcorr.correlations import complementary_correlations, outcome_mutual_information
+from compcorr.correlations import complementary_correlations, holevo_quantity, outcome_mutual_information
+from compcorr.correlations import outcome_tables, total_mutual_information
 from compcorr.edss import CUT_FACTORS, PERM_AC, PERM_BC, STAGES, ancilla_state, edss_useful, run_protocol
-from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, hermitian_spectrum, kron
-from compcorr.matcore import partial_trace, von_neumann_entropy
-from compcorr.oracle import check_z_correlation, run_verification
+from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, entropy_of_probabilities, kron, partial_trace
+from compcorr.oracle import check_z_correlation, discord_numeric, maximize_holevo, run_verification
 from compcorr.states import (
     _BELL_SIGNS,
     PAULI_PRODUCTS,
@@ -62,8 +64,8 @@ def _haar_su2(rng):
 @settings(max_examples=60, deadline=None)
 def test_kept_spectrum_is_the_matrix_spectrum(seed, dims):
     rho = random_density_matrix(np.random.default_rng(seed), dims)
-    np.testing.assert_array_equal(rho.spectrum(), hermitian_spectrum(rho.matrix))
-    assert rho.entropy() == von_neumann_entropy(rho.matrix)
+    np.testing.assert_array_equal(rho.spectrum(), np.linalg.eigvalsh(rho.matrix))
+    assert rho.entropy() == entropy_of_probabilities(np.linalg.eigvalsh(rho.matrix))
 
 
 def test_kept_spectrum_is_read_only():
@@ -110,24 +112,47 @@ def test_edss_useful_work(monkeypatch, c, solves, validations):
 
 @pytest.mark.parametrize("n", [1, 200])
 def test_z_correlation_check_solves_one_stack(monkeypatch, n):
-    # the samples are one validated (n, 4, 4) stack: no state is built
+    # the samples are one (n, 4, 4) stack whose outcome tables are read
+    # off it: no state is built and nothing is solved
     samples = random_bd_block(np.random.default_rng(60), n)
-    assert _work(monkeypatch, lambda: check_z_correlation(samples)) == ([(n, 4, 4)], 0)
+    assert _work(monkeypatch, lambda: check_z_correlation(samples)) == ([], 0)
+
+
+def test_measured_references_solve_without_validating(monkeypatch):
+    # the two marginals, then the two conditional states and their average
+    rho = random_density_matrix(np.random.default_rng(61), (2, 2))
+    assert _work(monkeypatch, lambda: total_mutual_information(rho)) == ([(2, 2), (2, 2)], 0)
+    assert _work(monkeypatch, lambda: holevo_quantity(rho, [0.0, 0.0, 1.0])) == ([(2, 2)] * 3, 0)
+
+
+def test_a_state_accepted_within_the_hermiticity_tolerance_is_measured():
+    # a residue of 9e-11, under STATE_TOL: the state is accepted once, and
+    # every measured reference reads it as its Hermitian part, to rounding
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 2] = m[1, 3] = 0.9e-10
+    rho, hermitian = DensityMatrix(m, (2, 2)), DensityMatrix((m + m.conj().T) / 2, (2, 2))
+    for measure in (
+        lambda s: holevo_quantity(s, [0.0, 0.0, 1.0]),
+        total_mutual_information,
+        lambda s: maximize_holevo(s, (16, 32)).value,
+        lambda s: discord_numeric(s, (16, 32)),
+    ):
+        assert abs(measure(rho) - measure(hermitian)) <= 1e-9
 
 
 def test_verification_builds_objects_only_for_the_holevo_grid(monkeypatch):
     # every sample but check_holevo's 20 is a row of a block: the 1,000 +
-    # 200 + 1,000 triples are never objects. The blocks are two stacked
-    # eigensolves (spectra, z tables); check_holevo builds 20 triples, their
-    # 20 states (the (4, 4) solves), the 40 marginals of
-    # total_mutual_information and 60 2x2 entropies of holevo_quantity (the
-    # 100 (2, 2) solves)
+    # 200 + 1,000 triples are never objects. The spectra are one stacked
+    # eigensolve and the z tables need none; check_holevo builds 20 triples
+    # and their 20 states (the (4, 4) solves), and solves the 40 marginals
+    # of total_mutual_information and 60 2x2 states of holevo_quantity (the
+    # 100 (2, 2) solves) with no validation
     built, post_init = [], BellDiagonalParams.__post_init__
     with monkeypatch.context() as m:
         m.setattr(BellDiagonalParams, "__post_init__", lambda self: built.append(1) or post_init(self))
         shapes, validations = _work(monkeypatch, lambda: run_verification(0, 1000))
-    assert (len(built), validations) == (20, 60)
-    assert Counter(shapes) == {(1000, 4, 4): 1, (200, 4, 4): 1, (4, 4): 20, (2, 2): 100}
+    assert (len(built), validations) == (20, 20)
+    assert Counter(shapes) == {(1000, 4, 4): 1, (4, 4): 20, (2, 2): 100}
 
 
 @given(angles, radii)
@@ -335,6 +360,11 @@ def test_stacked_axis_tables_match_per_axis_route(seed):
         table = [[np.trace(rho.matrix @ kron(pi[i], pi[j])).real for j in (0, 1)] for i in (0, 1)]
         per_axis.append(outcome_mutual_information(np.array(table)))
     np.testing.assert_allclose(complementary_correlations(rho), per_axis, rtol=0, atol=1e-15)
+    # the stack form: each matrix of an (n, 4, 4) stack gets the bits of its own call
+    rng = np.random.default_rng(seed)
+    for n in (1, 7, 200):
+        stack = np.stack([random_density_matrix(rng, (2, 2)).matrix for _ in range(n)])
+        assert outcome_tables(stack).tobytes() == np.stack([outcome_tables(m) for m in stack]).tobytes()
 
 
 def test_stacked_axis_tables_need_two_qubits():
