@@ -36,7 +36,6 @@ from .oracle import (
     discord_numeric,
     maximize_holevo,
     mub_check,
-    spectrum_crosscheck,
 )
 from .report import report_for_bd, report_for_state
 from .states import (

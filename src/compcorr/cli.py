@@ -14,31 +14,28 @@ from .report import report_for_bd
 from .states import IDENTITY_FRAME, BellDiagonalParams, bd_params_of, bell_diagonal, load_state
 
 
-def _parse_bd(text: str) -> tuple[float, ...]:
-    # the command builds the BellDiagonalParams, so that its error reaches main
+def _floats(text: str, counts: tuple[int, ...], usage: str) -> list[float]:
+    """The comma-separated decimals of text, refused with usage unless counts holds their count."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated decimals: c1,c2,c3")
+    if len(parts) not in counts:
+        raise argparse.ArgumentTypeError(usage)
     try:
-        return tuple(float(x) for x in parts)
+        return [float(x) for x in parts]
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
+
+
+def _parse_bd(text: str) -> tuple[float, ...]:
+    # the command builds the BellDiagonalParams, so that its error reaches main
+    return tuple(_floats(text, (3,), "expected three comma-separated decimals: c1,c2,c3"))
 
 
 def _parse_ancilla(text: str):
     """'auto', or the (theta, phi, r) triple of a fixed ancilla; r defaults to 1."""
     if text == "auto":
         return "auto"
-    parts = text.split(",")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError("expected 'auto' or THETA,PHI[,R]")
-    try:
-        vals = [float(x) for x in parts]
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
-    if len(vals) == 2:
-        vals.append(1.0)
-    return tuple(vals)
+    vals = _floats(text, (2, 3), "expected 'auto' or THETA,PHI[,R]")
+    return tuple(vals) if len(vals) == 3 else (*vals, 1.0)
 
 
 def _triple(args) -> tuple[BellDiagonalParams, np.ndarray, np.ndarray]:

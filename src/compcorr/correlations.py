@@ -17,6 +17,7 @@ import numpy as np
 
 from .matcore import (
     DERIVED_TOL,
+    EIG_CLAMP_TOL,
     LOG2,
     PROB_CLAMP,
     STATE_TOL,
@@ -24,7 +25,6 @@ from .matcore import (
     ZERO_BRANCH,
     bloch_operator,
     entropy_of_probabilities,
-    partial_trace,
 )
 from .states import BellDiagonalParams, DensityMatrix
 
@@ -90,7 +90,8 @@ def holevo_quantity(rho: DensityMatrix, n) -> float:
     along the unit Bloch vector n.
 
     chi = S(sum_i p_i rho_i^A) - sum_i p_i S(rho_i^A), in bits. Outcomes of
-    probability zero are skipped.
+    probability zero are skipped, and an eigenvalue lam of rho_i^A with
+    p_i lam >= -EIG_CLAMP_TOL, a check on rho's scale, scores as 0.
     """
     n = np.asarray(n, dtype=float)
     # written so that a NaN component fails
@@ -107,7 +108,9 @@ def holevo_quantity(rho: DensityMatrix, n) -> float:
         p = np.trace(x).real
         avg += x
         if p > ZERO_BRANCH:
-            cond_term += p * entropy_of_probabilities(np.linalg.eigvalsh(x / p))
+            lam = np.linalg.eigvalsh(x / p)
+            np.maximum(lam, 0.0, out=lam, where=p * lam >= -EIG_CLAMP_TOL)
+            cond_term += p * entropy_of_probabilities(lam)
     return entropy_of_probabilities(np.linalg.eigvalsh(avg)) - cond_term
 
 
@@ -143,7 +146,10 @@ def q1(p: BellDiagonalParams) -> float:
 
 def total_mutual_information(rho: DensityMatrix) -> float:
     """S(rho_A) + S(rho_B) - S(rho), in bits."""
-    sa, sb = (entropy_of_probabilities(np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, [k]))) for k in (0, 1))
+    if rho.dims != (2, 2):
+        raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
+    r = rho.matrix.reshape(2, 2, 2, 2)
+    sa, sb = (entropy_of_probabilities(np.linalg.eigvalsh(r.trace(axis1=k, axis2=k + 2))) for k in (1, 0))
     return sa + sb - rho.entropy()
 
 

@@ -91,42 +91,6 @@ def fmt(v) -> str:
     return f"{v:.12g}"
 
 
-def _check_dims(m: np.ndarray, dims) -> tuple[int, ...]:
-    """dims as ints, refused unless they fit the matrix."""
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValueError(f"matrix shape {m.shape} does not match factor dims {dims}")
-    return dims
-
-
-def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors not listed in `keep`.
-
-    `dims` lists the dimension of each factor; `keep` lists factor indices
-    (big-endian order) that survive. Returns the reduced matrix.
-    """
-    dims = _check_dims(m, dims)
-    n = len(dims)
-    keep = sorted(int(k) for k in keep)
-    if not keep:
-        raise ValueError("must keep at least one factor")
-    for k in keep:
-        if k < 0 or k >= n:
-            raise ValueError(f"factor index {k} out of range for {n} factors")
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate factor index in keep")
-
-    r = m.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    live = list(dims)
-    for i in sorted(traced, reverse=True):
-        r = np.trace(r, axis1=i, axis2=i + len(live))
-        live.pop(i)
-    d = int(np.prod([dims[k] for k in keep]))
-    return r.reshape(d, d)
-
-
 @lru_cache(maxsize=32)
 def _pt_index(dims: tuple[int, ...], factors: tuple[int, ...]) -> np.ndarray:
     """Read-only (len(factors), d * d) gather index: row i lists, for each

@@ -30,7 +30,7 @@ from .edss import PERM_AC
 from .entanglement import require_separable
 from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PPT_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
 from .matcore import bloch_vector, kron, pt_spectra
-from .states import _bell_eigenvalues, BellDiagonalParams, DensityMatrix, bd_block, bd_matrix, bell_diagonal
+from .states import BellDiagonalParams, DensityMatrix, bd_block, bd_matrix, bell_diagonal, bell_eigenvalues
 from .states import random_bd_block, sample_count
 
 DEFAULT_RESOLUTION = (90, 180)
@@ -299,18 +299,7 @@ def pauli_mub_bases() -> list[np.ndarray]:
 
 def _closed_spectra(block: np.ndarray) -> np.ndarray:
     """The closed-form Bell-basis eigenvalues of every row, ascending."""
-    return np.sort(np.array(_bell_eigenvalues(*block.T)).T, axis=1)
-
-
-def _spectrum_deviation(block: np.ndarray) -> float:
-    """Max deviation between closed-form and numeric eigenvalues over a
-    checked (n, 3) block, the numeric ones one eigvalsh of its `bd_matrix`."""
-    return float(np.max(np.abs(_closed_spectra(block) - np.linalg.eigvalsh(bd_matrix(*block.T)))))
-
-
-def spectrum_crosscheck(samples) -> float:
-    """`_spectrum_deviation` of an (n, 3) block of triples."""
-    return _spectrum_deviation(_sample_block(samples, "spectrum_crosscheck"))
+    return np.sort(np.array(bell_eigenvalues(*block.T)).T, axis=1)
 
 
 @dataclass(frozen=True)
@@ -371,8 +360,9 @@ def _bd_mutual_information(block: np.ndarray) -> np.ndarray:
 
 
 def check_spectra(samples) -> CheckResult:
-    """Closed-form Bell-diagonal spectra vs the numeric eigensolver."""
-    dev = _spectrum_deviation(_sample_block(samples, "check_spectra"))
+    """Closed-form Bell-diagonal spectra vs the numeric eigensolver: one eigvalsh of the block's `bd_matrix`."""
+    block = _sample_block(samples, "check_spectra")
+    dev = float(np.max(np.abs(_closed_spectra(block) - np.linalg.eigvalsh(bd_matrix(*block.T)))))
     return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
 

@@ -97,7 +97,7 @@ class BellDiagonalParams:
         c = (float(self.c1), float(self.c2), float(self.c3))
         if not all(map(math.isfinite, c)):
             raise ValueError(f"non-finite correlation triple {c}")
-        lam = _bell_eigenvalues(*c)
+        lam = bell_eigenvalues(*c)
         i = min(range(4), key=lam.__getitem__)
         if lam[i] < -PHYSICALITY_TOL:
             raise ValueError(
@@ -111,14 +111,14 @@ class BellDiagonalParams:
         return np.array([self.c1, self.c2, self.c3], dtype=float)
 
 
-def _bell_eigenvalues(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:
+def bell_eigenvalues(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:
     """The four Bell-basis eigenvalues of the triple, in the order of _BELL_LABELS."""
     return ((1 + c1 - c2 + c3) / 4, (1 - c1 + c2 + c3) / 4, (1 + c1 + c2 - c3) / 4, (1 - c1 - c2 - c3) / 4)
 
 
 def is_physical(c) -> bool:
     """Whether a raw triple passes the eigenvalue check of BellDiagonalParams; a NaN fails."""
-    return all(x >= -PHYSICALITY_TOL for x in _bell_eigenvalues(*c))
+    return all(x >= -PHYSICALITY_TOL for x in bell_eigenvalues(*c))
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def round_onto_tetrahedron(c) -> BellDiagonalParams:
     try:
         return BellDiagonalParams(*c)
     except ValueError:
-        lam = np.array(_bell_eigenvalues(*c))
+        lam = np.array(bell_eigenvalues(*c))
         if not lam.min() >= -DERIVED_TOL:  # written so that a NaN fails
             raise
     lam = np.clip(lam, 0.0, None)
@@ -284,7 +284,7 @@ def bd_block(c) -> np.ndarray:
         raise ValueError(f"triples must form an (n, 3) array of numbers: {e}") from e
     if c.ndim != 2 or c.shape[1] != 3:
         raise ValueError(f"triples must form an (n, 3) array, got shape {c.shape}")
-    ok = np.isfinite(c).all(axis=1) & (np.array(_bell_eigenvalues(*c.T)) >= -PHYSICALITY_TOL).all(axis=0)
+    ok = np.isfinite(c).all(axis=1) & (np.array(bell_eigenvalues(*c.T)) >= -PHYSICALITY_TOL).all(axis=0)
     if not ok.all():
         BellDiagonalParams(*c[np.argmin(ok)].tolist())
     return c
@@ -308,22 +308,13 @@ def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
     tries = np.empty((0, 3))
     while True:  # about one try in three is physical
         tries = np.concatenate([tries, rng.uniform(-1, 1, (3 * n + 32, 3))])
-        kept = np.flatnonzero((np.array(_bell_eigenvalues(*tries.T)) >= -PHYSICALITY_TOL).all(axis=0))
+        kept = np.flatnonzero((np.array(bell_eigenvalues(*tries.T)) >= -PHYSICALITY_TOL).all(axis=0))
         if len(kept) >= n:
             break
     used = kept[n - 1] + 1 if n else 0
     rng.bit_generator.state = start
     rng.uniform(-1, 1, (used, 3))  # advance past the tries that the loop makes
     return tries[kept[:n]]
-
-
-def random_density_matrix(rng: np.random.Generator, dims) -> DensityMatrix:
-    """Ginibre-distributed full-rank random state."""
-    dims = tuple(dims)
-    d = int(np.prod(dims))
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, dims)
 
 
 def save_state(rho: DensityMatrix, path) -> None:

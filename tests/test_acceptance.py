@@ -30,16 +30,15 @@ from compcorr.oracle import (
 from compcorr.states import (
     PHI_PLUS,
     BellDiagonalParams,
-    _bell_eigenvalues,
     DensityMatrix,
     bell_diagonal,
+    bell_eigenvalues,
     classically_correlated,
     family_eq15,
     is_physical,
     random_bd_block,
-    random_density_matrix,
 )
-from testkit import partial_transpose, random_bd_params
+from testkit import partial_transpose, random_bd_params, random_density_matrix
 
 # frozen references for the discord comparison (criterion 6)
 DISCORD_FULL_REF = 0.25
@@ -256,7 +255,7 @@ def test_criterion_11_complementary_correlations_detect_entanglement():
     n_ent = l1_hits = l1_mismatch = runtime_mismatch = mi_hits = mi_false = 0
     for p in random_bd_params(rng, 20_000):
         c = p.as_array().tolist()
-        entangled = max(_bell_eigenvalues(*map(Fraction, c))) > Fraction(1, 2)
+        entangled = max(bell_eigenvalues(*map(Fraction, c))) > Fraction(1, 2)
         n_ent += entangled
         l1 = sum(map(abs, c)) > 1
         l1_hits += l1 and entangled

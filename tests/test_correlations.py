@@ -29,9 +29,8 @@ from compcorr.states import (
     classically_correlated,
     is_physical,
     random_bd_block,
-    random_density_matrix,
 )
-from testkit import random_bd_params
+from testkit import random_bd_params, random_density_matrix
 
 
 def binary_entropy(x):
@@ -279,6 +278,10 @@ class TestClosedForms:
         bell = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
         assert total_mutual_information(bell) == pytest.approx(2.0, abs=1e-12)
         assert total_mutual_information(classically_correlated()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_total_mutual_information_refuses_a_three_qubit_state(self):
+        with pytest.raises(ValueError, match=r"^expected a two-qubit state, got dims \(2, 2, 2\)$"):
+            total_mutual_information(DensityMatrix(np.eye(8) / 8, (2, 2, 2)))
 
     def test_bd_mutual_information_matches_measured(self):
         from compcorr.correlations import bd_mutual_information

@@ -21,13 +21,12 @@ from compcorr.states import (
     BellDiagonalParams,
     DensityMatrix,
     bd_spectrum,
-    _bell_eigenvalues,
     bell_diagonal,
+    bell_eigenvalues,
     family_eq15,
     is_physical,
-    random_density_matrix,
 )
-from testkit import random_bd_params
+from testkit import random_bd_params, random_density_matrix
 from compcorr.correlations import q1
 
 
@@ -152,7 +151,7 @@ def _triple_with_eigenvalue(k, lam_k, weights):
 
 def _exact_margin(c) -> Fraction:
     """lambda_max - 1/2 of the triple, in exact rational arithmetic."""
-    return max(_bell_eigenvalues(*map(Fraction, c))) - Fraction(1, 2)
+    return max(bell_eigenvalues(*map(Fraction, c))) - Fraction(1, 2)
 
 
 def test_rel_entropy_matches_an_exact_reference():
@@ -189,7 +188,7 @@ def _fraction_triples():
         st.tuples(*[st.sampled_from((-1, 1))] * 3),
     ).filter(lambda c: sum(map(abs, c)) - 1 <= Fraction(1, 10**12))
     return st.one_of(generic, face, near).map(lambda c: tuple(map(Fraction, c))).filter(
-        lambda c: min(_bell_eigenvalues(*c)) >= 0
+        lambda c: min(bell_eigenvalues(*c)) >= 0
     )
 
 
@@ -197,4 +196,4 @@ def _fraction_triples():
 @settings(max_examples=200, deadline=None)
 def test_l1_norm_of_the_triple_decides_entanglement_exactly(c):
     # |c1| + |c2| + |c3| > 1 <=> lambda_max > 1/2, in exact arithmetic
-    assert (sum(map(abs, c)) > 1) == (max(_bell_eigenvalues(*c)) > Fraction(1, 2))
+    assert (sum(map(abs, c)) > 1) == (max(bell_eigenvalues(*c)) > Fraction(1, 2))

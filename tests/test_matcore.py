@@ -16,11 +16,10 @@ from compcorr.matcore import (
     entropy_of_probabilities,
     fmt,
     kron,
-    partial_trace,
     pt_spectra,
 )
-from compcorr.states import PHI_PLUS, DensityMatrix, random_density_matrix
-from testkit import partial_transpose
+from compcorr.states import PHI_PLUS, DensityMatrix
+from testkit import partial_transpose, random_density_matrix
 
 
 def test_kron_identity():
@@ -75,30 +74,6 @@ def test_kron_of_stacks_is_each_kron_bit_for_bit():
         assert got[k].tobytes() == np.kron(np.kron(a[k], b[k]), c[k]).tobytes()
     # a single matrix broadcasts against a stack
     assert kron(a[0], b).tobytes() == np.stack([np.kron(a[0], m) for m in b]).tobytes()
-
-
-def test_partial_trace_bell():
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    np.testing.assert_allclose(partial_trace(rho, (2, 2), [0]), np.eye(2) / 2, atol=1e-14)
-
-
-def test_partial_trace_product():
-    rng = np.random.default_rng(1)
-    ra = random_density_matrix(rng, (2,)).matrix
-    rb = random_density_matrix(rng, (2,)).matrix
-    np.testing.assert_allclose(partial_trace(kron(ra, rb), (2, 2), [0]), ra, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(2)
-    rho = random_density_matrix(rng, (2, 2, 2)).matrix
-    reduced = partial_trace(rho, (2, 2, 2), [0, 1])
-    assert abs(np.trace(reduced).real - 1.0) < 1e-12
-
-
-def test_partial_trace_bad_index():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4) / 4, (2, 2), [2])
 
 
 def test_partial_transpose_bell_spectrum():

@@ -24,7 +24,6 @@ from compcorr.oracle import (
     mub_check,
     pauli_mub_bases,
     run_verification,
-    spectrum_crosscheck,
     verification_report,
 )
 from compcorr.states import (
@@ -37,9 +36,8 @@ from compcorr.states import (
     family_eq15,
     is_physical,
     random_bd_block,
-    random_density_matrix,
 )
-from testkit import partial_transpose, random_bd_params
+from testkit import partial_transpose, random_bd_params, random_density_matrix
 
 
 def _full_sphere_holevo_batch(rho, ns):
@@ -350,8 +348,8 @@ class TestMubCheck:
 
 class TestSpectrumCrosscheck:
     def test_examples(self):
-        assert spectrum_crosscheck(np.array([(0.0, 0.0, 0.0)])) == pytest.approx(0.0, abs=1e-14)
-        assert spectrum_crosscheck(np.array([(1.0, -1.0, 1.0)])) < 1e-12
+        assert check_spectra(np.array([(0.0, 0.0, 0.0)])).deviation == pytest.approx(0.0, abs=1e-14)
+        assert check_spectra(np.array([(1.0, -1.0, 1.0)])).deviation < 1e-12
 
     def test_sampled(self):
         rng = np.random.default_rng(53)
@@ -359,7 +357,7 @@ class TestSpectrumCrosscheck:
 
     def test_sequence_is_the_largest_single_deviation(self):
         triples = np.concatenate([random_bd_block(np.random.default_rng(57), 200), [(1.0, -1.0, 1.0)]])
-        assert spectrum_crosscheck(triples) == max(spectrum_crosscheck(c[None]) for c in triples)
+        assert check_spectra(triples).deviation == max(check_spectra(c[None]).deviation for c in triples)
 
 
 def _z_correlation_per_sample(samples):
@@ -412,9 +410,7 @@ def test_stacked_checks_are_the_per_sample_loops(n):
     assert list(map(_fields, check_ordered_frame(block))) == want
 
 
-@pytest.mark.parametrize(
-    "check", [check_spectra, check_holevo, check_z_correlation, check_ordered_frame, spectrum_crosscheck]
-)
+@pytest.mark.parametrize("check", [check_spectra, check_holevo, check_z_correlation, check_ordered_frame])
 def test_a_check_refuses_an_empty_sample_list(check):
     for empty in ([], np.empty((0, 3))):
         with pytest.raises(ValueError, match=f"^{check.__name__} needs at least one sample$"):

@@ -18,8 +18,8 @@ from compcorr.states import (
     bell_diagonal,
     bloch_decompose,
     is_physical,
-    random_density_matrix,
 )
+from testkit import random_density_matrix
 
 TOL = 1e-14
 

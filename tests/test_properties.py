@@ -11,7 +11,7 @@ from compcorr.entanglement import all_correlations_nonzero, is_separable_bd, neg
 from compcorr.entanglement import negativity_bd, rel_entropy_entanglement_bd
 from compcorr.matcore import PPT_TOL
 from compcorr.report import report_for_bd
-from compcorr.states import _BELL_SIGNS, BellDiagonalParams, _bell_eigenvalues, bd_spectrum, bell_diagonal
+from compcorr.states import _BELL_SIGNS, BellDiagonalParams, bd_spectrum, bell_diagonal, bell_eigenvalues
 from compcorr.states import is_physical
 from testkit import partial_transpose
 
@@ -246,7 +246,7 @@ def test_one_margin_decides_separability_negativity_and_e_r(p):
     separable = is_separable_bd(p)
     assert separable == (negativity_bd(p) == 0) == (rel_entropy_entanglement_bd(p) == 0)
     # the exact verdict wherever the exact margin is not within the tolerance
-    margin = max(_bell_eigenvalues(*map(Fraction, (p.c1, p.c2, p.c3)))) - Fraction(1, 2)
+    margin = max(bell_eigenvalues(*map(Fraction, (p.c1, p.c2, p.c3)))) - Fraction(1, 2)
     if margin <= 0:
         assert separable
     if margin > Fraction(2, 10**12):

@@ -10,7 +10,7 @@ from compcorr.correlations import bd_mutual_information, classical_correlation, 
 from compcorr.correlations import clamped_discord, correlation_bits, total_mutual_information
 from compcorr.entanglement import negativity, negativity_bd, rel_entropy_entanglement_bd
 from compcorr.matcore import LOG2, PPT_TOL, kron
-from compcorr.oracle import spectrum_crosscheck
+from compcorr.oracle import check_spectra
 from compcorr.report import report_for_bd, report_for_state
 from compcorr.states import BellDiagonalParams, DensityMatrix, bell_diagonal
 from testkit import random_bd_params
@@ -111,7 +111,7 @@ def test_report_work_count(monkeypatch):
     _count_small_array_calls(monkeypatch, counts)
     counts["__post_init__"] = 0
     _count_calls(monkeypatch, BellDiagonalParams, "__post_init__", counts)
-    for fn in (states.bloch_decompose, states.signed_svd, states.is_physical, states._bell_eigenvalues):
+    for fn in (states.bloch_decompose, states.signed_svd, states.is_physical, states.bell_eigenvalues):
         _count_everywhere(monkeypatch, fn, counts)
     for fn in _MEASURED_ROUTES + (classical_correlation, bd_mutual_information):
         _count_everywhere(monkeypatch, fn, counts)
@@ -124,7 +124,7 @@ def test_report_work_count(monkeypatch):
         "bloch_decompose": 1,
         "signed_svd": 1,
         "is_physical": 0,
-        "_bell_eigenvalues": 1,
+        "bell_eigenvalues": 1,
         "complementary_correlations": 0,
         "total_mutual_information": 0,
         "negativity": 0,
@@ -146,7 +146,7 @@ def test_triple_report_work_count(monkeypatch):
     _count_calls(monkeypatch, DensityMatrix, "__post_init__", built)
     counts["__post_init__"] = 0
     _count_calls(monkeypatch, BellDiagonalParams, "__post_init__", counts)
-    for fn in (states.bloch_decompose, states.signed_svd, states._bell_eigenvalues):
+    for fn in (states.bloch_decompose, states.signed_svd, states.bell_eigenvalues):
         _count_everywhere(monkeypatch, fn, counts)
     for fn in (classical_correlation, bd_mutual_information):
         _count_everywhere(monkeypatch, fn, counts)
@@ -159,7 +159,7 @@ def test_triple_report_work_count(monkeypatch):
         "__post_init__": 0,
         "bloch_decompose": 0,
         "signed_svd": 0,
-        "_bell_eigenvalues": 0,
+        "bell_eigenvalues": 0,
         "classical_correlation": 1,
         "bd_mutual_information": 1,
     }
@@ -283,5 +283,5 @@ def test_spectrum_crosscheck_solves_once(monkeypatch):
     # building the state solves it; reading its spectrum does not
     counts = {"eigvalsh": 0}
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
-    spectrum_crosscheck(np.array([(0.4, 0.1, -0.3)]))
+    check_spectra(np.array([(0.4, 0.1, -0.3)]))
     assert counts["eigvalsh"] == 1

@@ -13,6 +13,7 @@ measured references solve the matrices they derive from a state with no
 second check.
 """
 
+import ast
 import re
 from collections import Counter
 from pathlib import Path
@@ -26,7 +27,7 @@ from compcorr import report, states
 from compcorr.correlations import complementary_correlations, holevo_quantity, outcome_mutual_information
 from compcorr.correlations import outcome_tables, total_mutual_information
 from compcorr.edss import CUT_FACTORS, PERM_AC, PERM_BC, STAGES, ancilla_state, edss_useful, run_protocol
-from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, entropy_of_probabilities, kron, partial_trace
+from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, entropy_of_probabilities, kron
 from compcorr.oracle import check_z_correlation, discord_numeric, maximize_holevo, run_verification
 from compcorr.states import (
     _BELL_SIGNS,
@@ -36,10 +37,9 @@ from compcorr.states import (
     bell_diagonal,
     is_physical,
     random_bd_block,
-    random_density_matrix,
     signed_svd,
 )
-from testkit import partial_transpose, random_bd_params
+from testkit import partial_transpose, random_bd_params, random_density_matrix
 
 seeds = st.integers(0, 2**32 - 1)
 physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical)
@@ -140,6 +140,17 @@ def test_a_state_accepted_within_the_hermiticity_tolerance_is_measured():
         assert abs(measure(rho) - measure(hermitian)) <= 1e-9
 
 
+def test_a_light_branch_of_an_accepted_state_is_measured():
+    # least eigenvalue -5e-11, under STATE_TOL; Bob's z outcome 1 has weight
+    # 9.5e-10, so its conditional state x / p has eigenvalue -5e-11 / p =
+    # -0.053, which is noise on rho's scale. chi along z is S(rho_A) plus
+    # 7.4e-11 from that branch, and z is the grid's maximizer
+    rho = DensityMatrix(np.diag([1 - 1e-9 + 5e-11, -5e-11, 0, 1e-9]), (2, 2))
+    chi = holevo_quantity(rho, [0.0, 0.0, 1.0])
+    assert abs(chi - entropy_of_probabilities([1 - 1e-9, 1e-9])) <= 1e-10
+    assert maximize_holevo(rho, (16, 32)).value == chi
+
+
 def test_verification_builds_objects_only_for_the_holevo_grid(monkeypatch):
     # every sample but check_holevo's 20 is a row of a block: the 1,000 +
     # 200 + 1,000 triples are never objects. The spectra are one stacked
@@ -193,16 +204,6 @@ def test_bd_matrix_stack_is_its_rows(n):
 def test_bell_diagonal_is_the_pauli_contraction_on_seeded_triples():
     for p in random_bd_params(np.random.default_rng(22), 5000):
         assert bell_diagonal(p).matrix.tobytes() == _pauli_contraction(p).tobytes()
-
-
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_trace_over_c_is_the_partial_trace(seed):
-    # Tr_C as two slices of the (2,)*6 view, added once
-    m = random_density_matrix(np.random.default_rng(seed), (2, 2, 2)).matrix
-    r = m.reshape((2,) * 6)
-    slice_sum = (r[:, :, 0, :, :, 0] + r[:, :, 1, :, :, 1]).reshape(4, 4)
-    assert slice_sum.tobytes() == partial_trace(m, (2, 2, 2), [0, 1]).tobytes()
 
 
 def _validated_route(rho4, anc2):
@@ -306,6 +307,20 @@ def test_no_state_skips_the_public_constructor():
     # a state made with object.__new__ would carry fields that no check saw
     root = Path(__file__).resolve().parent.parent / "src"
     assert not [p.name for p in root.rglob("*.py") if "object.__new__(" in p.read_text()]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a `_` name is its module's own: code another module reads gets a public name
+    root = Path(__file__).resolve().parent.parent / "src" / "compcorr"
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.split(".")[0] == "compcorr")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 @given(seeds, st.integers(0, 3), st.booleans(), st.booleans())

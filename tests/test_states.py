@@ -24,13 +24,12 @@ from compcorr.states import (
     is_physical,
     load_state,
     random_bd_block,
-    random_density_matrix,
     round_onto_tetrahedron,
     save_state,
     signed_svd,
     werner,
 )
-from testkit import random_bd_params
+from testkit import random_bd_params, random_density_matrix
 
 
 def _rejection_loop(rng, n):

@@ -1,10 +1,10 @@
-"""Helpers the tests share: checked Bell-diagonal draws as objects, and the
-swapaxes partial transpose that is the reference for `matcore.pt_spectra`'s
-gather. pytest puts this directory on sys.path, so tests import it by name."""
+"""Helpers the tests share: checked Bell-diagonal draws as objects, Ginibre
+random states, and the swapaxes partial transpose that is the reference for
+`matcore.pt_spectra`'s gather. pytest puts this directory on sys.path, so tests import it by name."""
 
 import numpy as np
 
-from compcorr.states import BellDiagonalParams, random_bd_block
+from compcorr.states import BellDiagonalParams, DensityMatrix, random_bd_block
 
 
 def random_bd_params(rng: np.random.Generator, n: int | None = None):
@@ -14,6 +14,15 @@ def random_bd_params(rng: np.random.Generator, n: int | None = None):
     if n is None:
         return BellDiagonalParams(*random_bd_block(rng, 1)[0].tolist())
     return [BellDiagonalParams(*c) for c in random_bd_block(rng, n).tolist()]
+
+
+def random_density_matrix(rng: np.random.Generator, dims) -> DensityMatrix:
+    """Ginibre-distributed full-rank random state."""
+    dims = tuple(dims)
+    d = int(np.prod(dims))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real, dims)
 
 
 def partial_transpose(m: np.ndarray, dims, factor: int) -> np.ndarray:
