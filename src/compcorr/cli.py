@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from .edss import ancilla_state, edss_useful, run_protocol, sweep, sweep_csv, sweep_summary
-from .entanglement import negativity_bd, require_separable
+from .entanglement import require_separable
 from .matcore import fmt
 from .oracle import run_verification, verification_report
 from .report import report_for_bd
@@ -82,17 +82,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _trace_doc(trace, p: BellDiagonalParams) -> dict:
+def _trace_doc(trace) -> dict:
     doc = {
         "success": trace.success,
         "send_step_ppt": trace.send_step_ppt,
-        # the A|B negativity of Tr_C after both CNOTs is the input's. Together
-        # the CNOTs add a XOR b to the ancilla's bit, so an entry of rho_AB
-        # between basis states of equal parity a XOR b comes back from Tr_C
-        # unchanged, times Tr of the ancilla, which is 1. Every nonzero entry
-        # of a Bell-diagonal rho_AB is of that kind, so Tr_C returns rho_AB
-        # exactly, for every ancilla, and on a separable input this is 0.
-        "final_ab_negativity": negativity_bd(p),
         "stages": {},
     }
     for stage, verdicts in trace.stage_verdicts.items():
@@ -113,14 +106,14 @@ def _cmd_edss(args) -> int:
         result = edss_useful(p)  # refuses an entangled p
         doc = {}
         if result.trace is not None:  # with no witness there is no ancilla worth tracing
-            doc = _trace_doc(result.trace, p)
+            doc = _trace_doc(result.trace)
         doc["edss_useful"] = result.useful
         doc["witness"] = None if result.witness is None else list(result.witness)
         doc["r_a"] = result.r_a
         doc["s_c"] = result.s_c
     else:
         require_separable(p)
-        doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*args.ancilla)), p)
+        doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*args.ancilla)))
         doc["ancilla"] = list(args.ancilla)
     if not np.array_equal([RA, RB], [IDENTITY_FRAME] * 2):  # trace and witness are of the rotated state
         doc["rotations"] = [RA.tolist(), RB.tolist()]

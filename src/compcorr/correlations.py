@@ -111,7 +111,7 @@ def holevo_quantity(rho: DensityMatrix, n) -> float:
             lam = np.linalg.eigvalsh(x / p)
             np.maximum(lam, 0.0, out=lam, where=p * lam >= -EIG_CLAMP_TOL)
             cond_term += p * entropy_of_probabilities(lam)
-    return entropy_of_probabilities(np.linalg.eigvalsh(avg)) - cond_term
+    return float(entropy_of_probabilities(np.linalg.eigvalsh(avg)) - cond_term)
 
 
 def correlation_bits(c: float) -> float:

@@ -55,7 +55,10 @@ search over the whole ancilla ball that solves the 8x8 send-step cuts of
 all its grid points as one stacked eigensolve.
 
 `run_protocol` reports its stages' PPT verdicts from one stacked eigensolve,
-and no A|B negativity after both CNOTs: that is the input's `negativity_bd`.
+and nothing of the A|B state after both CNOTs, which is the input for every
+ancilla: together the CNOTs add a XOR b to the ancilla's bit, so Tr_C
+returns each entry of rho_AB between basis states of equal parity a XOR b,
+and every nonzero entry of a Bell-diagonal rho_AB is one of those.
 """
 
 import itertools

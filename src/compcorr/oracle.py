@@ -33,7 +33,7 @@ from .matcore import bloch_vector, kron, pt_spectra
 from .states import BellDiagonalParams, DensityMatrix, bd_block, bd_matrix, bell_diagonal, bell_eigenvalues
 from .states import random_bd_block, sample_count
 
-DEFAULT_RESOLUTION = (90, 180)
+N_POLAR, N_AZIMUTH = 90, 180  # the coarse polar x azimuthal grid of `maximize_holevo`
 REFINE_ROUNDS = 5
 HOLEVO_STACK = 20  # states per lockstep pass of `maximize_holevo`
 # (state, direction) pairs per block of `_holevo_batch`, chosen by timing
@@ -115,12 +115,12 @@ def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _direction_grid(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.cache
+def _direction_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (thetas, phis, Bloch vectors) of the coarse grid's polar
-    rows theta <= pi/2, the first ceil(n_polar / 2) of n_polar, row-major."""
-    thetas = np.linspace(0.0, np.pi, n_polar)[: (n_polar + 1) // 2]
-    phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
+    rows theta <= pi/2, the first ceil(N_POLAR / 2) of N_POLAR, row-major."""
+    thetas = np.linspace(0.0, np.pi, N_POLAR)[: (N_POLAR + 1) // 2]
+    phis = np.linspace(0.0, 2 * np.pi, N_AZIMUTH, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     grid = (thetas, phis, bloch_vector(tt.ravel(), pp.ravel()))
     for arr in grid:
@@ -134,19 +134,16 @@ class OptimizationResult:
     argmax_bloch: np.ndarray
 
 
-def maximize_holevo(rho, resolution: tuple[int, int] = DEFAULT_RESOLUTION):
+def maximize_holevo(rho):
     """Grid-maximize the Holevo quantity over Bob's measurement Bloch vector:
     an `OptimizationResult` for one state, or a tuple of them, one per
     state, for a sequence of states.
 
     chi(n) = chi(-n) for every two-qubit state: measuring along -n swaps
     the two outcomes and leaves Alice's ensemble as it was. So the coarse
-    polar x azimuthal grid covers only the rows theta <= pi/2. With an even
-    n_azimuth the antipode of each of those points is a point of the full
-    grid, which therefore adds no direction; with an odd n_azimuth it is
-    not, and the hemisphere samples measurement directions more coarsely
-    than the full sphere. REFINE_ROUNDS local passes with halved steps
-    follow around the running best. Grid ties break to the
+    N_POLAR x N_AZIMUTH grid covers only the rows theta <= pi/2, whose
+    antipodes make up the rest of it. REFINE_ROUNDS local passes with
+    halved steps follow around the running best. Grid ties break to the
     lexicographically smallest (polar, azimuthal) index pair. The returned
     value is recomputed through `holevo_quantity` at the winning direction.
 
@@ -154,27 +151,22 @@ def maximize_holevo(rho, resolution: tuple[int, int] = DEFAULT_RESOLUTION):
     `_holevo_batch` for the coarse pass and one per refinement round. Each
     result is bit for bit that of the state alone.
     """
-    n_polar, n_azimuth = resolution
-    if n_polar < 8 or n_azimuth < 8:
-        raise ValueError("need at least 8 grid points per angle")
     if isinstance(rho, DensityMatrix):
-        return _maximize_stack((rho,), n_polar, n_azimuth)[0]
+        return _maximize_stack((rho,))[0]
     states = tuple(rho)
     return tuple(
-        opt
-        for i in range(0, len(states), HOLEVO_STACK)
-        for opt in _maximize_stack(states[i : i + HOLEVO_STACK], n_polar, n_azimuth)
+        opt for i in range(0, len(states), HOLEVO_STACK) for opt in _maximize_stack(states[i : i + HOLEVO_STACK])
     )
 
 
-def _maximize_stack(states, n_polar: int, n_azimuth: int) -> list[OptimizationResult]:
+def _maximize_stack(states) -> list[OptimizationResult]:
     rows = np.stack([_alice_rows(rho) for rho in states])
-    thetas, phis, ns = _direction_grid(n_polar, n_azimuth)
+    thetas, phis, ns = _direction_grid()
     best = np.argmax(_holevo_batch(rows, ns), axis=1)  # first occurrence = lexicographic tie-break
-    th, ph = thetas[best // n_azimuth], phis[best % n_azimuth]
+    th, ph = thetas[best // N_AZIMUTH], phis[best % N_AZIMUTH]
 
-    step_t = np.pi / (n_polar - 1) / 2
-    step_p = 2 * np.pi / n_azimuth / 2
+    step_t = np.pi / (N_POLAR - 1) / 2
+    step_p = 2 * np.pi / N_AZIMUTH / 2
     offsets = np.array([-2, -1, 0, 1, 2])
     pick = np.arange(len(states))
     for _ in range(REFINE_ROUNDS):
@@ -192,11 +184,9 @@ def _maximize_stack(states, n_polar: int, n_azimuth: int) -> list[OptimizationRe
     ]
 
 
-def discord_numeric(
-    rho: DensityMatrix, resolution: tuple[int, int] = DEFAULT_RESOLUTION
-) -> float:
+def discord_numeric(rho: DensityMatrix) -> float:
     """Total mutual information minus the grid-maximized Holevo quantity."""
-    return total_mutual_information(rho) - maximize_holevo(rho, resolution).value
+    return total_mutual_information(rho) - maximize_holevo(rho).value
 
 
 def _ancilla_grid(n_polar: int, n_azimuth: int) -> list[tuple[float, float, float]]:

@@ -130,12 +130,6 @@ class BlochDecomposition:
     T: np.ndarray
 
 
-# the Bell vectors, in the order of _BELL_LABELS
-PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = np.array(
-    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
-) * (1 / np.sqrt(2))
-
-
 def bd_matrix(c1, c2, c3) -> np.ndarray:
     """The matrix (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n) from its 8
     nonzero entries: (1 +- c3)/4 on the diagonal, (c1 - c2)/4 at (0, 3) and
@@ -196,14 +190,11 @@ def signed_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def family_eq15(c3: float) -> DensityMatrix:
-    """Mixture (1+c3)/2 |psi+><psi+| + (1-c3)/2 |phi+><phi+| for |c3| <= 1."""
+    """Mixture (1+c3)/2 |psi+><psi+| + (1-c3)/2 |phi+><phi+|, c = (1, c3, -c3), for |c3| <= 1."""
     c3 = float(c3)
     if abs(c3) > 1:
         raise ValueError(f"c3 = {c3} outside [-1, 1]")
-    m = (1 + c3) / 2 * np.outer(PSI_PLUS, PSI_PLUS.conj()) + (1 - c3) / 2 * np.outer(
-        PHI_PLUS, PHI_PLUS.conj()
-    )
-    return DensityMatrix(m, (2, 2))
+    return bell_diagonal(BellDiagonalParams(1.0, c3, -c3))
 
 
 def werner(p: float) -> DensityMatrix:
@@ -214,16 +205,12 @@ def werner(p: float) -> DensityMatrix:
     p = float(p)
     if not (-1 / 3 - PHYSICALITY_TOL <= p <= 1 + PHYSICALITY_TOL):
         raise ValueError(f"Werner weight {p} outside physical range [-1/3, 1]")
-    m = p * np.outer(PSI_MINUS, PSI_MINUS.conj()) + (1 - p) * np.eye(4) / 4
-    return DensityMatrix(m, (2, 2))
+    return bell_diagonal(BellDiagonalParams(-p, -p, -p))
 
 
 def classically_correlated() -> DensityMatrix:
     """The state (|00><00| + |11><11|) / 2, Bell-diagonal with c = (0, 0, 1)."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 0.5
-    m[3, 3] = 0.5
-    return DensityMatrix(m, (2, 2))
+    return bell_diagonal(BellDiagonalParams(0.0, 0.0, 1.0))
 
 
 def round_onto_tetrahedron(c) -> BellDiagonalParams:

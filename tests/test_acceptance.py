@@ -28,7 +28,6 @@ from compcorr.oracle import (
     discord_numeric,
 )
 from compcorr.states import (
-    PHI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
@@ -38,7 +37,7 @@ from compcorr.states import (
     is_physical,
     random_bd_block,
 )
-from testkit import partial_transpose, random_bd_params, random_density_matrix
+from testkit import PHI_PLUS, partial_transpose, random_bd_params, random_density_matrix
 
 # frozen references for the discord comparison (criterion 6)
 DISCORD_FULL_REF = 0.25

@@ -282,30 +282,16 @@ class TestEdss:
         assert doc["success"] is True
         assert doc["ancilla"] == [1.3659098493868664, 0.0, 0.8]
 
-    def test_final_ab_negativity_is_analyze_negativity(self, capsys):
-        # Tr_C after both CNOTs returns a Bell-diagonal rho_AB exactly, so the
-        # field is the input's negativity_bd: 0 on every input that edss
-        # accepts, one 5e-13 outside the octahedron included
+    def test_an_input_5e_13_outside_the_octahedron_is_traced_as_separable(self, capsys):
+        # exact sum |c_k| = 1 + 5e-13, so entangled; analyze reads its
+        # negativity as 0 and edss accepts it and prints a successful trace
         def fields(args):
             assert main(args) == 0
             return dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
 
         edge = ["--bd=0.1,0.2,-0.7000000000005"]
-        assert fields(["edss", *edge])["final_ab_negativity"] == "0" == fields(["analyze", *edge])["negativity"]
-        rng = np.random.default_rng(27)
-        separable = traced = 0
-        for p in random_bd_params(rng, 40):
-            if sum(map(abs, (p.c1, p.c2, p.c3))) > 1:
-                continue
-            bd = [f"--bd={p.c1!r},{p.c2!r},{p.c3!r}"]
-            want = fields(["analyze", *bd])["negativity"]
-            ancilla = f"--ancilla={rng.uniform(0, np.pi)!r},{rng.uniform(0, 2 * np.pi)!r},{rng.uniform(0, 1)!r}"
-            auto = fields(["edss", *bd])
-            traced += "final_ab_negativity" in auto  # only a witness prints a trace
-            fixed = fields(["edss", *bd, ancilla])
-            assert auto.get("final_ab_negativity", want) == fixed["final_ab_negativity"] == want
-            separable += 1
-        assert separable >= 10 and traced >= 5
+        assert fields(["edss", *edge])["success"] == "true"
+        assert fields(["analyze", *edge])["negativity"] == "0"
 
     def test_non_finite_ancilla_rejected(self, capsys):
         assert main(["edss", "--bd", "0.3,-0.3,0.3", "--ancilla", "nan,0"]) == 2

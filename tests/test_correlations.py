@@ -22,7 +22,6 @@ from compcorr.correlations import (
 from compcorr.matcore import LOG2, STATE_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron
 from compcorr.oracle import check_z_correlation
 from compcorr.states import (
-    PHI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
@@ -30,7 +29,7 @@ from compcorr.states import (
     is_physical,
     random_bd_block,
 )
-from testkit import random_bd_params, random_density_matrix
+from testkit import PHI_PLUS, random_bd_params, random_density_matrix
 
 
 def binary_entropy(x):

@@ -17,7 +17,6 @@ from compcorr.entanglement import (
 from compcorr.matcore import kron, pt_spectra
 from compcorr.states import (
     _BELL_SIGNS,
-    PHI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
     bd_spectrum,
@@ -26,7 +25,7 @@ from compcorr.states import (
     family_eq15,
     is_physical,
 )
-from testkit import random_bd_params, random_density_matrix
+from testkit import PHI_PLUS, random_bd_params, random_density_matrix
 from compcorr.correlations import q1
 
 

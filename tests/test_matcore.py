@@ -18,8 +18,8 @@ from compcorr.matcore import (
     kron,
     pt_spectra,
 )
-from compcorr.states import PHI_PLUS, DensityMatrix
-from testkit import partial_transpose, random_density_matrix
+from compcorr.states import DensityMatrix
+from testkit import PHI_PLUS, partial_transpose, random_density_matrix
 
 
 def test_kron_identity():

@@ -93,37 +93,33 @@ def test_holevo_quantity_is_even_in_the_direction(seed, theta, phi):
     assert abs(holevo_quantity(rho, n) - holevo_quantity(rho, -n)) <= 1e-14
 
 
-@pytest.mark.parametrize("resolution, count", [((90, 180), 4), ((16, 32), 12)])
-def test_hemisphere_maximum_matches_the_full_sphere(resolution, count):
+def test_hemisphere_maximum_matches_the_full_sphere():
     rng = np.random.default_rng(55)
-    states = [bell_diagonal(random_bd_params(rng)) for _ in range(count)]
-    states += [random_density_matrix(rng, (2, 2)) for _ in range(count)]
+    states = [bell_diagonal(random_bd_params(rng)) for _ in range(4)]
+    states += [random_density_matrix(rng, (2, 2)) for _ in range(4)]
     for rho in states:
-        want, n_want = _full_sphere_maximize(rho, *resolution)
-        got = maximize_holevo(rho, resolution)
+        want, n_want = _full_sphere_maximize(rho, oracle.N_POLAR, oracle.N_AZIMUTH)
+        got = maximize_holevo(rho)
         assert abs(got.value - want) <= 1e-15
         n_got = got.argmax_bloch
         assert min(np.max(np.abs(n_got - n_want)), np.max(np.abs(n_got + n_want))) <= 1e-12
 
 
-@pytest.mark.parametrize("resolution, count", [((90, 180), 3), ((16, 32), 12), ((9, 11), 12)])
-def test_holevo_on_a_sequence_is_each_single_call(resolution, count):
-    # 2 * count states cross the HOLEVO_STACK boundary at the smaller grids
+def test_holevo_on_a_sequence_is_each_single_call():
     rng = np.random.default_rng(56)
-    states = [bell_diagonal(p) for p in random_bd_params(rng, count)]
-    states += [random_density_matrix(rng, (2, 2)) for _ in range(count)]
-    got = maximize_holevo(states, resolution)
+    states = [bell_diagonal(p) for p in random_bd_params(rng, 11)]
+    states += [random_density_matrix(rng, (2, 2)) for _ in range(11)]
+    assert len(states) > oracle.HOLEVO_STACK
+    got = maximize_holevo(states)
     assert isinstance(got, tuple) and len(got) == len(states)
     for rho, opt in zip(states, got):
-        want = maximize_holevo(rho, resolution)
+        want = maximize_holevo(rho)
         assert opt.value == want.value
         assert opt.argmax_bloch.tobytes() == want.argmax_bloch.tobytes()
-    assert maximize_holevo([], resolution) == ()
+    assert maximize_holevo([]) == ()
 
 
-# (9, 11): an odd n_polar keeps the equator row theta = pi/2
-@pytest.mark.parametrize("resolution", [(90, 180), (16, 32), (9, 11)])
-def test_holevo_batch_sees_the_hemisphere_grid_and_refinement(monkeypatch, resolution):
+def test_holevo_batch_sees_the_hemisphere_grid_and_refinement(monkeypatch):
     sizes = []
     original = oracle._holevo_batch
 
@@ -132,9 +128,8 @@ def test_holevo_batch_sees_the_hemisphere_grid_and_refinement(monkeypatch, resol
         return original(rows, ns)
 
     monkeypatch.setattr(oracle, "_holevo_batch", counting)
-    maximize_holevo(bell_diagonal(BellDiagonalParams(0.45, -0.2, 0.3)), resolution)
-    n_polar, n_azimuth = resolution
-    assert sizes == [math.ceil(n_polar / 2) * n_azimuth] + [25] * oracle.REFINE_ROUNDS
+    maximize_holevo(bell_diagonal(BellDiagonalParams(0.45, -0.2, 0.3)))
+    assert sizes == [math.ceil(oracle.N_POLAR / 2) * oracle.N_AZIMUTH] + [25] * oracle.REFINE_ROUNDS
 
 
 def _holevo_batch_one_pass(rows, ns):
@@ -167,7 +162,7 @@ def test_holevo_blocks_are_the_one_pass_bit_for_bit():
     states += [random_density_matrix(rng, (2, 2)) for _ in range(12)]
     assert len(states) > oracle.HOLEVO_STACK
     rows = np.stack([oracle._alice_rows(rho) for rho in states])
-    _, _, ns = oracle._direction_grid(90, 180)
+    _, _, ns = oracle._direction_grid()
     per_stack = oracle._HOLEVO_BLOCK // oracle.HOLEVO_STACK
     assert len(ns) > per_stack and len(ns) % per_stack != 0
     for stack in (rows[: oracle.HOLEVO_STACK], rows):
@@ -182,7 +177,7 @@ def test_holevo_blocks_are_the_one_pass_bit_for_bit():
 
 class TestMaximizeHolevo:
     def test_maximally_mixed(self):
-        opt = maximize_holevo(bell_diagonal(BellDiagonalParams(0, 0, 0)), (16, 32))
+        opt = maximize_holevo(bell_diagonal(BellDiagonalParams(0, 0, 0)))
         assert opt.value == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_closed_form(self):
@@ -199,19 +194,9 @@ class TestMaximizeHolevo:
         rng = np.random.default_rng(50)
         for _ in range(5):
             p = random_bd_params(rng)
-            opt = maximize_holevo(bell_diagonal(p), (16, 32))
+            opt = maximize_holevo(bell_diagonal(p))
             direct = holevo_quantity(bell_diagonal(p), opt.argmax_bloch / np.linalg.norm(opt.argmax_bloch))
             assert opt.value == pytest.approx(direct, abs=1e-12)
-
-    def test_monotone_in_resolution(self):
-        rho = bell_diagonal(BellDiagonalParams(0.45, -0.2, 0.3))
-        vals = [maximize_holevo(rho, (n, 2 * n)).value for n in (8, 16, 32, 64)]
-        for lo, hi in zip(vals, vals[1:]):
-            assert hi >= lo - 1e-12
-
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            maximize_holevo(bell_diagonal(BellDiagonalParams(0, 0, 0)), (4, 4))
 
 
 class TestDiscordNumeric:
@@ -230,7 +215,7 @@ class TestDiscordNumeric:
     def test_nonnegative(self):
         rng = np.random.default_rng(51)
         for _ in range(10):
-            assert discord_numeric(bell_diagonal(random_bd_params(rng)), (30, 60)) > -1e-6
+            assert discord_numeric(bell_diagonal(random_bd_params(rng))) > -1e-6
 
     def test_agrees_with_closed_form_sampled(self):
         rng = np.random.default_rng(52)
@@ -471,10 +456,6 @@ PINNED_DEVIATIONS = {
 def test_verification_deviations_are_pinned_bit_for_bit(seed):
     checks = run_verification(seed, 1000)
     assert [c.deviation.hex() for c in checks] == list(PINNED_DEVIATIONS[seed])
-    # the Holevo grid's deviations and verdicts are numpy scalars, every other one a Python float and bool
-    holevo = [c.name in ("classical-correlation-vs-grid-maximum", "closed-form-discord-vs-numeric") for c in checks]
-    assert [type(c.deviation) for c in checks] == [np.float64 if h else float for h in holevo]
-    assert [type(c.passed) for c in checks] == [np.bool_ if h else bool for h in holevo]
     assert all(c.passed for c in checks)
 
 
@@ -499,6 +480,11 @@ class TestVerificationSuite:
             ("ordered-frame-q1-plus-c-below-i", 1e-12),
         ]
         assert all(c.passed for c in checks), verification_report(checks)
+
+    def test_verdicts_and_deviations_are_python_scalars(self):
+        # so that a result serialises: json.dumps refuses numpy.bool
+        for c in run_verification(seed=0, samples=50):
+            assert type(c.passed) is bool and type(c.deviation) is float, c
 
     def test_all_checks_pass(self):
         checks = run_verification(seed=7, samples=200)

@@ -134,8 +134,8 @@ def test_a_state_accepted_within_the_hermiticity_tolerance_is_measured():
     for measure in (
         lambda s: holevo_quantity(s, [0.0, 0.0, 1.0]),
         total_mutual_information,
-        lambda s: maximize_holevo(s, (16, 32)).value,
-        lambda s: discord_numeric(s, (16, 32)),
+        lambda s: maximize_holevo(s).value,
+        discord_numeric,
     ):
         assert abs(measure(rho) - measure(hermitian)) <= 1e-9
 
@@ -148,7 +148,7 @@ def test_a_light_branch_of_an_accepted_state_is_measured():
     rho = DensityMatrix(np.diag([1 - 1e-9 + 5e-11, -5e-11, 0, 1e-9]), (2, 2))
     chi = holevo_quantity(rho, [0.0, 0.0, 1.0])
     assert abs(chi - entropy_of_probabilities([1 - 1e-9, 1e-9])) <= 1e-10
-    assert maximize_holevo(rho, (16, 32)).value == chi
+    assert maximize_holevo(rho).value == chi
 
 
 def test_verification_builds_objects_only_for_the_holevo_grid(monkeypatch):

@@ -10,8 +10,6 @@ from compcorr.matcore import PHYSICALITY_TOL, kron
 from compcorr.oracle import check_spectra
 from compcorr.states import (
     PAULI_PRODUCTS,
-    PHI_PLUS,
-    PSI_PLUS,
     BellDiagonalParams,
     DensityMatrix,
     bd_block,
@@ -29,7 +27,7 @@ from compcorr.states import (
     signed_svd,
     werner,
 )
-from testkit import random_bd_params, random_density_matrix
+from testkit import PHI_PLUS, PSI_MINUS, PSI_PLUS, random_bd_params, random_density_matrix
 
 
 def _rejection_loop(rng, n):
@@ -287,6 +285,18 @@ class TestFamilies:
     def test_family_pure_limit(self):
         rho = family_eq15(1.0)
         np.testing.assert_allclose(rho.matrix, np.outer(PSI_PLUS, PSI_PLUS.conj()), atol=1e-14)
+
+    def test_families_are_their_bell_vector_mixtures(self):
+        def proj(v):
+            return np.outer(v, v.conj())
+
+        for c3 in np.linspace(-1, 1, 41):
+            want = (1 + c3) / 2 * proj(PSI_PLUS) + (1 - c3) / 2 * proj(PHI_PLUS)
+            np.testing.assert_allclose(family_eq15(c3).matrix, want, rtol=0, atol=1e-15)
+        for p in np.linspace(-1 / 3, 1, 41):
+            want = p * proj(PSI_MINUS) + (1 - p) * np.eye(4) / 4
+            np.testing.assert_allclose(werner(p).matrix, want, rtol=0, atol=1e-15)
+        assert classically_correlated().matrix.tobytes() == np.diag([0.5, 0, 0, 0.5]).astype(complex).tobytes()
 
     def test_family_boundary(self):
         np.testing.assert_allclose(family_eq15(0.0).spectrum(), [0, 0, 0.5, 0.5], atol=1e-12)
