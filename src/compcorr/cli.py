@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -177,6 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes "-0.5,..." for an option, not in "--bd=-0.5,..."
+        if argv[i - 1] in ("--bd", "--ancilla") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -50,9 +50,9 @@ c1 c2 < 0; the psi pair is the mirror case, c3 < 0 and c1 c2 > 0.
 floating point, and certifies its witness r = (r_a + s_c)/2 with one
 `run_protocol`. Within about 1e-10 of a face the window (r_a, s_c] is below
 rounding and the certification can fail; the result is then useful with no
-witness. `oracle.edss_useful_numeric` is the numeric reference: a grid
-search over the whole ancilla ball that solves the 8x8 send-step cuts of
-all its grid points as one stacked eigensolve.
+witness. `oracle.edss_useful_numeric` is the numeric reference: one fixed
+grid over the whole ancilla ball, whose 8x8 send-step cuts are all solved
+as one stacked eigensolve.
 
 `run_protocol` reports its stages' PPT verdicts from one stacked eigensolve,
 and nothing of the A|B state after both CNOTs, which is the input for every

@@ -1,11 +1,11 @@
 """Independent brute-force verifiers.
 
 The grid maximizer of the Holevo quantity is the oracle for the closed-form
-classical correlation; numeric discord follows from it. The stacked 8x8
-ancilla grid search is the oracle for the exact EDSS rule: the A|BC cut of
-every grid ancilla is one stacked eigensolve, and the C|AB cut a second
-one where A|BC is NPT. Also here: the mutual-unbiasedness checker and the
-closed-form-vs-eigensolver spectrum cross-check. Each cross-check of the seeded suite behind
+classical correlation; numeric discord follows from it. One fixed ancilla
+grid is the oracle for the exact EDSS rule: the 8x8 A|BC and C|AB cuts of
+all 1,280 grid ancillas are one stacked eigensolve. Also here: the
+mutual-unbiasedness checker and the closed-form-vs-eigensolver spectrum
+cross-check. Each cross-check of the seeded suite behind
 `compcorr verify` is one `check_*` function of its input samples; the
 tests call the same functions on their own seeds. Every check takes its
 Bell-diagonal samples as one (n, 3) block checked by `states.bd_block`,
@@ -19,7 +19,6 @@ number is bit for bit that of the same work done one sample at a time.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,15 @@ HOLEVO_STACK = 20  # states per lockstep pass of `maximize_holevo`
 # (state, direction) pairs per block of `_holevo_batch`, chosen by timing
 # `check_holevo`: 4,096 to 16,384 ran alike, 2,560 was 15-20% slower
 _HOLEVO_BLOCK = 8192
-ANCILLA_RADII = (1.0, 0.8, 0.6, 0.4, 0.2)
+# the (theta, phi, radius) ancillas of `edss_useful_numeric`: radii 0.1 .. 1.0
+# outermost, then 8 polar angles, then 16 azimuths
+ANCILLA_GRID = np.stack(
+    np.meshgrid(
+        np.arange(1, 11) / 10, np.linspace(0.0, np.pi, 8), np.linspace(0.0, 2 * np.pi, 16, endpoint=False), indexing="ij"
+    ),
+    axis=-1,
+).reshape(-1, 3)[:, [1, 2, 0]]
+ANCILLA_GRID.flags.writeable = False
 
 OVERLAP_CONVENTION_NOTE = (
     "convention: mutual unbiasedness is checked on squared cross-basis overlaps, "
@@ -189,74 +196,31 @@ def discord_numeric(rho: DensityMatrix) -> float:
     return total_mutual_information(rho) - maximize_holevo(rho).value
 
 
-def _ancilla_grid(n_polar: int, n_azimuth: int) -> list[tuple[float, float, float]]:
-    """The (theta, phi, radius) grid, radius outermost, then theta, then phi."""
-    thetas = np.linspace(0.0, np.pi, n_polar)
-    phis = np.linspace(0.0, 2 * np.pi, n_azimuth, endpoint=False)
-    return [(th, ph, r) for r in ANCILLA_RADII for th in thetas for ph in phis]
-
-
-def _ancilla_refinement(center: tuple[float, float, float], n_polar: int, n_azimuth: int):
-    th0, ph0, r0 = center
-    dth = 0.5 * np.pi / max(n_polar - 1, 1)
-    dph = 0.5 * 2 * np.pi / n_azimuth
-    dr = 0.5 * (max(ANCILLA_RADII) - min(ANCILLA_RADII)) / (len(ANCILLA_RADII) - 1)
-    return [
-        (min(max(th0 + i * dth, 0.0), np.pi), (ph0 + j * dph) % (2 * np.pi), min(max(r0 + k * dr, 0.0), 1.0))
-        for k in (-1, 0, 1)
-        for i, j in itertools.product((-2, -1, 0, 1, 2), repeat=2)
-    ]
-
-
-def _scan_ancillas(rho4: np.ndarray, points) -> tuple[np.ndarray, int | None, bool]:
-    """Both send-step verdicts of the protocol on rho4 for every ancilla in
-    points: (the A|BC minima, the index of the first clean success or None,
-    whether an NPT send step came before it). The C|AB cut is solved only
-    where A|BC is NPT."""
-    th, ph, r = np.array(points).T
-    anc = bloch_operator(r[:, None] * bloch_vector(th, ph))
-    # rho4 (x) ancilla for every ancilla, then Alice's CNOT: index by PERM_AC
-    rabc = kron(rho4, anc)[:, PERM_AC[:, None], PERM_AC]
-    m_a = pt_spectra(rabc, (2, 2, 2), (0,))[:, 0, 0]
-    npt = np.flatnonzero(m_a < -PPT_TOL)
-    clean = pt_spectra(rabc[npt], (2, 2, 2), (2,))[:, 0, 0] >= -PPT_TOL
-    first = int(np.argmax(clean)) if clean.any() else len(npt)
-    return m_a, (int(npt[first]) if first < len(npt) else None), first > 0
-
-
 @dataclass(frozen=True)
 class NumericEdssResult:
     witness: tuple[float, float, float] | None  # first grid ancilla with a clean success
-    npt_seen: bool  # some ancilla before it succeeded only via an NPT send step
+    npt_seen: bool  # some grid ancilla is NPT across both cuts
 
 
-def edss_useful_numeric(
-    p: BellDiagonalParams, n_polar: int = 24, n_azimuth: int = 48
-) -> NumericEdssResult:
-    """Reference for `edss.edss_useful`: search a (theta, phi, radius) grid,
-    radius outermost, for the first ancilla with a clean success, both
-    send-step verdicts from 8x8 eigensolves.
+def edss_useful_numeric(p: BellDiagonalParams) -> NumericEdssResult:
+    """Reference for `edss.edss_useful`: both send-step verdicts of every
+    ancilla of `ANCILLA_GRID`, from 8x8 eigensolves.
 
     The whole grid is one (n, 8, 8) stack: one broadcast product builds
     every rho (x) ancilla, Alice's CNOT permutes it, and one stacked
-    eigvalsh solves A|BC; C|AB is solved, in a second one, only where A|BC
-    is NPT. With no witness on the grid, the search refines at half steps
-    around the first grid point within PPT_TOL of the lowest A|BC minimum,
-    as one more stack. The result is the first clean success in grid
-    order, as a search that stopped there would find it.
+    eigvalsh solves A|BC and C|AB. The witness is the first clean success
+    in grid order.
     """
-    if n_polar < 2 or n_azimuth < 1:
-        raise ValueError(f"need at least 2 polar and 1 azimuthal grid points, got {n_polar} and {n_azimuth}")
     require_separable(p)
-    rho4 = bell_diagonal(p).matrix
-    grid = _ancilla_grid(n_polar, n_azimuth)
-    m_a, hit, npt_seen = _scan_ancillas(rho4, grid)
-    if hit is not None:
-        return NumericEdssResult(grid[hit], npt_seen)
-    center = grid[int(np.argmax(m_a <= m_a.min() + PPT_TOL))]
-    refinement = _ancilla_refinement(center, n_polar, n_azimuth)
-    _, hit, npt_after = _scan_ancillas(rho4, refinement)
-    return NumericEdssResult(None if hit is None else refinement[hit], npt_seen or npt_after)
+    th, ph, r = ANCILLA_GRID.T
+    anc = bloch_operator(r[:, None] * bloch_vector(th, ph))
+    # rho (x) ancilla for every ancilla, then Alice's CNOT: index by PERM_AC
+    rabc = kron(bell_diagonal(p).matrix, anc)[:, PERM_AC[:, None], PERM_AC]
+    m_a, m_c = pt_spectra(rabc, (2, 2, 2), (0, 2))[:, :, 0].T
+    npt_a, ppt_c = m_a < -PPT_TOL, m_c >= -PPT_TOL
+    clean = npt_a & ppt_c
+    witness = tuple(ANCILLA_GRID[np.argmax(clean)].tolist()) if clean.any() else None
+    return NumericEdssResult(witness, bool((npt_a & ~ppt_c).any()))
 
 
 def mub_check(bases) -> bool:

@@ -380,6 +380,30 @@ class TestVerify:
         assert "samples must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze --bd -0.5,0.25,0.25",
+        "analyze --bd -.5,0.25,0.25 --format json",
+        "edss --bd 0.3,0.3,-0.3 --ancilla -1,0,0.5",
+        "edss --bd -0.3,0.3,0.3",
+    ],
+)
+def test_a_value_with_a_leading_minus_reads_as_with_equals(argv, capsys):
+    assert main(argv.replace("--bd -", "--bd=-").replace("--ancilla -", "--ancilla=-").split()) == 0
+    want = capsys.readouterr()
+    assert want.out
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == want
+
+
+def test_a_missing_bd_value_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--bd", "--format", "json"])
+    assert exc.value.code == 2
+    assert "argument --bd: expected one argument" in capsys.readouterr().err
+
+
 def test_runtime_imports_numpy_only(tmp_path):
     # every command, in a fresh interpreter, imports none of the packages
     # that only the tests and benchmarks may use

@@ -269,3 +269,5 @@ class TestSweep:
         rows = sweep(3)
         text = sweep_summary(rows)
         assert f"rows {len(rows)}" in text
+        assert sweep_summary(sweep(9)) == "rows 129: useful 16, not useful 9, protocol-invalid (NPT send only) 104"
+        assert sweep_summary(sweep(17)) == "rows 833: useful 224, not useful 17, protocol-invalid (NPT send only) 592"

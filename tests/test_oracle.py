@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from compcorr.correlations import clamped_discord, classical_correlation, complementary_correlations
 from compcorr.correlations import correlation_bits, holevo_quantity, q1
 from compcorr import oracle
-from compcorr.edss import PERM_AC, edss_useful
+from compcorr.edss import ancilla_state, edss_useful, run_protocol
 from compcorr.entanglement import is_separable_bd
-from compcorr.matcore import LOG2, PPT_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron
+from compcorr.matcore import LOG2, ZERO_BRANCH, bloch_operator, bloch_vector
 from compcorr.oracle import (
     CheckResult,
     check_holevo,
@@ -37,7 +37,7 @@ from compcorr.states import (
     is_physical,
     random_bd_block,
 )
-from testkit import partial_transpose, random_bd_params, random_density_matrix
+from testkit import random_bd_params, random_density_matrix
 
 
 def _full_sphere_holevo_batch(rho, ns):
@@ -222,41 +222,10 @@ class TestDiscordNumeric:
         assert check_holevo(random_bd_block(rng, 25))[1].passed
 
 
-def _edss_numeric_per_point(p, n_polar, n_azimuth):
-    """The numeric EDSS search one ancilla at a time: for each grid point in
-    order, an 8x8 kron, Alice's CNOT and the A|BC eigensolve, and the C|AB
-    eigensolve only where A|BC is NPT; it stops at the first clean success."""
-    rho4 = bell_diagonal(p).matrix
-    scored = []  # (min PT_A, point) for every point considered
-    npt_seen = False
-
-    def consider(th, ph, r):
-        nonlocal npt_seen
-        rabc = kron(rho4, bloch_operator(r * bloch_vector(th, ph)))[np.ix_(PERM_AC, PERM_AC)]
-        m_a = float(np.linalg.eigvalsh(partial_transpose(rabc, (2, 2, 2), 0))[0])
-        scored.append((m_a, (th, ph, r)))
-        if m_a >= -PPT_TOL:
-            return False
-        if np.linalg.eigvalsh(partial_transpose(rabc, (2, 2, 2), 2))[0] >= -PPT_TOL:
-            return True
-        npt_seen = True
-        return False
-
-    for pt in oracle._ancilla_grid(n_polar, n_azimuth):
-        if consider(*pt):
-            return oracle.NumericEdssResult(pt, npt_seen)
-    lowest = min(m for m, _ in scored)
-    center = next(pt for m, pt in scored if m <= lowest + PPT_TOL)
-    for pt in oracle._ancilla_refinement(center, n_polar, n_azimuth):
-        if consider(*pt):
-            return oracle.NumericEdssResult(pt, npt_seen)
-    return oracle.NumericEdssResult(None, npt_seen)
-
-
 def _edss_numeric_triples():
     rng = np.random.default_rng(54)
-    # a refinement-step witness: the grid's A|BC minimum is tied along
-    # r_x = 0, and the search must refine around the first tied point
+    # a narrow-window triple: its z-axis window (r_a, s_c] = (0.89, 0.97]
+    # holds one grid radius, 0.9
     triples = [BellDiagonalParams(0.01413628, 0.01277, -0.52761174)]
     while len(triples) < 30:
         c = rng.uniform(-1, 1, 3)
@@ -268,30 +237,16 @@ def _edss_numeric_triples():
 
 
 class TestEdssNumeric:
-    def test_stacked_search_matches_the_per_point_search(self):
-        # every triple on a 4 x 8 grid, which keeps the per-point search under
-        # a second, and the refinement triple also on the 8 x 16 grid below
-        triples = _edss_numeric_triples()
-        refined = 0
-        for p, n_polar, n_azimuth in [(p, 4, 8) for p in triples] + [(triples[0], 8, 16)]:
-            got, want = edss_useful_numeric(p, n_polar, n_azimuth), _edss_numeric_per_point(p, n_polar, n_azimuth)
-            # the same values and types: (numpy float, numpy float, float) on the grid
-            assert repr(got) == repr(want), (p, n_polar, n_azimuth)
-            refined += want.witness is not None and want.witness[2] not in oracle.ANCILLA_RADII
-        assert refined == 2
-
-    @pytest.mark.parametrize("n_polar, n_azimuth", [(1, 16), (0, 16), (8, 0), (8, -3)])
-    def test_rejects_a_degenerate_grid(self, n_polar, n_azimuth):
-        with pytest.raises(ValueError, match="grid points"):
-            edss_useful_numeric(BellDiagonalParams(0.3, -0.3, 0.3), n_polar, n_azimuth)
-
     def test_closed_form_search_matches_numeric_search(self):
         triples = _edss_numeric_triples()
         found = npt_only = 0
         for p in triples:
-            exact, ref = edss_useful(p), edss_useful_numeric(p, n_polar=8, n_azimuth=16)
+            exact, ref = edss_useful(p), edss_useful_numeric(p)
             if ref.witness is not None:  # the grid's witness proves the state useful
                 assert exact.useful, p
+                trace = run_protocol(bell_diagonal(p), ancilla_state(*ref.witness))
+                assert trace.success and trace.send_step_ppt, p
+            assert (ref.witness is not None) == exact.useful, p
             protocol_invalid = not exact.useful and exact.r_a < 1  # as in sweep()
             if ref.npt_seen:
                 assert exact.useful or protocol_invalid, p

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compcorr import edss, report, states
+from compcorr import edss, states
 from compcorr.correlations import bd_mutual_information, classical_correlation, complementary_correlations
 from compcorr.correlations import clamped_discord, correlation_bits, total_mutual_information
 from compcorr.entanglement import negativity, negativity_bd, rel_entropy_entanglement_bd

@@ -323,6 +323,21 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports names only to re-export them
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for p in sorted((root / "src" / "compcorr").glob("*.py")) if p.name != "__init__.py"]
+    unused = []
+    for path in paths + sorted((root / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert unused == []
+
+
 @given(seeds, st.integers(0, 3), st.booleans(), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_signed_svd_factors_are_rotations(seed, rank, flip_left, flip_right):
