@@ -28,7 +28,6 @@ from .entanglement import (
     PptVerdict,
     is_separable_bd,
     negativity,
-    ppt_verdict,
     rel_entropy_entanglement_bd,
 )
 from .oracle import (
@@ -40,9 +39,7 @@ from .oracle import (
 from .report import report_for_bd, report_for_state
 from .states import (
     BellDiagonalParams,
-    BlochDecomposition,
     DensityMatrix,
-    bd_spectrum,
     bell_diagonal,
     bloch_decompose,
     classically_correlated,

@@ -1,6 +1,7 @@
 """Command-line entry point: analyze, edss, sweep, verify."""
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -72,7 +73,7 @@ def _text(doc: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    doc = report_for_bd(*_triple(args)).to_dict()
+    doc = dataclasses.asdict(report_for_bd(*_triple(args)))
     if args.format == "json":
         text = json.dumps(doc, indent=1) + "\n"
     elif args.format == "csv":
@@ -180,8 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(1, len(argv))):  # argparse takes "-0.5,..." for an option, not in "--bd=-0.5,..."
-        if argv[i - 1] in ("--bd", "--ancilla") and re.match(r"-[\d.]", argv[i]):
-            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        flag = argv[i - 1]  # --bd, --ancilla or a prefix of either that argparse accepts: --b, --anc, ...
+        if len(flag) > 2 and any(f.startswith(flag) for f in ("--bd", "--ancilla")) and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{flag}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -11,7 +11,7 @@ from `matcore.bloch_operator`), `total_mutual_information`; the matrices
 they derive from a checked state are solved with no second check.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,6 +205,3 @@ class CorrelationReport:
     negativity: float
     e_r: float
     all_complementary_nonzero: bool
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}

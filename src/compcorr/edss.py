@@ -67,13 +67,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .entanglement import CUT_LABELS, PptVerdict, is_separable_bd, require_separable
-from .matcore import PPT_TOL, bloch_operator, bloch_vector, fmt, kron, pt_spectra
+from .entanglement import PptVerdict, is_separable_bd, require_separable
+from .matcore import bloch_operator, bloch_vector, fmt, kron, pt_spectra
 from .report import report_for_bd
 from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_physical
 
 STAGES = ("initial", "after_alice", "after_bob")
-CUT_FACTORS = (0, 2, 1)  # A|BC, C|AB, B|AC
+CUT_FACTORS = (0, 2, 1)
+CUT_LABELS = ("A|BC", "C|AB", "B|AC")  # the cut across each of CUT_FACTORS
 
 
 # Alice's CNOT (A controls C) and Bob's (B controls C) on the A, B, C register,
@@ -130,9 +131,8 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     # permutation of the kron of two validated states, and a partial
     # transpose only permutes its entries again
     spectra = pt_spectra(stages, (2, 2, 2), CUT_FACTORS).tolist()
-    labels = [CUT_LABELS[3][f] for f in CUT_FACTORS]
-    verdicts = {stage: tuple(map(PptVerdict, map(tuple, row), labels)) for stage, row in zip(STAGES, spectra)}
-    return ProtocolTrace(stage_verdicts=verdicts, success=verdicts["after_alice"][0].min_eigenvalue < -PPT_TOL)
+    verdicts = {stage: tuple(map(PptVerdict, map(tuple, row), CUT_LABELS)) for stage, row in zip(STAGES, spectra)}
+    return ProtocolTrace(stage_verdicts=verdicts, success=not verdicts["after_alice"][0].is_ppt)
 
 
 @dataclass(frozen=True)
@@ -198,11 +198,9 @@ class SweepRow:
     witness_r: float | None
     r_a: float
     s_c: float
-    # not a CSV column: not useful, yet some ancilla succeeds through an NPT send step
-    protocol_invalid: bool = field(default=False, compare=False)
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "protocol_invalid")
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def sweep(resolution: int) -> list[SweepRow]:
@@ -245,7 +243,6 @@ def sweep(resolution: int) -> list[SweepRow]:
                 witness_r=wit[2],
                 r_a=res.r_a,
                 s_c=res.s_c,
-                protocol_invalid=(not res.useful) and res.r_a < 1,
             )
         )
     return rows
@@ -261,7 +258,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 def sweep_summary(rows: list[SweepRow]) -> str:
     useful = sum(r.edss_useful for r in rows)
-    invalid = sum(r.protocol_invalid for r in rows)
+    invalid = sum(not r.edss_useful and r.r_a < 1 for r in rows)  # some ancilla succeeds, with an NPT send step
     not_useful = len(rows) - useful - invalid
     return (
         f"rows {len(rows)}: useful {useful}, not useful {not_useful}, "

@@ -9,9 +9,6 @@ from .matcore import PHYSICALITY_TOL, PPT_TOL, pt_spectra
 from .states import BellDiagonalParams, DensityMatrix
 
 
-CUT_LABELS = {2: ("A|B", "B|A"), 3: ("A|BC", "B|AC", "C|AB")}  # the cut across each factor, by factor count
-
-
 @dataclass(frozen=True)
 class PptVerdict:
     """Partial-transpose spectrum across one bipartition, ascending, with the
@@ -29,25 +26,10 @@ class PptVerdict:
         return self.min_eigenvalue >= -PPT_TOL
 
 
-def pt_spectrum(rho: DensityMatrix, factor: int) -> np.ndarray:
-    """Spectrum of the partial transpose on one factor, ascending."""
-    return pt_spectra(rho.matrix[None], rho.dims, (factor,))[0, 0]
-
-
-def negativity(rho: DensityMatrix, factor: int = 0) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose across the cut."""
-    lam = pt_spectrum(rho, factor)
+def negativity(rho: DensityMatrix) -> float:
+    """Sum of |negative eigenvalues| of the partial transpose on factor 0."""
+    lam = pt_spectra(rho.matrix[None], rho.dims, (0,))[0, 0]
     return float(np.abs(lam[lam < 0]).sum())
-
-
-def ppt_verdict(rho: DensityMatrix, factor: int = 0) -> PptVerdict:
-    """PPT verdict of a two- or three-factor state across one factor's cut.
-    No Hermiticity check: a partial transpose permutes the entries of
-    M - M^dagger, which DensityMatrix checked."""
-    labels = CUT_LABELS.get(len(rho.dims), ())
-    if not 0 <= factor < len(labels):
-        raise ValueError(f"no cut across factor {factor} of a state with dims {rho.dims}")
-    return PptVerdict(tuple(pt_spectrum(rho, factor).tolist()), labels[factor])
 
 
 def negativity_bd(p: BellDiagonalParams) -> float:

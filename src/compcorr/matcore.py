@@ -7,7 +7,7 @@ Qubit ordering is big-endian: factor 0 is the leftmost tensor slot.
 """
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,18 +47,12 @@ SIGMAS = np.stack((I2,) + PAULIS)  # sigma_0 = I, then sigma_x, sigma_y, sigma_z
 _PAULI_ROWS = SIGMAS[1:].reshape(3, 4)
 
 
-def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, or of stacks (..., r, c) of them
+    matrix by matrix: bit for bit np.kron of each, whose entrywise products
+    it forms as one broadcast."""
     p = a[..., :, None, :, None] * b[..., None, :, None, :]
     return p.reshape(p.shape[:-4] + (p.shape[-4] * p.shape[-3], p.shape[-2] * p.shape[-1]))
-
-
-def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right, or of
-    stacks (..., r, c) of them matrix by matrix: bit for bit np.kron of
-    each, whose entrywise products it forms as one broadcast per pair."""
-    if not ops:
-        raise ValueError("kron needs at least one operand")
-    return reduce(_kron_pair, ops)
 
 
 def bloch_vector(theta, phi) -> np.ndarray:

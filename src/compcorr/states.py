@@ -52,7 +52,10 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(self.dims)
-        if not dims or not all(isinstance(d, numbers.Real) and math.isfinite(d) and int(d) == d >= 1 for d in dims):
+        if not dims or not all(
+            isinstance(d, numbers.Real) and not isinstance(d, bool) and math.isfinite(d) and int(d) == d >= 1
+            for d in dims
+        ):
             raise ValueError(f"factor dims {dims} must name at least one factor, each an integer >= 1")
         total = math.prod(dims)
         if m.shape != (total, total):
@@ -121,15 +124,6 @@ def is_physical(c) -> bool:
     return all(x >= -PHYSICALITY_TOL for x in bell_eigenvalues(*c))
 
 
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Local Bloch vectors and the 3x3 correlation matrix of a two-qubit state."""
-
-    a: np.ndarray
-    b: np.ndarray
-    T: np.ndarray
-
-
 def bd_matrix(c1, c2, c3) -> np.ndarray:
     """The matrix (1/4)(I (x) I + sum_n c_n sigma_n (x) sigma_n) from its 8
     nonzero entries: (1 +- c3)/4 on the diagonal, (c1 - c2)/4 at (0, 3) and
@@ -152,21 +146,17 @@ def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
     return DensityMatrix(bd_matrix(p.c1, p.c2, p.c3), (2, 2))
 
 
-def bd_spectrum(p: BellDiagonalParams) -> np.ndarray:
-    """The four closed-form eigenvalues, sorted ascending."""
-    return np.sort(p.eigenvalues)
-
-
 def bd_rank(p: BellDiagonalParams) -> int:
     return sum(x > PHYSICALITY_TOL for x in p.eigenvalues)
 
 
-def bloch_decompose(rho: DensityMatrix) -> BlochDecomposition:
-    """Extract local Bloch vectors and the correlation matrix T."""
+def bloch_decompose(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, T) of a two-qubit state: Alice's and Bob's local Bloch vectors
+    and the 3x3 correlation matrix."""
     if rho.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
     c = np.einsum("ijkl,lk->ij", PAULI_PRODUCTS, rho.matrix).real  # Tr[rho P_ij]
-    return BlochDecomposition(a=c[1:, 0], b=c[0, 1:], T=c[1:, 1:])
+    return c[1:, 0], c[0, 1:], c[1:, 1:]
 
 
 def _det3(m: np.ndarray) -> float:
@@ -242,14 +232,14 @@ def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np
     off the diagonal. Any other T goes through `signed_svd`, since a
     diagonal taken within m of T can be sqrt(6) m off its singular values.
     """
-    dec = bloch_decompose(rho)
-    na, nb = np.linalg.norm(dec.a), np.linalg.norm(dec.b)
+    a, b, T = bloch_decompose(rho)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if not max(na, nb) <= MARGINAL_TOL:
         raise ValueError(f"state does not have maximally mixed marginals: |a| = {na:.3e}, |b| = {nb:.3e}")
-    (t11, t12, t13), (t21, t22, t23), (t31, t32, t33) = dec.T.tolist()
+    (t11, t12, t13), (t21, t22, t23), (t31, t32, t33) = T.tolist()
     if t12 == t13 == t21 == t23 == t31 == t32 == 0.0:
         return round_onto_tetrahedron((t11, t22, t33)), IDENTITY_FRAME, IDENTITY_FRAME
-    RA, s, RB = signed_svd(dec.T)
+    RA, s, RB = signed_svd(T)
     return round_onto_tetrahedron(s.tolist()), RA, RB
 
 

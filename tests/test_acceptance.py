@@ -18,8 +18,8 @@ from compcorr.correlations import (
     q1,
 )
 from compcorr.edss import ancilla_state, run_protocol, sweep
-from compcorr.entanglement import is_separable_bd, negativity, pt_spectrum, rel_entropy_entanglement_bd
-from compcorr.matcore import entropy_of_probabilities
+from compcorr.entanglement import is_separable_bd, negativity, rel_entropy_entanglement_bd
+from compcorr.matcore import entropy_of_probabilities, pt_spectra
 from compcorr.oracle import (
     CheckResult,
     check_holevo,
@@ -119,10 +119,10 @@ def test_criterion_05_zeroed_coefficient_kills_entanglement():
             continue
         n += 1
         rho = bell_diagonal(BellDiagonalParams(*c))
-        worst_neg = max(worst_neg, negativity(rho, 0))
+        worst_neg = max(worst_neg, negativity(rho))
         worst_spec = max(
             worst_spec,
-            float(np.max(np.abs(np.sort(pt_spectrum(rho, 0)) - np.sort(rho.spectrum())))),
+            float(np.max(np.abs(np.sort(pt_spectra(rho.matrix[None], rho.dims, (0,))[0, 0]) - np.sort(rho.spectrum())))),
         )
     ok = worst_neg < 1e-12 and worst_spec <= 1e-10
     _report(

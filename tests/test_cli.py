@@ -235,7 +235,7 @@ class TestEdss:
         path, rho = _save_rotated_state(tmp_path, (0.3, -0.3, 0.3), 3)
         assert main(["edss", "--state", path, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        RA, s, RB = signed_svd(bloch_decompose(rho).T)
+        RA, s, RB = signed_svd(bloch_decompose(rho)[2])
         np.testing.assert_allclose(doc["rotations"], [RA, RB], rtol=0, atol=1e-15)
         assert main(["edss", "--bd=" + ",".join(repr(float(x)) for x in s), "--format", "json"]) == 0
         want = json.loads(capsys.readouterr().out)
@@ -387,10 +387,14 @@ class TestVerify:
         "analyze --bd -.5,0.25,0.25 --format json",
         "edss --bd 0.3,0.3,-0.3 --ancilla -1,0,0.5",
         "edss --bd -0.3,0.3,0.3",
+        # prefixes that argparse accepts for --bd and --ancilla
+        "analyze --b -0.5,0.25,0.25",
+        "edss --bd 0.3,-0.3,0.3 --anc -1,0,0.5",
     ],
 )
 def test_a_value_with_a_leading_minus_reads_as_with_equals(argv, capsys):
-    assert main(argv.replace("--bd -", "--bd=-").replace("--ancilla -", "--ancilla=-").split()) == 0
+    full = argv.replace("--b -", "--bd -").replace("--anc -", "--ancilla -")
+    assert main(full.replace("--bd -", "--bd=-").replace("--ancilla -", "--ancilla=-").split()) == 0
     want = capsys.readouterr()
     assert want.out
     assert main(argv.split()) == 0

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 
 from compcorr.correlations import correlation_bits
 from compcorr.entanglement import (
+    PptVerdict,
     all_correlations_nonzero,
     negativity,
-    ppt_verdict,
-    pt_spectrum,
     rel_entropy_entanglement_bd,
 )
-from compcorr.matcore import kron, pt_spectra
+from compcorr.matcore import PPT_TOL, kron, pt_spectra
 from compcorr.states import (
     _BELL_SIGNS,
     BellDiagonalParams,
     DensityMatrix,
-    bd_spectrum,
     bell_diagonal,
     bell_eigenvalues,
     family_eq15,
@@ -31,15 +29,15 @@ from compcorr.correlations import q1
 
 def test_negativity_bell_state():
     rho = DensityMatrix(np.outer(PHI_PLUS, PHI_PLUS.conj()), (2, 2))
-    assert negativity(rho, 0) == pytest.approx(0.5, abs=1e-12)
+    assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_negativity_zero_for_separable_bd():
     rng = np.random.default_rng(30)
     for _ in range(200):
         p = random_bd_params(rng)
-        if bd_spectrum(p)[-1] <= 0.5:
-            assert negativity(bell_diagonal(p), 0) < 1e-12
+        if max(p.eigenvalues) <= 0.5:
+            assert negativity(bell_diagonal(p)) < 1e-12
 
 
 def test_negativity_zero_when_any_coefficient_vanishes():
@@ -48,13 +46,13 @@ def test_negativity_zero_when_any_coefficient_vanishes():
         p = random_bd_params(rng)
         if not is_physical((p.c1, 0.0, p.c3)):
             continue
-        assert negativity(bell_diagonal(BellDiagonalParams(p.c1, 0.0, p.c3)), 0) < 1e-12
+        assert negativity(bell_diagonal(BellDiagonalParams(p.c1, 0.0, p.c3))) < 1e-12
 
 
 def test_negativity_iff_large_eigenvalue():
     for p in random_bd_params(np.random.default_rng(32), 10_000):
-        neg = negativity(bell_diagonal(p), 0)
-        assert (neg > 1e-12) == (bd_spectrum(p)[-1] > 0.5 + 1e-12)
+        neg = negativity(bell_diagonal(p))
+        assert (neg > 1e-12) == (max(p.eigenvalues) > 0.5 + 1e-12)
 
 
 def test_zeroed_coefficient_pt_spectrum_identity():
@@ -64,49 +62,31 @@ def test_zeroed_coefficient_pt_spectrum_identity():
         if not is_physical((0.0, p.c2, p.c3)):
             continue
         rho = bell_diagonal(BellDiagonalParams(0.0, p.c2, p.c3))
-        np.testing.assert_allclose(pt_spectrum(rho, 0), rho.spectrum(), atol=1e-10)
+        np.testing.assert_allclose(pt_spectra(rho.matrix[None], (2, 2), (0,))[0, 0], rho.spectrum(), atol=1e-10)
 
 
 def test_ppt_verdict_product_three_qubit():
     rng = np.random.default_rng(34)
-    parts = [random_density_matrix(rng, (2,)).matrix for _ in range(3)]
-    rho = DensityMatrix(kron(*parts), (2, 2, 2))
-    assert ppt_verdict(rho, 0).is_ppt
+    a, b, c = (random_density_matrix(rng, (2,)).matrix for _ in range(3))
+    rho = DensityMatrix(kron(kron(a, b), c), (2, 2, 2))
+    assert pt_spectra(rho.matrix[None], rho.dims, (0,))[0, 0, 0] >= -PPT_TOL
+    assert negativity(rho) < PPT_TOL
 
 
 def test_ppt_verdict_bell_with_pure_factor():
     vec = np.kron(PHI_PLUS, [1, 0])
     rho = DensityMatrix(np.outer(vec, vec.conj()), (2, 2, 2))
-    v = ppt_verdict(rho, 0)
+    lam = pt_spectra(rho.matrix[None], rho.dims, (0,))[0, 0]
+    assert lam[0] == pytest.approx(-0.5, abs=1e-12)
+    assert negativity(rho) == pytest.approx(0.5, abs=1e-12)
+    # a verdict keeps the spectrum it was read from, and compares by value
+    v = PptVerdict(tuple(lam.tolist()), "A|BC")
     assert not v.is_ppt
-    assert v.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
-    assert v.cut == "A|BC"
-    # the verdict keeps the spectrum it was read from, and compares by value
-    np.testing.assert_array_equal(v.spectrum, pt_spectrum(rho, 0))
-    assert v.min_eigenvalue == v.spectrum[0] and v == ppt_verdict(rho, 0)
+    assert v.min_eigenvalue == v.spectrum[0] and v == PptVerdict(tuple(lam.tolist()), "A|BC")
 
 
 def test_ppt_verdict_sign_flipped_separable():
-    v = ppt_verdict(bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3)), 0)
-    assert v.is_ppt
-
-
-def test_ppt_verdict_invalid_cut():
-    rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
-    with pytest.raises(ValueError, match="no cut"):
-        ppt_verdict(rho, 3)
-
-
-def test_ppt_verdict_stacked_form():
-    # the verdicts of a stack of states are the rows of one stacked solve
-    rng = np.random.default_rng(35)
-    states = [random_density_matrix(rng, (2, 2, 2)) for _ in range(2)]
-    got = pt_spectra(np.stack([rho.matrix for rho in states]), (2, 2, 2), (0, 2, 1))
-    for rho, row in zip(states, got):
-        assert [ppt_verdict(rho, f).spectrum for f in (0, 2, 1)] == [tuple(lam.tolist()) for lam in row]
-    # a four-factor state has no cut labels
-    with pytest.raises(ValueError, match="no cut"):
-        ppt_verdict(random_density_matrix(rng, (2, 2, 2, 2)), 0)
+    assert negativity(bell_diagonal(BellDiagonalParams(0.3, -0.3, 0.3))) == 0.0
 
 
 def test_rel_entropy_examples():
@@ -125,12 +105,12 @@ def test_rel_entropy_equals_q1_on_family():
 
 def test_necessary_condition():
     assert not all_correlations_nonzero(BellDiagonalParams(0.5, 0, 0.25).as_array())
-    assert negativity(bell_diagonal(BellDiagonalParams(0.5, 0, 0.25)), 0) < 1e-12
+    assert negativity(bell_diagonal(BellDiagonalParams(0.5, 0, 0.25))) < 1e-12
     assert all_correlations_nonzero(BellDiagonalParams(1, -1, 1).as_array())
     # necessary but not sufficient: all coefficients nonzero yet separable
     p = BellDiagonalParams(0.3, -0.3, 0.3)
     assert all_correlations_nonzero(p.as_array())
-    assert negativity(bell_diagonal(p), 0) < 1e-12
+    assert negativity(bell_diagonal(p)) < 1e-12
 
 
 def test_contrapositive_sampled():
@@ -138,7 +118,7 @@ def test_contrapositive_sampled():
     for _ in range(200):
         p = random_bd_params(rng)
         if not all_correlations_nonzero(p.as_array()):
-            assert negativity(bell_diagonal(p), 0) < 1e-12
+            assert negativity(bell_diagonal(p)) < 1e-12
 
 
 def _triple_with_eigenvalue(k, lam_k, weights):

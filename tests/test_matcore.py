@@ -61,14 +61,14 @@ def test_kron_is_np_kron_bit_for_bit():
         assert same_bits(kron(a, b), np.kron(a, b))
         assert same_bits(kron(c, d), np.kron(c, d))
         assert same_bits(kron(a, c), np.kron(a, c))
-        assert same_bits(kron(a, b, c), np.kron(np.kron(a, b), c))
+        assert same_bits(kron(kron(a, b), c), np.kron(np.kron(a, b), c))
 
 
 def test_kron_of_stacks_is_each_kron_bit_for_bit():
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=(2, 5, 2, 2)) + 1j * rng.normal(size=(2, 5, 2, 2))
     c = rng.normal(size=(5, 4, 3))
-    got = kron(a, b, c)
+    got = kron(kron(a, b), c)
     assert got.shape == (5, 16, 12)
     for k in range(5):
         assert got[k].tobytes() == np.kron(np.kron(a[k], b[k]), c[k]).tobytes()

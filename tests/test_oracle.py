@@ -30,7 +30,6 @@ from compcorr.states import (
     BellDiagonalParams,
     bd_block,
     bd_params_of,
-    bd_spectrum,
     bell_diagonal,
     classically_correlated,
     family_eq15,
@@ -247,7 +246,7 @@ class TestEdssNumeric:
                 trace = run_protocol(bell_diagonal(p), ancilla_state(*ref.witness))
                 assert trace.success and trace.send_step_ppt, p
             assert (ref.witness is not None) == exact.useful, p
-            protocol_invalid = not exact.useful and exact.r_a < 1  # as in sweep()
+            protocol_invalid = not exact.useful and exact.r_a < 1  # as in sweep_summary()
             if ref.npt_seen:
                 assert exact.useful or protocol_invalid, p
             if exact.useful:
@@ -327,7 +326,7 @@ def _ordered_frame_per_sample(samples):
 def _spectra_per_sample(samples):
     """`check_spectra` one validated state at a time: the closed-form
     spectrum against the state's own eigensolve."""
-    dev = max(float(np.max(np.abs(bd_spectrum(p) - bell_diagonal(p).spectrum()))) for p in samples)
+    dev = max(float(np.max(np.abs(np.sort(p.eigenvalues) - bell_diagonal(p).spectrum()))) for p in samples)
     return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
 

@@ -52,13 +52,10 @@ def test_table_holds_the_sixteen_products():
 @settings(max_examples=60, deadline=None)
 def test_bloch_decompose_matches_kron_traces(seed):
     m = _state(seed).matrix
-    dec = bloch_decompose(_state(seed))
-    a = [_coefficient(m, s, I2) for s in PAULIS]
-    b = [_coefficient(m, I2, s) for s in PAULIS]
-    T = [[_coefficient(m, sn, sm) for sm in PAULIS] for sn in PAULIS]
-    np.testing.assert_allclose(dec.a, a, rtol=0, atol=TOL)
-    np.testing.assert_allclose(dec.b, b, rtol=0, atol=TOL)
-    np.testing.assert_allclose(dec.T, T, rtol=0, atol=TOL)
+    a, b, T = bloch_decompose(_state(seed))
+    np.testing.assert_allclose(a, [_coefficient(m, s, I2) for s in PAULIS], rtol=0, atol=TOL)
+    np.testing.assert_allclose(b, [_coefficient(m, I2, s) for s in PAULIS], rtol=0, atol=TOL)
+    np.testing.assert_allclose(T, [[_coefficient(m, sn, sm) for sm in PAULIS] for sn in PAULIS], rtol=0, atol=TOL)
 
 
 @given(st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical))

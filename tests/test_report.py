@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_outcome_table_entry_within_state_tolerance_is_accepted():
     # DensityMatrix accepts the state; its z table has entries of -5e-11
     rho = _pauli_state(np.diag([1.0, 0.0, 0.0, 1 + 2e-10]))
     got, want = report_for_state(rho), report_for_bd(BellDiagonalParams(0, 0, 1))
-    for field, value in want.to_dict().items():
+    for field, value in dataclasses.asdict(want).items():
         assert getattr(got, field) == pytest.approx(value, rel=0, abs=1e-9), field
 
 
@@ -168,7 +169,7 @@ def test_triple_report_work_count(monkeypatch):
 def _array_triple(rho):
     """`bd_params_of` as numpy arrays: exact diagonal test, then an SVD whose
     improper factors are read off np.linalg.det."""
-    T = states.bloch_decompose(rho).T
+    _, _, T = states.bloch_decompose(rho)
     if np.array_equal(T, np.diag(np.diag(T))):
         return states.round_onto_tetrahedron(np.diag(T)), states.IDENTITY_FRAME, states.IDENTITY_FRAME
     U, s, Vt = np.linalg.svd(T)
@@ -231,9 +232,9 @@ def _edge_triples():
 
 def test_reports_equal_the_array_formulas_bit_for_bit():
     for n, p in enumerate(_edge_triples()):
-        assert report_for_bd(p).to_dict() == _array_report(p), p
+        assert dataclasses.asdict(report_for_bd(p)) == _array_report(p), p
         for rho in (bell_diagonal(p), _rotated_bd_state(p, n)):
-            assert report_for_state(rho).to_dict() == _array_report(*_array_triple(rho)), (p, n)
+            assert dataclasses.asdict(report_for_state(rho)) == _array_report(*_array_triple(rho)), (p, n)
 
 
 def test_sweep_skips_the_measured_correlations(monkeypatch):
@@ -253,7 +254,7 @@ def _measured(rho) -> dict:
         "i_z": i_z,
         "q1": i_z,
         "mutual_info": total_mutual_information(rho),
-        "negativity": negativity(rho, 0),
+        "negativity": negativity(rho),
     }
 
 

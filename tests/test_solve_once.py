@@ -338,6 +338,63 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == []
 
 
+# public names that nothing in src/ or bench/ reads, kept on purpose
+KEPT_PUBLIC_NAMES = {
+    "complementary_correlations",  # measured references
+    "discord_numeric",
+    "edss_useful_numeric",  # the EDSS oracle
+    "family_eq15",  # the paper's named families
+    "werner",
+    "classically_correlated",
+    "save_state",  # writes the state-file format
+}
+
+
+def test_every_public_name_is_read_somewhere():
+    """Each public top-level name of a src/compcorr module other than
+    __init__.py is read by another top-level definition of those modules,
+    by bench/*.py, or is in KEPT_PUBLIC_NAMES. A read is a loaded ast.Name,
+    an ast.Attribute or an imported name, so a field or method of the same
+    spelling (rep.q1) counts as a read of q1: a floor against a public name
+    that nothing reaches, not a proof that every name is used."""
+    root = Path(__file__).resolve().parent.parent
+
+    def reads(node):
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, (ast.Import, ast.ImportFrom)):
+                out.update(part for a in n.names for part in a.name.split("."))
+        return out
+
+    def defines(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            return {stmt.name}
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        stored = [n for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)]
+        return {n.id for n in stored if isinstance(n.ctx, ast.Store)}
+
+    stmts = [
+        (path.stem, stmt, reads(stmt))
+        for path in sorted((root / "src" / "compcorr").glob("*.py"))
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    read_by_bench = set().union(*(reads(ast.parse(p.read_text())) for p in sorted((root / "bench").glob("*.py"))))
+    unread = [
+        f"{module}.{name}"
+        for module, stmt, _ in stmts
+        for name in sorted(defines(stmt))
+        if not name.startswith("_")
+        and name not in KEPT_PUBLIC_NAMES | read_by_bench
+        and not any(name in seen for _, other, seen in stmts if other is not stmt)
+    ]
+    assert unread == []
+
+
 @given(seeds, st.integers(0, 3), st.booleans(), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_signed_svd_factors_are_rotations(seed, rank, flip_left, flip_right):

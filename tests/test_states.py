@@ -14,7 +14,6 @@ from compcorr.states import (
     DensityMatrix,
     bd_block,
     bd_params_of,
-    bd_spectrum,
     bell_diagonal,
     bloch_decompose,
     classically_correlated,
@@ -86,6 +85,12 @@ class TestDensityMatrix:
         path.write_text(json.dumps({"dims": [2.9, 2], "matrix_re": mixed, "matrix_im": [0.0] * 16}))
         with pytest.raises(ValueError, match=r"dims \(2.9, 2\)"):
             load_state(path)
+        # a bool is refused, though True == 1
+        with pytest.raises(ValueError, match=r"dims \(True, 2\) must name at least one factor, each an integer >= 1"):
+            DensityMatrix(np.eye(2) / 2, (True, 2))
+        path.write_text(json.dumps({"dims": [True, 2], "matrix_re": [0.5, 0, 0, 0.5], "matrix_im": [0.0] * 4}))
+        with pytest.raises(ValueError, match=r"dims \(True, 2\) must name at least one factor"):
+            load_state(path)
 
     def test_immutable(self):
         rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
@@ -138,11 +143,11 @@ class TestBellDiagonal:
         np.testing.assert_allclose(rho.matrix, np.outer(PHI_PLUS, PHI_PLUS.conj()), atol=1e-14)
 
     def test_spectrum_examples(self):
-        np.testing.assert_allclose(bd_spectrum(BellDiagonalParams(0, 0, 0)), [0.25] * 4)
-        np.testing.assert_allclose(bd_spectrum(BellDiagonalParams(0, 0, 1)), [0, 0, 0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(np.sort(BellDiagonalParams(0, 0, 0).eigenvalues), [0.25] * 4)
+        np.testing.assert_allclose(np.sort(BellDiagonalParams(0, 0, 1).eigenvalues), [0, 0, 0.5, 0.5], atol=1e-15)
 
     def test_spectrum_matches_numeric(self):
-        lam = bd_spectrum(BellDiagonalParams(0.5, 0.25, 0.25))
+        lam = np.sort(BellDiagonalParams(0.5, 0.25, 0.25).eigenvalues)
         numeric = bell_diagonal(BellDiagonalParams(0.5, 0.25, 0.25)).spectrum()
         np.testing.assert_allclose(lam, numeric, atol=1e-12)
 
@@ -171,7 +176,7 @@ class TestBellDiagonal:
         rng = np.random.default_rng(12)
         for _ in range(300):
             p = random_bd_params(rng)
-            neg = negativity(bell_diagonal(p), 0)
+            neg = negativity(bell_diagonal(p))
             assert is_separable_bd(p) == (neg < 1e-12)
 
 
@@ -224,26 +229,26 @@ class TestBlockDraws:
 class TestBlochDecomposition:
     def test_bell_diagonal_inverse(self):
         p = BellDiagonalParams(0.4, -0.2, 0.1)
-        dec = bloch_decompose(bell_diagonal(p))
-        np.testing.assert_allclose(dec.a, 0, atol=1e-12)
-        np.testing.assert_allclose(dec.b, 0, atol=1e-12)
-        np.testing.assert_allclose(dec.T, np.diag([0.4, -0.2, 0.1]), atol=1e-12)
+        a, b, T = bloch_decompose(bell_diagonal(p))
+        np.testing.assert_allclose(a, 0, atol=1e-12)
+        np.testing.assert_allclose(b, 0, atol=1e-12)
+        np.testing.assert_allclose(T, np.diag([0.4, -0.2, 0.1]), atol=1e-12)
 
     def test_product_state(self):
         zero = np.zeros((2, 2), dtype=complex)
         zero[0, 0] = 1
         rho = DensityMatrix(kron(zero, np.eye(2) / 2), (2, 2))
-        dec = bloch_decompose(rho)
-        np.testing.assert_allclose(dec.a, [0, 0, 1], atol=1e-12)
-        np.testing.assert_allclose(dec.b, 0, atol=1e-12)
-        np.testing.assert_allclose(dec.T, 0, atol=1e-12)
+        a, b, T = bloch_decompose(rho)
+        np.testing.assert_allclose(a, [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(b, 0, atol=1e-12)
+        np.testing.assert_allclose(T, 0, atol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             rho = random_density_matrix(rng, (2, 2))
-            dec = bloch_decompose(rho)
-            c = np.block([[np.ones((1, 1)), dec.b[None, :]], [dec.a[:, None], dec.T]])
+            a, b, T = bloch_decompose(rho)
+            c = np.block([[np.ones((1, 1)), b[None, :]], [a[:, None], T]])
             back = DensityMatrix(np.einsum("ij,ijkl->kl", c, PAULI_PRODUCTS) / 4.0, (2, 2))
             np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-10)
 
@@ -251,8 +256,8 @@ class TestBlochDecomposition:
         rng = np.random.default_rng(14)
         for _ in range(100):
             p = random_bd_params(rng)
-            dec = bloch_decompose(bell_diagonal(p))
-            np.testing.assert_allclose(np.diag(dec.T), p.as_array(), atol=1e-12)
+            _, _, T = bloch_decompose(bell_diagonal(p))
+            np.testing.assert_allclose(np.diag(T), p.as_array(), atol=1e-12)
 
 
 class TestNormalForm:
@@ -261,7 +266,7 @@ class TestNormalForm:
 
     @staticmethod
     def _assert_recovers(rho, p, atol):
-        T = bloch_decompose(rho).T
+        _, _, T = bloch_decompose(rho)
         RA, s, RB = signed_svd(T)
         np.testing.assert_allclose(RA @ T @ RB.T, np.diag(s), rtol=0, atol=atol)
         np.testing.assert_allclose(sorted(np.abs(s)), sorted(np.abs(p.as_array())), rtol=0, atol=atol)
@@ -303,9 +308,9 @@ class TestFamilies:
 
     def test_family_correlation_matrix(self):
         for c3 in (-0.7, 0.2, 0.5):
-            dec = bloch_decompose(family_eq15(c3))
-            np.testing.assert_allclose(np.diag(dec.T), [1, c3, -c3], atol=1e-12)
-            np.testing.assert_allclose(dec.a, 0, atol=1e-12)
+            a, _, T = bloch_decompose(family_eq15(c3))
+            np.testing.assert_allclose(np.diag(T), [1, c3, -c3], atol=1e-12)
+            np.testing.assert_allclose(a, 0, atol=1e-12)
 
     def test_family_out_of_range(self):
         with pytest.raises(ValueError):
@@ -316,19 +321,19 @@ class TestFamilies:
         assert werner(1).spectrum()[-1] == pytest.approx(1.0, abs=1e-12)
         # separability boundary at p = 1/3: max eigenvalue (1 + 3p)/4 = 1/2
         assert werner(1 / 3).spectrum()[-1] == pytest.approx(0.5, abs=1e-12)
-        dec = bloch_decompose(werner(0.4))
-        np.testing.assert_allclose(np.diag(dec.T), [-0.4, -0.4, -0.4], atol=1e-12)
+        _, _, T = bloch_decompose(werner(0.4))
+        np.testing.assert_allclose(np.diag(T), [-0.4, -0.4, -0.4], atol=1e-12)
         with pytest.raises(ValueError):
             werner(1.5)
 
     def test_classically_correlated(self):
         rho = classically_correlated()
-        dec = bloch_decompose(rho)
-        np.testing.assert_allclose(np.diag(dec.T), [0, 0, 1], atol=1e-14)
+        _, _, T = bloch_decompose(rho)
+        np.testing.assert_allclose(np.diag(T), [0, 0, 1], atol=1e-14)
         np.testing.assert_allclose(rho.spectrum(), [0, 0, 0.5, 0.5], atol=1e-14)
         from compcorr.entanglement import negativity
 
-        assert negativity(rho, 0) == 0.0
+        assert negativity(rho) == 0.0
 
 
 class TestStateFiles:
