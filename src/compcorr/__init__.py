@@ -12,7 +12,6 @@ from .correlations import (
     discord_bd,
     holevo_quantity,
     outcome_mutual_information,
-    q1,
     total_mutual_information,
 )
 from .edss import (

@@ -3,12 +3,13 @@
 Runtime closed forms (`report_for_bd` reads every number off them):
 `correlation_bits`, `classical_correlation`, `bd_mutual_information`,
 `discord_bd` (`clamped_discord` of the two before it), which read a
-`BellDiagonalParams` checked once when it was built. Measured references,
+`BellDiagonalParams` checked once when it was built; Q1 is the report's
+i_z, `correlation_bits` of T_zz. Measured references,
 which the oracle and the tests check them against:
 `complementary_correlations` (same-axis `outcome_tables`), `holevo_quantity`
 (Bob measures along a unit Bloch vector n, projectors (I +- n . sigma)/2
-from `matcore.bloch_operator`), `total_mutual_information`; the matrices
-they derive from a checked state are solved with no second check.
+from `matcore.bloch_operator`), `total_mutual_information`; a state and
+what they derive from it are solved by eigvalsh alike, with no second check.
 """
 
 from dataclasses import dataclass
@@ -139,18 +140,13 @@ def classical_correlation(p: BellDiagonalParams) -> float:
     return correlation_bits(max(abs(p.c1), abs(p.c2), abs(p.c3)))
 
 
-def q1(p: BellDiagonalParams) -> float:
-    """Outcome mutual information for z-axis measurements on both sides."""
-    return correlation_bits(p.c3)
-
-
 def total_mutual_information(rho: DensityMatrix) -> float:
     """S(rho_A) + S(rho_B) - S(rho), in bits."""
     if rho.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
     r = rho.matrix.reshape(2, 2, 2, 2)
     sa, sb = (entropy_of_probabilities(np.linalg.eigvalsh(r.trace(axis1=k, axis2=k + 2))) for k in (1, 0))
-    return sa + sb - rho.entropy()
+    return sa + sb - entropy_of_probabilities(np.linalg.eigvalsh(rho.matrix))
 
 
 def bd_mutual_information(p: BellDiagonalParams) -> float:

@@ -30,7 +30,7 @@ from .entanglement import require_separable
 from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PPT_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
 from .matcore import bloch_vector, kron, pt_spectra
 from .states import BellDiagonalParams, DensityMatrix, bd_block, bd_matrix, bell_diagonal, bell_eigenvalues
-from .states import random_bd_block, sample_count
+from .states import as_int, random_bd_block
 
 N_POLAR, N_AZIMUTH = 90, 180  # the coarse polar x azimuthal grid of `maximize_holevo`
 REFINE_ROUNDS = 5
@@ -372,19 +372,23 @@ def check_ordered_frame(samples) -> tuple[CheckResult, ...]:
 
 def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
     """Seeded cross-check suite; every check pairs an implementation with an
-    independent route to the same number. Each check draws its inputs from
-    the one stream in turn, as one block."""
-    if sample_count(samples) < 1:
+    independent route to the same number. One `random_bd_block` draw from
+    the seed's stream is split into the checks' blocks, in the order they run."""
+    if as_int(seed, "seed") < 0:
+        raise ValueError(f"seed {seed} must be at least 0")
+    if as_int(samples, "sample count") < 1:
         raise ValueError("samples must be at least 1")
+    sizes = [samples, max(10, samples // 50), min(samples, 200), samples]
     rng = np.random.default_rng(seed)
+    spectra, holevo, z_corr, frame = np.split(random_bd_block(rng, sum(sizes)), np.cumsum(sizes[:-1]))
     z = pauli_mub_bases()[0]
     return [
         CheckResult("pauli-bases-mutually-unbiased", mub_check(pauli_mub_bases()), 0.0, MUB_TOL),
         CheckResult("repeated-basis-rejected", not mub_check([z, z]), 0.0, MUB_TOL),
-        check_spectra(random_bd_block(rng, samples)),
-        *check_holevo(random_bd_block(rng, max(10, samples // 50))),
-        check_z_correlation(random_bd_block(rng, min(samples, 200))),
-        *check_ordered_frame(random_bd_block(rng, samples)),
+        check_spectra(spectra),
+        *check_holevo(holevo),
+        check_z_correlation(z_corr),
+        *check_ordered_frame(frame),
     ]
 
 

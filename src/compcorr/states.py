@@ -9,6 +9,8 @@ reference against numeric eigensolves.
 import json
 import math
 import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +21,6 @@ from .matcore import (
     PHYSICALITY_TOL,
     SIGMAS,
     STATE_TOL,
-    entropy_of_probabilities,
 )
 
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -39,21 +40,19 @@ IDENTITY_FRAME.flags.writeable = False
 class DensityMatrix:
     """A Hermitian, unit-trace, positive semidefinite matrix with factor dims,
     checked once, here: what is derived from it is solved, not checked again.
+    It keeps only `matrix` and `dims`; a caller solves the matrix for its spectrum.
 
     Equality and hashing are by identity, since the fields are arrays.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    # ascending and read-only, kept for spectrum() and entropy() since the
-    # matrix cannot change: the PSD check's eigensolve
-    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(self.dims)
         if not dims or not all(
-            isinstance(d, numbers.Real) and not isinstance(d, bool) and math.isfinite(d) and int(d) == d >= 1
+            isinstance(d, numbers.Real) and not isinstance(d, bool) and 1 <= d <= sys.float_info.max and int(d) == d
             for d in dims
         ):
             raise ValueError(f"factor dims {dims} must name at least one factor, each an integer >= 1")
@@ -71,16 +70,8 @@ class DensityMatrix:
         if spectrum[0] < -STATE_TOL:
             raise ValueError(f"negative eigenvalue {spectrum[0]:.3e} below -{STATE_TOL:g}")
         m.flags.writeable = False
-        spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(map(int, dims)))
-        object.__setattr__(self, "_spectrum", spectrum)
-
-    def spectrum(self) -> np.ndarray:
-        return self._spectrum
-
-    def entropy(self) -> float:
-        return entropy_of_probabilities(self._spectrum)
 
 
 @dataclass(frozen=True)
@@ -140,9 +131,8 @@ def bd_matrix(c1, c2, c3) -> np.ndarray:
 
 
 def bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
-    """The state of `bd_matrix`, fully validated; its kept spectrum is the
-    PSD check's eigensolve, the numeric reference for the closed-form
-    eigenvalues."""
+    """The state of `bd_matrix`, fully validated; `np.linalg.eigvalsh` of
+    its matrix is the numeric reference for the closed-form eigenvalues."""
     return DensityMatrix(bd_matrix(p.c1, p.c2, p.c3), (2, 2))
 
 
@@ -243,12 +233,12 @@ def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np
     return round_onto_tetrahedron(s.tolist()), RA, RB
 
 
-def sample_count(n) -> int:
-    """n as an int, refused with a ValueError that names it unless it is
-    an integer; a bool is not one. The callers check its range."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"sample count {n!r} is not an integer")
-    return int(n)
+def as_int(x, name: str) -> int:
+    """x as an int, refused with a ValueError that names it unless it is an
+    integer; a bool is not one. The callers check its range."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} {x!r} is not an integer")
+    return int(x)
 
 
 def bd_block(c) -> np.ndarray:
@@ -272,25 +262,20 @@ def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
     (rejection) as one (n, 3) block of the rows that `bd_block` accepts.
 
     The rows are those of a loop that draws `rng.uniform(-1, 1, 3)` until
-    n triples pass `is_physical`, and the generator is left where that
-    loop leaves it: `Generator.uniform` draws one double per entry, in
-    order, so a block of k tries of three is k draws of three. Tries are
-    drawn in blocks; the physical ones are kept by `bd_block`'s eigenvalue
-    test, and uniform draws are finite, so no second check runs.
+    n triples pass `is_physical`, since `Generator.uniform` draws one double
+    per entry, in order; where it leaves the generator is no part of the
+    result. `bd_block`'s eigenvalue test keeps the physical tries, drawn in
+    blocks; uniform draws are finite, so no second check runs.
     """
-    n = sample_count(n)
+    n = as_int(n, "sample count")
     if n < 0:
         raise ValueError(f"sample count {n} must be at least 0")
-    start = rng.bit_generator.state
     tries = np.empty((0, 3))
     while True:  # about one try in three is physical
         tries = np.concatenate([tries, rng.uniform(-1, 1, (3 * n + 32, 3))])
         kept = np.flatnonzero((np.array(bell_eigenvalues(*tries.T)) >= -PHYSICALITY_TOL).all(axis=0))
         if len(kept) >= n:
             break
-    used = kept[n - 1] + 1 if n else 0
-    rng.bit_generator.state = start
-    rng.uniform(-1, 1, (used, 3))  # advance past the tries that the loop makes
     return tries[kept[:n]]
 
 
@@ -313,9 +298,14 @@ def load_state(path) -> DensityMatrix:
     if not isinstance(doc, dict):
         raise ValueError(f"state file must hold a JSON object, not a {type(doc).__name__}")
     try:
-        dims, re = tuple(doc["dims"]), np.array(doc["matrix_re"], dtype=float)  # DensityMatrix checks the dims
+        dims = tuple(doc["dims"])  # DensityMatrix checks the dims
+        re, im = (np.array(doc[key], dtype=object) for key in ("matrix_re", "matrix_im"))
+        # as floats, json's true and "0.25" read as 1 and 0.25, and an int that no float holds raises
+        for x in (*re.flat, *im.flat):
+            if not (type(x) is float or type(x) is int and abs(x) <= sys.float_info.max):
+                raise ValueError(f"entry {reprlib.repr(x)} is not a float or an int within float range")
         n = math.isqrt(re.size)
-        m = re.reshape(n, n) + 1j * np.array(doc["matrix_im"], dtype=float).reshape(n, n)
+        m = re.astype(float).reshape(n, n) + 1j * im.astype(float).reshape(n, n)
     except KeyError as e:
         raise ValueError(f"state file lacks the key {e}") from e
     except (TypeError, ValueError) as e:

@@ -15,7 +15,6 @@ from compcorr.correlations import (
     complementary_correlations,
     correlation_bits,
     discord_bd,
-    q1,
 )
 from compcorr.edss import ancilla_state, run_protocol, sweep
 from compcorr.entanglement import is_separable_bd, negativity, rel_entropy_entanglement_bd
@@ -98,7 +97,7 @@ def test_criterion_04_ordered_q1_plus_c_bounded_by_i():
     worst_eq = 0.0
     for c3 in np.arange(0.1, 0.95, 0.1):
         p = BellDiagonalParams(1.0, c3, -c3)
-        worst_eq = max(worst_eq, abs(q1(BellDiagonalParams(0, 0, c3)) + classical_correlation(p) - bd_mutual_information(p)))
+        worst_eq = max(worst_eq, abs(correlation_bits(c3) + classical_correlation(p) - bd_mutual_information(p)))
     _report(
         "criterion-04 ordered-frame Q1 + C <= I, saturated on the rank-2 family",
         worst_eq <= 1e-9,
@@ -120,9 +119,10 @@ def test_criterion_05_zeroed_coefficient_kills_entanglement():
         n += 1
         rho = bell_diagonal(BellDiagonalParams(*c))
         worst_neg = max(worst_neg, negativity(rho))
+        lam = np.sort(np.linalg.eigvalsh(rho.matrix))
         worst_spec = max(
             worst_spec,
-            float(np.max(np.abs(np.sort(pt_spectra(rho.matrix[None], rho.dims, (0,))[0, 0]) - np.sort(rho.spectrum())))),
+            float(np.max(np.abs(np.sort(pt_spectra(rho.matrix[None], rho.dims, (0,))[0, 0]) - lam))),
         )
     ok = worst_neg < 1e-12 and worst_spec <= 1e-10
     _report(

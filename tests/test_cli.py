@@ -342,6 +342,13 @@ _MIXED = (np.eye(4) / 4).ravel().tolist()  # I/4, a valid matrix for dims (2, 2)
         ({"dims": [2.9, 2], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, "factor dims (2.9, 2)"),
         ({"dims": [float("inf"), 2], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, "factor dims (inf, 2)"),
         ({"dims": [2, 2], "matrix_re": _MIXED, "matrix_im": [0.0]}, "malformed state file"),
+        # json's bools, strings and ints that no float holds are not read as numbers
+        ({"dims": [2, 2], "matrix_re": [0.25, False] + _MIXED[2:], "matrix_im": [0.0] * 16}, "entry False is not a"),
+        ({"dims": [2, 2], "matrix_re": ["0.25"] + _MIXED[1:], "matrix_im": [0.0] * 16}, "entry '0.25' is not a"),
+        ({"dims": [2, 2], "matrix_re": [10**400] + _MIXED[1:], "matrix_im": [0.0] * 16}, "entry 100000000000000000...0"),
+        ({"dims": [2, 2], "matrix_re": _MIXED, "matrix_im": [True] + [0.0] * 15}, "entry True is not a"),
+        ({"dims": [10**400, 2], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, "factor dims (1000"),
+        ({"dims": ["2", 2], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, "factor dims ('2', 2)"),
     ],
 )
 def test_malformed_state_file_rejected(command, doc, message, tmp_path, capsys):
@@ -378,6 +385,10 @@ class TestVerify:
     def test_zero_samples_rejected(self, capsys):
         assert main(["verify", "--samples", "0"]) == 2
         assert "samples must be at least 1" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed -1 must be at least 0\n"
 
 
 @pytest.mark.parametrize(

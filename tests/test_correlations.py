@@ -16,7 +16,6 @@ from compcorr.correlations import (
     holevo_quantity,
     outcome_mutual_information,
     outcome_tables,
-    q1,
     total_mutual_information,
 )
 from compcorr.matcore import LOG2, STATE_TOL, ZERO_BRANCH, bloch_operator, bloch_vector, kron
@@ -260,9 +259,9 @@ class TestClosedForms:
         )
 
     def test_q1_examples(self):
-        assert q1(BellDiagonalParams(0.3, 0.1, 0)) == 0.0
-        assert q1(BellDiagonalParams(0, 0, 1)) == pytest.approx(1.0)
-        assert q1(BellDiagonalParams(0, 0, -1)) == pytest.approx(1.0)
+        assert correlation_bits(BellDiagonalParams(0.3, 0.1, 0).c3) == 0.0
+        assert correlation_bits(BellDiagonalParams(0, 0, 1).c3) == pytest.approx(1.0)
+        assert correlation_bits(BellDiagonalParams(0, 0, -1).c3) == pytest.approx(1.0)
 
     def test_q1_matches_measured_z_correlation(self):
         rng = np.random.default_rng(25)

@@ -71,7 +71,7 @@ class TestCnot:
 class TestAncilla:
     def test_pure_ancilla_rank_one(self):
         anc = ancilla_state(0.7, 1.1, 1.0)
-        lam = anc.spectrum()
+        lam = np.linalg.eigvalsh(anc.matrix)
         assert lam[0] == pytest.approx(0.0, abs=1e-12)
         assert lam[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -102,7 +102,7 @@ class TestRunProtocol:
         rng = np.random.default_rng(40)
         for _ in range(10):
             p = random_bd_params(rng)
-            if bell_diagonal(p).spectrum()[-1] > 0.5:
+            if np.linalg.eigvalsh(bell_diagonal(p).matrix)[-1] > 0.5:
                 continue
             rho, anc = bell_diagonal(p), ancilla_state(0.9, 0.4, 0.6)
             trace = run_protocol(rho, anc)
@@ -121,7 +121,7 @@ class TestRunProtocol:
         # solved afresh: the stage keeps the product spectrum of rho (x) ancilla
         np.testing.assert_allclose(
             np.linalg.eigvalsh(after_alice),
-            np.sort(np.multiply.outer(rho.spectrum(), anc.spectrum()), axis=None),
+            np.sort(np.multiply.outer(np.linalg.eigvalsh(rho.matrix), np.linalg.eigvalsh(anc.matrix)), axis=None),
             atol=1e-10,
         )
 
@@ -245,7 +245,7 @@ class TestSweep:
         assert rows  # separable points exist on the axis-aligned sub-grid
         for r in rows:
             assert is_physical((r.c1, r.c2, r.c3))
-            assert bell_diagonal(BellDiagonalParams(r.c1, r.c2, r.c3)).spectrum()[-1] <= 0.5 + 1e-12
+            assert np.linalg.eigvalsh(bell_diagonal(BellDiagonalParams(r.c1, r.c2, r.c3)).matrix)[-1] <= 0.5 + 1e-12
         # deterministic lexicographic order
         keys = [(r.c1, r.c2, r.c3) for r in rows]
         assert keys == sorted(keys)

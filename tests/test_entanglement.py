@@ -24,7 +24,6 @@ from compcorr.states import (
     is_physical,
 )
 from testkit import PHI_PLUS, random_bd_params, random_density_matrix
-from compcorr.correlations import q1
 
 
 def test_negativity_bell_state():
@@ -62,7 +61,8 @@ def test_zeroed_coefficient_pt_spectrum_identity():
         if not is_physical((0.0, p.c2, p.c3)):
             continue
         rho = bell_diagonal(BellDiagonalParams(0.0, p.c2, p.c3))
-        np.testing.assert_allclose(pt_spectra(rho.matrix[None], (2, 2), (0,))[0, 0], rho.spectrum(), atol=1e-10)
+        lam = np.linalg.eigvalsh(rho.matrix)
+        np.testing.assert_allclose(pt_spectra(rho.matrix[None], (2, 2), (0,))[0, 0], lam, atol=1e-10)
 
 
 def test_ppt_verdict_product_three_qubit():
@@ -100,7 +100,7 @@ def test_rel_entropy_equals_q1_on_family():
     for c3 in np.linspace(-0.9, 0.9, 10):
         p, _, _ = bd_params_of(family_eq15(c3))
         assert rel_entropy_entanglement_bd(p) == pytest.approx(correlation_bits(c3), abs=1e-12)
-        assert rel_entropy_entanglement_bd(p) == pytest.approx(q1(p), abs=1e-12)
+        assert rel_entropy_entanglement_bd(p) == pytest.approx(correlation_bits(p.c3), abs=1e-12)
 
 
 def test_necessary_condition():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compcorr.correlations import clamped_discord, classical_correlation, complementary_correlations
-from compcorr.correlations import correlation_bits, holevo_quantity, q1
+from compcorr.correlations import correlation_bits, holevo_quantity
 from compcorr import oracle
 from compcorr.edss import ancilla_state, edss_useful, run_protocol
 from compcorr.entanglement import is_separable_bd
@@ -209,7 +209,7 @@ class TestDiscordNumeric:
 
     def test_family_matches_z_correlation(self):
         rho = family_eq15(0.5)
-        assert abs(discord_numeric(rho) - q1(bd_params_of(rho)[0])) < 1e-4
+        assert abs(discord_numeric(rho) - correlation_bits(bd_params_of(rho)[0].c3)) < 1e-4
 
     def test_nonnegative(self):
         rng = np.random.default_rng(51)
@@ -302,7 +302,7 @@ class TestSpectrumCrosscheck:
 def _z_correlation_per_sample(samples):
     """`check_z_correlation` one validated state at a time, through
     `complementary_correlations`."""
-    dev = max(abs(q1(p) - complementary_correlations(bell_diagonal(p))[2]) for p in samples)
+    dev = max(abs(correlation_bits(p.c3) - complementary_correlations(bell_diagonal(p))[2]) for p in samples)
     return CheckResult("z-correlation-closed-form-vs-measured", dev < 1e-12, dev, 1e-12)
 
 
@@ -326,7 +326,9 @@ def _ordered_frame_per_sample(samples):
 def _spectra_per_sample(samples):
     """`check_spectra` one validated state at a time: the closed-form
     spectrum against the state's own eigensolve."""
-    dev = max(float(np.max(np.abs(np.sort(p.eigenvalues) - bell_diagonal(p).spectrum()))) for p in samples)
+    dev = max(
+        float(np.max(np.abs(np.sort(p.eigenvalues) - np.linalg.eigvalsh(bell_diagonal(p).matrix)))) for p in samples
+    )
     return CheckResult("bell-diagonal-spectrum-crosscheck", dev < 1e-10, dev, 1e-10)
 
 
@@ -417,6 +419,22 @@ def test_verification_deviations_are_pinned_bit_for_bit(seed):
 def test_verification_refuses_a_sample_count_that_is_not_an_integer(samples):
     with pytest.raises(ValueError, match=f"^sample count {re.escape(repr(samples))} is not an integer$"):
         run_verification(0, samples)
+
+
+@pytest.mark.parametrize("seed", [2.5, math.nan, True, np.float64(3.0), "10", None])
+def test_verification_refuses_a_seed_that_is_not_an_integer(seed):
+    # a bool is refused, though True == 1 would seed the stream
+    with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not an integer$"):
+        run_verification(seed, 1000)
+
+
+def test_verification_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed -1 must be at least 0$"):
+        run_verification(-1, 1000)
+
+
+def test_verification_takes_a_numpy_integer_seed():
+    assert run_verification(np.int64(3), 50) == run_verification(3, 50)
 
 
 class TestVerificationSuite:

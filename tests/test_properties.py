@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from compcorr.correlations import correlation_bits, discord_bd, q1
+from compcorr.correlations import correlation_bits, discord_bd
 from compcorr.edss import ancilla_state, edss_useful, run_protocol
 from compcorr.entanglement import all_correlations_nonzero, is_separable_bd, negativity
 from compcorr.entanglement import negativity_bd, rel_entropy_entanglement_bd
@@ -58,7 +58,7 @@ def test_correlation_bits_bounds_and_evenness(c):
 @settings(max_examples=60, deadline=None)
 def test_q1_even_in_c3(p):
     flipped = BellDiagonalParams(p.c1, -p.c2, -p.c3)
-    assert abs(q1(p) - q1(flipped)) < 1e-15
+    assert abs(correlation_bits(p.c3) - correlation_bits(flipped.c3)) < 1e-15
 
 
 @given(physical_triples())
@@ -77,7 +77,8 @@ def _parity_mutual_information(lam, k, l):
         table[key] = table.get(key, 0.0) + max(w, 0.0)
     pk = {a: sum(w for (x, _), w in table.items() if x == a) for a in (-1.0, 1.0)}
     pl = {b: sum(w for (_, y), w in table.items() if y == b) for b in (-1.0, 1.0)}
-    return sum(w * math.log2(w / (pk[a] * pl[b])) for (a, b), w in table.items() if w > 0)
+    # divided in turn: the product pk * pl underflows to 0 for subnormal weights
+    return sum(w * math.log2(w / pk[a] / pl[b]) for (a, b), w in table.items() if w > 0)
 
 
 # Bell weights with zeros (faces of the tetrahedron) and repeats, which tie
@@ -88,6 +89,7 @@ bell_weights = st.lists(st.one_of(st.just(0.0), st.just(0.5), st.floats(0, 1)), 
 @given(bell_weights)
 @example([0.5, 0.5, 0.0, 0.0])
 @example([1.0, 0.0, 0.0, 0.0])
+@example([0.0, 0.25, 5e-324, 0.25])  # a subnormal weight
 @settings(max_examples=100, deadline=None)
 def test_discord_minus_q1_is_a_parity_mutual_information(w):
     assume(sum(w) > 0)

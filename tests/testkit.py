@@ -15,8 +15,9 @@ PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = np.array(
 
 def random_bd_params(rng: np.random.Generator, n: int | None = None):
     """One uniform sample of the physical Bell-diagonal tetrahedron, or,
-    given n, a list of n: the rows of `random_bd_block`, which leaves the
-    generator where a one-at-a-time rejection loop leaves it."""
+    given n, a list of n: the rows of one `random_bd_block` draw. One at a
+    time, each call is a fresh block draw, so the samples are not those of
+    one draw of n."""
     if n is None:
         return BellDiagonalParams(*random_bd_block(rng, 1)[0].tolist())
     return [BellDiagonalParams(*c) for c in random_bd_block(rng, n).tolist()]
