@@ -64,10 +64,10 @@ def outcome_mutual_information(p):
     return float(acc / LOG2) if p.ndim == 2 else acc / LOG2
 
 
-# _AXIS_PROJECTORS[k, i]: projector (I +- sigma_k)/2 on outcome i (+1, then
+# AXIS_PROJECTORS[k, i]: projector (I +- sigma_k)/2 on outcome i (+1, then
 # -1) of the measurement along axis k (x, y, z)
-_AXIS_PROJECTORS = bloch_operator(np.stack([np.eye(3), -np.eye(3)], axis=1))
-_AXIS_PROJECTORS.flags.writeable = False
+AXIS_PROJECTORS = bloch_operator(np.stack([np.eye(3), -np.eye(3)], axis=1))
+AXIS_PROJECTORS.flags.writeable = False
 
 
 def outcome_tables(m: np.ndarray) -> np.ndarray:
@@ -75,7 +75,7 @@ def outcome_tables(m: np.ndarray) -> np.ndarray:
     two-qubit matrices m as one real (..., 3, 2, 2) array, axes x, y, z;
     each matrix of a stack gets the bits of its own call."""
     r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
-    return np.einsum("...abce,kica,kjeb->...kij", r, _AXIS_PROJECTORS, _AXIS_PROJECTORS).real
+    return np.einsum("...abce,kica,kjeb->...kij", r, AXIS_PROJECTORS, AXIS_PROJECTORS).real
 
 
 def complementary_correlations(rho: DensityMatrix) -> tuple[float, float, float]:

@@ -61,7 +61,6 @@ returns each entry of rho_AB between basis states of equal parity a XOR b,
 and every nonzero entry of a Bell-diagonal rho_AB is one of those.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -70,7 +69,7 @@ import numpy as np
 from .entanglement import PptVerdict, is_separable_bd, require_separable
 from .matcore import bloch_operator, bloch_vector, fmt, kron, pt_spectra
 from .report import report_for_bd
-from .states import BellDiagonalParams, DensityMatrix, bd_rank, bell_diagonal, is_physical
+from .states import BellDiagonalParams, DensityMatrix, as_int, bd_rank, bell_diagonal, bell_eigenvalues, on_tetrahedron
 
 STAGES = ("initial", "after_alice", "after_bob")
 CUT_FACTORS = (0, 2, 1)
@@ -210,13 +209,12 @@ def sweep(resolution: int) -> list[SweepRow]:
     columns are `report_for_bd` of each grid triple, with no state built;
     the oracle and the tests check them against the measured routes.
     """
-    if resolution < 2:
+    if as_int(resolution, "resolution") < 2:
         raise ValueError("resolution must be at least 2 per axis")
     axis = np.linspace(-1.0, 1.0, resolution)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     rows = []
-    for c in itertools.product(axis.tolist(), repeat=3):
-        if not is_physical(c):
-            continue
+    for c in grid[on_tetrahedron(bell_eigenvalues(*grid.T))].tolist():
         p = BellDiagonalParams(*c)
         if not is_separable_bd(p):
             continue

@@ -5,8 +5,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import correlation_bits
-from .matcore import PHYSICALITY_TOL, PPT_TOL, pt_spectra
+from .matcore import PPT_TOL, pt_spectra
 from .states import BellDiagonalParams, DensityMatrix
+
+
+def reads_ppt(min_eigenvalue):
+    """Whether a least partial-transpose eigenvalue, a float or an array of
+    them, reads PPT: at least -PPT_TOL. The one PPT rule; a NaN fails."""
+    return min_eigenvalue >= -PPT_TOL
 
 
 @dataclass(frozen=True)
@@ -23,7 +29,7 @@ class PptVerdict:
 
     @property
     def is_ppt(self) -> bool:
-        return self.min_eigenvalue >= -PPT_TOL
+        return reads_ppt(self.min_eigenvalue)
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -34,10 +40,10 @@ def negativity(rho: DensityMatrix) -> float:
 
 def negativity_bd(p: BellDiagonalParams) -> float:
     """Negativity, Bell-diagonal closed form: the partial transpose has eigenvalues 1/2 - lambda_k,
-    so N = lambda_max - 1/2 (exact, by Sterbenz, as lambda_max is in [1/4, 1]) counts above
-    PHYSICALITY_TOL. Every Bell-diagonal entanglement verdict reads this one margin."""
+    so N = lambda_max - 1/2 (exact, by Sterbenz, as lambda_max is in [1/4, 1]) counts unless the
+    least one, 1/2 - lambda_max = -N, `reads_ppt`. Every Bell-diagonal entanglement verdict reads this one margin."""
     n = max(p.eigenvalues) - 0.5
-    return n if n > PHYSICALITY_TOL else 0.0
+    return 0.0 if reads_ppt(-n) else n
 
 
 def is_separable_bd(p: BellDiagonalParams) -> bool:

@@ -20,9 +20,11 @@ EIG_CLAMP_TOL = 1e-8
 # Local Bloch vectors (and off-diagonal correlations) below this vanish.
 MARGINAL_TOL = 1e-8
 # Slack for a value derived through rounding: a triple read off the normal
-# form, a closed-form discord that must not be negative.
+# form (the bound `round_onto_tetrahedron` gives `states.on_tetrahedron`), a
+# closed-form discord that must not be negative.
 DERIVED_TOL = 1e-9
-# Closed-form Bell-basis eigenvalues are exact up to rounding.
+# Closed-form Bell-basis eigenvalues are exact up to rounding: the bound of
+# the physicality rule, `states.on_tetrahedron`, and of `bd_rank`.
 PHYSICALITY_TOL = 1e-12
 # Norm check on the unit Bloch vector of Bob's measurement in the Holevo
 # quantity.
@@ -31,7 +33,9 @@ UNIT_TOL = 1e-12
 PROB_CLAMP = 1e-12
 # Measurement branches with weight below this contribute nothing.
 ZERO_BRANCH = 1e-15
-# Separates "zero" from "entangled" on partial-transpose eigenvalues.
+# Separates "zero" from "entangled" on partial-transpose eigenvalues: the
+# bound of the PPT rule, `entanglement.reads_ppt`; `all_correlations_nonzero`
+# reads it as the least nonzero correlation.
 PPT_TOL = 1e-12
 # Orthonormality and squared cross-basis overlaps of measurement bases.
 MUB_TOL = 1e-12

@@ -3,9 +3,10 @@
 The grid maximizer of the Holevo quantity is the oracle for the closed-form
 classical correlation; numeric discord follows from it. One fixed ancilla
 grid is the oracle for the exact EDSS rule: the 8x8 A|BC and C|AB cuts of
-all 1,280 grid ancillas are one stacked eigensolve. Also here: the
-mutual-unbiasedness checker and the closed-form-vs-eigensolver spectrum
-cross-check. Each cross-check of the seeded suite behind
+all 1,280 grid ancillas are one stacked eigensolve, read by the runtime's
+one PPT rule, `entanglement.reads_ppt`. Also here: the mutual-unbiasedness
+checker, run on the axis projectors the runtime measures with, and the
+closed-form-vs-eigensolver spectrum cross-check. Each cross-check of the seeded suite behind
 `compcorr verify` is one `check_*` function of its input samples; the
 tests call the same functions on their own seeds. Every check takes its
 Bell-diagonal samples as one (n, 3) block checked by `states.bd_block`,
@@ -23,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import classical_correlation, discord_bd, holevo_quantity, outcome_mutual_information
-from .correlations import outcome_tables, total_mutual_information
+from .correlations import AXIS_PROJECTORS, classical_correlation, discord_bd, holevo_quantity
+from .correlations import outcome_mutual_information, outcome_tables, total_mutual_information
 from .edss import PERM_AC
-from .entanglement import require_separable
-from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PPT_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
+from .entanglement import reads_ppt, require_separable
+from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
 from .matcore import bloch_vector, kron, pt_spectra
 from .states import BellDiagonalParams, DensityMatrix, bd_block, bd_matrix, bell_diagonal, bell_eigenvalues
 from .states import as_int, random_bd_block
@@ -217,38 +218,23 @@ def edss_useful_numeric(p: BellDiagonalParams) -> NumericEdssResult:
     # rho (x) ancilla for every ancilla, then Alice's CNOT: index by PERM_AC
     rabc = kron(bell_diagonal(p).matrix, anc)[:, PERM_AC[:, None], PERM_AC]
     m_a, m_c = pt_spectra(rabc, (2, 2, 2), (0, 2))[:, :, 0].T
-    npt_a, ppt_c = m_a < -PPT_TOL, m_c >= -PPT_TOL
+    npt_a, ppt_c = ~reads_ppt(m_a), reads_ppt(m_c)
     clean = npt_a & ppt_c
     witness = tuple(ANCILLA_GRID[np.argmax(clean)].tolist()) if clean.any() else None
     return NumericEdssResult(witness, bool((npt_a & ~ppt_c).any()))
 
 
-def mub_check(bases) -> bool:
-    """True when all cross-basis squared overlaps equal 1/d within MUB_TOL.
-
-    Each basis is given as the columns of a matrix and must be orthonormal
-    within MUB_TOL.
-    """
-    mats = [np.asarray(b, dtype=complex) for b in bases]
-    d = mats[0].shape[0]
-    for m in mats:
-        if np.max(np.abs(m.conj().T @ m - np.eye(d))) > MUB_TOL:
-            raise ValueError("basis is not orthonormal within tolerance")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            overlaps = np.abs(mats[i].conj().T @ mats[j]) ** 2
-            if np.max(np.abs(overlaps - 1.0 / d)) > MUB_TOL:
-                return False
-    return True
-
-
-def pauli_mub_bases() -> list[np.ndarray]:
-    """The three qubit bases: z eigenbasis, x eigenbasis, y eigenbasis."""
-    s = 1 / np.sqrt(2)
-    z = np.eye(2, dtype=complex)
-    x = np.array([[s, s], [s, -s]], dtype=complex)
-    y = np.array([[s, s], [1j * s, -1j * s]], dtype=complex)
-    return [z, x, y]
+def mub_check(projectors) -> bool:
+    """Whether the bases of a projector stack, projectors[k, i] on outcome i
+    of basis k as in `correlations.AXIS_PROJECTORS`, are mutually unbiased:
+    one einsum forms every Tr(P_ki P_lj), which must be 1/d within MUB_TOL
+    across two bases, and delta_ij within one, else the stack is refused."""
+    p = np.asarray(projectors, dtype=complex)
+    n, d = p.shape[:2]
+    overlaps = np.einsum("kiab,ljba->klij", p, p).real
+    if not np.max(np.abs(overlaps[np.arange(n), np.arange(n)] - np.eye(d))) <= MUB_TOL:
+        raise ValueError("basis is not orthonormal within tolerance")
+    return bool(np.max(np.abs(overlaps[~np.eye(n, dtype=bool)] - 1.0 / d), initial=0.0) <= MUB_TOL)
 
 
 def _closed_spectra(block: np.ndarray) -> np.ndarray:
@@ -381,10 +367,9 @@ def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
     sizes = [samples, max(10, samples // 50), min(samples, 200), samples]
     rng = np.random.default_rng(seed)
     spectra, holevo, z_corr, frame = np.split(random_bd_block(rng, sum(sizes)), np.cumsum(sizes[:-1]))
-    z = pauli_mub_bases()[0]
     return [
-        CheckResult("pauli-bases-mutually-unbiased", mub_check(pauli_mub_bases()), 0.0, MUB_TOL),
-        CheckResult("repeated-basis-rejected", not mub_check([z, z]), 0.0, MUB_TOL),
+        CheckResult("pauli-bases-mutually-unbiased", mub_check(AXIS_PROJECTORS), 0.0, MUB_TOL),
+        CheckResult("repeated-basis-rejected", not mub_check(AXIS_PROJECTORS[[2, 2]]), 0.0, MUB_TOL),
         check_spectra(spectra),
         *check_holevo(holevo),
         check_z_correlation(z_corr),

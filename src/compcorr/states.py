@@ -61,10 +61,13 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has a non-finite entry")
-        if not np.max(np.abs(m - m.conj().T)) <= STATE_TOL:
+        # entries near the float maximum may sum to inf or NaN, which the checks refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            skew = np.max(np.abs(m - m.conj().T))
+            tr = np.trace(m).real
+        if not skew <= STATE_TOL:
             raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > STATE_TOL:
+        if not abs(tr - 1.0) <= STATE_TOL:  # written so that a NaN fails
             raise ValueError(f"trace {tr} differs from 1 by more than {STATE_TOL:g}")
         spectrum = np.linalg.eigvalsh(m)
         if spectrum[0] < -STATE_TOL:
@@ -92,8 +95,8 @@ class BellDiagonalParams:
         if not all(map(math.isfinite, c)):
             raise ValueError(f"non-finite correlation triple {c}")
         lam = bell_eigenvalues(*c)
-        i = min(range(4), key=lam.__getitem__)
-        if lam[i] < -PHYSICALITY_TOL:
+        if not on_tetrahedron(lam):
+            i = min(range(4), key=lam.__getitem__)
             raise ValueError(
                 f"unphysical correlation triple {c}: Bell-basis eigenvalue for {_BELL_LABELS[i]} is {lam[i]:.6g}"
             )
@@ -110,9 +113,13 @@ def bell_eigenvalues(c1: float, c2: float, c3: float) -> tuple[float, float, flo
     return ((1 + c1 - c2 + c3) / 4, (1 - c1 + c2 + c3) / 4, (1 + c1 + c2 - c3) / 4, (1 - c1 - c2 - c3) / 4)
 
 
-def is_physical(c) -> bool:
-    """Whether a raw triple passes the eigenvalue check of BellDiagonalParams; a NaN fails."""
-    return all(x >= -PHYSICALITY_TOL for x in bell_eigenvalues(*c))
+def on_tetrahedron(lam, tol=PHYSICALITY_TOL):
+    """The physicality rule: whether a triple's Bell-basis eigenvalues lam, four
+    floats or four arrays, are each at least -tol, so that it lies on the
+    tetrahedron within tol. A NaN fails, and so does every non-finite
+    triple, as one of its eigenvalues is NaN or -inf."""
+    l0, l1, l2, l3 = lam
+    return (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol) & (l3 >= -tol)
 
 
 def bd_matrix(c1, c2, c3) -> np.ndarray:
@@ -170,10 +177,8 @@ def signed_svd(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def family_eq15(c3: float) -> DensityMatrix:
-    """Mixture (1+c3)/2 |psi+><psi+| + (1-c3)/2 |phi+><phi+|, c = (1, c3, -c3), for |c3| <= 1."""
+    """Mixture (1+c3)/2 |psi+><psi+| + (1-c3)/2 |phi+><phi+|, c = (1, c3, -c3), physical for |c3| <= 1."""
     c3 = float(c3)
-    if abs(c3) > 1:
-        raise ValueError(f"c3 = {c3} outside [-1, 1]")
     return bell_diagonal(BellDiagonalParams(1.0, c3, -c3))
 
 
@@ -183,8 +188,6 @@ def werner(p: float) -> DensityMatrix:
     Bell-diagonal with c1 = c2 = c3 = -p; physical for p in [-1/3, 1].
     """
     p = float(p)
-    if not (-1 / 3 - PHYSICALITY_TOL <= p <= 1 + PHYSICALITY_TOL):
-        raise ValueError(f"Werner weight {p} outside physical range [-1/3, 1]")
     return bell_diagonal(BellDiagonalParams(-p, -p, -p))
 
 
@@ -204,8 +207,8 @@ def round_onto_tetrahedron(c) -> BellDiagonalParams:
     try:
         return BellDiagonalParams(*c)
     except ValueError:
-        lam = np.array(bell_eigenvalues(*c))
-        if not lam.min() >= -DERIVED_TOL:  # written so that a NaN fails
+        lam = bell_eigenvalues(*c)
+        if not on_tetrahedron(lam, DERIVED_TOL):
             raise
     lam = np.clip(lam, 0.0, None)
     return BellDiagonalParams(*(_BELL_SIGNS @ (lam / lam.sum())))
@@ -244,14 +247,16 @@ def as_int(x, name: str) -> int:
 def bd_block(c) -> np.ndarray:
     """Correlation triples as one (n, 3) float array, each row checked as
     `BellDiagonalParams` checks its triple: the first row that fails raises
-    that constructor's ValueError."""
+    that constructor's ValueError. A non-finite or huge row fails through
+    NaN or infinite eigenvalues, formed here without numpy's warnings."""
     try:
         c = np.array(c, dtype=float)
     except (TypeError, ValueError) as e:
         raise ValueError(f"triples must form an (n, 3) array of numbers: {e}") from e
     if c.ndim != 2 or c.shape[1] != 3:
         raise ValueError(f"triples must form an (n, 3) array, got shape {c.shape}")
-    ok = np.isfinite(c).all(axis=1) & (np.array(bell_eigenvalues(*c.T)) >= -PHYSICALITY_TOL).all(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = on_tetrahedron(bell_eigenvalues(*c.T))
     if not ok.all():
         BellDiagonalParams(*c[np.argmin(ok)].tolist())
     return c
@@ -262,10 +267,10 @@ def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
     (rejection) as one (n, 3) block of the rows that `bd_block` accepts.
 
     The rows are those of a loop that draws `rng.uniform(-1, 1, 3)` until
-    n triples pass `is_physical`, since `Generator.uniform` draws one double
-    per entry, in order; where it leaves the generator is no part of the
-    result. `bd_block`'s eigenvalue test keeps the physical tries, drawn in
-    blocks; uniform draws are finite, so no second check runs.
+    n triples lie on the tetrahedron, since `Generator.uniform` draws one
+    double per entry, in order; where it leaves the generator is no part of
+    the result. `on_tetrahedron` keeps the physical tries, drawn in blocks;
+    they are the rows `bd_block` accepts, so no second check runs.
     """
     n = as_int(n, "sample count")
     if n < 0:
@@ -273,7 +278,7 @@ def random_bd_block(rng: np.random.Generator, n: int) -> np.ndarray:
     tries = np.empty((0, 3))
     while True:  # about one try in three is physical
         tries = np.concatenate([tries, rng.uniform(-1, 1, (3 * n + 32, 3))])
-        kept = np.flatnonzero((np.array(bell_eigenvalues(*tries.T)) >= -PHYSICALITY_TOL).all(axis=0))
+        kept = np.flatnonzero(on_tetrahedron(bell_eigenvalues(*tries.T)))
         if len(kept) >= n:
             break
     return tries[kept[:n]]

@@ -33,10 +33,9 @@ from compcorr.states import (
     bell_eigenvalues,
     classically_correlated,
     family_eq15,
-    is_physical,
     random_bd_block,
 )
-from testkit import PHI_PLUS, partial_transpose, random_bd_params, random_density_matrix
+from testkit import PHI_PLUS, is_physical, partial_transpose, random_bd_params, random_density_matrix
 
 # frozen references for the discord comparison (criterion 6)
 DISCORD_FULL_REF = 0.25

@@ -20,6 +20,7 @@ from compcorr.states import (
     bd_params_of,
     bell_diagonal,
     bloch_decompose,
+    load_state,
     save_state,
     signed_svd,
 )
@@ -124,6 +125,19 @@ class TestAnalyze:
             assert main(["analyze", "--state", str(path)]) == 2
         assert "non-finite entry" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    # the antisymmetric pair overflowed m - m^dagger, which numpy warned of
+    @pytest.mark.parametrize("sign, message", [(-1, "is not Hermitian"), (1, "negative eigenvalue")])
+    def test_state_file_entries_near_the_float_maximum_rejected(self, sign, message, tmp_path, capsys):
+        matrix_re = [0.25 if i % 5 == 0 else 0.0 for i in range(16)]
+        matrix_re[1], matrix_re[4] = 1.7e308, sign * 1.7e308
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix_re": matrix_re, "matrix_im": [0.0] * 16}))
+        with pytest.raises(ValueError, match=message):
+            load_state(path)
+        assert main(["analyze", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("bd", ["0.5,0.25,0.25", "1,-1,1"])
     def test_formats_agree(self, bd, capsys):

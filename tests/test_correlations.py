@@ -25,10 +25,9 @@ from compcorr.states import (
     DensityMatrix,
     bell_diagonal,
     classically_correlated,
-    is_physical,
     random_bd_block,
 )
-from testkit import PHI_PLUS, random_bd_params, random_density_matrix
+from testkit import PHI_PLUS, is_physical, random_bd_params, random_density_matrix
 
 
 def binary_entropy(x):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from compcorr.edss import (
 )
 from compcorr.entanglement import negativity_bd
 from compcorr.matcore import kron
-from compcorr.states import BellDiagonalParams, bell_diagonal, is_physical
-from testkit import partial_transpose, random_bd_params, random_density_matrix
+from compcorr.states import BellDiagonalParams, bell_diagonal
+from testkit import is_physical, partial_transpose, random_bd_params, random_density_matrix
 
 
 # the CNOTs built from projectors: |0><0| (x) I (x) I + |1><1| (x) I (x) X
@@ -253,6 +255,12 @@ class TestSweep:
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
             sweep(1)
+
+    # a float or a str stopped sweep with a bare TypeError, and True read as 1
+    @pytest.mark.parametrize("resolution", [2.5, "9", None, True, 9.0])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match=f"^resolution {re.escape(repr(resolution))} is not an integer$"):
+            sweep(resolution)
 
     def test_csv_deterministic(self):
         a = sweep_csv(sweep(3))

@@ -21,9 +21,8 @@ from compcorr.states import (
     bell_diagonal,
     bell_eigenvalues,
     family_eq15,
-    is_physical,
 )
-from testkit import PHI_PLUS, random_bd_params, random_density_matrix
+from testkit import PHI_PLUS, is_physical, random_bd_params, random_density_matrix
 
 
 def test_negativity_bell_state():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compcorr.correlations import clamped_discord, classical_correlation, complementary_correlations
-from compcorr.correlations import correlation_bits, holevo_quantity
+from compcorr.correlations import AXIS_PROJECTORS, correlation_bits, holevo_quantity
 from compcorr import oracle
 from compcorr.edss import ancilla_state, edss_useful, run_protocol
 from compcorr.entanglement import is_separable_bd
@@ -22,7 +22,6 @@ from compcorr.oracle import (
     edss_useful_numeric,
     maximize_holevo,
     mub_check,
-    pauli_mub_bases,
     run_verification,
     verification_report,
 )
@@ -33,10 +32,9 @@ from compcorr.states import (
     bell_diagonal,
     classically_correlated,
     family_eq15,
-    is_physical,
     random_bd_block,
 )
-from testkit import random_bd_params, random_density_matrix
+from testkit import is_physical, random_bd_params, random_density_matrix
 
 
 def _full_sphere_holevo_batch(rho, ns):
@@ -256,33 +254,39 @@ class TestEdssNumeric:
         assert found >= 5 and npt_only >= 5  # both directions are exercised
 
 
+def _basis(v):
+    """The projectors (I +- v . sigma)/2 of the measurement along unit vector v."""
+    return bloch_operator(np.stack([v, -np.asarray(v)]))
+
+
 class TestMubCheck:
     def test_pauli_bases(self):
-        assert mub_check(pauli_mub_bases())
+        assert mub_check(AXIS_PROJECTORS)
 
     def test_repeated_basis(self):
-        z = pauli_mub_bases()[0]
-        assert not mub_check([z, z])
+        assert not mub_check(AXIS_PROJECTORS[[2, 2]])
 
     def test_rotated_bases(self):
-        def rot(half_angle):
-            return np.array(
-                [
-                    [np.cos(half_angle), -np.sin(half_angle)],
-                    [np.sin(half_angle), np.cos(half_angle)],
-                ],
-                dtype=complex,
-            )
-
-        z = pauli_mub_bases()[0]
-        # a 45-degree basis rotation of the z eigenbasis is the x eigenbasis
-        assert mub_check([z, rot(np.pi / 4) @ z])
-        # a 22.5-degree rotation gives squared overlaps cos^2(22.5deg) != 1/2
-        assert not mub_check([z, rot(np.pi / 8) @ z])
+        z = AXIS_PROJECTORS[2]
+        # turning the z axis by 90 degrees about y gives the x eigenbasis
+        assert mub_check(np.stack([z, _basis(bloch_vector(np.pi / 2, 0.0))]))
+        # a 45-degree turn gives squared overlaps cos^2(22.5deg) != 1/2
+        assert not mub_check(np.stack([z, _basis(bloch_vector(np.pi / 4, 0.0))]))
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            mub_check([np.array([[1, 1], [0, 0]], dtype=complex), pauli_mub_bases()[0]])
+        # both outcomes of the first basis project on |0>
+        with pytest.raises(ValueError, match="not orthonormal"):
+            mub_check(np.stack([AXIS_PROJECTORS[2][[0, 0]], AXIS_PROJECTORS[2]]))
+
+    def test_verify_checks_the_runtime_bases(self, monkeypatch):
+        # the x basis turned by 0.1 rad about z stays orthonormal and
+        # unbiased to z, but not to y
+        turned = AXIS_PROJECTORS.copy()
+        turned[0] = _basis(bloch_vector(np.pi / 2, 0.1))
+        monkeypatch.setattr(oracle, "AXIS_PROJECTORS", turned)
+        mub, repeated = verification_report(run_verification(0, 1)).splitlines()[:2]
+        assert mub.startswith("FAIL pauli-bases-mutually-unbiased:")
+        assert repeated.startswith("PASS repeated-basis-rejected:")
 
 
 class TestSpectrumCrosscheck:

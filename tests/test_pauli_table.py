@@ -17,9 +17,8 @@ from compcorr.states import (
     BellDiagonalParams,
     bell_diagonal,
     bloch_decompose,
-    is_physical,
 )
-from testkit import random_density_matrix
+from testkit import is_physical, random_density_matrix
 
 TOL = 1e-14
 

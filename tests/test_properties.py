@@ -12,8 +12,7 @@ from compcorr.entanglement import negativity_bd, rel_entropy_entanglement_bd
 from compcorr.matcore import PPT_TOL
 from compcorr.report import report_for_bd
 from compcorr.states import _BELL_SIGNS, BellDiagonalParams, bell_diagonal, bell_eigenvalues
-from compcorr.states import is_physical
-from testkit import partial_transpose
+from testkit import is_physical, partial_transpose
 
 
 def physical_triples():

@@ -14,7 +14,7 @@ from compcorr.matcore import LOG2, PPT_TOL, kron
 from compcorr.oracle import check_spectra
 from compcorr.report import report_for_bd, report_for_state
 from compcorr.states import BellDiagonalParams, DensityMatrix, bell_diagonal
-from testkit import random_bd_params
+from testkit import is_physical, random_bd_params
 
 
 def _pauli_state(c):
@@ -112,7 +112,7 @@ def test_report_work_count(monkeypatch):
     _count_small_array_calls(monkeypatch, counts)
     counts["__post_init__"] = 0
     _count_calls(monkeypatch, BellDiagonalParams, "__post_init__", counts)
-    for fn in (states.bloch_decompose, states.signed_svd, states.is_physical, states.bell_eigenvalues):
+    for fn in (states.bloch_decompose, states.signed_svd, states.on_tetrahedron, states.bell_eigenvalues):
         _count_everywhere(monkeypatch, fn, counts)
     for fn in _MEASURED_ROUTES + (classical_correlation, bd_mutual_information):
         _count_everywhere(monkeypatch, fn, counts)
@@ -124,7 +124,7 @@ def test_report_work_count(monkeypatch):
         "__post_init__": 1,
         "bloch_decompose": 1,
         "signed_svd": 1,
-        "is_physical": 0,
+        "on_tetrahedron": 1,
         "bell_eigenvalues": 1,
         "complementary_correlations": 0,
         "total_mutual_information": 0,
@@ -147,7 +147,7 @@ def test_triple_report_work_count(monkeypatch):
     _count_calls(monkeypatch, DensityMatrix, "__post_init__", built)
     counts["__post_init__"] = 0
     _count_calls(monkeypatch, BellDiagonalParams, "__post_init__", counts)
-    for fn in (states.bloch_decompose, states.signed_svd, states.bell_eigenvalues):
+    for fn in (states.bloch_decompose, states.signed_svd, states.on_tetrahedron, states.bell_eigenvalues):
         _count_everywhere(monkeypatch, fn, counts)
     for fn in (classical_correlation, bd_mutual_information):
         _count_everywhere(monkeypatch, fn, counts)
@@ -160,6 +160,7 @@ def test_triple_report_work_count(monkeypatch):
         "__post_init__": 0,
         "bloch_decompose": 0,
         "signed_svd": 0,
+        "on_tetrahedron": 0,
         "bell_eigenvalues": 0,
         "classical_correlation": 1,
         "bd_mutual_information": 1,
@@ -225,7 +226,7 @@ def _edge_triples():
     while len(out) < 200:
         c = rng.uniform(-1, 1, 3)
         c[rng.integers(3)] = rng.choice([0.5, -0.5])
-        if states.is_physical(c):
+        if is_physical(c):
             out.append(BellDiagonalParams(*c))
     return out
 
@@ -258,7 +259,7 @@ def _measured(rho) -> dict:
     }
 
 
-physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(states.is_physical)
+physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical)
 
 
 @given(physical_triples, st.integers(0, 2**32 - 1))

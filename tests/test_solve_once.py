@@ -36,11 +36,10 @@ from compcorr.states import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
-    is_physical,
     random_bd_block,
     signed_svd,
 )
-from testkit import partial_transpose, random_bd_params, random_density_matrix
+from testkit import is_physical, partial_transpose, random_bd_params, random_density_matrix
 
 seeds = st.integers(0, 2**32 - 1)
 physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical)
@@ -324,6 +323,50 @@ def test_no_module_imports_a_name_it_never_reads():
                 names = [(a.asname or a.name).split(".")[0] for a in node.names]
                 unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
     assert unused == []
+
+
+def _tolerance_comparisons() -> set[tuple[str, str]]:
+    """(module.function, bound) for every comparison in src/compcorr/*.py
+    that reads a tolerance: a name ending in _TOL, or `tol`, the argument
+    that carries one. A bound compared negated, x >= -TOL, reads "-TOL"."""
+    root = Path(__file__).resolve().parent.parent / "src" / "compcorr"
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare):
+            negated = {
+                id(n.operand) for n in ast.walk(node) if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+            }
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and (n.id.endswith("_TOL") or n.id == "tol"):
+                    found.add((where, "-" * (id(n) in negated) + n.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_the_physicality_and_ppt_rules_each_have_one_owner():
+    # a triple is physical when every Bell-basis eigenvalue is at least
+    # -tol, and a cut is PPT when its least partial-transpose eigenvalue is
+    # at least -PPT_TOL: each rule is one comparison in one function, which
+    # every caller reads, so that it changes in one place
+    found = _tolerance_comparisons()
+
+    def where(*bounds):
+        return sorted({fn for fn, bound in found if bound in bounds})
+
+    assert where("-PHYSICALITY_TOL", "-tol") == ["states.on_tetrahedron"]
+    assert where("-PPT_TOL") == ["entanglement.reads_ppt"]
+    # the other comparisons with these constants are other rules: a rank
+    # count, a nonzero correlation, and the discord's guard against rounding
+    assert where("PHYSICALITY_TOL") == ["states.bd_rank"]
+    assert where("PPT_TOL") == ["entanglement.all_correlations_nonzero"]
+    assert where("DERIVED_TOL", "-DERIVED_TOL") == ["correlations.clamped_discord", "oracle.check_ordered_frame"]
 
 
 # public names that nothing in src/ or bench/ reads, kept on purpose

@@ -19,7 +19,6 @@ from compcorr.states import (
     bloch_decompose,
     classically_correlated,
     family_eq15,
-    is_physical,
     load_state,
     random_bd_block,
     round_onto_tetrahedron,
@@ -27,7 +26,7 @@ from compcorr.states import (
     signed_svd,
     werner,
 )
-from testkit import PHI_PLUS, PSI_MINUS, PSI_PLUS, random_bd_params, random_density_matrix
+from testkit import PHI_PLUS, PSI_MINUS, PSI_PLUS, is_physical, random_bd_params, random_density_matrix
 
 
 def _rejection_loop(rng, n):
@@ -65,6 +64,24 @@ class TestDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5, 0, 0]).astype(complex), (2, 2))
+
+    # sums of entries near the float maximum overflow, which numpy warned of
+    @pytest.mark.parametrize(
+        "entries, dims, message",
+        [
+            ({(0, 1): 1.7e308, (1, 0): -1.7e308}, (2,), "not Hermitian"),
+            ({(0, 1): 1.7e308, (1, 0): 1.7e308}, (2,), "negative eigenvalue"),
+            ({(0, 0): 1.7e308, (1, 1): 1.7e308}, (2,), "trace inf"),
+            ({(k, k): (-1) ** (k // 2) * 1.7e308 for k in range(8)}, (8,), "trace nan"),
+        ],
+    )
+    def test_rejects_entries_near_the_float_maximum(self, entries, dims, message):
+        d = math.prod(dims)
+        m = np.eye(d, dtype=complex) / d
+        for at, x in entries.items():
+            m[at] = x
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(m, dims)
 
     def test_rejects_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
@@ -200,7 +217,17 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize(
         "row",
-        [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0 + 1e-9), (-1.0, -1.0, -1.0 - 1e-11)],
+        [
+            (np.nan, 0.0, 0.0),
+            (0.0, np.inf, 0.0),
+            # their Bell-basis eigenvalues are NaN or infinite, which numpy warned of
+            (np.inf, np.inf, 0.0),
+            (np.inf, -np.inf, 0.0),
+            (1e308, -1e308, 0.0),
+            (1.0, 1.0, 1.0),
+            (0.0, 0.0, 1.0 + 1e-9),
+            (-1.0, -1.0, -1.0 - 1e-11),
+        ],
     )
     def test_block_refuses_a_row_as_the_constructor_does(self, row):
         with pytest.raises(ValueError) as want:
@@ -210,6 +237,10 @@ class TestBlockDraws:
         block = np.concatenate([good[:2], [row], good[2:], [(1.0, 1.0, 1.0)]])
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             bd_block(block)
+
+    def test_a_check_refuses_a_non_finite_sample(self):
+        with pytest.raises(ValueError, match=r"^non-finite correlation triple \(inf, inf, 0\.0\)$"):
+            check_spectra([[np.inf, np.inf, 0.0]])
 
     # a list of BellDiagonalParams, the checks' removed input form, is refused too
     @pytest.mark.parametrize("c", [[], [0.1, 0.2, 0.3], np.zeros((2, 4)), [BellDiagonalParams(0, 0, 0)]])
@@ -317,8 +348,10 @@ class TestFamilies:
             np.testing.assert_allclose(a, 0, atol=1e-12)
 
     def test_family_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unphysical correlation triple \(1\.0, 1\.2, -1\.2\)"):
             family_eq15(1.2)
+        with pytest.raises(ValueError, match="^non-finite correlation triple"):
+            family_eq15(math.nan)
 
     def test_werner(self):
         np.testing.assert_allclose(werner(0).matrix, np.eye(4) / 4, atol=1e-14)
@@ -327,8 +360,17 @@ class TestFamilies:
         assert np.linalg.eigvalsh(werner(1 / 3).matrix)[-1] == pytest.approx(0.5, abs=1e-12)
         _, _, T = bloch_decompose(werner(0.4))
         np.testing.assert_allclose(np.diag(T), [-0.4, -0.4, -0.4], atol=1e-12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unphysical correlation triple \(-1\.5, -1\.5, -1\.5\)"):
             werner(1.5)
+        with pytest.raises(ValueError, match="^non-finite correlation triple"):
+            werner(math.nan)
+
+    def test_werner_takes_the_constructors_band(self):
+        # the Bell-basis eigenvalue (1 - p)/4 or (1 + 3p)/4 may reach -PHYSICALITY_TOL
+        for p in (1 + 3e-12, -1 / 3 - 1e-12):
+            assert np.array_equal(werner(p).matrix, bell_diagonal(BellDiagonalParams(-p, -p, -p)).matrix)
+        with pytest.raises(ValueError, match="unphysical"):
+            werner(1 + 5e-12)
 
     def test_classically_correlated(self):
         rho = classically_correlated()

@@ -1,16 +1,22 @@
-"""Helpers the tests share: the Bell vectors, checked Bell-diagonal draws
-as objects, Ginibre random states, and the swapaxes partial transpose that
-is the reference for `matcore.pt_spectra`'s gather. pytest puts this
+"""Helpers the tests share: the Bell vectors, the physicality rule on a raw
+triple, checked Bell-diagonal draws as objects, Ginibre random states, and
+the swapaxes partial transpose that is the reference for
+`matcore.pt_spectra`'s gather. pytest puts this
 directory on sys.path, so tests import it by name."""
 
 import numpy as np
 
-from compcorr.states import BellDiagonalParams, DensityMatrix, random_bd_block
+from compcorr.states import BellDiagonalParams, DensityMatrix, bell_eigenvalues, on_tetrahedron, random_bd_block
 
 # the Bell vectors, in the order (phi+, phi-, psi+, psi-) of the Bell-basis eigenvalues
 PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = np.array(
     [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
 ) * (1 / np.sqrt(2))
+
+
+def is_physical(c) -> bool:
+    """Whether a raw triple passes the eigenvalue check of BellDiagonalParams; a NaN fails."""
+    return bool(on_tetrahedron(bell_eigenvalues(*c)))
 
 
 def random_bd_params(rng: np.random.Generator, n: int | None = None):
