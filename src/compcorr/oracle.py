@@ -1,22 +1,22 @@
 """Independent brute-force verifiers.
 
 The grid maximizer of the Holevo quantity is the oracle for the closed-form
-classical correlation; numeric discord follows from it. One fixed ancilla
-grid is the oracle for the exact EDSS rule: the 8x8 A|BC and C|AB cuts of
-all 1,280 grid ancillas are one stacked eigensolve, read by the runtime's
-one PPT rule, `entanglement.reads_ppt`. Also here: the mutual-unbiasedness
-checker, run on the axis projectors the runtime measures with, and the
-closed-form-vs-eigensolver spectrum cross-check. Each cross-check of the seeded suite behind
-`compcorr verify` is one `check_*` function of its input samples; the
-tests call the same functions on their own seeds. Every check takes its
-Bell-diagonal samples as one (n, 3) block checked by `states.bd_block`,
-built by `states.bd_matrix` as one (n, 4, 4) stack, checked no further,
-whose spectra are one eigvalsh and whose outcome tables are one
+classical correlation; numeric discord follows from it. In Bloch form, Alice's
+conditional states for a block of Bob's directions n are two real products
+G @ [+-n; 1], scored by trace and Bloch length. One fixed ancilla grid is
+the oracle for the exact EDSS rule: the 8x8 A|BC and C|AB cuts of all 1,280
+grid ancillas are one stacked eigensolve, read by the runtime's one PPT
+rule, `entanglement.reads_ppt`. Also here: the mutual-unbiasedness checker, run on
+the axis projectors the runtime measures with, and the spectrum cross-check.
+Each cross-check of the seeded suite behind `compcorr verify` is one
+`check_*` function of its input samples, which the tests call on their own
+seeds. Every check takes its Bell-diagonal samples as one (n, 3) block
+checked by `states.bd_block`, built by `states.bd_matrix` as one (n, 4, 4)
+stack, whose spectra are one eigvalsh and whose outcome tables are one
 `outcome_tables` call, with the closed forms as array forms of the runtime
-scalars.
-Only `check_holevo` builds objects, its 20 states, whose maximizations run
-in lockstep, their coarse pass in cache-sized blocks of directions. Every
-number is bit for bit that of the same work done one sample at a time.
+scalars. Only `check_holevo` builds objects, its 20 states, whose
+maximizations run in lockstep. Every number is bit for bit that of the same
+work done one sample at a time.
 """
 
 import functools
@@ -28,7 +28,7 @@ from .correlations import AXIS_PROJECTORS, classical_correlation, discord_bd, ho
 from .correlations import outcome_mutual_information, outcome_tables, total_mutual_information
 from .edss import PERM_AC
 from .entanglement import reads_ppt, require_separable
-from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PROB_CLAMP, SIGMAS, ZERO_BRANCH, bloch_operator
+from .matcore import DERIVED_TOL, LOG2, MUB_TOL, PROB_CLAMP, SIGMAS, bloch_operator
 from .matcore import bloch_vector, kron, pt_spectra
 from .states import BellDiagonalParams, DensityMatrix, bd_block, bd_matrix, bell_diagonal, bell_eigenvalues
 from .states import as_int, random_bd_block
@@ -36,8 +36,8 @@ from .states import as_int, random_bd_block
 N_POLAR, N_AZIMUTH = 90, 180  # the coarse polar x azimuthal grid of `maximize_holevo`
 REFINE_ROUNDS = 5
 HOLEVO_STACK = 20  # states per lockstep pass of `maximize_holevo`
-# (state, direction) pairs per block of `_holevo_batch`, chosen by timing
-# `check_holevo`: 4,096 to 16,384 ran alike, 2,560 was 15-20% slower
+# (state, direction) pairs per block of `_holevo_batch`, chosen by timing `run_verification(0, 1000)`
+# on one BLAS thread: 6,144 to 12,288 ran alike, 4,096 3-5% slower, 2,048 and 32,768 12-15% slower
 _HOLEVO_BLOCK = 8192
 # the (theta, phi, radius) ancillas of `edss_useful_numeric`: radii 0.1 .. 1.0
 # outermost, then 8 polar angles, then 16 azimuths
@@ -65,36 +65,29 @@ def _xlogx(lam: np.ndarray) -> np.ndarray:
     return np.multiply(lam, out, out=out, where=pos)
 
 
-def _entropy2x2_batch(tr: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Entropies in bits of 2x2 Hermitian PSD matrices, given by arrays of
-    their traces and determinants. The two eigenvalues tr/2 -+ disc are
-    clipped at 0 and their terms added in that order."""
-    disc = tr * tr / 4 - det
-    np.sqrt(np.clip(disc, 0.0, None, out=disc), out=disc)
-    half = tr / 2
-    return -(_xlogx(half - disc) + _xlogx(half + disc)) / LOG2
-
-
 def _alice_rows(rho: DensityMatrix) -> np.ndarray:
-    """A_k = Tr_B[rho (I (x) sigma_k)], k = 0..3, as rows (x00, x11, Re x01, Im x01)."""
+    """A_k = Tr_B[rho (I (x) sigma_k)] = (t I + m . sigma)/2, k = 0..3, as rows (t, m): t = x00 + x11,
+    m = (x00 - x11, 2 Re x01, 2 Im x01), in an axis order and y sign that no length sees."""
     # A_k[a, c] = sum_eb r[a, b, c, e] sigma_k[e, b]
     a = np.einsum("abce,keb->kac", rho.matrix.reshape(2, 2, 2, 2), SIGMAS)
-    return np.stack([a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1].real, a[:, 0, 1].imag], axis=1)
+    x00, x11, x01 = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
+    return np.stack([x00 + x11, x00 - x11, 2 * x01.real, 2 * x01.imag], axis=1)
 
 
-def _trace_det(x0, x1, x2, x3) -> tuple[np.ndarray, np.ndarray]:
-    """Trace and determinant of 2x2 Hermitian matrices with entries
-    (x00, x11, Re x01, Im x01) = (x0, x1, x2, x3)."""
-    return x0 + x1, x0 * x1 - x2**2 - x3**2
+def _bloch_entropy(x: np.ndarray) -> np.ndarray:
+    """2 t S(y / t) = t (2 ln 2 - (1 + r) ln(1 + r) - (1 - r) ln(1 - r)) in nats,
+    r = |m| / t, of 2x2 states y = (t I + m . sigma)/2, rows (t, m) on axis 0.
+    t is floored at the least normal float in the divide and r clipped at 1,
+    so weight t <= 0 gives 0, and 1 - r likewise in its log, so 0 ln 0 = 0."""
+    tiny = np.finfo(float).tiny
+    r = np.minimum(np.sqrt(x[1] ** 2 + x[2] ** 2 + x[3] ** 2) / np.maximum(x[0], tiny), 1.0)
+    h = (1 + r) * np.log(1 + r) + (1 - r) * np.log(np.maximum(1 - r, tiny))
+    return np.maximum(x[0], 0.0) * (2 * LOG2 - h)
 
 
-def _weighted_entropy(*x) -> np.ndarray:
-    """p S(x / p) in bits of unnormalised 2x2 states x, given as in
-    `_trace_det`, of weight p = Tr x, and 0 where p <= ZERO_BRANCH."""
-    p, det = _trace_det(*x)
-    live = p > ZERO_BRANCH
-    q = np.where(live, p, 1.0)
-    return np.where(live, p * _entropy2x2_batch(p / q, det / (q * q)), 0.0)
+def _augmented(ns: np.ndarray) -> np.ndarray:
+    """[n; 1] of (..., N, 3) directions as columns: (..., 4, N)."""
+    return np.concatenate([np.swapaxes(ns, -1, -2), np.ones(ns.shape[:-2] + (1, ns.shape[-2]))], axis=-2)
 
 
 def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -102,35 +95,39 @@ def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
     `_alice_rows` (S, 4, 4), and a batch of Bob measurement Bloch vectors,
     (N, 3) for every state or (S, N, 3) per state: an (S, N) array.
 
-    Bob's projector (I +- n . sigma)/2 leaves Alice the unnormalised state
-    x+-(n) = (A_0 +- n . A)/2, so every x+-(n) comes from one real product
-    of the directions with the rows of A_1, A_2, A_3. A_0 is rho_A. The
-    directions run in blocks of about _HOLEVO_BLOCK (state, direction)
-    pairs, whose arrays stay in cache, each block written into the one
-    result. Each state's values are bit for bit those of a stack of that
-    state alone.
+    Bob's projector (I +- n . sigma)/2 leaves Alice x+-(n) = (A_0 +- n . A)/2
+    of weight (1 +- b . n)/2 and Bloch length |a +- T n| / (1 +- b . n), with
+    rho_A = (I + a . sigma)/2, Bob's Bloch vector b and correlation matrix T.
+    G = [[b, 1], [T, a]] maps [n; 1] to the trace and Bloch vector of
+    2 x+(n), so a block of directions is two products G @ [+-n; 1], taken
+    as [n; 1] times G and G with its n columns negated; the coarse grid's
+    [n; 1] are built once by `_direction_grid`. In `_bloch_entropy`'s terms
+    chi = (4 S(rho_A) - 4 p+ S+ - 4 p- S-) / (4 ln 2). Blocks of about
+    _HOLEVO_BLOCK (state, direction) pairs stay in cache, and each state's
+    values are bit for bit those of a stack of it alone. A branch of weight
+    p <= ZERO_BRANCH, which `holevo_quantity` drops, adds at most p bits: no mask.
     """
-    a0 = rows[:, 0].T[:, :, None]  # entry k of every rho_A as an (S, 1) column a0[k]
-    s_a = _entropy2x2_batch(*_trace_det(*a0))
-    n = ns.shape[-2]
-    out = np.empty((len(rows), n))
+    g = rows[:, [1, 2, 3, 0]].swapaxes(1, 2)  # G: columns A_1, A_2, A_3, A_0
+    g = np.stack([g, g * [-1.0, -1.0, -1.0, 1.0]], axis=1)  # G @ [+-n; 1] as (S, 2, 4, 4) @ [n; 1]
+    s_a = 2 * _bloch_entropy(rows[:, 0].T)[:, None]
+    d = np.expand_dims(_direction_grid()[3] if ns is _direction_grid()[2] else _augmented(ns), -3)
+    out = np.empty((len(rows), ns.shape[-2]))
     step = max(1, _HOLEVO_BLOCK // len(rows))
-    for j in range(0, n, step):
-        lin = ns[..., j : j + step, :] @ rows[:, 1:]
-        plus = _weighted_entropy(*((a0[k] + lin[..., k]) / 2 for k in range(4)))
-        minus = _weighted_entropy(*((a0[k] - lin[..., k]) / 2 for k in range(4)))
-        np.subtract(s_a, plus + minus, out=out[:, j : j + step])
+    for j in range(0, out.shape[1], step):
+        w = _bloch_entropy(np.moveaxis(g @ d[..., j : j + step], -2, 0))
+        out[:, j : j + step] = (s_a - w[:, 0] - w[:, 1]) / (4 * LOG2)
     return out
 
 
 @functools.cache
-def _direction_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (thetas, phis, Bloch vectors) of the coarse grid's polar
-    rows theta <= pi/2, the first ceil(N_POLAR / 2) of N_POLAR, row-major."""
+def _direction_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (thetas, phis, Bloch vectors, their `_augmented`) of the coarse
+    grid's rows theta <= pi/2, the first ceil(N_POLAR / 2) of N_POLAR, row-major."""
     thetas = np.linspace(0.0, np.pi, N_POLAR)[: (N_POLAR + 1) // 2]
     phis = np.linspace(0.0, 2 * np.pi, N_AZIMUTH, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    grid = (thetas, phis, bloch_vector(tt.ravel(), pp.ravel()))
+    ns = bloch_vector(tt.ravel(), pp.ravel())
+    grid = (thetas, phis, ns, _augmented(ns))
     for arr in grid:
         arr.flags.writeable = False
     return grid
@@ -169,12 +166,11 @@ def maximize_holevo(rho):
 
 def _maximize_stack(states) -> list[OptimizationResult]:
     rows = np.stack([_alice_rows(rho) for rho in states])
-    thetas, phis, ns = _direction_grid()
+    thetas, phis, ns, _ = _direction_grid()
     best = np.argmax(_holevo_batch(rows, ns), axis=1)  # first occurrence = lexicographic tie-break
     th, ph = thetas[best // N_AZIMUTH], phis[best % N_AZIMUTH]
 
-    step_t = np.pi / (N_POLAR - 1) / 2
-    step_p = 2 * np.pi / N_AZIMUTH / 2
+    step_t, step_p = np.pi / (N_POLAR - 1) / 2, 2 * np.pi / N_AZIMUTH / 2
     offsets = np.array([-2, -1, 0, 1, 2])
     pick = np.arange(len(states))
     for _ in range(REFINE_ROUNDS):
@@ -183,8 +179,7 @@ def _maximize_stack(states) -> list[OptimizationResult]:
         pg = np.tile(ph[:, None] + offsets * step_p, 5)
         k = np.argmax(_holevo_batch(rows, bloch_vector(tg, pg)), axis=1)
         th, ph = tg[pick, k], pg[pick, k]
-        step_t /= 2
-        step_p /= 2
+        step_t, step_p = step_t / 2, step_p / 2
 
     return [
         OptimizationResult(value=holevo_quantity(rho, n / np.linalg.norm(n)), argmax_bloch=n)
@@ -224,17 +219,21 @@ def edss_useful_numeric(p: BellDiagonalParams) -> NumericEdssResult:
     return NumericEdssResult(witness, bool((npt_a & ~ppt_c).any()))
 
 
-def mub_check(projectors) -> bool:
-    """Whether the bases of a projector stack, projectors[k, i] on outcome i
-    of basis k as in `correlations.AXIS_PROJECTORS`, are mutually unbiased:
-    one einsum forms every Tr(P_ki P_lj), which must be 1/d within MUB_TOL
-    across two bases, and delta_ij within one, else the stack is refused."""
+def _mub_deviation(projectors) -> float:
+    """The largest |Tr(P_ki P_lj) - 1/d| across two bases of a stack, as
+    `correlations.AXIS_PROJECTORS` holds P_ki, from one einsum; a basis
+    whose Tr(P_ki P_kj) is not delta_ij within MUB_TOL is refused."""
     p = np.asarray(projectors, dtype=complex)
     n, d = p.shape[:2]
     overlaps = np.einsum("kiab,ljba->klij", p, p).real
     if not np.max(np.abs(overlaps[np.arange(n), np.arange(n)] - np.eye(d))) <= MUB_TOL:
         raise ValueError("basis is not orthonormal within tolerance")
-    return bool(np.max(np.abs(overlaps[~np.eye(n, dtype=bool)] - 1.0 / d), initial=0.0) <= MUB_TOL)
+    return float(np.max(np.abs(overlaps[~np.eye(n, dtype=bool)] - 1.0 / d), initial=0.0))
+
+
+def mub_check(projectors) -> bool:
+    """Whether a projector stack's bases are mutually unbiased within MUB_TOL."""
+    return _mub_deviation(projectors) <= MUB_TOL
 
 
 def _closed_spectra(block: np.ndarray) -> np.ndarray:
@@ -367,8 +366,9 @@ def run_verification(seed: int = 0, samples: int = 1000) -> list[CheckResult]:
     sizes = [samples, max(10, samples // 50), min(samples, 200), samples]
     rng = np.random.default_rng(seed)
     spectra, holevo, z_corr, frame = np.split(random_bd_block(rng, sum(sizes)), np.cumsum(sizes[:-1]))
+    mub_dev = _mub_deviation(AXIS_PROJECTORS)
     return [
-        CheckResult("pauli-bases-mutually-unbiased", mub_check(AXIS_PROJECTORS), 0.0, MUB_TOL),
+        CheckResult("pauli-bases-mutually-unbiased", mub_dev <= MUB_TOL, mub_dev, MUB_TOL),
         CheckResult("repeated-basis-rejected", not mub_check(AXIS_PROJECTORS[[2, 2]]), 0.0, MUB_TOL),
         check_spectra(spectra),
         *check_holevo(holevo),

@@ -11,7 +11,7 @@ from compcorr.correlations import AXIS_PROJECTORS, correlation_bits, holevo_quan
 from compcorr import oracle
 from compcorr.edss import ancilla_state, edss_useful, run_protocol
 from compcorr.entanglement import is_separable_bd
-from compcorr.matcore import LOG2, ZERO_BRANCH, bloch_operator, bloch_vector
+from compcorr.matcore import LOG2, SIGMAS, ZERO_BRANCH, bloch_operator, bloch_vector
 from compcorr.oracle import (
     CheckResult,
     check_holevo,
@@ -27,6 +27,7 @@ from compcorr.oracle import (
 )
 from compcorr.states import (
     BellDiagonalParams,
+    DensityMatrix,
     bd_block,
     bd_params_of,
     bell_diagonal,
@@ -130,9 +131,27 @@ def test_holevo_batch_sees_the_hemisphere_grid_and_refinement(monkeypatch):
 
 
 def _holevo_batch_one_pass(rows, ns):
-    """`_holevo_batch` as a single pass over all directions: every x+-(n)
-    of every state concatenated with rho_A and the entropies of the stacked
-    eigenvalue pairs."""
+    """`_holevo_batch` as a single pass over all directions: every state's
+    Bloch-form G times [+-n; 1] for every n at once, and the entropies of
+    the trace t and Bloch length |m| of each branch."""
+
+    def weighted(x):  # 2 t S(y / t) in nats of y = (t I + m . sigma)/2
+        tiny = np.finfo(float).tiny
+        r = np.minimum(np.sqrt(x[1] ** 2 + x[2] ** 2 + x[3] ** 2) / np.maximum(x[0], tiny), 1.0)
+        h = (1 + r) * np.log(1 + r) + (1 - r) * np.log(np.maximum(1 - r, tiny))
+        return np.maximum(x[0], 0.0) * (2 * LOG2 - h)
+
+    g = rows[:, [1, 2, 3, 0]].swapaxes(1, 2)  # columns ordered as [n; 1]
+    ones = np.ones(ns.shape[:-1] + (1,))
+    plus, minus = (np.concatenate([s * ns, ones], axis=-1).swapaxes(-1, -2) for s in (1.0, -1.0))
+    s_a = 2 * weighted(rows[:, 0].T)[:, None]
+    return (s_a - weighted((g @ plus).swapaxes(0, 1)) - weighted((g @ minus).swapaxes(0, 1))) / (4 * LOG2)
+
+
+def _holevo_batch_trace_det(states, ns):
+    """An independent route: every x+-(n) = (A_0 +- n . A)/2 as 2x2 entries
+    (x00, x11, Re x01, Im x01), and the entropies of the eigenvalue pairs
+    from trace and determinant."""
 
     def entropies(tr, det):
         disc = np.sqrt(np.clip(tr * tr / 4 - det, 0.0, None))
@@ -140,6 +159,9 @@ def _holevo_batch_one_pass(rows, ns):
         with np.errstate(divide="ignore", invalid="ignore"):
             return -np.where(lam > 0.0, lam * np.log(lam), 0.0).sum(axis=-1) / LOG2
 
+    # A_k[a, c] = Tr_B[rho (I (x) sigma_k)] = sum_eb r[a, b, c, e] sigma_k[e, b]
+    a = np.einsum("sabce,keb->skac", np.stack([rho.matrix.reshape(2, 2, 2, 2) for rho in states]), SIGMAS)
+    rows = np.stack([a[..., 0, 0].real, a[..., 1, 1].real, a[..., 0, 1].real, a[..., 0, 1].imag], axis=-1)
     lin = ns @ rows[:, 1:]
     a0 = rows[:, None, 0]
     x = np.concatenate([a0, (a0 + lin) / 2, (a0 - lin) / 2], axis=1)  # rho_A, x+, x-
@@ -159,17 +181,44 @@ def test_holevo_blocks_are_the_one_pass_bit_for_bit():
     states += [random_density_matrix(rng, (2, 2)) for _ in range(12)]
     assert len(states) > oracle.HOLEVO_STACK
     rows = np.stack([oracle._alice_rows(rho) for rho in states])
-    _, _, ns = oracle._direction_grid()
+    _, _, ns, _ = oracle._direction_grid()
     per_stack = oracle._HOLEVO_BLOCK // oracle.HOLEVO_STACK
     assert len(ns) > per_stack and len(ns) % per_stack != 0
-    for stack in (rows[: oracle.HOLEVO_STACK], rows):
-        assert oracle._holevo_batch(stack, ns).tobytes() == _holevo_batch_one_pass(stack, ns).tobytes()
     per_state = bloch_vector(rng.uniform(0, np.pi, (len(states), 25)), rng.uniform(0, 2 * np.pi, (len(states), 25)))
-    assert oracle._holevo_batch(rows, per_state).tobytes() == _holevo_batch_one_pass(rows, per_state).tobytes()
+    whole = slice(None)
+    for pick, dirs in ((slice(oracle.HOLEVO_STACK), ns), (whole, ns), (slice(3, 4), ns), (whole, per_state)):
+        got = oracle._holevo_batch(rows[pick], dirs)
+        assert got.tobytes() == _holevo_batch_one_pass(rows[pick], dirs).tobytes()
+        assert np.max(np.abs(got - _holevo_batch_trace_det(states[pick], dirs))) <= 1e-14
+    # the coarse grid's cached [n; 1] columns are those built for a copy of it
+    assert oracle._holevo_batch(rows, ns).tobytes() == oracle._holevo_batch(rows, ns.copy()).tobytes()
     for rho, opt in zip(states, maximize_holevo(states)):
         want = maximize_holevo(rho)
         assert opt.value == want.value
         assert opt.argmax_bloch.tobytes() == want.argmax_bloch.tobytes()
+
+
+_KET0, _KETPLUS = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([1.0, 0.0, 0.0, 0.0]),  # |00>
+        np.outer(np.kron(_KET0, _KETPLUS), np.kron(_KET0, _KETPLUS)),  # |0>|+>
+        np.diag([0.5, 0.0, 0.0, 0.5]),
+        np.eye(4) / 4,
+    ],
+    ids=["00", "0plus", "classical", "mixed"],
+)
+def test_holevo_batch_on_edge_states_is_holevo_quantity(matrix):
+    # the +-axis directions give a branch of weight exactly 0 on the product
+    # states, whose every conditional state is pure (r = 1), as the
+    # classical state's are along z
+    rho = DensityMatrix(matrix, (2, 2))
+    ns = np.concatenate([np.eye(3), -np.eye(3), bloch_vector(np.array([0.3, 1.2, 2.5]), np.array([0.4, 2.0, 5.0]))])
+    got = oracle._holevo_batch(oracle._alice_rows(rho)[None], ns)[0]
+    assert np.max(np.abs(got - [holevo_quantity(rho, n) for n in ns])) <= 1e-15
 
 
 class TestMaximizeHolevo:
@@ -285,7 +334,8 @@ class TestMubCheck:
         turned[0] = _basis(bloch_vector(np.pi / 2, 0.1))
         monkeypatch.setattr(oracle, "AXIS_PROJECTORS", turned)
         mub, repeated = verification_report(run_verification(0, 1)).splitlines()[:2]
-        assert mub.startswith("FAIL pauli-bases-mutually-unbiased:")
+        # the turned x basis against y: overlaps (1 +- sin 0.1)/2, so sin(0.1)/2 off 1/2
+        assert mub.startswith("FAIL pauli-bases-mutually-unbiased: deviation 4.992e-02")
         assert repeated.startswith("PASS repeated-basis-rejected:")
 
 
