@@ -67,7 +67,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .entanglement import PptVerdict, is_separable_bd, require_separable
-from .matcore import bloch_operator, bloch_vector, fmt, kron, pt_spectra
+from .matcore import bloch_operator, bloch_vector, fmt, pt_index
 from .report import report_for_bd
 from .states import BellDiagonalParams, DensityMatrix, as_int, bd_rank, bell_diagonal, bell_eigenvalues, on_tetrahedron
 
@@ -86,6 +86,24 @@ PERM_AC = _BASIS ^ ((_BASIS >> 2) & 1)
 PERM_BC = _BASIS ^ ((_BASIS >> 1) & 1)
 _STAGE_ROWS = np.array([_BASIS, PERM_AC, PERM_AC[PERM_BC]])
 PERM_AC.flags.writeable = PERM_BC.flags.writeable = _STAGE_ROWS.flags.writeable = False
+
+
+def _protocol_gathers() -> tuple[np.ndarray, np.ndarray]:
+    """Two read-only (9, 8, 8) indices into the flattened rho_AB (16 entries)
+    and ancilla (4 entries): entry (3 s + k, i, j) of the nine partial
+    transposes, stage s by cut CUT_FACTORS[k], is the product of the two
+    entries it indexes. The stage rows and the partial-transpose index are
+    composed into one kron entry (a, b) of rho_AB (x) ancilla, which is
+    rho_AB[a >> 1, b >> 1] * ancilla[a & 1, b & 1]."""
+    stage_flat = (_STAGE_ROWS[:, :, None] * 8 + _STAGE_ROWS[:, None, :]).reshape(3, 64)
+    a, b = np.divmod(stage_flat[:, pt_index((2, 2, 2), CUT_FACTORS)].reshape(9, 8, 8), 8)
+    gathers = ((a >> 1) * 4 + (b >> 1), (a & 1) * 2 + (b & 1))
+    for g in gathers:
+        g.flags.writeable = False
+    return gathers
+
+
+_RHO_GATHER, _ANCILLA_GATHER = _protocol_gathers()
 
 
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
@@ -117,21 +135,21 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     """Run the full protocol and record every stage's PPT verdicts, each with
     its partial-transpose spectrum.
 
-    The three stages are raw 8x8 matrices, one index of the initial
-    rho_ab (x) ancilla through _STAGE_ROWS; no stage state is built. One
-    eigvalsh call solves the nine partial transposes, three stages by three
-    cuts, as one stack."""
+    The nine partial transposes, three stages by three cuts, are one gather
+    of each input through _RHO_GATHER and _ANCILLA_GATHER and one product:
+    bit for bit the partial transposes of the stages, which index
+    rho_ab (x) ancilla through _STAGE_ROWS, with no kron, stage matrix or
+    state built. One eigvalsh call solves the nine as one stack."""
     if rho_ab.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
     if ancilla.dims != (2,):
         raise ValueError(f"expected a single-qubit ancilla, got dims {ancilla.dims}")
-    stages = kron(rho_ab.matrix, ancilla.matrix)[_STAGE_ROWS[:, :, None], _STAGE_ROWS[:, None, :]]
-    # pt_spectra needs no Hermiticity check here: each stage is a basis
-    # permutation of the kron of two validated states, and a partial
-    # transpose only permutes its entries again
-    spectra = pt_spectra(stages, (2, 2, 2), CUT_FACTORS).tolist()
-    verdicts = {stage: tuple(map(PptVerdict, map(tuple, row), CUT_LABELS)) for stage, row in zip(STAGES, spectra)}
-    return ProtocolTrace(stage_verdicts=verdicts, success=not verdicts["after_alice"][0].is_ppt)
+    # no Hermiticity check here: each stage is a basis permutation of the
+    # kron of two validated states, and a partial transpose only permutes
+    # its entries again
+    pts = rho_ab.matrix.ravel()[_RHO_GATHER] * ancilla.matrix.ravel()[_ANCILLA_GATHER]
+    v = tuple(map(PptVerdict, map(tuple, np.linalg.eigvalsh(pts).tolist()), CUT_LABELS * 3))
+    return ProtocolTrace(dict(zip(STAGES, (v[:3], v[3:6], v[6:]))), not v[3].is_ppt)  # v[3]: A|BC after Alice
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ def reads_ppt(min_eigenvalue):
     return min_eigenvalue >= -PPT_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PptVerdict:
     """Partial-transpose spectrum across one bipartition, ascending, with the
     verdict read off its minimum."""

@@ -61,16 +61,27 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bloch_vector(theta, phi) -> np.ndarray:
     """Unit Bloch vector(s) of polar angle theta and azimuth phi, stacked
-    on a last axis of length 3."""
+    on a last axis of length 3. One pair of angles gives a (3,) array with
+    no stack."""
     s = np.sin(theta)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
+    v = (s * np.cos(phi), s * np.sin(phi), np.cos(theta))
+    return np.stack(v, axis=-1) if np.ndim(s) else np.array(v)
 
 
 def bloch_operator(v) -> np.ndarray:
     """(I + v . sigma)/2 for Bloch vector(s) v stacked on a last axis of
     length 3: the qubit state of Bloch vector v, and for a unit v the
-    projector on the +1 outcome along v (-v gives the -1 outcome)."""
+    projector on the +1 outcome along v (-v gives the -1 outcome).
+
+    One vector is built entry by entry from Python floats, bit for bit the
+    stacked form: each entry of v . sigma has one nonzero term, so the
+    matrix product is exact; I's zeros turn a signed zero into +0.0, which
+    `+ 0.0` does here; and the complex division by 2 halves both parts."""
     v = np.asarray(v, dtype=float)
+    if v.shape == (3,):
+        x, y, z = v.tolist()
+        x, y = x + 0.0, y + 0.0
+        return np.array([[(1 + z) / 2, complex(x / 2, (0.0 - y) / 2)], [complex(x / 2, y / 2), (1 - z) / 2]], dtype=complex)
     return (I2 + (v @ _PAULI_ROWS).reshape(v.shape[:-1] + (2, 2))) / 2
 
 
@@ -90,7 +101,7 @@ def fmt(v) -> str:
 
 
 @lru_cache(maxsize=32)
-def _pt_index(dims: tuple[int, ...], factors: tuple[int, ...]) -> np.ndarray:
+def pt_index(dims: tuple[int, ...], factors: tuple[int, ...]) -> np.ndarray:
     """Read-only (len(factors), d * d) gather index: row i lists, for each
     entry of a flattened d x d matrix, the flat position that its partial
     transpose on factors[i] reads."""
@@ -116,7 +127,7 @@ def pt_spectra(stack: np.ndarray, dims, factors) -> np.ndarray:
         raise ValueError(f"factor indices {factors} out of range for {n} factors")
     if math.prod(dims) != d:
         raise ValueError(f"matrix size {d} does not match factor dims {dims}")
-    pts = stack.reshape(len(stack), d * d)[:, _pt_index(dims, factors)]
+    pts = stack.reshape(len(stack), d * d)[:, pt_index(dims, factors)]
     return np.linalg.eigvalsh(pts.reshape(-1, d, d)).reshape(len(stack), len(factors), d)
 
 

@@ -51,7 +51,8 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(self.dims)
-        if not dims or not all(
+        plain = all(type(d) is int and 1 <= d <= sys.float_info.max for d in dims)  # skips the general check
+        if not dims or not plain and not all(
             isinstance(d, numbers.Real) and not isinstance(d, bool) and 1 <= d <= sys.float_info.max and int(d) == d
             for d in dims
         ):
@@ -59,22 +60,24 @@ class DensityMatrix:
         total = math.prod(dims)
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has a non-finite entry")
-        # entries near the float maximum may sum to inf or NaN, which the checks refuse
+        # entries near the float maximum may sum to inf or NaN, which the checks
+        # refuse. Every non-finite entry makes the residual inf or NaN, so it
+        # fails first and `isfinite` runs only to name the refusal.
         with np.errstate(over="ignore", invalid="ignore"):
-            skew = np.max(np.abs(m - m.conj().T))
-            tr = np.trace(m).real
+            skew = abs(m - m.T.conj()).max()
+            tr = m.trace().real
         if not skew <= STATE_TOL:
+            if not np.isfinite(m).all():
+                raise ValueError("density matrix has a non-finite entry")
             raise ValueError(f"density matrix is not Hermitian within {STATE_TOL:g}")
         if not abs(tr - 1.0) <= STATE_TOL:  # written so that a NaN fails
             raise ValueError(f"trace {tr} differs from 1 by more than {STATE_TOL:g}")
-        spectrum = np.linalg.eigvalsh(m)
-        if spectrum[0] < -STATE_TOL:
-            raise ValueError(f"negative eigenvalue {spectrum[0]:.3e} below -{STATE_TOL:g}")
+        least = np.linalg.eigvalsh(m)[0]
+        if least < -STATE_TOL:
+            raise ValueError(f"negative eigenvalue {least:.3e} below -{STATE_TOL:g}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(map(int, dims)))
+        object.__setattr__(self, "dims", dims if plain else tuple(map(int, dims)))
 
 
 @dataclass(frozen=True)

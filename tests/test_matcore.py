@@ -234,6 +234,23 @@ def test_bloch_operator_stacks_over_leading_axes():
         np.testing.assert_allclose([np.trace(got[idx] @ s).real for s in PAULIS], v[idx], atol=1e-15)
 
 
+# Bloch components with signed zeros, subnormals and the unit ends
+bloch_components = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]), st.floats(-1, 1))
+
+
+@given(st.tuples(bloch_components, bloch_components, bloch_components))
+@settings(max_examples=300, deadline=None)
+def test_one_bloch_vector_is_its_one_row_stack_bit_for_bit(v):
+    # one vector is built entry by entry; the stack by the matrix product with the Pauli rows
+    assert bloch_operator(v).tobytes() == bloch_operator(np.array([v]))[0].tobytes()
+
+
+@given(st.floats(-10, 10), st.floats(-10, 10))
+@settings(max_examples=100, deadline=None)
+def test_one_pair_of_angles_is_its_one_row_stack_bit_for_bit(theta, phi):
+    assert bloch_vector(theta, phi).tobytes() == bloch_vector(np.array([theta]), np.array([phi]))[0].tobytes()
+
+
 @pytest.mark.parametrize(
     "value, text",
     [

@@ -15,7 +15,9 @@ second check.
 """
 
 import ast
+import math
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from compcorr import report, states
 from compcorr.correlations import complementary_correlations, holevo_quantity, outcome_mutual_information
 from compcorr.correlations import outcome_tables, total_mutual_information
 from compcorr.edss import CUT_FACTORS, PERM_AC, PERM_BC, STAGES, ancilla_state, edss_useful, run_protocol
-from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector, entropy_of_probabilities, kron
+from compcorr.matcore import STATE_TOL, I2, PAULIS, bloch_operator, bloch_vector, entropy_of_probabilities, kron
 from compcorr.oracle import check_z_correlation, discord_numeric, maximize_holevo, run_verification
 from compcorr.states import (
     _BELL_SIGNS,
@@ -154,11 +156,22 @@ def test_verification_builds_objects_only_for_the_holevo_grid(monkeypatch):
     assert Counter(shapes) == {(1000, 4, 4): 1, (4, 4): 40, (2, 2): 100}
 
 
+def _stacked_ancilla(angle, r):
+    """The ancilla's matrix by the stacked route: a one-row stack of angles
+    through bloch_vector's np.stack and bloch_operator's matrix product with
+    the Pauli rows, which no single-vector shortcut shares."""
+    return bloch_operator(r * bloch_vector(np.array([angle[0]]), np.array([angle[1]])))[0]
+
+
 @given(angles, radii)
+@example((np.pi, -0.0), 0.0)  # signed zeros in every Bloch component
+@example((np.pi, -0.0), 1.0)
+@example((0.0, -0.0), 0.5)
+@example((np.pi, 0.0), 0.0)
 @settings(max_examples=100, deadline=None)
 def test_ancilla_spectrum_is_read_off_its_radius(angle, r):
     anc = ancilla_state(*angle, r)
-    assert anc.matrix.tobytes() == bloch_operator(r * bloch_vector(*angle)).tobytes() and anc.dims == (2,)
+    assert anc.matrix.tobytes() == _stacked_ancilla(angle, r).tobytes() and anc.dims == (2,)
     np.testing.assert_allclose(np.linalg.eigvalsh(anc.matrix), [(1 - r) / 2, (1 + r) / 2], rtol=0, atol=1e-14)
     assert not anc.matrix.flags.writeable
 
@@ -203,17 +216,24 @@ def _validated_route(rho4, anc2):
     return np.linalg.eigvalsh(pts.reshape(-1, 8, 8)).reshape(3, 3, 8)
 
 
-@given(seeds, st.booleans(), angles, radii)
+@given(seeds, st.one_of(st.booleans(), physical_triples), angles, radii)
+@example(0, (-0.0, 0.0, 0.5), (np.pi, -0.0), 0.0)  # signed zeros in the triple and the ancilla
+@example(0, (-0.0, -0.0, -0.0), (np.pi, -0.0), 1.0)
+@example(0, (0.3, -0.3, -0.0), (0.0, -0.0), 0.5)
+@example(1, False, (np.pi, -0.0), 0.0)
+@example(2, True, (np.pi, 0.0), 0.0)
 @settings(max_examples=100, deadline=None)
 def test_protocol_output_is_the_validated_route(seed, bell_diagonal_input, angle, r):
+    # bell_diagonal_input: False for a random state, True for a random
+    # Bell-diagonal one, or the triple of a Bell-diagonal one
     rng = np.random.default_rng(seed)
-    if bell_diagonal_input:
-        p = random_bd_params(rng)
-        rho, rho4 = bell_diagonal(p), _pauli_contraction(p)
-    else:
+    if bell_diagonal_input is False:
         rho = random_density_matrix(rng, (2, 2))
         rho4 = rho.matrix
-    anc2 = DensityMatrix(bloch_operator(r * bloch_vector(*angle)), (2,)).matrix
+    else:
+        p = random_bd_params(rng) if bell_diagonal_input is True else BellDiagonalParams(*bell_diagonal_input)
+        rho, rho4 = bell_diagonal(p), _pauli_contraction(p)
+    anc2 = DensityMatrix(_stacked_ancilla(angle, r), (2,)).matrix
     trace = run_protocol(rho, ancilla_state(*angle, r))
     spectra = _validated_route(rho4, anc2)
     got = np.array([[v.spectrum for v in trace.stage_verdicts[stage]] for stage in STAGES])
@@ -242,6 +262,67 @@ def test_non_finite_entry_rejected(bad):
     m[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite entry"):
         DensityMatrix(m, (2, 2))
+
+
+def _refusal(matrix, dims):
+    """The message DensityMatrix refuses the matrix with, or None if it is
+    accepted, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            DensityMatrix(matrix, dims)
+        except ValueError as e:
+            return str(e)
+    return None
+
+
+_ABOVE_TOL = float(np.nextafter(STATE_TOL, 1.0))
+# the farthest traces from 1 that read within STATE_TOL, above and below:
+# tr - 1 is exact next to 1, in steps of 2**-52 above and 2**-53 below
+_TRACE_IN = (1 + math.floor(STATE_TOL * 2**52) * 2.0**-52, 1 - math.floor(STATE_TOL * 2**53) * 2.0**-53)
+
+
+@pytest.mark.parametrize("unit", [1, 1j])
+def test_hermiticity_residual_at_the_tolerance_is_accepted(unit):
+    # m[0, 1] - conj(m[1, 0]) = m[0, 1], of modulus STATE_TOL, then the next float
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = unit * STATE_TOL
+    assert _refusal(m, (2, 2)) is None
+    m[0, 1] = unit * _ABOVE_TOL
+    assert _refusal(m, (2, 2)) == "density matrix is not Hermitian within 1e-10"
+
+
+@pytest.mark.parametrize("tr", _TRACE_IN)
+def test_trace_at_the_tolerance_is_accepted(tr):
+    # then the next float away from 1; the 4x4 diagonal sums to it exactly in any order
+    out = float(np.nextafter(tr, 2 * tr - 1))
+    assert abs(tr - 1.0) <= STATE_TOL < abs(out - 1.0)
+    for t, message in ((tr, None), (out, f"trace {out} differs from 1 by more than 1e-10")):
+        assert _refusal(np.diag([t]), (1,)) == message
+        assert _refusal(np.diag([t - 0.75, 0.25, 0.25, 0.25]), (2, 2)) == message
+
+
+def test_least_eigenvalue_at_the_tolerance_is_accepted():
+    assert _refusal(np.diag([1 + STATE_TOL, -STATE_TOL]), (2,)) is None
+    assert _refusal(np.diag([1 + STATE_TOL, -_ABOVE_TOL]), (2,)) == "negative eigenvalue -1.000e-10 below -1e-10"
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(0, 1): complex(0, np.nan)}, "density matrix has a non-finite entry"),  # NaN only in the imaginary part
+        ({(1, 1): complex(0.5, np.nan)}, "density matrix has a non-finite entry"),
+        ({(0, 0): np.inf}, "density matrix has a non-finite entry"),
+        ({(0, 1): np.inf, (1, 0): np.inf}, "density matrix has a non-finite entry"),
+        # the residual 3.4e308 (1 + i) overflows, and so would its modulus on halves
+        ({(0, 1): complex(1.7e308, 1.7e308), (1, 0): complex(-1.7e308, 1.7e308)}, "density matrix is not Hermitian within 1e-10"),
+    ],
+)
+def test_refusals_raise_no_warning(entries, message):
+    m = np.eye(2, dtype=complex) / 2
+    for at, v in entries.items():
+        m[at] = v
+    assert _refusal(m, (2,)) == message
 
 
 def _with_entry(i, j, v):
