@@ -96,7 +96,7 @@ def _protocol_gathers() -> tuple[np.ndarray, np.ndarray]:
     composed into one kron entry (a, b) of rho_AB (x) ancilla, which is
     rho_AB[a >> 1, b >> 1] * ancilla[a & 1, b & 1]."""
     stage_flat = (_STAGE_ROWS[:, :, None] * 8 + _STAGE_ROWS[:, None, :]).reshape(3, 64)
-    a, b = np.divmod(stage_flat[:, pt_index((2, 2, 2), CUT_FACTORS)].reshape(9, 8, 8), 8)
+    a, b = np.divmod(stage_flat[:, pt_index(3, CUT_FACTORS)].reshape(9, 8, 8), 8)
     gathers = ((a >> 1) * 4 + (b >> 1), (a & 1) * 2 + (b & 1))
     for g in gathers:
         g.flags.writeable = False

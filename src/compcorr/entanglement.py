@@ -34,7 +34,7 @@ class PptVerdict:
 
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose on factor 0."""
-    lam = pt_spectra(rho.matrix[None], rho.dims, (0,))[0, 0]
+    lam = pt_spectra(rho.matrix[None], (0,))[0, 0]
     return float(np.abs(lam[lam < 0]).sum())
 
 

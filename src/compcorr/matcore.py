@@ -2,12 +2,12 @@
 helpers every module shares: the tolerance table, the angle-to-Bloch map,
 the Bloch-to-operator map (I + v . sigma)/2 and the number formatter.
 
-Everything here works on plain numpy arrays in dimensions 2, 4 and 8.
-Qubit ordering is big-endian: factor 0 is the leftmost tensor slot.
+Everything here works on plain numpy arrays of qubit registers, in dimensions
+2, 4 and 8, and reads a register of n qubits off its size 2**n. Qubit
+ordering is big-endian: factor 0 is the leftmost tensor slot.
 """
 
-import math
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -100,34 +100,31 @@ def fmt(v) -> str:
     return f"{v:.12g}"
 
 
-@lru_cache(maxsize=32)
-def pt_index(dims: tuple[int, ...], factors: tuple[int, ...]) -> np.ndarray:
-    """Read-only (len(factors), d * d) gather index: row i lists, for each
-    entry of a flattened d x d matrix, the flat position that its partial
-    transpose on factors[i] reads."""
-    n = len(dims)
-    flat = np.arange(math.prod(dims) ** 2).reshape(dims * 2)
+@cache
+def pt_index(n: int, factors: tuple[int, ...]) -> np.ndarray:
+    """Read-only (len(factors), 4**n) gather index of an n-qubit register:
+    row i lists, for each entry of a flattened 2**n x 2**n matrix, the flat
+    position that its partial transpose on qubit factors[i] reads."""
+    flat = np.arange(4**n).reshape((2,) * (2 * n))
     index = np.stack([np.swapaxes(flat, f, f + n).ravel() for f in factors])
     index.flags.writeable = False
     return index
 
 
-def pt_spectra(stack: np.ndarray, dims, factors) -> np.ndarray:
-    """Ascending spectra of the partial transpose on each of `factors` of
-    every matrix of an (n, d, d) stack, as an (n, len(factors), d) array,
-    all from one stacked eigvalsh. A (1, d, d) stack gives the bits of one
-    eigvalsh of the d x d partial transpose. The transposes are one gather
-    of the flattened (n, d * d) stack through a cached index array.
+def pt_spectra(stack: np.ndarray, factors) -> np.ndarray:
+    """Ascending spectra of the partial transpose on each qubit of `factors`
+    of every matrix of an (n, d, d) stack, d = 2**q for q qubits, as an
+    (n, len(factors), d) array, all from one stacked eigvalsh. A (1, d, d)
+    stack gives the bits of one eigvalsh of the d x d partial transpose. The
+    transposes are one gather of the flattened stack through `pt_index`.
 
     No Hermiticity check: a partial transpose permutes the entries of
     M - M^dagger, so the caller's check on M covers it."""
-    dims, factors = tuple(dims), tuple(factors)
-    n, d = len(dims), stack.shape[-1]
-    if not all(0 <= f < n for f in factors):
-        raise ValueError(f"factor indices {factors} out of range for {n} factors")
-    if math.prod(dims) != d:
-        raise ValueError(f"matrix size {d} does not match factor dims {dims}")
-    pts = stack.reshape(len(stack), d * d)[:, pt_index(dims, factors)]
+    factors, d = tuple(factors), stack.shape[-1]
+    q = d.bit_length() - 1
+    if d != 2**q or not all(0 <= f < q for f in factors):
+        raise ValueError(f"factor indices {factors} are not qubits of a {d} x {d} matrix")
+    pts = stack.reshape(len(stack), d * d)[:, pt_index(q, factors)]
     return np.linalg.eigvalsh(pts.reshape(-1, d, d)).reshape(len(stack), len(factors), d)
 
 

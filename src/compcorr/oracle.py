@@ -90,19 +90,19 @@ def _augmented(ns: np.ndarray) -> np.ndarray:
     return np.concatenate([np.swapaxes(ns, -1, -2), np.ones(ns.shape[:-2] + (1, ns.shape[-2]))], axis=-2)
 
 
-def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
+def _holevo_batch(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Holevo quantity in bits for a stack of states, given by their
-    `_alice_rows` (S, 4, 4), and a batch of Bob measurement Bloch vectors,
-    (N, 3) for every state or (S, N, 3) per state: an (S, N) array.
+    `_alice_rows` (S, 4, 4), and a batch of Bob measurement Bloch vectors n
+    as the `_augmented` columns [n; 1], (4, N) for every state or (S, 4, N)
+    per state: an (S, N) array.
 
     Bob's projector (I +- n . sigma)/2 leaves Alice x+-(n) = (A_0 +- n . A)/2
     of weight (1 +- b . n)/2 and Bloch length |a +- T n| / (1 +- b . n), with
     rho_A = (I + a . sigma)/2, Bob's Bloch vector b and correlation matrix T.
     G = [[b, 1], [T, a]] maps [n; 1] to the trace and Bloch vector of
     2 x+(n), so a block of directions is two products G @ [+-n; 1], taken
-    as [n; 1] times G and G with its n columns negated; the coarse grid's
-    [n; 1] are built once by `_direction_grid`. In `_bloch_entropy`'s terms
-    chi = (4 S(rho_A) - 4 p+ S+ - 4 p- S-) / (4 ln 2). Blocks of about
+    as [n; 1] times G and G with its n columns negated. In `_bloch_entropy`'s
+    terms chi = (4 S(rho_A) - 4 p+ S+ - 4 p- S-) / (4 ln 2). Blocks of about
     _HOLEVO_BLOCK (state, direction) pairs stay in cache, and each state's
     values are bit for bit those of a stack of it alone. A branch of weight
     p <= ZERO_BRANCH, which `holevo_quantity` drops, adds at most p bits: no mask.
@@ -110,8 +110,8 @@ def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
     g = rows[:, [1, 2, 3, 0]].swapaxes(1, 2)  # G: columns A_1, A_2, A_3, A_0
     g = np.stack([g, g * [-1.0, -1.0, -1.0, 1.0]], axis=1)  # G @ [+-n; 1] as (S, 2, 4, 4) @ [n; 1]
     s_a = 2 * _bloch_entropy(rows[:, 0].T)[:, None]
-    d = np.expand_dims(_direction_grid()[3] if ns is _direction_grid()[2] else _augmented(ns), -3)
-    out = np.empty((len(rows), ns.shape[-2]))
+    d = np.expand_dims(cols, -3)
+    out = np.empty((len(rows), cols.shape[-1]))
     step = max(1, _HOLEVO_BLOCK // len(rows))
     for j in range(0, out.shape[1], step):
         w = _bloch_entropy(np.moveaxis(g @ d[..., j : j + step], -2, 0))
@@ -120,14 +120,13 @@ def _holevo_batch(rows: np.ndarray, ns: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _direction_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (thetas, phis, Bloch vectors, their `_augmented`) of the coarse
+def _direction_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (thetas, phis, `_augmented` Bloch vectors) of the coarse
     grid's rows theta <= pi/2, the first ceil(N_POLAR / 2) of N_POLAR, row-major."""
     thetas = np.linspace(0.0, np.pi, N_POLAR)[: (N_POLAR + 1) // 2]
     phis = np.linspace(0.0, 2 * np.pi, N_AZIMUTH, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    ns = bloch_vector(tt.ravel(), pp.ravel())
-    grid = (thetas, phis, ns, _augmented(ns))
+    grid = (thetas, phis, _augmented(bloch_vector(tt.ravel(), pp.ravel())))
     for arr in grid:
         arr.flags.writeable = False
     return grid
@@ -166,8 +165,8 @@ def maximize_holevo(rho):
 
 def _maximize_stack(states) -> list[OptimizationResult]:
     rows = np.stack([_alice_rows(rho) for rho in states])
-    thetas, phis, ns, _ = _direction_grid()
-    best = np.argmax(_holevo_batch(rows, ns), axis=1)  # first occurrence = lexicographic tie-break
+    thetas, phis, cols = _direction_grid()
+    best = np.argmax(_holevo_batch(rows, cols), axis=1)  # first occurrence = lexicographic tie-break
     th, ph = thetas[best // N_AZIMUTH], phis[best % N_AZIMUTH]
 
     step_t, step_p = np.pi / (N_POLAR - 1) / 2, 2 * np.pi / N_AZIMUTH / 2
@@ -177,7 +176,7 @@ def _maximize_stack(states) -> list[OptimizationResult]:
         # each state's 5 x 5 local grid, row-major as np.meshgrid(..., indexing="ij") lays it out
         tg = np.repeat(np.clip(th[:, None] + offsets * step_t, 0.0, np.pi), 5, axis=1)
         pg = np.tile(ph[:, None] + offsets * step_p, 5)
-        k = np.argmax(_holevo_batch(rows, bloch_vector(tg, pg)), axis=1)
+        k = np.argmax(_holevo_batch(rows, _augmented(bloch_vector(tg, pg))), axis=1)
         th, ph = tg[pick, k], pg[pick, k]
         step_t, step_p = step_t / 2, step_p / 2
 
@@ -212,7 +211,7 @@ def edss_useful_numeric(p: BellDiagonalParams) -> NumericEdssResult:
     anc = bloch_operator(r[:, None] * bloch_vector(th, ph))
     # rho (x) ancilla for every ancilla, then Alice's CNOT: index by PERM_AC
     rabc = kron(bell_diagonal(p).matrix, anc)[:, PERM_AC[:, None], PERM_AC]
-    m_a, m_c = pt_spectra(rabc, (2, 2, 2), (0, 2))[:, :, 0].T
+    m_a, m_c = pt_spectra(rabc, (0, 2))[:, :, 0].T
     npt_a, ppt_c = ~reads_ppt(m_a), reads_ppt(m_c)
     clean = npt_a & ppt_c
     witness = tuple(ANCILLA_GRID[np.argmax(clean)].tolist()) if clean.any() else None

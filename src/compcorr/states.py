@@ -38,9 +38,10 @@ IDENTITY_FRAME.flags.writeable = False
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A Hermitian, unit-trace, positive semidefinite matrix with factor dims,
-    checked once, here: what is derived from it is solved, not checked again.
-    It keeps only `matrix` and `dims`; a caller solves the matrix for its spectrum.
+    """A Hermitian, unit-trace, positive semidefinite 2**n x 2**n matrix on n >= 1
+    qubits, checked once, here: what is derived from it is solved, not checked again.
+    It keeps only `matrix` and `dims`, (2,) * n, which n real numbers equal to 2
+    give (2.0, numpy 2s) and no other dims; a caller solves the matrix for its spectrum.
 
     Equality and hashing are by identity, since the fields are arrays.
     """
@@ -50,16 +51,17 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        dims = tuple(self.dims)
-        plain = all(type(d) is int and 1 <= d <= sys.float_info.max for d in dims)  # skips the general check
-        if not dims or not plain and not all(
-            isinstance(d, numbers.Real) and not isinstance(d, bool) and 1 <= d <= sys.float_info.max and int(d) == d
-            for d in dims
-        ):
-            raise ValueError(f"factor dims {dims} must name at least one factor, each an integer >= 1")
-        total = math.prod(dims)
-        if m.shape != (total, total):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+        try:
+            dims = tuple(self.dims)
+            n = len(dims)
+        except TypeError:  # not iterable, such as 2 or None
+            dims, n = self.dims, 0
+        # types first: an array-valued entry compares to 2 as an array; an int skips the slower ABC check
+        qubits = n and all(type(d) is int or isinstance(d, numbers.Real) for d in dims) and dims == (2,) * n
+        if not (qubits and m.shape == (2**n, 2**n)):
+            raise ValueError(
+                f"factor dims {dims} must name at least one factor, each 2, one per qubit of the {m.shape} matrix"
+            )
         # entries near the float maximum may sum to inf or NaN, which the checks
         # refuse. Every non-finite entry makes the residual inf or NaN, so it
         # fails first and `isfinite` runs only to name the refusal.
@@ -77,7 +79,7 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {least:.3e} below -{STATE_TOL:g}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims if plain else tuple(map(int, dims)))
+        object.__setattr__(self, "dims", (2,) * n)
 
 
 @dataclass(frozen=True)
@@ -306,7 +308,7 @@ def load_state(path) -> DensityMatrix:
     if not isinstance(doc, dict):
         raise ValueError(f"state file must hold a JSON object, not a {type(doc).__name__}")
     try:
-        dims = tuple(doc["dims"])  # DensityMatrix checks the dims
+        dims = doc["dims"]  # DensityMatrix checks the dims
         re, im = (np.array(doc[key], dtype=object) for key in ("matrix_re", "matrix_im"))
         # as floats, json's true and "0.25" read as 1 and 0.25, and an int that no float holds raises
         for x in (*re.flat, *im.flat):

@@ -121,7 +121,7 @@ def test_criterion_05_zeroed_coefficient_kills_entanglement():
         lam = np.sort(np.linalg.eigvalsh(rho.matrix))
         worst_spec = max(
             worst_spec,
-            float(np.max(np.abs(np.sort(pt_spectra(rho.matrix[None], rho.dims, (0,))[0, 0]) - lam))),
+            float(np.max(np.abs(np.sort(pt_spectra(rho.matrix[None], (0,))[0, 0]) - lam))),
         )
     ok = worst_neg < 1e-12 and worst_spec <= 1e-10
     _report(

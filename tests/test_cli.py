@@ -24,7 +24,7 @@ from compcorr.states import (
     save_state,
     signed_svd,
 )
-from testkit import random_bd_params
+from testkit import dims_refusal, random_bd_params
 
 
 def _haar_u2(rng):
@@ -126,6 +126,16 @@ class TestAnalyze:
         assert "non-finite entry" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    # json's 2 and null went through tuple(), whose TypeError read as a malformed file
+    @pytest.mark.parametrize("dims", [2, None])
+    def test_state_file_dims_that_are_no_list_rejected(self, dims, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": dims, "matrix_re": _MIXED, "matrix_im": [0.0] * 16}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {dims_refusal(dims, (4, 4))}\n"
+
     # the antisymmetric pair overflowed m - m^dagger, which numpy warned of
     @pytest.mark.parametrize("sign, message", [(-1, "is not Hermitian"), (1, "negative eigenvalue")])
     def test_state_file_entries_near_the_float_maximum_rejected(self, sign, message, tmp_path, capsys):
@@ -168,10 +178,10 @@ class TestAnalyze:
         # lambda_psi- = 0.5000005: 1 - H2(lambda) in floats cancels to 7.21200876797e-13
         assert main(["analyze", "--bd=-0.333334,-0.333334,-0.333334"]) == 0
         fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
-        mpmath.mp.dps = 50
-        lam = (1 + 3 * mpmath.mpf(0.333334)) / 4
-        ref = 1 + lam * mpmath.log(lam, 2) + (1 - lam) * mpmath.log(1 - lam, 2)
-        assert float(abs(float(fields["e_r"]) - ref) / ref) < 1e-9
+        with mpmath.workdps(50):
+            lam = (1 + 3 * mpmath.mpf(0.333334)) / 4
+            ref = 1 + lam * mpmath.log(lam, 2) + (1 - lam) * mpmath.log(1 - lam, 2)
+            assert float(abs(float(fields["e_r"]) - ref) / ref) < 1e-9
 
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "report.txt"
@@ -363,6 +373,8 @@ _MIXED = (np.eye(4) / 4).ravel().tolist()  # I/4, a valid matrix for dims (2, 2)
         ({"dims": [2, 2], "matrix_re": _MIXED, "matrix_im": [True] + [0.0] * 15}, "entry True is not a"),
         ({"dims": [10**400, 2], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, "factor dims (1000"),
         ({"dims": ["2", 2], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, "factor dims ('2', 2)"),
+        # a 4x4 matrix of one factor is refused when it is read, not as "expected a two-qubit state"
+        ({"dims": [4], "matrix_re": _MIXED, "matrix_im": [0.0] * 16}, dims_refusal((4,), (4, 4))),
     ],
 )
 def test_malformed_state_file_rejected(command, doc, message, tmp_path, capsys):

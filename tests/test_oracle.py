@@ -121,9 +121,9 @@ def test_holevo_batch_sees_the_hemisphere_grid_and_refinement(monkeypatch):
     sizes = []
     original = oracle._holevo_batch
 
-    def counting(rows, ns):
-        sizes.append(ns.shape[-2])  # directions per state: (N, 3) shared or (S, N, 3)
-        return original(rows, ns)
+    def counting(rows, cols):
+        sizes.append(cols.shape[-1])  # directions per state: (4, N) shared or (S, 4, N)
+        return original(rows, cols)
 
     monkeypatch.setattr(oracle, "_holevo_batch", counting)
     maximize_holevo(bell_diagonal(BellDiagonalParams(0.45, -0.2, 0.3)))
@@ -181,17 +181,20 @@ def test_holevo_blocks_are_the_one_pass_bit_for_bit():
     states += [random_density_matrix(rng, (2, 2)) for _ in range(12)]
     assert len(states) > oracle.HOLEVO_STACK
     rows = np.stack([oracle._alice_rows(rho) for rho in states])
-    _, _, ns, _ = oracle._direction_grid()
+    thetas, phis, cols = oracle._direction_grid()
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    ns = bloch_vector(tt.ravel(), pp.ravel())
+    # the coarse grid's cached [n; 1] columns are those built for its directions
+    assert cols.tobytes() == oracle._augmented(ns).tobytes()
     per_stack = oracle._HOLEVO_BLOCK // oracle.HOLEVO_STACK
     assert len(ns) > per_stack and len(ns) % per_stack != 0
     per_state = bloch_vector(rng.uniform(0, np.pi, (len(states), 25)), rng.uniform(0, 2 * np.pi, (len(states), 25)))
-    whole = slice(None)
-    for pick, dirs in ((slice(oracle.HOLEVO_STACK), ns), (whole, ns), (slice(3, 4), ns), (whole, per_state)):
-        got = oracle._holevo_batch(rows[pick], dirs)
+    whole, grid, local = slice(None), (ns, cols), (per_state, oracle._augmented(per_state))
+    first = slice(oracle.HOLEVO_STACK)
+    for pick, (dirs, dir_cols) in ((first, grid), (whole, grid), (slice(3, 4), grid), (whole, local)):
+        got = oracle._holevo_batch(rows[pick], dir_cols)
         assert got.tobytes() == _holevo_batch_one_pass(rows[pick], dirs).tobytes()
         assert np.max(np.abs(got - _holevo_batch_trace_det(states[pick], dirs))) <= 1e-14
-    # the coarse grid's cached [n; 1] columns are those built for a copy of it
-    assert oracle._holevo_batch(rows, ns).tobytes() == oracle._holevo_batch(rows, ns.copy()).tobytes()
     for rho, opt in zip(states, maximize_holevo(states)):
         want = maximize_holevo(rho)
         assert opt.value == want.value
@@ -217,7 +220,7 @@ def test_holevo_batch_on_edge_states_is_holevo_quantity(matrix):
     # classical state's are along z
     rho = DensityMatrix(matrix, (2, 2))
     ns = np.concatenate([np.eye(3), -np.eye(3), bloch_vector(np.array([0.3, 1.2, 2.5]), np.array([0.4, 2.0, 5.0]))])
-    got = oracle._holevo_batch(oracle._alice_rows(rho)[None], ns)[0]
+    got = oracle._holevo_batch(oracle._alice_rows(rho)[None], oracle._augmented(ns))[0]
     assert np.max(np.abs(got - [holevo_quantity(rho, n) for n in ns])) <= 1e-15
 
 

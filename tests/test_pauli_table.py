@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from compcorr.correlations import holevo_quantity
 from compcorr.matcore import I2, PAULIS, bloch_operator, bloch_vector
-from compcorr.oracle import _alice_rows, _holevo_batch
+from compcorr.oracle import _alice_rows, _augmented, _holevo_batch
 from compcorr.states import (
     PAULI_PRODUCTS,
     BellDiagonalParams,
@@ -94,4 +94,4 @@ def test_holevo_batch_matches_per_direction_holevo(seed, directions):
     rho = _state(seed)
     ns = np.array([bloch_vector(*a) for a in directions])
     want = [holevo_quantity(rho, n) for n in ns]
-    np.testing.assert_allclose(_holevo_batch(_alice_rows(rho)[None], ns)[0], want, rtol=0, atol=TOL)
+    np.testing.assert_allclose(_holevo_batch(_alice_rows(rho)[None], _augmented(ns))[0], want, rtol=0, atol=TOL)

@@ -41,7 +41,14 @@ from compcorr.states import (
     random_bd_block,
     signed_svd,
 )
-from testkit import is_physical, partial_transpose, random_bd_params, random_density_matrix
+from testkit import (
+    REFUSED_DIMS,
+    dims_refusal,
+    is_physical,
+    partial_transpose,
+    random_bd_params,
+    random_density_matrix,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical)
@@ -294,11 +301,11 @@ def test_hermiticity_residual_at_the_tolerance_is_accepted(unit):
 
 @pytest.mark.parametrize("tr", _TRACE_IN)
 def test_trace_at_the_tolerance_is_accepted(tr):
-    # then the next float away from 1; the 4x4 diagonal sums to it exactly in any order
+    # then the next float away from 1; each diagonal sums to it exactly in any order
     out = float(np.nextafter(tr, 2 * tr - 1))
     assert abs(tr - 1.0) <= STATE_TOL < abs(out - 1.0)
     for t, message in ((tr, None), (out, f"trace {out} differs from 1 by more than 1e-10")):
-        assert _refusal(np.diag([t]), (1,)) == message
+        assert _refusal(np.diag([t, 0.0]), (2,)) == message
         assert _refusal(np.diag([t - 0.75, 0.25, 0.25, 0.25]), (2, 2)) == message
 
 
@@ -334,18 +341,24 @@ def _with_entry(i, j, v):
 @pytest.mark.parametrize(
     "matrix, dims, message",
     [
-        (np.eye(4) / 4, (2, 0), "factor dims (2, 0) must name at least one factor, each an integer >= 1"),
-        (np.eye(4) / 4, (), "factor dims () must name at least one factor, each an integer >= 1"),
-        (np.eye(4) / 4, (2, 2, 2), "matrix shape (4, 4) does not match dims (2, 2, 2)"),
+        (np.eye(4) / 4, (2, 0), dims_refusal((2, 0), (4, 4))),
+        (np.eye(4) / 4, (), dims_refusal((), (4, 4))),
+        (np.eye(8) / 8, (2, 4), dims_refusal((2, 4), (8, 8))),
         (_with_entry(0, 3, np.nan), (2, 2), "density matrix has a non-finite entry"),
         (_with_entry(0, 1, 0.1), (2, 2), "density matrix is not Hermitian within 1e-10"),
         (np.eye(4) / 2, (2, 2), "trace 2.0 differs from 1 by more than 1e-10"),
         (np.diag([1.5, -0.5, 0, 0]), (2, 2), "negative eigenvalue -5.000e-01 below -1e-10"),
+    ]
+    + [(np.eye(4) / 4, dims, dims_refusal(dims, (4, 4))) for dims in REFUSED_DIMS]
+    # no 2**n x 2**n matrix, n >= 1, takes any dims
+    + [
+        (m, (2, 2), dims_refusal((2, 2), m.shape))
+        for m in (np.eye(1), np.eye(3) / 3, np.eye(6) / 6, np.ones((4, 2)) / 4, np.full(4, 0.25))
     ],
 )
 def test_public_constructor_rejects_with_its_message(matrix, dims, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        DensityMatrix(matrix, dims)
+    # with every warning an error: an array-valued entry compares to 2 as an array
+    assert _refusal(matrix, dims) == message
 
 
 @pytest.mark.parametrize(
@@ -580,4 +593,4 @@ def test_stacked_axis_tables_match_per_axis_route(seed):
 
 def test_stacked_axis_tables_need_two_qubits():
     with pytest.raises(ValueError, match="two-qubit"):
-        complementary_correlations(DensityMatrix(np.eye(8) / 8, (2, 4)))
+        complementary_correlations(DensityMatrix(np.eye(8) / 8, (2, 2, 2)))

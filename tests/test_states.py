@@ -26,7 +26,16 @@ from compcorr.states import (
     signed_svd,
     werner,
 )
-from testkit import PHI_PLUS, PSI_MINUS, PSI_PLUS, is_physical, random_bd_params, random_density_matrix
+from testkit import (
+    PHI_PLUS,
+    PSI_MINUS,
+    PSI_PLUS,
+    REFUSED_DIMS,
+    dims_refusal,
+    is_physical,
+    random_bd_params,
+    random_density_matrix,
+)
 
 
 def _rejection_loop(rng, n):
@@ -72,7 +81,7 @@ class TestDensityMatrix:
             ({(0, 1): 1.7e308, (1, 0): -1.7e308}, (2,), "not Hermitian"),
             ({(0, 1): 1.7e308, (1, 0): 1.7e308}, (2,), "negative eigenvalue"),
             ({(0, 0): 1.7e308, (1, 1): 1.7e308}, (2,), "trace inf"),
-            ({(k, k): (-1) ** (k // 2) * 1.7e308 for k in range(8)}, (8,), "trace nan"),
+            ({(k, k): (-1) ** (k // 2) * 1.7e308 for k in range(8)}, (2, 2, 2), "trace nan"),
         ],
     )
     def test_rejects_entries_near_the_float_maximum(self, entries, dims, message):
@@ -87,35 +96,25 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 2, 2))
 
-    def test_rejects_factor_dims_below_one(self, tmp_path):
-        with pytest.raises(ValueError, match=r"dims \(-1, -1\)"):
-            DensityMatrix(np.eye(1), (-1, -1))
+    @pytest.mark.parametrize("dims", REFUSED_DIMS)
+    def test_rejects_factor_dims_below_one(self, dims, tmp_path):
+        # every dims but (2,) * n for a 2**n x 2**n matrix, from the constructor and from a state file
+        message = f"^{re.escape(dims_refusal(dims, (4, 4)))}$"
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.eye(4) / 4, dims)
+        if isinstance(dims, tuple) and any(isinstance(d, np.ndarray) for d in dims):
+            return  # no state file holds an array
         path = tmp_path / "state.json"
-        path.write_text('{"dims": [-1, -1], "matrix_re": [1.0], "matrix_im": [0.0]}')
-        with pytest.raises(ValueError, match=r"dims \(-1, -1\)"):
-            load_state(path)
-        with pytest.raises(ValueError, match=r"dims \(\) must name at least one factor"):
-            DensityMatrix(np.eye(1), ())
-        # a fractional dim is refused, not truncated to 2
-        with pytest.raises(ValueError, match=r"dims \(2.9, 2\)"):
-            DensityMatrix(np.eye(4) / 4, (2.9, 2))
         mixed = (np.eye(4) / 4).ravel().tolist()
-        path.write_text(json.dumps({"dims": [2.9, 2], "matrix_re": mixed, "matrix_im": [0.0] * 16}))
-        with pytest.raises(ValueError, match=r"dims \(2.9, 2\)"):
+        doc = {"dims": list(dims) if isinstance(dims, tuple) else dims, "matrix_re": mixed, "matrix_im": [0.0] * 16}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             load_state(path)
-        # a bool is refused, though True == 1
-        with pytest.raises(ValueError, match=r"dims \(True, 2\) must name at least one factor, each an integer >= 1"):
-            DensityMatrix(np.eye(2) / 2, (True, 2))
-        path.write_text(json.dumps({"dims": [True, 2], "matrix_re": [0.5, 0, 0, 0.5], "matrix_im": [0.0] * 4}))
-        with pytest.raises(ValueError, match=r"dims \(True, 2\) must name at least one factor"):
-            load_state(path)
-        # an int that no float holds is refused, where math.isfinite raised OverflowError
-        huge = f"factor dims ({10**400}, 2) must name at least one factor, each an integer >= 1"
-        with pytest.raises(ValueError, match=f"^{re.escape(huge)}$"):
-            DensityMatrix(np.eye(4) / 4, (10**400, 2))
-        path.write_text(json.dumps({"dims": [10**400, 2], "matrix_re": mixed, "matrix_im": [0.0] * 16}))
-        with pytest.raises(ValueError, match=f"^{re.escape(huge)}$"):
-            load_state(path)
+
+    @pytest.mark.parametrize("dims", [(2.0, 2), (np.int64(2), 2), (np.float64(2.0), 2.0), [2, 2], np.array([2, 2])])
+    def test_accepts_qubit_dims_as_int_2s(self, dims):
+        rho = DensityMatrix(np.eye(4) / 4, dims)
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
 
     def test_immutable(self):
         rho = bell_diagonal(BellDiagonalParams(0, 0, 0))
@@ -415,8 +414,8 @@ class TestStateFiles:
 
     def test_load_reads_an_int_entry(self, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps({"dims": [1], "matrix_re": [1], "matrix_im": [0]}))
-        assert load_state(path).matrix.tolist() == [[1.0]]
+        path.write_text(json.dumps({"dims": [2], "matrix_re": [1, 0, 0, 0], "matrix_im": [0, 0, 0, 0]}))
+        assert load_state(path).matrix.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_bd_params_of(self):
         p = BellDiagonalParams(0.2, -0.1, 0.3)

@@ -1,7 +1,7 @@
 """Helpers the tests share: the Bell vectors, the physicality rule on a raw
-triple, checked Bell-diagonal draws as objects, Ginibre random states, and
-the swapaxes partial transpose that is the reference for
-`matcore.pt_spectra`'s gather. pytest puts this
+triple, checked Bell-diagonal draws as objects, Ginibre random states, the
+dims that `DensityMatrix` refuses, and the swapaxes partial transpose that
+is the reference for `matcore.pt_spectra`'s gather. pytest puts this
 directory on sys.path, so tests import it by name."""
 
 import numpy as np
@@ -12,6 +12,36 @@ from compcorr.states import BellDiagonalParams, DensityMatrix, bell_eigenvalues,
 PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS = np.array(
     [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
 ) * (1 / np.sqrt(2))
+
+
+# dims that a 4x4 matrix refuses: no factor, factors other than 2, a bool, a
+# str, NaN, inf, an int that no float holds, array-valued entries, a
+# non-iterable, and qubits that do not fit
+REFUSED_DIMS = [
+    (),
+    (1,),
+    (3,),
+    (4,),
+    (-1, -1),
+    (2, 0),
+    (2.9, 2),
+    (True, 2),
+    ("2", 2),
+    (float("nan"), 2),
+    (float("inf"), 2),
+    (10**400, 2),
+    (np.array([2]), 2),
+    (np.array([2, 2]), 2),
+    2,
+    None,
+    (2,),
+    (2, 2, 2),
+]
+
+
+def dims_refusal(dims, shape) -> str:
+    """The message that `DensityMatrix` refuses the dims of a matrix of the shape with."""
+    return f"factor dims {dims} must name at least one factor, each 2, one per qubit of the {shape} matrix"
 
 
 def is_physical(c) -> bool:
