@@ -107,8 +107,8 @@ def _cmd_edss(args) -> int:
     if args.ancilla == "auto":
         result = edss_useful(p)  # refuses an entangled p
         doc = {}
-        if result.trace is not None:  # with no witness there is no ancilla worth tracing
-            doc = _trace_doc(result.trace)
+        if result.witness is not None:  # with no witness there is no ancilla worth tracing
+            doc = _trace_doc(run_protocol(bell_diagonal(p), ancilla_state(*result.witness)))
         doc["edss_useful"] = result.useful
         doc["witness"] = None if result.witness is None else list(result.witness)
         doc["r_a"] = result.r_a

@@ -27,7 +27,7 @@ from .matcore import (
     bloch_operator,
     entropy_of_probabilities,
 )
-from .states import BellDiagonalParams, DensityMatrix
+from .states import BellDiagonalParams, DensityMatrix, require_qubits
 
 
 def outcome_mutual_information(p):
@@ -81,8 +81,7 @@ def outcome_tables(m: np.ndarray) -> np.ndarray:
 def complementary_correlations(rho: DensityMatrix) -> tuple[float, float, float]:
     """I(sigma_i : sigma_i) for same-axis measurements along x, y, z; the three
     `outcome_tables` are scored as one stack."""
-    if rho.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
+    require_qubits(rho, 2)
     return tuple(outcome_mutual_information(outcome_tables(rho.matrix)).tolist())
 
 
@@ -98,8 +97,7 @@ def holevo_quantity(rho: DensityMatrix, n) -> float:
     # written so that a NaN component fails
     if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= UNIT_TOL:
         raise ValueError(f"measurement direction {n.tolist()} is not a unit 3-vector")
-    if rho.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
+    require_qubits(rho, 2)
     r = rho.matrix.reshape(2, 2, 2, 2)
     avg = np.zeros((2, 2), dtype=complex)
     cond_term = 0.0
@@ -142,8 +140,7 @@ def classical_correlation(p: BellDiagonalParams) -> float:
 
 def total_mutual_information(rho: DensityMatrix) -> float:
     """S(rho_A) + S(rho_B) - S(rho), in bits."""
-    if rho.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
+    require_qubits(rho, 2)
     r = rho.matrix.reshape(2, 2, 2, 2)
     sa, sb = (entropy_of_probabilities(np.linalg.eigvalsh(r.trace(axis1=k, axis2=k + 2))) for k in (1, 0))
     return sa + sb - entropy_of_probabilities(np.linalg.eigvalsh(rho.matrix))

@@ -47,12 +47,14 @@ r_a < s_c iff one of r_phi, r_psi lies below both of s_phi, s_psi. Then
 r_phi < s_phi iff c3 > 0 (and d > 0), and r_phi < s_psi iff d > e iff
 c1 c2 < 0; the psi pair is the mirror case, c3 < 0 and c1 c2 > 0.
 `edss_useful` therefore decides by the signs of c, which is exact in
-floating point, and certifies its witness r = (r_a + s_c)/2 with one
-`run_protocol`. Within about 1e-10 of a face the window (r_a, s_c] is below
-rounding and the certification can fail; the result is then useful with no
-witness. `oracle.edss_useful_numeric` is the numeric reference: one fixed
-grid over the whole ancilla ball, whose 8x8 send-step cuts are all solved
-as one stacked eigensolve.
+floating point, and certifies its witness r = (r_a + s_c)/2 from the two
+send-step cuts that decide it, A|BC and C|AB after Alice's CNOT: one
+(2, 8, 8) eigensolve of rows of `run_protocol`'s gathers, bit for bit those
+rows of its (9, 8, 8) stack. Within about 1e-10 of a face the window
+(r_a, s_c] is below rounding and the certification can fail; the result is
+then useful with no witness. `oracle.edss_useful_numeric` is the numeric
+reference: one fixed grid over the whole ancilla ball, whose 8x8 send-step
+cuts are all solved as one stacked eigensolve.
 
 `run_protocol` reports its stages' PPT verdicts from one stacked eigensolve,
 and nothing of the A|B state after both CNOTs, which is the input for every
@@ -62,14 +64,15 @@ and every nonzero entry of a Bell-diagonal rho_AB is one of those.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entanglement import PptVerdict, is_separable_bd, require_separable
+from .entanglement import PptVerdict, is_separable_bd, reads_ppt, require_separable
 from .matcore import bloch_operator, bloch_vector, fmt, pt_index
 from .report import report_for_bd
 from .states import BellDiagonalParams, DensityMatrix, as_int, bd_rank, bell_diagonal, bell_eigenvalues, on_tetrahedron
+from .states import require_qubits
 
 STAGES = ("initial", "after_alice", "after_bob")
 CUT_FACTORS = (0, 2, 1)
@@ -104,6 +107,13 @@ def _protocol_gathers() -> tuple[np.ndarray, np.ndarray]:
 
 
 _RHO_GATHER, _ANCILLA_GATHER = _protocol_gathers()
+_SEND_STEP = slice(3, 5)  # the rows of A|BC and C|AB after Alice's CNOT
+
+
+def _partial_transposes(rho_ab: DensityMatrix, ancilla: DensityMatrix, rows=slice(None)) -> np.ndarray:
+    """The rows of the (9, 8, 8) stack of partial transposes: one gather of
+    each input and one product. A slice of a gather is a read-only view."""
+    return rho_ab.matrix.ravel()[_RHO_GATHER[rows]] * ancilla.matrix.ravel()[_ANCILLA_GATHER[rows]]
 
 
 def ancilla_state(theta: float, phi: float, radius: float = 1.0) -> DensityMatrix:
@@ -140,15 +150,13 @@ def run_protocol(rho_ab: DensityMatrix, ancilla: DensityMatrix) -> ProtocolTrace
     bit for bit the partial transposes of the stages, which index
     rho_ab (x) ancilla through _STAGE_ROWS, with no kron, stage matrix or
     state built. One eigvalsh call solves the nine as one stack."""
-    if rho_ab.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho_ab.dims}")
-    if ancilla.dims != (2,):
-        raise ValueError(f"expected a single-qubit ancilla, got dims {ancilla.dims}")
+    require_qubits(rho_ab, 2)
+    require_qubits(ancilla, 1, "ancilla")
     # no Hermiticity check here: each stage is a basis permutation of the
     # kron of two validated states, and a partial transpose only permutes
     # its entries again
-    pts = rho_ab.matrix.ravel()[_RHO_GATHER] * ancilla.matrix.ravel()[_ANCILLA_GATHER]
-    v = tuple(map(PptVerdict, map(tuple, np.linalg.eigvalsh(pts).tolist()), CUT_LABELS * 3))
+    spectra = np.linalg.eigvalsh(_partial_transposes(rho_ab, ancilla)).tolist()
+    v = tuple(map(PptVerdict, map(tuple, spectra), CUT_LABELS * 3))
     return ProtocolTrace(dict(zip(STAGES, (v[:3], v[3:6], v[6:]))), not v[3].is_ppt)  # v[3]: A|BC after Alice
 
 
@@ -157,11 +165,10 @@ class EdssSearchResult:
     """The exact EDSS decision for one input state."""
 
     useful: bool  # some ancilla succeeds with a PPT send step: c1 c2 c3 < 0
-    witness: tuple[float, float, float] | None  # (theta, phi, radius), certified by run_protocol
+    # (theta, phi, radius), certified by its send-step cuts: A|BC NPT, C|AB PPT
+    witness: tuple[float, float, float] | None
     r_a: float  # A|BC is NPT after Alice's CNOT iff the z-axis radius exceeds r_a
     s_c: float  # C|AB stays PPT at the send step iff the z-axis radius is at most s_c
-    # the run_protocol trace that certified the witness, None without one
-    trace: ProtocolTrace | None = field(default=None, compare=False, repr=False)
 
 
 def _ratio(u: float, w: float) -> float:
@@ -175,7 +182,8 @@ def _ratio(u: float, w: float) -> float:
 
 def edss_useful(p: BellDiagonalParams) -> EdssSearchResult:
     """Decide whether some ancilla distributes entanglement with a PPT send
-    step, and certify a z-axis witness through `run_protocol`.
+    step, and certify a z-axis witness by `run_protocol`'s rule on the two
+    cuts it reads: `success and send_step_ppt`.
 
     The input must be a separable correlation triple. The signs
     are tested rather than the product, which can underflow to 0.
@@ -186,13 +194,14 @@ def edss_useful(p: BellDiagonalParams) -> EdssSearchResult:
     r_a = min(_ratio(1 - c3, d), _ratio(1 + c3, e))
     s_c = min(_ratio(1 + c3, d), _ratio(1 - c3, e))
     useful = 0.0 not in (c1, c2, c3) and (c1 < 0) ^ (c2 < 0) ^ (c3 < 0)  # c1 c2 c3 < 0
-    witness = trace = None
+    witness = None
     if useful:
         r = (r_a + s_c) / 2
-        run = run_protocol(bell_diagonal(p), ancilla_state(0.0, 0.0, r))
-        if run.success and run.send_step_ppt:
-            witness, trace = (0.0, 0.0, r), run
-    return EdssSearchResult(useful, witness, r_a, s_c, trace)
+        pts = _partial_transposes(bell_diagonal(p), ancilla_state(0.0, 0.0, r), _SEND_STEP)
+        a_min, c_min = np.linalg.eigvalsh(pts)[:, 0].tolist()
+        if not reads_ppt(a_min) and reads_ppt(c_min):
+            witness = (0.0, 0.0, r)
+    return EdssSearchResult(useful, witness, r_a, s_c)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,15 @@ class DensityMatrix:
         object.__setattr__(self, "dims", (2,) * n)
 
 
+_QUBIT_COUNTS = ("single-qubit", "two-qubit")
+
+
+def require_qubits(rho: DensityMatrix, n: int, what: str = "state") -> None:
+    """Refuse rho unless it is a state of n qubits, n 1 or 2, naming it as what."""
+    if len(rho.dims) != n:
+        raise ValueError(f"expected a {_QUBIT_COUNTS[n - 1]} {what}, got dims {rho.dims}")
+
+
 @dataclass(frozen=True)
 class BellDiagonalParams:
     """A point (c1, c2, c3) of the Bell-diagonal tetrahedron, checked once on
@@ -155,8 +164,7 @@ def bd_rank(p: BellDiagonalParams) -> int:
 def bloch_decompose(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, T) of a two-qubit state: Alice's and Bob's local Bloch vectors
     and the 3x3 correlation matrix."""
-    if rho.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
+    require_qubits(rho, 2)
     c = np.einsum("ijkl,lk->ij", PAULI_PRODUCTS, rho.matrix).real  # Tr[rho P_ij]
     return c[1:, 0], c[0, 1:], c[1:, 1:]
 
@@ -219,6 +227,13 @@ def round_onto_tetrahedron(c) -> BellDiagonalParams:
     return BellDiagonalParams(*(_BELL_SIGNS @ (lam / lam.sum())))
 
 
+def _norm(x: np.ndarray) -> float:
+    """`np.linalg.norm` of a real 1-D array, bit for bit, as it computes
+    it, with none of its dispatch: the square root of the dot of its ravel."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np.ndarray]:
     """(p, RA, RB) for a state whose local Bloch vectors vanish within
     MARGINAL_TOL: its triple p, rounded onto the tetrahedron, and RA, RB in
@@ -231,7 +246,7 @@ def bd_params_of(rho: DensityMatrix) -> tuple[BellDiagonalParams, np.ndarray, np
     diagonal taken within m of T can be sqrt(6) m off its singular values.
     """
     a, b, T = bloch_decompose(rho)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na, nb = _norm(a), _norm(b)
     if not max(na, nb) <= MARGINAL_TOL:
         raise ValueError(f"state does not have maximally mixed marginals: |a| = {na:.3e}, |b| = {nb:.3e}")
     (t11, t12, t13), (t21, t22, t23), (t31, t32, t33) = T.tolist()

@@ -17,6 +17,7 @@ second check.
 import ast
 import math
 import re
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -49,6 +50,11 @@ from testkit import (
     random_bd_params,
     random_density_matrix,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import WORKLOADS as BENCH_WORKLOADS  # noqa: E402
+from workloads import inputs  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
 physical_triples = st.tuples(*[st.floats(-1, 1)] * 3).filter(is_physical)
@@ -91,8 +97,8 @@ def test_run_protocol_solves_nine_8x8_spectra_in_one_call(monkeypatch):
 @pytest.mark.parametrize(
     "c, solves, validations",
     [
-        # useful: bell_diagonal's check, the ancilla's, then run_protocol
-        pytest.param((0.3, -0.3, 0.3), [(4, 4), (2, 2), (9, 8, 8)], 2, id="c0-solves0-1"),
+        # useful: bell_diagonal's check, the ancilla's, then the two send-step cuts
+        pytest.param((0.3, -0.3, 0.3), [(4, 4), (2, 2), (2, 8, 8)], 2, id="c0-solves0-1"),
         # not useful: decided in closed form, nothing built
         pytest.param((0.3, 0.3, 0.3), [], 0, id="c1-solves1-0"),
         pytest.param((0.5, 0.0, 0.25), [], 0, id="c2-solves2-0"),
@@ -103,6 +109,57 @@ def test_edss_useful_work(monkeypatch, c, solves, validations):
     work = _work(monkeypatch, lambda: results.append(edss_useful(BellDiagonalParams(*c))))
     assert work == (solves, validations)
     assert (results[0].witness is not None) == results[0].useful == bool(solves)
+
+
+def _certification(monkeypatch, p):
+    """edss_useful(p) and the (2, 8) spectra of its one solve past the two
+    validations, the A|BC and C|AB cuts after Alice's CNOT."""
+    solved, eigvalsh = [], np.linalg.eigvalsh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: solved.append(eigvalsh(a, *args, **kw)) or solved[-1])
+        res = edss_useful(p)
+    (spectra,) = [w for w in solved if w.shape == (2, 8)]
+    return res, spectra
+
+
+def _send_step_spectra(p, r):
+    """run_protocol's A|BC and C|AB spectra after Alice's CNOT, with the z-axis ancilla of radius r."""
+    a_bc, c_ab, _ = run_protocol(bell_diagonal(p), ancilla_state(0.0, 0.0, r)).stage_verdicts["after_alice"]
+    assert (a_bc.cut, c_ab.cut) == ("A|BC", "C|AB")
+    return np.array([a_bc.spectrum, c_ab.spectrum])
+
+
+def test_certification_spectra_are_run_protocols_bit_for_bit(monkeypatch):
+    # the edss-witness pools of two seeds, and a triple next to a face
+    pools = [inputs(BENCH_WORKLOADS["edss-witness"], seed) for seed in (0, 7)]
+    for c in [c for pool in pools for c in pool] + [(0.3, -0.3, 0.001)]:
+        res, spectra = _certification(monkeypatch, BellDiagonalParams(*c))
+        assert res.useful and res.witness is not None
+        assert spectra.tobytes() == _send_step_spectra(BellDiagonalParams(*c), res.witness[2]).tobytes()
+
+
+# separable triples with c1 c2 c3 < 0: magnitudes with a sum of at most 1, and an odd number of minus signs
+useful_triples = st.builds(
+    lambda w, signs: tuple((np.divide(w, max(1.0, math.fsum(w))) * signs).tolist()),
+    st.tuples(*[st.floats(0, 1, exclude_min=True)] * 3),
+    st.sampled_from([(-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, -1, -1)]),
+).filter(lambda c: 0.0 not in c)
+
+
+@given(useful_triples)
+@example((0.3, -0.3, 1e-12))  # useful, but the window is below rounding: no witness
+@example((0.3, -0.3, 5e-324))
+@example((0.3, -0.3, 0.001))
+@example((1e-300, -0.5, 0.5))
+@settings(max_examples=200, deadline=None)
+def test_witness_is_run_protocols_rule(c):
+    # a witness iff run_protocol at the midpoint succeeds with a PPT send step
+    p = BellDiagonalParams(*c)
+    res = edss_useful(p)
+    assert res.useful
+    r = (res.r_a + res.s_c) / 2
+    run = run_protocol(bell_diagonal(p), ancilla_state(0.0, 0.0, r))
+    assert res.witness == ((0.0, 0.0, r) if run.success and run.send_step_ppt else None)
 
 
 @pytest.mark.parametrize("n", [1, 200])

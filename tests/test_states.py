@@ -13,6 +13,7 @@ from compcorr.states import (
     PAULI_PRODUCTS,
     BellDiagonalParams,
     DensityMatrix,
+    _norm,
     bd_block,
     bd_params_of,
     bell_diagonal,
@@ -425,3 +426,16 @@ class TestStateFiles:
         np.testing.assert_array_equal(RB, np.eye(3))
         with pytest.raises(ValueError, match="marginals"):
             bd_params_of(DensityMatrix(np.diag([1, 0, 0, 0]).astype(complex), (2, 2)))
+
+    def test_marginal_norm_is_numpys_bit_for_bit(self):
+        # 10,000 seeded vectors cut as bloch_decompose cuts a and b out of
+        # the real part of a complex (4, 4) array: strided columns and rows
+        rng = np.random.default_rng(71)
+        scales = 10.0 ** rng.integers(-150, 150, (2500, 1, 1))
+        blocks = ((rng.normal(size=(2500, 4, 4)) + 1j * rng.normal(size=(2500, 4, 4))) * scales).real
+        for c in blocks:
+            for v in (c[1:, 0], c[0, 1:]):
+                assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
+        for v in (blocks[:, 1:, 0], rng.normal(size=(2500, 3)) * scales[:, 0]):
+            for row in v:
+                assert _norm(row).hex() == float(np.linalg.norm(row)).hex()
